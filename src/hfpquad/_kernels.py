@@ -1,95 +1,30 @@
-"""Hot numeric loops with a numba fast path and a pure-numpy fallback.
+"""Hot numeric loops of the rules and the collocation solvers, in numpy.
 
-Backend selection is per call via the HFPQUAD_BACKEND environment variable:
-``numpy`` forces the fallback, ``numba`` requires numba, anything else
-(or unset) prefers numba when it is importable.  Both paths use compensated
-accumulation so the summation constant in the roundoff-floor model stays
-small: the numba path runs a Kahan loop, the numpy path uses math.fsum
-(exactly rounded).
+``singular_sum`` forms the node sum sum_j g_j / y_j**m of every rule with
+numpy's pairwise summation, whose error grows like u*log(n) (Higham,
+Accuracy and Stability of Numerical Algorithms, section 4.2); the rule's
+roundoff is dominated by the u*n^2 term of the singular denominators, so
+the order of the sum does not move the floor model.  ``dirichlet_dz``
+evaluates the cardinal kernel and its derivatives for the collocation
+matrices.
+
+Callers look both names up through the module at call time
+(``_kernels.singular_sum``), so a tracer can rebind them.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
-_ENV_VAR = "HFPQUAD_BACKEND"
 
 
 def active_backend() -> str:
-    """Resolve the backend name ("numba" or "numpy") for the current call."""
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if numba is not None else "numpy"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if numba is None:
-            raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    raise ValueError(f"unknown {_ENV_VAR} value: {choice!r}")
-
-
-# ---------------------------------------------------------------------------
-# singular node sums:  sum_j g_j / y_j**m
-# ---------------------------------------------------------------------------
-
-
-def _singular_sum_np(g_vals: np.ndarray, y_vals: np.ndarray, m: int) -> float:
-    return math.fsum(g_vals / y_vals**m)
-
-
-def _kahan_sum_np(vals: np.ndarray) -> float:
-    return math.fsum(vals)
-
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _singular_sum_nb(g_vals, y_vals, m):  # pragma: no cover - jitted
-        total = 0.0
-        comp = 0.0
-        for i in range(g_vals.shape[0]):
-            term = g_vals[i] / y_vals[i] ** m - comp
-            t = total + term
-            comp = (t - total) - term
-            total = t
-        return total
-
-    @numba.njit(cache=True)
-    def _kahan_sum_nb(vals):  # pragma: no cover - jitted
-        total = 0.0
-        comp = 0.0
-        for i in range(vals.shape[0]):
-            term = vals[i] - comp
-            t = total + term
-            comp = (t - total) - term
-            total = t
-        return total
+    """Name of the node-sum implementation; numpy is the only one."""
+    return "numpy"
 
 
 def singular_sum(g_vals: np.ndarray, y_vals: np.ndarray, m: int) -> float:
-    """Compensated sum of g_j / y_j**m over all nodes."""
-    g_vals = np.ascontiguousarray(g_vals, dtype=np.float64)
-    y_vals = np.ascontiguousarray(y_vals, dtype=np.float64)
-    if active_backend() == "numba":
-        return float(_singular_sum_nb(g_vals, y_vals, m))
-    return _singular_sum_np(g_vals, y_vals, m)
-
-
-def kahan_sum(vals: np.ndarray) -> float:
-    """Compensated sum of a 1-d array."""
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    if active_backend() == "numba":
-        return float(_kahan_sum_nb(vals))
-    return _kahan_sum_np(vals)
+    """Pairwise sum of g_j / y_j**m over all nodes."""
+    return float((g_vals / y_vals**m).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +38,8 @@ def kahan_sum(vals: np.ndarray) -> float:
 # cancellation at the removable singularity.
 
 
-def _dirichlet_dz_np(z, n, order, taylor, z_switch):
+def dirichlet_dz(z: np.ndarray, n: int, order: int, taylor: np.ndarray, z_switch: float) -> np.ndarray:
+    """Evaluate d^order/dz^order of sin(n z) cot(z)/n on reduced angles z."""
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     near = np.abs(z) < z_switch
@@ -143,55 +79,3 @@ def _dirichlet_dz_np(z, n, order, taylor, z_switch):
             val = -(n * n) * C * c - 3.0 * n * S * cp + 3.0 * C * cpp + S * cppp / n
         out[~near] = val
     return out
-
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _dirichlet_dz_nb(z, n, order, taylor, z_switch):  # pragma: no cover
-        out = np.empty_like(z)
-        for i in range(z.shape[0]):
-            zi = z[i]
-            if abs(zi) < z_switch:
-                acc = 0.0
-                if order == 0:
-                    for q in range(taylor.shape[0] - 1, -1, -1):
-                        acc = acc * zi * zi + taylor[q]
-                else:
-                    for q in range(taylor.shape[0]):
-                        p = 2 * q
-                        if p < order:
-                            continue
-                        w = taylor[q]
-                        for r in range(order):
-                            w *= p - r
-                        acc += w * zi ** (p - order)
-                out[i] = acc
-            else:
-                S = math.sin(n * zi)
-                C = math.cos(n * zi)
-                c = 1.0 / math.tan(zi)
-                cp = -(1.0 + c * c)
-                if order == 0:
-                    out[i] = S * c / n
-                elif order == 1:
-                    out[i] = C * c + S * cp / n
-                elif order == 2:
-                    cpp = 2.0 * c * (1.0 + c * c)
-                    out[i] = -n * S * c + 2.0 * C * cp + S * cpp / n
-                else:
-                    cpp = 2.0 * c * (1.0 + c * c)
-                    cppp = -2.0 * (1.0 + c * c) * (1.0 + 3.0 * c * c)
-                    out[i] = (
-                        -(n * n) * C * c - 3.0 * n * S * cp + 3.0 * C * cpp + S * cppp / n
-                    )
-        return out
-
-
-def dirichlet_dz(z: np.ndarray, n: int, order: int, taylor: np.ndarray, z_switch: float) -> np.ndarray:
-    """Evaluate d^order/dz^order of sin(n z) cot(z)/n on reduced angles z."""
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    taylor = np.ascontiguousarray(taylor, dtype=np.float64)
-    if active_backend() == "numba":
-        return _dirichlet_dz_nb(z, n, order, taylor, z_switch)
-    return _dirichlet_dz_np(z, n, order, taylor, z_switch)

@@ -173,8 +173,7 @@ def cmd_quad(args) -> int:
         eta = etas[0]
     need = args.m + 7 if args.oracle else args.m
     integrand = _integrand_for(args, eta, u, n_derivs=need)
-    n = parse_n_range(args.n)[0]
-    value = t_hat(RuleSpec(args.m, args.s, n, path=_rule_path(args)), integrand)
+    value = t_hat(RuleSpec(args.m, args.s, args.n, path=_rule_path(args)), integrand)
     print(f"value = {format_float(value)}")
     if args.oracle:
         name, oracle = _oracle_for(args, eta, integrand)
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quad", help="compute one rule value")
     add_rule(p)
     add_family(p)
-    p.add_argument("--n", type=str, required=True, help="panel count")
+    p.add_argument("--n", type=int, required=True, help="panel count")
     p.add_argument("--oracle", action="store_true", help="also report the oracle error")
     p.set_defaults(func=cmd_quad)
 

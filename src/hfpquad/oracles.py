@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_SERIES_MAX_TERMS = 100000
 
 
 @dataclass(frozen=True)
@@ -82,22 +83,29 @@ def supersingular_series(eta: float, t: float, tol: float = 1e-16) -> tuple[floa
     """Partial-sum route 4*pi*sum_m eta^m m^2 sin(mt), with its tail bound.
 
     Returns (value, bound) where bound >= 4*pi*sum_{m>M} |eta|^m m^2; the
-    cutoff M is chosen so the bound is below ``tol`` (times a unit scale).
+    cutoff M is chosen so the bound is below ``tol``.  Raises
+    ReferenceConvergenceError when no M up to _SERIES_MAX_TERMS gets there.
     """
     if not abs(eta) < 1.0:
         raise ValueError("eta must satisfy |eta| < 1")
     if eta == 0.0:
         return 0.0, 0.0
     ae = abs(eta)
+
+    def tail_bound(M: int) -> float:
+        return 4.0 * math.pi * ae ** (M + 1) * (M + 1) ** 2 * 2.0 / (1.0 - ae)
+
     M = 10
-    while 4.0 * math.pi * ae ** (M + 1) * (M + 1) ** 2 * 2.0 / (1.0 - ae) > tol:
+    while tail_bound(M) > tol:
         M += 10
-        if M > 100000:
-            break
+        if M > _SERIES_MAX_TERMS:
+            raise ReferenceConvergenceError(
+                f"series tail bound {tail_bound(M):.3e} still above tol {tol:.3e} "
+                f"at {M} terms (eta={eta!r})"
+            )
     ms = np.arange(1, M + 1, dtype=float)
     value = 4.0 * math.pi * math.fsum(eta**m * m * m * math.sin(m * t) for m in ms)
-    bound = 4.0 * math.pi * ae ** (M + 1) * (M + 1) ** 2 * 2.0 / (1.0 - ae)
-    return value, bound
+    return value, tail_bound(M)
 
 
 def fourier_mode_hfp(mode: int, t: float) -> complex:

@@ -69,6 +69,11 @@ class PeriodicIntegrand:
             raise ValueError("singularity order m must be >= 1")
         if not self.a < self.t < self.b:
             raise ValueError("singular point must satisfy a < t < b")
+        for order, d in enumerate(self.g_derivs_at_t or ()):
+            if not math.isfinite(d):
+                raise EvaluationError(
+                    f"g derivative of order {order} at t is not finite ({d!r})"
+                )
 
     @property
     def period(self) -> float:

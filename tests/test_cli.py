@@ -71,6 +71,13 @@ class TestQuad:
         )
         assert code == 1
 
+    def test_n_range_rejected(self, capsys):
+        # quad evaluates one rule; a range is an argparse error, not its first n
+        with pytest.raises(SystemExit) as info:
+            main(["quad", "--m", "3", "--n", "10:100:10", "--eta", "0.5"])
+        assert info.value.code != 0
+        assert "--n" in capsys.readouterr().err
+
     def test_invalid_compact_pair_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -43,6 +43,11 @@ class TestExactSupersingular:
         series, bound = supersingular_series(eta, t)
         assert abs(closed - series) <= bound + 1e-12 * abs(closed)
 
+    def test_series_cap_raises(self):
+        # the tail bound of eta = 0.9999 is ~1e11 when the term cap is hit
+        with pytest.raises(ReferenceConvergenceError, match="tail bound"):
+            supersingular_series(0.9999, 1.0)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             exact_supersingular(1.0, 1.0)

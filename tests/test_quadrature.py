@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hfpquad import _kernels
 from hfpquad.errors import DerivativesRequiredError, EvaluationError
+from hfpquad.harness import integrand_norms
 from hfpquad.integrands import (
     TrigPolynomial,
     random_trig_polynomial,
@@ -110,6 +112,19 @@ class TestNodeSums:
         with pytest.raises(ValueError):
             midpoint_sum(integ, 4, level=3)
 
+    @pytest.mark.parametrize("size", [7, 4001, 2**18])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_singular_sum_against_fsum(self, m, size):
+        # math.fsum is exactly rounded; numpy's pairwise sum (8-way blocks of
+        # up to 128 terms, then halving) is within (19 + log2 n) u sum|x_j|
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal(size)
+        half = size // 2
+        y = np.concatenate([np.arange(1, half + 1), -np.arange(1, size - half + 1)]) * 1e-2
+        terms = g / y**m
+        bound = (19 + math.ceil(math.log2(size))) * 2**-53 * math.fsum(np.abs(terms))
+        assert abs(_kernels.singular_sum(g, y, m) - math.fsum(terms)) <= bound
+
     def test_evaluator_failure_carries_node_index(self):
         def bad_g(x):
             x = np.asarray(x, float)
@@ -132,6 +147,14 @@ class TestNodeSums:
             plain_trap_sum(integ, 16)
         assert info.value.node_index is not None
         assert "no data here" in str(info.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_derivative_rejected(self, bad):
+        integ = GeometricKernelCase(eta=0.5, t=1.0).integrand()
+        derivs = list(integ.g_derivs_at_t)
+        derivs[1] = bad
+        with pytest.raises(EvaluationError, match="order 1"):
+            PeriodicIntegrand(3, integ.t, integ.a, integ.b, integ.g_eval, tuple(derivs))
 
 
 class TestCorrectionSum:
@@ -332,6 +355,26 @@ class TestTHat:
         for s in range(max_compact_level(m) + 1):
             val = t_hat(RuleSpec(m, s, 12, path="compact"), integ)
             assert val == pytest.approx(0.0, abs=1e-10)
+
+
+class TestLargeNFloor:
+    # criterion 09 stops at n = 100; the node sum's summation order only
+    # shows at the sizes here, up to 2^18 nodes in one sum
+    NS = [2**k for k in range(10, 17)]
+
+    @pytest.mark.parametrize("path", ["compact", "generic"])
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    @pytest.mark.parametrize("eta", [0.5, 0.9])
+    def test_error_within_100x_floor(self, eta, s, path):
+        case = GeometricKernelCase(eta=eta, t=1.0)
+        integ = case.integrand(n_derivs=3)
+        exact = case.exact()
+        norms = integrand_norms(integ)
+        for n in self.NS:
+            assert eta**n < 1e-18  # truncation negligible: the error is roundoff
+            err = abs(t_hat(RuleSpec(3, s, n, path=path), integ) - exact)
+            floor = roundoff_floor(*norms, TWO_PI, 2**s * n)
+            assert err <= 100.0 * floor, f"n={n}: error {err:.3e} > 100 x floor {floor:.3e}"
 
 
 class TestRoundoffFloor:
