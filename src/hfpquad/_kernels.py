@@ -22,9 +22,14 @@ def active_backend() -> str:
     return "numpy"
 
 
-def singular_sum(g_vals: np.ndarray, y_vals: np.ndarray, m: int) -> float:
-    """Pairwise sum of g_j / y_j**m over all nodes."""
-    return float((g_vals / y_vals**m).sum())
+def singular_sum(g_vals: np.ndarray, y_vals: np.ndarray, m: int):
+    """Pairwise sum of g_j / y_j**m over the last axis.
+
+    1-D inputs give a float; (rows, nodes) inputs give one sum per row, each
+    the same pairwise sum as the row's own 1-D call.
+    """
+    sums = (g_vals / y_vals**m).sum(axis=-1)
+    return sums if sums.ndim else float(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientPreFloorDataError
+from .errors import ConfigurationError, InsufficientPreFloorDataError
 from .oracles import GeometricKernelCase, exact_supersingular
 from .quadrature import (
     COMPACT_PAIRS,
@@ -93,10 +93,14 @@ class FloorCheck:
 
 
 def _max_workers() -> int:
+    raw = os.environ.get("HFPQUAD_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("HFPQUAD_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"HFPQUAD_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def integrand_norms(

@@ -310,22 +310,27 @@ class RuleSpec:
 # ---------------------------------------------------------------------------
 
 
-def _family_sum(integrand: PeriodicIntegrand, n: int, fam: NodeFamily) -> float:
-    """weight * hhat * sum of f over one node family.
+def _family_nodes(t, a, b, n: int, fam: NodeFamily):
+    """Substep delta, offsets y and wrapped nodes x of one family about t.
 
-    Offsets are kept as integers times the substep for as long as possible:
-    the wrapped offset is (k - q*n)*delta rather than a wrapped coordinate
-    difference, which keeps the relative error of the singular denominator
-    at the rounding unit instead of growing with n.
+    ``t``, ``a`` and ``b`` are scalars, or columns of shape (rows, 1) for one
+    row of nodes per singular point; delta then has shape (rows, 1) and y, x
+    shape (rows, count).  Offsets are kept as integers times the substep for
+    as long as possible: the wrapped offset is (k - q*n)*delta rather than a
+    wrapped coordinate difference, which keeps the relative error of the
+    singular denominator at the rounding unit instead of growing with n.
     """
-    T = integrand.period
-    h = T / n
-    delta = h / fam.substep_div
+    delta = ((b - a) / n) / fam.substep_div
     total = fam.substep_div * n
     k = fam.first + fam.step * np.arange(fam.count(n), dtype=np.int64)
-    wrapped = np.where(integrand.t + k * delta < integrand.b, k, k - total)
+    wrapped = np.where(t + k * delta < b, k, k - total)
     y = wrapped * delta
-    x_hat = np.clip(integrand.t + y, integrand.a, integrand.b)
+    return delta, y, np.clip(t + y, a, b)
+
+
+def _family_sum(integrand: PeriodicIntegrand, n: int, fam: NodeFamily) -> float:
+    """weight * hhat * sum of f over one node family."""
+    delta, y, x_hat = _family_nodes(integrand.t, integrand.a, integrand.b, n, fam)
     g_vals = _eval_array(integrand.g_eval, x_hat)
     return float(fam.weight) * delta * _kernels.singular_sum(g_vals, y, integrand.m)
 
@@ -473,8 +478,9 @@ def roundoff_floor(
     """Upper envelope K(n) * u * n^2 for the computed-rule error at large n.
 
     K(n) = 2 zeta(3)/T^2 * ||g|| + pi^2/(3 T n) * ||g'|| + T/(6 n^3) * ||g'''||.
+    ``g_norm`` may be an array, giving one envelope per entry.
     """
-    if min(g_norm, gp_norm, gppp_norm) < 0 or unit <= 0:
+    if min(np.min(g_norm), gp_norm, gppp_norm) < 0 or unit <= 0:
         raise ValueError("norms must be >= 0 and unit > 0")
     K = (
         2.0 * zeta_at(3) / period**2 * g_norm

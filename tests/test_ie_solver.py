@@ -2,13 +2,23 @@
 and the manufactured problem."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from hfpquad.errors import DerivativesRequiredError, SingularSystemError
+from hfpquad.errors import (
+    DerivativesRequiredError,
+    EvaluationError,
+    ReferenceConvergenceError,
+    SingularSystemError,
+)
 from hfpquad.ie_solver import (
+    _RHS_BLOCK,
     PeriodicKernel,
+    _kernel_slice_integrand,
     ak_coefficients,
     build_advanced_system,
     build_simple_system,
@@ -20,7 +30,7 @@ from hfpquad.ie_solver import (
     solve_collocation,
     supersingular_cotangent_kernel,
 )
-from hfpquad.integrands import PoissonKernelU
+from hfpquad.integrands import PoissonKernelU, numerator_factor
 from hfpquad.oracles import exact_supersingular, fourier_mode_hfp
 from hfpquad.quadrature import RuleSpec, t_hat
 
@@ -222,7 +232,6 @@ class TestSimpleSystem:
         samples = np.asarray(phi(sys_.grid))
         quad_rows = (sys_.matrix - lam * np.eye(4 * n)) @ samples
         row_scale = float(np.max(np.abs(quad_rows)))
-        from hfpquad.ie_solver import _kernel_slice_integrand
 
         for i in (0, 1, 2 * n - 1, 4 * n - 1):
             integrand = _kernel_slice_integrand(kern, phi, float(sys_.grid[i]))
@@ -332,3 +341,109 @@ class TestManufactured:
         for j in range(1, 16):
             diff = abs(advanced.values[j] - simple.values[2 * j - 1])
             assert diff <= 2.0 * max(err_s, err_a) + 1e-12
+
+
+def t_dependent_kernel():
+    """K(t,x) = (1.5 + sin t) cos(y/2)/sin^3(y/2), y = x - t, from u_eval only.
+
+    Without ``u_centered`` the slice numerator goes through the wrap branch
+    of ``numerator_centered``.
+    """
+
+    def u_eval(t, x):
+        t = np.asarray(t, float)
+        return (1.5 + np.sin(t)) * numerator_factor(3, np.asarray(x, float) - t, TWO_PI)
+
+    return PeriodicKernel(u_eval=u_eval, a=-math.pi, b=math.pi)
+
+
+def gated_cotangent_kernel(t_on):
+    """The cotangent kernel for t >= t_on and zero below, so a slice's rule
+    value is exactly 0 (and its doubling check passes) for t < t_on."""
+    base = supersingular_cotangent_kernel()
+
+    def u_centered(t, y):
+        return np.where(np.asarray(t) >= t_on, numerator_factor(3, y, TWO_PI), 0.0)
+
+    return PeriodicKernel(u_eval=base.u_eval, a=base.a, b=base.b, u_centered=u_centered)
+
+
+class TestBatchedRhs:
+    def test_shape_follows_input(self):
+        kern = supersingular_cotangent_kernel()
+        w = manufactured_rhs(kern, PoissonKernelU(0.3), 1.0)
+        ts = np.array([[0.1, 1.4, -2.0], [0.5, 2.5, -0.3]])
+        got = w(ts)
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got, w(ts.ravel()).reshape(2, 3))
+
+    def test_zero_dimensional_gives_float(self):
+        kern = supersingular_cotangent_kernel()
+        w = manufactured_rhs(kern, PoissonKernelU(0.3), 1.0)
+        for t in (0.7, np.float64(0.7), np.array(0.7)):
+            got = w(t)
+            assert type(got) is float
+            assert got == w(np.array([0.7]))[0]
+
+    def test_empty_gives_empty(self):
+        kern = supersingular_cotangent_kernel()
+        w = manufactured_rhs(kern, PoissonKernelU(0.3), 1.0)
+        assert w(np.array([])).shape == (0,)
+        assert w(np.empty((0, 3))).shape == (0, 3)
+
+    def test_doubling_check_names_first_failing_point(self):
+        # rows before index 100 have a zero kernel; the failure sits in the
+        # second block and every later row fails as well
+        ts = np.linspace(-3.0, 3.0, 3 * _RHS_BLOCK)
+        kern = gated_cotangent_kernel(ts[100])
+        w = manufactured_rhs(kern, PoissonKernelU(0.97), 1.0, n_high=8)
+        np.testing.assert_array_equal(w(ts[:100]), PoissonKernelU(0.97)(ts[:100]))
+        with pytest.raises(ReferenceConvergenceError, match=re.escape(f"t={float(ts[100])!r}:")):
+            w(ts)
+
+    def test_non_finite_phi_raises(self):
+        poisson = PoissonKernelU(0.3)
+
+        def phi(x):
+            x = np.asarray(x, float)
+            return np.where(np.abs(x - 1.0) < 0.05, np.nan, poisson(x))
+
+        w = manufactured_rhs(supersingular_cotangent_kernel(), phi, 1.0)
+        ts = np.linspace(-3.0, 3.0, 2 * _RHS_BLOCK)
+        with pytest.raises(EvaluationError, match=re.escape(f"t={float(ts[0])!r}")):
+            w(ts)
+
+    @pytest.mark.parametrize(
+        "length", [1, _RHS_BLOCK - 1, _RHS_BLOCK, _RHS_BLOCK + 1, 3 * _RHS_BLOCK + 5]
+    )
+    @pytest.mark.parametrize(
+        "make_kernel", [supersingular_cotangent_kernel, t_dependent_kernel]
+    )
+    # no shrink phase: an example costs up to a second, and shrinking a
+    # failure would take minutes
+    @settings(max_examples=4, deadline=None, database=None, phases=[Phase.generate])
+    @given(
+        eta=st.floats(0.05, 0.5),
+        lam=st.floats(-2.0, 2.0),
+        data=st.data(),
+    )
+    def test_equals_per_point_rule(self, make_kernel, length, eta, lam, data):
+        # bit for bit: each row is the same pairwise node sum as t_hat's.
+        # t stays 0.14 inside [a, b): closer to the ends the u_eval-only
+        # kernel wraps nodes next to the pole at |x - t| = T, and both paths
+        # fail the doubling check (that is what u_centered is for)
+        ts = data.draw(
+            st.lists(
+                st.floats(-3.0, 3.0),
+                min_size=length,
+                max_size=length,
+            )
+        )
+        kern = make_kernel()
+        phi = PoissonKernelU(eta)
+        n_high = 96
+        got = manufactured_rhs(kern, phi, lam, n_high=n_high)(np.array(ts))
+        spec = RuleSpec(3, 2, 2 * n_high, path="compact")
+        for i, t in enumerate(ts):
+            want = lam * phi(t) + t_hat(spec, _kernel_slice_integrand(kern, phi, t))
+            assert got[i] == want, f"t={t!r}"

@@ -376,6 +376,17 @@ class TestLargeNFloor:
             floor = roundoff_floor(*norms, TWO_PI, 2**s * n)
             assert err <= 100.0 * floor, f"n={n}: error {err:.3e} > 100 x floor {floor:.3e}"
 
+    @pytest.mark.xfail(strict=True, reason="floor model under-covers t near the Poisson peak")
+    def test_envelope_near_poisson_peak(self):
+        # known gap of the floor model: at eta = 0.9, t = 0.05 the compact
+        # s = 2 rule at n = 4096 errs by 130 x roundoff_floor (criterion 09
+        # holds away from t ~ 0, eta >= 0.8)
+        case = GeometricKernelCase(eta=0.9, t=0.05)
+        integ = case.integrand(n_derivs=3)
+        err = abs(t_hat(RuleSpec(3, 2, 4096, path="compact"), integ) - case.exact())
+        floor = roundoff_floor(*integrand_norms(integ), TWO_PI, 4 * 4096)
+        assert err <= 100.0 * floor
+
 
 class TestRoundoffFloor:
     def test_zero_norms(self):
