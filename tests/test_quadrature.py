@@ -357,6 +357,50 @@ class TestTHat:
             assert val == pytest.approx(0.0, abs=1e-10)
 
 
+class TestBatch:
+    """A batch of singular points sharing one g: one value per point."""
+
+    TS = np.array([-2.9, -0.4, 0.0, 1.3, 3.1])
+
+    def batch(self, g_derivs=None):
+        ts = self.TS
+        return PeriodicIntegrand(
+            m=3, t=ts, a=ts - math.pi, b=ts + math.pi, g_eval=np.cos, g_derivs_at_t=g_derivs
+        )
+
+    def single(self, t):
+        return PeriodicIntegrand(m=3, t=t, a=t - math.pi, b=t + math.pi, g_eval=np.cos)
+
+    @pytest.mark.parametrize("s", [s for m, s in COMPACT_PAIRS if m == 3])
+    def test_compact_rule_per_point(self, s):
+        rule = compact_rule(3, s)
+        spec = RuleSpec(3, s, 40, path="compact")
+        if rule.deriv_corrections:
+            with pytest.raises(DerivativesRequiredError):
+                t_hat(spec, self.batch())
+            return
+        got = t_hat(spec, self.batch())
+        assert got.shape == self.TS.shape
+        for t, v in zip(self.TS, got):
+            assert v == t_hat(spec, self.single(float(t)))
+
+    def test_generic_path_needs_derivatives(self):
+        with pytest.raises(DerivativesRequiredError):
+            t_hat(RuleSpec(3, 1, 40), self.batch())
+
+    def test_f_eval_per_row(self):
+        xs = np.linspace(-7.0, 7.0, 8)
+        rows = self.batch().f_eval(np.tile(xs, (self.TS.size, 1)))
+        for t, row in zip(self.TS, rows):
+            np.testing.assert_array_equal(row, self.single(float(t)).f_eval(xs))
+
+    def test_rejects_derivatives_and_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="no g derivatives"):
+            self.batch(g_derivs=(1.0, 0.0, -1.0, 0.0))
+        with pytest.raises(ValueError, match="one shape"):
+            PeriodicIntegrand(m=3, t=self.TS, a=-4.0, b=4.0, g_eval=np.cos)
+
+
 class TestLargeNFloor:
     # criterion 09 stops at n = 100; the node sum's summation order only
     # shows at the sizes here, up to 2^18 nodes in one sum
