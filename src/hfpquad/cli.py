@@ -278,6 +278,7 @@ def cmd_solve_ie(args) -> int:
     print(f"approach = {args.approach}, unknowns = {len(system.grid)}")
     print(f"max node error vs manufactured solution = {format_float(max_err)}")
     print(f"residual = {format_float(sol.residual)}")
+    print(f"condition = {format_float(sol.condition)} ({sol.structure})")
     if args.format == "json":
         payload = {
             "approach": args.approach,
@@ -285,6 +286,7 @@ def cmd_solve_ie(args) -> int:
             "max_error": max_err,
             "residual": sol.residual,
             "condition": sol.condition,
+            "structure": sol.structure,
             "nodes": [
                 {
                     "x": float(x),

@@ -62,7 +62,9 @@ class PeriodicKernel:
     (t, y) -> K_per(t, t+y) * y^3 for centered offsets |y| <= T/2, where
     K_per is the periodic extension of K; near the wrap-around pole this is
     far better conditioned than the in-square U/(x-t)^3 split and the
-    assemblies prefer it.
+    assemblies prefer it.  A kernel without it cannot go through
+    ``manufactured_rhs`` at points at or next to a or b, so not on the
+    simple grid, whose last point is b: see ``manufactured_rhs``.
     """
 
     u_eval: Callable
@@ -118,9 +120,17 @@ class CollocationSystem:
 
 @dataclass
 class CollocationSolution:
+    """Solution values with the residual and the 2-norm condition number.
+
+    ``structure`` names how the condition number was computed: "circulant"
+    (exactly, from the moduli of the FFT eigenvalues) or "dense" (from the
+    singular values).
+    """
+
     values: np.ndarray
     residual: float
     condition: float
+    structure: str
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +152,39 @@ def epsilon_weight(i: int, j: int) -> int:
     return 0
 
 
-def _epsilon_matrix(N: int) -> np.ndarray:
-    idx = np.arange(1, N + 1)
-    diff = idx[:, None] - idx[None, :]
-    eight = np.abs(diff - 2) % 4 == 0
-    minus = np.abs(diff - 1) % 2 == 0
-    return np.where(eight, 8, np.where(minus, -2, 0)).astype(np.int64)
+def _assemble_kernel(
+    kernel: PeriodicKernel,
+    grid: np.ndarray,
+    step: float,
+    weights: np.ndarray,
+    diagonal: np.ndarray,
+) -> np.ndarray:
+    """Matrix with ``diagonal`` on its diagonal and weighted kernel entries.
+
+    Entry (i, (i + d) mod N) is weights[d] * K_per(t_i, t_i + dy_d), with
+    t_i = grid[i] and dy_d the centered integer offset of the residue d
+    times ``step``; entries of residues with weight 0 stay 0.  weights[0]
+    must be 0: residue 0 is the diagonal, where the kernel is singular.
+    An entry depends on i only through t_i, so the weights, the offsets
+    and their cubes are length-N tables over d, and the kernel is evaluated
+    on an (N rows x live residues) layout.  Integer offsets times ``step``
+    keep the singular denominators free of wrap cancellation and let the
+    kernel be evaluated away from its wrap-around pole.
+    """
+    N = grid.size
+    dy = ((np.arange(N) + N // 2) % N - N // 2) * step
+    live = np.flatnonzero(weights)
+    shape = (N, live.size)
+    kmat = kernel.numerator_centered(
+        np.broadcast_to(grid[:, None], shape), np.broadcast_to(dy[live], shape)
+    ) / dy[live] ** 3
+    kmat *= weights[live]
+    matrix = np.diag(diagonal)
+    rows = np.arange(N)[:, None]
+    cols = rows + live
+    cols[cols >= N] -= N
+    matrix[rows, cols] = kmat
+    return matrix
 
 
 def build_simple_system(
@@ -156,9 +193,7 @@ def build_simple_system(
     """Collocation system of the derivative-free rule on 4n grid points.
 
     Grid x_j = a + j*hhat, hhat = T/(4n), j = 1..4n; entries
-    eps_ij * hhat * K(x_i, x_j) + lam on the diagonal pattern.  Kernel
-    differences use integer index spacing times hhat so the singular
-    denominators carry no wrap cancellation.
+    eps_ij * hhat * K(x_i, x_j) + lam on the diagonal pattern.
     """
     if n < 2:
         raise ValueError("simple approach needs n >= 2")
@@ -167,16 +202,9 @@ def build_simple_system(
     hh = (T / n) / 4.0
     js = np.arange(1, N + 1, dtype=np.int64)
     grid = kernel.a + js * hh
-    eps = _epsilon_matrix(N)
-    # centered integer offsets keep the singular denominators accurate and
-    # let the kernel be evaluated away from its wrap-around pole
-    off = (js[None, :] - js[:, None] + 2 * n) % N - 2 * n
-    dy = off * hh
-    mask = eps != 0
-    ti = np.broadcast_to(grid[:, None], (N, N))
-    kmat = np.zeros((N, N))
-    kmat[mask] = kernel.numerator_centered(ti[mask], dy[mask]) / dy[mask] ** 3
-    matrix = eps * hh * kmat + lam * np.eye(N)
+    # eps_ij depends only on (j - i) mod 4, and 4 divides N
+    eps = np.array([epsilon_weight(0, d) for d in range(N)])
+    matrix = _assemble_kernel(kernel, grid, hh, eps * hh, np.full(N, lam))
     rhs = np.asarray(w_eval(grid), dtype=float)
     return CollocationSystem(grid=grid, matrix=matrix, rhs=rhs, approach="simple", lam=lam)
 
@@ -292,22 +320,12 @@ def build_advanced_system(
     js = np.arange(n, dtype=np.int64)
     grid = kernel.a + js * h
 
-    dmat = {k: cardinal_derivative_matrix(k, n, T) for k in (1, 2, 3)}
-
-    off = (js[None, :] - js[:, None] + n // 2) % n - n // 2
-    dy = off * h
-    off_diag = ~np.eye(n, dtype=bool)
-    ti = np.broadcast_to(grid[:, None], (n, n))
-    kmat = np.zeros((n, n))
-    kmat[off_diag] = (
-        kernel.numerator_centered(ti[off_diag], dy[off_diag]) / dy[off_diag] ** 3
-    )
-
     amat = np.array([ak_coefficients(kernel, float(t), h) for t in grid])
-    matrix = h * kmat
-    matrix[np.arange(n), np.arange(n)] += lam + amat[:, 0]
+    weights = np.full(n, h)
+    weights[0] = 0.0
+    matrix = _assemble_kernel(kernel, grid, h, weights, lam + amat[:, 0])
     for k in (1, 2, 3):
-        matrix += amat[:, k][:, None] * dmat[k]
+        matrix += amat[:, k][:, None] * cardinal_derivative_matrix(k, n, T)
     rhs = np.asarray(w_eval(grid), dtype=float)
     return CollocationSystem(
         grid=grid, matrix=matrix, rhs=rhs, approach="advanced", lam=lam
@@ -319,19 +337,47 @@ def build_advanced_system(
 # ---------------------------------------------------------------------------
 
 
+def _is_circulant(matrix: np.ndarray) -> bool:
+    """True when every entry depends only on (i - j) mod N, compared exactly."""
+    return bool(
+        np.array_equal(matrix[1:, 1:], matrix[:-1, :-1])
+        and np.array_equal(matrix[1:, 0], matrix[:-1, -1])
+    )
+
+
 def solve_collocation(system: CollocationSystem) -> CollocationSolution:
-    """Direct dense solve with a residual and condition report."""
-    cond = float(np.linalg.cond(system.matrix))
+    """Direct dense solve with a residual and 2-norm condition report.
+
+    A circulant matrix (a translation-invariant kernel, either approach) is
+    normal, so its singular values are the moduli of its eigenvalues, the
+    FFT of its first column: the condition number comes from those exactly,
+    without an SVD.  Any other matrix takes ``np.linalg.cond``.  A
+    non-finite entry or a condition number above 0.05/u raises
+    SingularSystemError.
+    """
+    matrix = system.matrix
+    if not np.all(np.isfinite(matrix)):
+        raise SingularSystemError(
+            "collocation matrix has non-finite entries", condition=math.nan
+        )
+    if _is_circulant(matrix):
+        structure = "circulant"
+        moduli = np.abs(np.fft.fft(matrix[:, 0]))
+        lo, hi = float(moduli.min()), float(moduli.max())
+        cond = hi / lo if lo > 0.0 else math.inf
+    else:
+        structure = "dense"
+        cond = float(np.linalg.cond(matrix))
     if not np.isfinite(cond) or cond > 0.05 / np.finfo(float).eps:
         raise SingularSystemError(
             f"collocation matrix singular to working precision (cond ~ {cond:.3e})",
             condition=cond,
         )
-    values = np.linalg.solve(system.matrix, system.rhs)
-    residual = float(
-        np.max(np.abs(system.matrix @ values - system.rhs))
+    values = np.linalg.solve(matrix, system.rhs)
+    residual = float(np.max(np.abs(matrix @ values - system.rhs)))
+    return CollocationSolution(
+        values=values, residual=residual, condition=cond, structure=structure
     )
-    return CollocationSolution(values=values, residual=residual, condition=cond)
 
 
 def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> PeriodicIntegrand:
@@ -386,6 +432,12 @@ def manufactured_rhs(
     point alone.  A non-finite value at a rule node or in the norm sample
     raises EvaluationError; the first point failing the doubling check
     raises ReferenceConvergenceError naming it.
+
+    Points that reach a or b need a kernel with ``u_centered``.  With
+    ``u_eval`` alone, the norm sample at t = b (the simple grid's last
+    point) puts y = 0 onto the wrap-around pole and raises EvaluationError,
+    and points within about 0.01 of a or b fail the doubling check, because
+    the in-square split loses accuracy at the corners of the square.
     """
     coarse = RuleSpec(3, 2, n_high, path="compact")
     fine = RuleSpec(3, 2, 2 * n_high, path="compact")

@@ -189,6 +189,8 @@ class TestSolveIE:
         payload = json.loads(out_file.read_text())
         assert len(payload["nodes"]) == 16
         assert payload["max_error"] < 1e-3
+        assert payload["structure"] == "circulant"
+        assert "(circulant)" in re.search(r"condition = .*", out).group(0)
 
 
 class TestFloor:
