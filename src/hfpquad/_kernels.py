@@ -1,10 +1,13 @@
 """Hot numeric loops of the rules and the collocation solvers, in numpy.
 
-``singular_sum`` forms the node sum sum_j g_j / y_j**m of every rule with
+``singular_sum`` forms the node sum sum_j g_j / y_j^m of every rule with
 numpy's pairwise summation, whose error grows like u*log(n) (Higham,
 Accuracy and Stability of Numerical Algorithms, section 4.2); the rule's
 roundoff is dominated by the u*n^2 term of the singular denominators, so
-the order of the sum does not move the floor model.  ``dirichlet_dz``
+the order of the sum does not move the floor model.  The power y^m is
+``int_power``, not ``y**m``: numpy's ``pow`` takes a slow libm path for
+negative bases (every rule has half its offsets negative) and rounds them
+differently from positive ones.  ``dirichlet_dz``
 evaluates the cardinal kernel and its derivatives for the collocation
 matrices.
 
@@ -22,13 +25,32 @@ def active_backend() -> str:
     return "numpy"
 
 
+def int_power(y, m: int):
+    """y^m for an integer m >= 1, exactly even or odd in y.
+
+    numpy's ``pow`` is fast for positive bases only, so the power is taken
+    of |y| and y's sign put back for odd m.  A multiplication chain would be
+    faster, but it rounds to up to (m-1)/2 ulp against pow's half ulp, which
+    the largest terms of an m = 4 rule carry into its value.  The result is
+    a new float array of y's shape.
+    """
+    power = np.abs(y, out=np.empty(np.shape(y)))
+    power **= m
+    if m % 2:
+        np.copysign(power, y, out=power)
+    return power
+
+
 def singular_sum(g_vals: np.ndarray, y_vals: np.ndarray, m: int):
-    """Pairwise sum of g_j / y_j**m over the last axis.
+    """Pairwise sum of g_j / y_j^m over the last axis.
 
     1-D inputs give a float; (rows, nodes) inputs give one sum per row, each
     the same pairwise sum as the row's own 1-D call.
     """
-    sums = (g_vals / y_vals**m).sum(axis=-1)
+    # dividing into the power's fresh array saves a node-sized allocation,
+    # which at 2^18 nodes costs more than the division itself
+    power = int_power(y_vals, m)
+    sums = np.divide(g_vals, power, out=power).sum(axis=-1)
     return sums if sums.ndim else float(sums)
 
 

@@ -214,6 +214,10 @@ class PoissonKernelU:
 
     Analytic in the strip |Im z| < log(1/eta); derivatives of every order in
     closed form through the power sums sum_m m^k q^m with q = eta e^(ix).
+    The value itself is evaluated in the half-angle form
+    ((1 - eta) + 2 eta s)/((1 - eta)^2 + 4 eta s), s = sin^2(x/2): the
+    denominator as written cancels near x = 0, where its relative error
+    grows to about u/(1 - eta)^2.
     """
 
     eta: float
@@ -228,8 +232,9 @@ class PoissonKernelU:
     def deriv(self, order: int, x):
         x = np.asarray(x, dtype=float)
         if order == 0:
-            c = np.cos(x)
-            out = (1.0 - self.eta * c) / (1.0 - 2.0 * self.eta * c + self.eta**2)
+            s = np.sin(0.5 * x) ** 2
+            eta = self.eta
+            out = ((1.0 - eta) + 2.0 * eta * s) / ((1.0 - eta) ** 2 + 4.0 * eta * s)
             return out if out.shape else float(out)
         q = self.eta * np.exp(1j * x)
         num = np.zeros_like(q)

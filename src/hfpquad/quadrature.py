@@ -102,7 +102,7 @@ class PeriodicIntegrand:
         x = np.asarray(x, dtype=float)
         xw = wrap_to_fundamental(x, self)
         y = xw - _col(self.t)
-        vals = _eval_array(self.g_eval, xw) / y**self.m
+        vals = _eval_array(self.g_eval, xw) / _kernels.int_power(y, self.m)
         return vals if vals.shape else float(vals)
 
     def deriv_at_t(self, order: int) -> float:
@@ -336,13 +336,14 @@ class RuleSpec:
 # ---------------------------------------------------------------------------
 
 
-def _family_sum(integrand: PeriodicIntegrand, n: int, fam: NodeFamily):
-    """weight * hhat * sum of f over one node family (per point of a batch).
+def _family_nodes(integrand: PeriodicIntegrand, n: int, fam: NodeFamily):
+    """(delta, y, x_hat): substep, offsets y_j = x_j - t and wrapped nodes.
 
     Offsets are kept as integers times the substep for as long as possible:
     the wrapped offset is (k - q*n)*delta rather than a wrapped coordinate
     difference, which keeps the relative error of the singular denominator
-    at the rounding unit instead of growing with n.
+    at the rounding unit instead of growing with n.  For a power-of-two
+    multiple of n the offsets of every coarser grid are the same doubles.
     """
     t, b = _col(integrand.t), _col(integrand.b)
     delta = (integrand.period / n) / fam.substep_div
@@ -351,6 +352,12 @@ def _family_sum(integrand: PeriodicIntegrand, n: int, fam: NodeFamily):
     wrapped = np.where(t + k * _col(delta) < b, k, k - total)
     y = wrapped * _col(delta)
     x_hat = np.clip(t + y, _col(integrand.a), b)
+    return delta, y, x_hat
+
+
+def _family_sum(integrand: PeriodicIntegrand, n: int, fam: NodeFamily):
+    """weight * hhat * sum of f over one node family (per point of a batch)."""
+    delta, y, x_hat = _family_nodes(integrand, n, fam)
     g_vals = _eval_array(integrand.g_eval, x_hat)
     return float(fam.weight) * delta * _kernels.singular_sum(g_vals, y, integrand.m)
 
@@ -447,10 +454,6 @@ def extrapolation_weights(s: int) -> ExtrapolationWeights:
 # ---------------------------------------------------------------------------
 
 
-def _t_hat_base(integrand: PeriodicIntegrand, n: int) -> float:
-    return plain_trap_sum(integrand, n) - correction_sum(integrand, n)
-
-
 def _fsum(terms: list):
     """math.fsum of the terms; of each point's terms when they are batch arrays."""
     if not _is_batch(terms[0]):
@@ -463,6 +466,29 @@ def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
     total = _fsum([_family_sum(integrand, n, fam) for fam in rule.families])
     total += math.fsum(c.value(integrand, h) for c in rule.deriv_corrections)
     return total
+
+
+def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
+    """fsum of alpha_k * (plain_trap_sum(2^k n) - correction_sum(2^k n)).
+
+    The plain grids at n, 2n, ..., 2^s n nest: node j of the grid at 2^k n
+    is node j*2^(s-k) of the finest grid, with the same offset double.  So
+    g is evaluated once, on the finest grid, and each plain sum is the node
+    sum over a strided view of it, equal to the per-grid sum bit for bit.
+    """
+    # corrections first: a missing derivative raises before g is evaluated
+    corrections = [correction_sum(integrand, 2**k * n) for k in range(s + 1)]
+    _, y, x_hat = _family_nodes(integrand, 2**s * n, _PLAIN)
+    g_vals = _eval_array(integrand.g_eval, x_hat)
+    vals = []
+    for k, w in enumerate(extrapolation_weights(s).alpha):
+        stride = 2 ** (s - k)
+        nodes = slice(stride - 1, None, stride)
+        plain = (integrand.period / (2**k * n)) * _kernels.singular_sum(
+            g_vals[..., nodes], y[..., nodes], integrand.m
+        )
+        vals.append(float(w) * (plain - corrections[k]))
+    return math.fsum(vals)
 
 
 def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):
@@ -481,14 +507,7 @@ def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):
         )
     if spec.path == "compact":
         return _t_hat_compact(compact_rule(spec.m, spec.s), integrand, spec.n)
-    if spec.s == 0:
-        return _t_hat_base(integrand, spec.n)
-    weights = extrapolation_weights(spec.s).alpha
-    vals = [
-        float(w) * _t_hat_base(integrand, (2**k) * spec.n)
-        for k, w in enumerate(weights)
-    ]
-    return math.fsum(vals)
+    return _t_hat_generic(integrand, spec.n, spec.s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Rule evaluation: hand-checked node sums, correction terms, extrapolation
 weights, the compact/generic identity, and the floor model."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hfpquad import _kernels
 from hfpquad.errors import DerivativesRequiredError, EvaluationError
 from hfpquad.harness import integrand_norms
 from hfpquad.integrands import (
+    PoissonKernelU,
     TrigPolynomial,
     random_trig_polynomial,
     singular_periodic_integrand,
@@ -112,18 +114,31 @@ class TestNodeSums:
         with pytest.raises(ValueError):
             midpoint_sum(integ, 4, level=3)
 
+    @staticmethod
+    def mixed_sign_terms(size):
+        # g values and rule-like offsets: k/100 for k = 1..size/2 and their negatives
+        g = np.random.default_rng(5).standard_normal(size)
+        half = size // 2
+        y = np.concatenate([np.arange(1, half + 1), -np.arange(1, size - half + 1)]) * 1e-2
+        return g, y
+
     @pytest.mark.parametrize("size", [7, 4001, 2**18])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_singular_sum_against_fsum(self, m, size):
         # math.fsum is exactly rounded; numpy's pairwise sum (8-way blocks of
         # up to 128 terms, then halving) is within (19 + log2 n) u sum|x_j|
-        rng = np.random.default_rng(5)
-        g = rng.standard_normal(size)
-        half = size // 2
-        y = np.concatenate([np.arange(1, half + 1), -np.arange(1, size - half + 1)]) * 1e-2
+        g, y = self.mixed_sign_terms(size)
         terms = g / y**m
         bound = (19 + math.ceil(math.log2(size))) * 2**-53 * math.fsum(np.abs(terms))
         assert abs(_kernels.singular_sum(g, y, m) - math.fsum(terms)) <= bound
+
+    @pytest.mark.parametrize("size", [7, 4001, 2**18])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_singular_sum_sign_symmetry(self, m, size):
+        # every rule pairs offsets y and -y; y^m must round alike on both
+        # (numpy's y**m does not: its negative bases take another pow path)
+        g, y = self.mixed_sign_terms(size)
+        assert _kernels.singular_sum(g, -y, m) == (-1) ** m * _kernels.singular_sum(g, y, m)
 
     def test_evaluator_failure_carries_node_index(self):
         def bad_g(x):
@@ -385,8 +400,12 @@ class TestBatch:
             assert v == t_hat(spec, self.single(float(t)))
 
     def test_generic_path_needs_derivatives(self):
-        with pytest.raises(DerivativesRequiredError):
-            t_hat(RuleSpec(3, 1, 40), self.batch())
+        calls = []
+        batch = dataclasses.replace(self.batch(), g_eval=lambda x: calls.append(x) or np.cos(x))
+        for s in (0, 1, 2):
+            with pytest.raises(DerivativesRequiredError):
+                t_hat(RuleSpec(3, s, 40), batch)
+        assert calls == []  # the derivative check comes before any g evaluation
 
     def test_f_eval_per_row(self):
         xs = np.linspace(-7.0, 7.0, 8)
@@ -399,6 +418,35 @@ class TestBatch:
             self.batch(g_derivs=(1.0, 0.0, -1.0, 0.0))
         with pytest.raises(ValueError, match="one shape"):
             PeriodicIntegrand(m=3, t=self.TS, a=-4.0, b=4.0, g_eval=np.cos)
+
+
+class TestNestedGrids:
+    """The generic path evaluates g once, on the finest grid 2^s n."""
+
+    @staticmethod
+    def per_grid(integ, s, n):
+        # the rule as its definition reads: one plain sum per grid
+        alpha = extrapolation_weights(s).alpha
+        return math.fsum(
+            float(w) * (plain_trap_sum(integ, 2**k * n) - correction_sum(integ, 2**k * n))
+            for k, w in enumerate(alpha)
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 1000, 4096])
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equals_per_grid_sums(self, m, s, n):
+        integ = singular_periodic_integrand(PoissonKernelU(0.6), m=m, t=0.7, n_derivs=m)
+        assert t_hat(RuleSpec(m, s, n), integ) == self.per_grid(integ, s, n)
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_one_g_call_on_finest_grid(self, s):
+        integ = GeometricKernelCase(eta=0.5, t=1.0).integrand(n_derivs=3)
+        sizes = []
+        g = integ.g_eval
+        counted = dataclasses.replace(integ, g_eval=lambda x: sizes.append(np.size(x)) or g(x))
+        t_hat(RuleSpec(3, s, 1024), counted)
+        assert sizes == [2**s * 1024 - 1]
 
 
 class TestLargeNFloor:
@@ -420,11 +468,10 @@ class TestLargeNFloor:
             floor = roundoff_floor(*norms, TWO_PI, 2**s * n)
             assert err <= 100.0 * floor, f"n={n}: error {err:.3e} > 100 x floor {floor:.3e}"
 
-    @pytest.mark.xfail(strict=True, reason="floor model under-covers t near the Poisson peak")
     def test_envelope_near_poisson_peak(self):
-        # known gap of the floor model: at eta = 0.9, t = 0.05 the compact
-        # s = 2 rule at n = 4096 errs by 130 x roundoff_floor (criterion 09
-        # holds away from t ~ 0, eta >= 0.8)
+        # near the peak of the Poisson numerator (x = 0) g must not cancel:
+        # with 1 - 2 eta cos x + eta^2 as written this case erred by
+        # 130 x roundoff_floor
         case = GeometricKernelCase(eta=0.9, t=0.05)
         integ = case.integrand(n_derivs=3)
         err = abs(t_hat(RuleSpec(3, 2, 4096, path="compact"), integ) - case.exact())
