@@ -65,6 +65,16 @@ class PeriodicKernel:
     assemblies prefer it.  A kernel without it cannot go through
     ``manufactured_rhs`` at points at or next to a or b, so not on the
     simple grid, whose last point is b: see ``manufactured_rhs``.
+
+    ``psi``, when present, declares the kernel translation invariant:
+    K_per(t, t+y) * y^3 = psi(y) for every t, with psi a function of the
+    centered offsets alone (elementwise, any shape).  It takes precedence
+    over ``u_centered``.  Every collocation matrix of such a kernel is
+    circulant, so the builders store its first column only, and
+    ``solve_collocation`` solves it with the FFT; ``manufactured_rhs``
+    evaluates psi once per batch of points.  The diagonal derivatives are
+    then constants, psi^(k)(0), and the advanced builder reads them at its
+    first grid point.
     """
 
     u_eval: Callable
@@ -72,6 +82,7 @@ class PeriodicKernel:
     b: float
     u_xderivs_diag: Optional[tuple[Callable, ...]] = None
     u_centered: Optional[Callable] = None
+    psi: Optional[Callable] = None
 
     m = 3
 
@@ -88,6 +99,8 @@ class PeriodicKernel:
         """K_per(t, t+y) * y^3 for centered offsets, y array-like."""
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
+        if self.psi is not None:
+            return np.asarray(self.psi(y), dtype=float)
         if self.u_centered is not None:
             return np.asarray(self.u_centered(t, y), dtype=float)
         T = self.period
@@ -107,24 +120,50 @@ class PeriodicKernel:
         return tuple(float(fn(t)) for fn in self.u_xderivs_diag)
 
 
-@dataclass
 class CollocationSystem:
-    """Dense collocation system: matrix @ phi_hat = rhs on ``grid``."""
+    """Collocation system matrix @ phi_hat = rhs on ``grid``.
 
-    grid: np.ndarray
-    matrix: np.ndarray
-    rhs: np.ndarray
-    approach: str
-    lam: float
+    The builders give a translation-invariant kernel (``PeriodicKernel.psi``)
+    a circulant matrix, entry (i, j) = column[(i - j) mod N], and store only
+    that first ``column``: O(N) memory.  ``matrix`` is then built from it on
+    first access and cached.  Any other system is constructed with its dense
+    ``matrix`` and has ``column`` None.  Exactly one of the two is given.
+    """
+
+    def __init__(
+        self,
+        *,
+        grid: np.ndarray,
+        rhs: np.ndarray,
+        approach: str,
+        lam: float,
+        matrix: Optional[np.ndarray] = None,
+        column: Optional[np.ndarray] = None,
+    ):
+        if (matrix is None) == (column is None):
+            raise ValueError("a collocation system takes exactly one of matrix and column")
+        self.grid = grid
+        self.rhs = rhs
+        self.approach = approach
+        self.lam = lam
+        self.column = column
+        self._matrix = matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            js = np.arange(self.column.size)
+            self._matrix = self.column[np.subtract.outer(js, js) % js.size]
+        return self._matrix
 
 
 @dataclass
 class CollocationSolution:
     """Solution values with the residual and the 2-norm condition number.
 
-    ``structure`` names how the condition number was computed: "circulant"
-    (exactly, from the moduli of the FFT eigenvalues) or "dense" (from the
-    singular values).
+    ``structure`` names how the system was solved: "circulant" (with the
+    FFT; the condition number exactly, from the moduli of the eigenvalues)
+    or "dense" (LU; the condition number from the singular values).
     """
 
     values: np.ndarray
@@ -152,6 +191,20 @@ def epsilon_weight(i: int, j: int) -> int:
     return 0
 
 
+def _residue_offsets(step: float, weights: np.ndarray):
+    """Centered integer offsets of the residues d = 0..N-1 times ``step``,
+    and the live residues, those of nonzero weight.
+
+    Integer offsets times ``step`` keep the singular denominators free of
+    wrap cancellation and let the kernel be evaluated away from its
+    wrap-around pole.  weights[0] must be 0: residue 0 is the diagonal,
+    where the kernel is singular.
+    """
+    N = weights.size
+    dy = ((np.arange(N) + N // 2) % N - N // 2) * step
+    return dy, np.flatnonzero(weights)
+
+
 def _assemble_kernel(
     kernel: PeriodicKernel,
     grid: np.ndarray,
@@ -163,17 +216,13 @@ def _assemble_kernel(
 
     Entry (i, (i + d) mod N) is weights[d] * K_per(t_i, t_i + dy_d), with
     t_i = grid[i] and dy_d the centered integer offset of the residue d
-    times ``step``; entries of residues with weight 0 stay 0.  weights[0]
-    must be 0: residue 0 is the diagonal, where the kernel is singular.
-    An entry depends on i only through t_i, so the weights, the offsets
-    and their cubes are length-N tables over d, and the kernel is evaluated
-    on an (N rows x live residues) layout.  Integer offsets times ``step``
-    keep the singular denominators free of wrap cancellation and let the
-    kernel be evaluated away from its wrap-around pole.
+    times ``step``; entries of residues with weight 0 stay 0.  An entry
+    depends on i only through t_i, so the weights, the offsets and their
+    cubes are length-N tables over d, and the kernel is evaluated on an
+    (N rows x live residues) layout.
     """
     N = grid.size
-    dy = ((np.arange(N) + N // 2) % N - N // 2) * step
-    live = np.flatnonzero(weights)
+    dy, live = _residue_offsets(step, weights)
     shape = (N, live.size)
     kmat = kernel.numerator_centered(
         np.broadcast_to(grid[:, None], shape), np.broadcast_to(dy[live], shape)
@@ -187,13 +236,32 @@ def _assemble_kernel(
     return matrix
 
 
+def _kernel_column(kernel: PeriodicKernel, step: float, weights: np.ndarray, diagonal: float):
+    """First column of the circulant matrix of a ``psi`` kernel.
+
+    The entries are those of ``_assemble_kernel`` from the same tables:
+    residue d of every row is weights[d] * psi(dy_d) / dy_d^3, and it sits
+    in the first column at row (N - d) mod N.  So psi is evaluated on the
+    live offsets once, N values in all, and the dense matrix built from the
+    column equals the one ``_assemble_kernel`` gives bit for bit.
+    """
+    dy, live = _residue_offsets(step, weights)
+    column = np.zeros(weights.size)
+    column[0] = diagonal
+    column[-live % weights.size] = (
+        np.asarray(kernel.psi(dy[live]), dtype=float) / dy[live] ** 3 * weights[live]
+    )
+    return column
+
+
 def build_simple_system(
     kernel: PeriodicKernel, w_eval: Callable, lam: float, n: int
 ) -> CollocationSystem:
     """Collocation system of the derivative-free rule on 4n grid points.
 
     Grid x_j = a + j*hhat, hhat = T/(4n), j = 1..4n; entries
-    eps_ij * hhat * K(x_i, x_j) + lam on the diagonal pattern.
+    eps_ij * hhat * K(x_i, x_j) + lam on the diagonal pattern.  A ``psi``
+    kernel gives a circulant system stored as its first column.
     """
     if n < 2:
         raise ValueError("simple approach needs n >= 2")
@@ -204,8 +272,11 @@ def build_simple_system(
     grid = kernel.a + js * hh
     # eps_ij depends only on (j - i) mod 4, and 4 divides N
     eps = np.array([epsilon_weight(0, d) for d in range(N)])
-    matrix = _assemble_kernel(kernel, grid, hh, eps * hh, np.full(N, lam))
     rhs = np.asarray(w_eval(grid), dtype=float)
+    if kernel.psi is not None:
+        column = _kernel_column(kernel, hh, eps * hh, lam)
+        return CollocationSystem(grid=grid, column=column, rhs=rhs, approach="simple", lam=lam)
+    matrix = _assemble_kernel(kernel, grid, hh, eps * hh, np.full(N, lam))
     return CollocationSystem(grid=grid, matrix=matrix, rhs=rhs, approach="simple", lam=lam)
 
 
@@ -270,6 +341,13 @@ def dirichlet_kernel_deriv(k: int, n: int, y, period: float):
     return _dirichlet_eval(k, n, y, period)
 
 
+def _cardinal_row(k: int, n: int, period: float) -> np.ndarray:
+    """D_n^(k)(j T/n) for j = 0..n-1."""
+    _check_even_n(n)
+    offs = np.arange(n, dtype=np.int64) * (period / n)
+    return np.asarray(_dirichlet_eval(k, n, offs, period))
+
+
 def cardinal_derivative_matrix(k: int, n: int, period: float) -> np.ndarray:
     """Spectral differentiation matrix on the uniform n-point grid, n even.
 
@@ -279,10 +357,8 @@ def cardinal_derivative_matrix(k: int, n: int, period: float) -> np.ndarray:
     to rules that need them when analytic derivatives are unavailable; note
     the approximation changes the rule's error expansion.
     """
-    _check_even_n(n)
+    row = _cardinal_row(k, n, period)
     js = np.arange(n, dtype=np.int64)
-    offs = js * (period / n)
-    row = np.asarray(_dirichlet_eval(k, n, offs, period))
     return row[(js[:, None] - js[None, :]) % n]
 
 
@@ -310,7 +386,9 @@ def build_advanced_system(
 
     Grid x_j = a + j T/n, j = 0..n-1; matrix
     [lam + A_0(x_i)] delta_ij + h K(x_i,x_j)(1-delta_ij)
-    + sum_k A_k(x_i) D_n^(k)(x_i - x_j).
+    + sum_k A_k(x_i) D_n^(k)(x_i - x_j).  For a ``psi`` kernel the A_k are
+    constants and the matrix is circulant; it is stored as its first
+    column, with the D_n^(k) terms added at the offsets j T/n.
     """
     _check_even_n(n)
     if n < 4:
@@ -319,14 +397,19 @@ def build_advanced_system(
     h = T / n
     js = np.arange(n, dtype=np.int64)
     grid = kernel.a + js * h
-
-    amat = np.array([ak_coefficients(kernel, float(t), h) for t in grid])
     weights = np.full(n, h)
     weights[0] = 0.0
+    rhs = np.asarray(w_eval(grid), dtype=float)
+    if kernel.psi is not None:
+        acoef = ak_coefficients(kernel, float(grid[0]), h)
+        column = _kernel_column(kernel, h, weights, lam + acoef[0])
+        for k in (1, 2, 3):
+            column += acoef[k] * _cardinal_row(k, n, T)
+        return CollocationSystem(grid=grid, column=column, rhs=rhs, approach="advanced", lam=lam)
+    amat = np.array([ak_coefficients(kernel, float(t), h) for t in grid])
     matrix = _assemble_kernel(kernel, grid, h, weights, lam + amat[:, 0])
     for k in (1, 2, 3):
         matrix += amat[:, k][:, None] * cardinal_derivative_matrix(k, n, T)
-    rhs = np.asarray(w_eval(grid), dtype=float)
     return CollocationSystem(
         grid=grid, matrix=matrix, rhs=rhs, approach="advanced", lam=lam
     )
@@ -346,23 +429,32 @@ def _is_circulant(matrix: np.ndarray) -> bool:
 
 
 def solve_collocation(system: CollocationSystem) -> CollocationSolution:
-    """Direct dense solve with a residual and 2-norm condition report.
+    """Solve with a residual and 2-norm condition report.
 
-    A circulant matrix (a translation-invariant kernel, either approach) is
-    normal, so its singular values are the moduli of its eigenvalues, the
-    FFT of its first column: the condition number comes from those exactly,
-    without an SVD.  Any other matrix takes ``np.linalg.cond``.  A
-    non-finite entry or a condition number above 0.05/u raises
-    SingularSystemError.
+    A circulant system, stored as its first column or given as a dense
+    matrix that is exactly circulant (a translation-invariant kernel, either
+    approach), is diagonalised by the FFT: its eigenvalues lambda are the
+    FFT of the first column, the solution is ifft(fft(rhs)/lambda) and the
+    residual is formed with the same eigenvalues, all in O(N log N) and
+    without the N x N matrix.  The matrix is normal, so its singular values
+    are the moduli of lambda, and the condition number comes from those
+    exactly.  Any other matrix takes ``np.linalg.cond`` and
+    ``np.linalg.solve``.  A non-finite entry or a condition number above
+    0.05/u raises SingularSystemError.
     """
-    matrix = system.matrix
-    if not np.all(np.isfinite(matrix)):
+    column, matrix = system.column, None
+    if column is None:
+        matrix = system.matrix
+    if not np.all(np.isfinite(matrix if column is None else column)):
         raise SingularSystemError(
             "collocation matrix has non-finite entries", condition=math.nan
         )
-    if _is_circulant(matrix):
+    if column is None and _is_circulant(matrix):
+        column = matrix[:, 0]
+    if column is not None:
         structure = "circulant"
-        moduli = np.abs(np.fft.fft(matrix[:, 0]))
+        eigenvalues = np.fft.fft(column)
+        moduli = np.abs(eigenvalues)
         lo, hi = float(moduli.min()), float(moduli.max())
         cond = hi / lo if lo > 0.0 else math.inf
     else:
@@ -373,38 +465,51 @@ def solve_collocation(system: CollocationSystem) -> CollocationSolution:
             f"collocation matrix singular to working precision (cond ~ {cond:.3e})",
             condition=cond,
         )
-    values = np.linalg.solve(matrix, system.rhs)
-    residual = float(np.max(np.abs(matrix @ values - system.rhs)))
+    if column is not None:
+        values = np.fft.ifft(np.fft.fft(system.rhs) / eigenvalues).real
+        applied = np.fft.ifft(eigenvalues * np.fft.fft(values)).real
+    else:
+        values = np.linalg.solve(matrix, system.rhs)
+        applied = matrix @ values
+    residual = float(np.max(np.abs(applied - system.rhs)))
     return CollocationSolution(
         values=values, residual=residual, condition=cond, structure=structure
     )
 
 
 def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> PeriodicIntegrand:
-    """f(x) = K_per(t,x) phi(x) as a periodic integrand centered at t.
+    """f(y) = K_per(t, t+y) phi(t+y) as a periodic integrand in the offset y.
 
-    The fundamental interval is re-centered to [t - T/2, t + T/2), so the
-    kernel numerator is evaluated at centered offsets and phi at the wrapped
-    representative inside [a, b).  A 1-D array ``t`` gives a batch integrand
-    (see PeriodicIntegrand) whose g_eval takes one row of nodes per point.
+    The singular point is y = 0 on [-T/2, T/2): the rule's nodes are then
+    the centered offsets themselves, and g(y) = K_per(t, t+y) y^3 phi(x)
+    evaluates phi at the wrapped representative x of t + y inside [a, b).
+    A 1-D array ``t`` gives a batch integrand (see PeriodicIntegrand) whose
+    g_eval takes one row of offsets per point; every row holds the same
+    offset doubles, so a ``psi`` kernel's numerator is evaluated on one row
+    and broadcast, and only phi is evaluated per (point, node).
     """
     T = kernel.period
     a, b = kernel.a, kernel.b
-    t_col = np.asarray(t, dtype=float)[:, None] if np.ndim(t) else t
+    batch = np.ndim(t) > 0
+    t_col = np.asarray(t, dtype=float)[:, None] if batch else t
 
-    def g_eval(x):
-        x = np.asarray(x, dtype=float)
-        y = x - t_col
+    def g_eval(y):
+        y = np.asarray(y, dtype=float)
+        x = t_col + y
         x_ab = x - T * np.floor((x - a) / T)
         x_ab = np.where(x_ab >= b, x_ab - T, x_ab)
-        u = kernel.numerator_centered(np.broadcast_to(t_col, x.shape), y)
+        if kernel.psi is not None:
+            u = np.asarray(kernel.psi(y[0] if batch else y), dtype=float)
+        else:
+            u = kernel.numerator_centered(np.broadcast_to(t_col, y.shape), y)
         return u * np.asarray(phi(x_ab), dtype=float)
 
-    return PeriodicIntegrand(m=3, t=t, a=t - T / 2.0, b=t + T / 2.0, g_eval=g_eval)
+    zero = np.zeros(np.shape(t)) if batch else 0.0
+    return PeriodicIntegrand(m=3, t=zero, a=zero - T / 2.0, b=zero + T / 2.0, g_eval=g_eval)
 
 
 #: singular points per batch of the rhs; at n_high = 96 one batch's node
-#: arrays are 64 x 864 doubles (0.45 MB each)
+#: arrays are 64 x 864 doubles (0.45 MB each), its psi values 864 doubles
 _RHS_BLOCK = 64
 
 
@@ -425,16 +530,18 @@ def manufactured_rhs(
     being as converged as the arithmetic permits).
 
     The returned w takes a scalar (giving a float) or an array of any shape
-    (giving an array of that shape).  It applies the rules to batches of up
-    to _RHS_BLOCK singular points at once, so ``phi`` and the kernel's
-    ``u_eval``/``u_centered`` must evaluate (points, nodes) arrays
-    elementwise.  Each value is bit for bit the one the rule gives for its
-    point alone.  A non-finite value at a rule node or in the norm sample
-    raises EvaluationError; the first point failing the doubling check
-    raises ReferenceConvergenceError naming it.
+    (giving an array of that shape).  It applies the rules, in the offset
+    variable y = x - t, to batches of up to _RHS_BLOCK singular points at
+    once, so ``phi`` and the kernel's ``u_eval``/``u_centered`` must
+    evaluate (points, nodes) arrays elementwise; a ``psi`` kernel's
+    numerator is evaluated once per batch on the shared offsets.  Each
+    value is bit for bit the one the rule gives for its point alone.  A
+    non-finite value at a rule node or in the norm sample raises
+    EvaluationError; the first point failing the doubling check raises
+    ReferenceConvergenceError naming it.
 
-    Points that reach a or b need a kernel with ``u_centered``.  With
-    ``u_eval`` alone, the norm sample at t = b (the simple grid's last
+    Points that reach a or b need a kernel with ``psi`` or ``u_centered``.
+    With ``u_eval`` alone, the norm sample at t = b (the simple grid's last
     point) puts y = 0 onto the wrap-around pole and raises EvaluationError,
     and points within about 0.01 of a or b fail the doubling check, because
     the in-square split loses accuracy at the corners of the square.
@@ -479,7 +586,8 @@ def supersingular_cotangent_kernel(a: float = -math.pi, b: float = math.pi) -> P
     """The kernel K(t,x) = cos(pi(x-t)/T)/sin^3(pi(x-t)/T) as a PeriodicKernel.
 
     U(t,x) = psi_3(x-t); its diagonal x-derivatives are (T/pi)^3, 0, 0, 0.
-    Translation invariance gives the exact centered numerator psi_3(y).
+    It is translation invariant with psi = psi_3, the exact centered
+    numerator.
     """
     T = b - a
     psi0 = numerator_factor_derivs(3, 3, T)
@@ -487,10 +595,8 @@ def supersingular_cotangent_kernel(a: float = -math.pi, b: float = math.pi) -> P
     def u_eval(t, x):
         return numerator_factor(3, np.asarray(x, float) - np.asarray(t, float), T)
 
-    def u_centered(t, y):
+    def psi(y):
         return numerator_factor(3, y, T)
 
     diag = tuple((lambda v: (lambda t: v))(psi0[k]) for k in range(4))
-    return PeriodicKernel(
-        u_eval=u_eval, a=a, b=b, u_xderivs_diag=diag, u_centered=u_centered
-    )
+    return PeriodicKernel(u_eval=u_eval, a=a, b=b, u_xderivs_diag=diag, psi=psi)

@@ -232,7 +232,9 @@ class PoissonKernelU:
     def deriv(self, order: int, x):
         x = np.asarray(x, dtype=float)
         if order == 0:
-            s = np.sin(0.5 * x) ** 2
+            # np.square, not ** 2: a numpy scalar's ** 2 goes through libm
+            # pow, which can differ from an array's x*x by an ulp
+            s = np.square(np.sin(0.5 * x))
             eta = self.eta
             out = ((1.0 - eta) + 2.0 * eta * s) / ((1.0 - eta) ** 2 + 4.0 * eta * s)
             return out if out.shape else float(out)

@@ -99,8 +99,8 @@ class PeriodicIntegrand:
 
     def f_eval(self, x):
         """Evaluate f at x (scalar or array), wrapping into [a, b) first."""
-        x = np.asarray(x, dtype=float)
-        xw = wrap_to_fundamental(x, self)
+        # wrap_to_fundamental gives a float for a 0-d x; keep it an array
+        xw = np.asarray(wrap_to_fundamental(x, self))
         y = xw - _col(self.t)
         vals = _eval_array(self.g_eval, xw) / _kernels.int_power(y, self.m)
         return vals if vals.shape else float(vals)

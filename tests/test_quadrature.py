@@ -71,6 +71,13 @@ class TestWrap:
         np.testing.assert_allclose(f0, f1, rtol=1e-12)
         np.testing.assert_allclose(f0, f2, rtol=1e-12)
 
+    @pytest.mark.parametrize("x", [1.0, 4.0, -3.0, np.float64(-7.5), np.array(2.25)])
+    def test_f_eval_scalar(self, x):
+        integ = PeriodicIntegrand(3, 0.5, -3.0, 3.0, np.cos)
+        got = integ.f_eval(x)
+        assert type(got) is float
+        assert got == integ.f_eval(np.array([x]))[0]
+
 
 class TestNodeSums:
     def test_plain_odd_kernel_vanishes(self):
