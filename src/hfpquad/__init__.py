@@ -3,7 +3,6 @@ integral-equation solvers built on it."""
 
 from .em_constants import ZetaTable, bernoulli_even, zeta_at, zeta_table
 from .errors import (
-    ConfigurationError,
     DerivativesRequiredError,
     EvaluationError,
     HfpquadError,

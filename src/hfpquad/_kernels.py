@@ -44,13 +44,15 @@ def int_power(y, m: int):
 def singular_sum(g_vals: np.ndarray, y_vals: np.ndarray, m: int):
     """Pairwise sum of g_j / y_j^m over the last axis.
 
-    1-D inputs give a float; (rows, nodes) inputs give one sum per row, each
-    the same pairwise sum as the row's own 1-D call.
+    ``y_vals`` holds the 1-D offsets.  A 1-D ``g_vals`` gives a float; a
+    (rows, nodes) one, a vector-valued g, gives one sum per row, each the
+    same pairwise sum as the row's own 1-D call.
     """
+    power = int_power(y_vals, m)
     # dividing into the power's fresh array saves a node-sized allocation,
     # which at 2^18 nodes costs more than the division itself
-    power = int_power(y_vals, m)
-    sums = np.divide(g_vals, power, out=power).sum(axis=-1)
+    out = power if np.shape(g_vals) == power.shape else None
+    sums = np.divide(g_vals, power, out=out).sum(axis=-1)
     return sums if sums.ndim else float(sums)
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import HfpquadError
-from .harness import convergence_table_for, empirical_rate
+from .harness import _preferred_path, convergence_table_for, empirical_rate
 from .ie_solver import (
     build_advanced_system,
     build_simple_system,
@@ -31,12 +31,7 @@ from .ie_solver import (
 )
 from .integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
 from .oracles import exact_supersingular, hfp_reference
-from .quadrature import (
-    COMPACT_PAIRS,
-    RuleSpec,
-    roundoff_floor,
-    t_hat,
-)
+from .quadrature import RuleSpec, roundoff_floor, t_hat
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,9 +148,7 @@ def _oracle_for(args, eta: Optional[float], integrand) -> tuple[str, float]:
 
 
 def _rule_path(args) -> str:
-    if args.path != "auto":
-        return args.path
-    return "compact" if (args.m, args.s) in COMPACT_PAIRS else "generic"
+    return _preferred_path(args.m, args.s) if args.path == "auto" else args.path
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +258,7 @@ def cmd_rate(args) -> int:
 
 def cmd_solve_ie(args) -> int:
     kernel = supersingular_cotangent_kernel()
-    phi = PoissonKernelU(args.eta if args.eta is not None else 0.3)
+    phi = PoissonKernelU(args.eta)
     w = manufactured_rhs(kernel, phi, args.lam)
     if args.approach == "simple":
         system = build_simple_system(kernel, w, args.lam, args.n_base)
@@ -297,8 +290,7 @@ def cmd_solve_ie(args) -> int:
                 for x, v, p, e in zip(system.grid, sol.values, truth, errors)
             ],
         }
-        if args.output:
-            _write_output(canonical_json(payload), args.output)
+        _write_output(canonical_json(payload), args.output)
     elif args.output:
         rows = [
             [float(x), float(v), float(p), float(e)]

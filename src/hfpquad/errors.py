@@ -5,10 +5,6 @@ class HfpquadError(Exception):
     """Base class for all domain errors raised by hfpquad."""
 
 
-class ConfigurationError(HfpquadError):
-    """An environment setting holds a value hfpquad cannot use."""
-
-
 class OrderTooLargeError(HfpquadError):
     """Requested Bernoulli/zeta order exceeds the configured maximum."""
 

@@ -9,15 +9,13 @@ model's envelope.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientPreFloorDataError
-from .oracles import GeometricKernelCase, exact_supersingular
+from .errors import InsufficientPreFloorDataError
+from .oracles import GeometricKernelCase
 from .quadrature import (
     COMPACT_PAIRS,
     PeriodicIntegrand,
@@ -92,17 +90,6 @@ class FloorCheck:
     passed: bool
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("HFPQUAD_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigurationError(f"HFPQUAD_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def integrand_norms(
     integrand: PeriodicIntegrand, samples: int = 4096
 ) -> tuple[float, float, float]:
@@ -136,17 +123,10 @@ def convergence_table_for(
     """Table of rule values and errors against a precomputed oracle value."""
     ns = sorted(set(int(n) for n in n_list))
     rule_path = path or _preferred_path(integrand.m, s)
-
-    def one(n: int) -> ReportRow:
+    rows = []
+    for n in ns:
         val = t_hat(RuleSpec(integrand.m, s, n, path=rule_path), integrand)
-        return ReportRow(n=n, value=val, error=abs(val - oracle_value))
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, ns))
-    else:
-        rows = [one(n) for n in ns]
+        rows.append(ReportRow(n=n, value=val, error=abs(val - oracle_value)))
 
     norms = integrand_norms(integrand)
     floor_est = roundoff_floor(*norms, integrand.period, max(ns), unit)

@@ -483,15 +483,13 @@ def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> Periodi
     The singular point is y = 0 on [-T/2, T/2): the rule's nodes are then
     the centered offsets themselves, and g(y) = K_per(t, t+y) y^3 phi(x)
     evaluates phi at the wrapped representative x of t + y inside [a, b).
-    A 1-D array ``t`` gives a batch integrand (see PeriodicIntegrand) whose
-    g_eval takes one row of offsets per point; every row holds the same
-    offset doubles, so a ``psi`` kernel's numerator is evaluated on one row
-    and broadcast, and only phi is evaluated per (point, node).
+    A 1-D array ``t`` gives a vector-valued g (see PeriodicIntegrand), one
+    row per point over the same 1-D offsets: a ``psi`` kernel's numerator
+    is evaluated once on the offsets, and only phi per (point, node).
     """
     T = kernel.period
     a, b = kernel.a, kernel.b
-    batch = np.ndim(t) > 0
-    t_col = np.asarray(t, dtype=float)[:, None] if batch else t
+    t_col = np.asarray(t, dtype=float)[:, None] if np.ndim(t) else t
 
     def g_eval(y):
         y = np.asarray(y, dtype=float)
@@ -499,17 +497,18 @@ def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> Periodi
         x_ab = x - T * np.floor((x - a) / T)
         x_ab = np.where(x_ab >= b, x_ab - T, x_ab)
         if kernel.psi is not None:
-            u = np.asarray(kernel.psi(y[0] if batch else y), dtype=float)
+            u = np.asarray(kernel.psi(y), dtype=float)
         else:
-            u = kernel.numerator_centered(np.broadcast_to(t_col, y.shape), y)
+            u = kernel.numerator_centered(
+                np.broadcast_to(t_col, x.shape), np.broadcast_to(y, x.shape)
+            )
         return u * np.asarray(phi(x_ab), dtype=float)
 
-    zero = np.zeros(np.shape(t)) if batch else 0.0
-    return PeriodicIntegrand(m=3, t=zero, a=zero - T / 2.0, b=zero + T / 2.0, g_eval=g_eval)
+    return PeriodicIntegrand(m=3, t=0.0, a=-T / 2.0, b=T / 2.0, g_eval=g_eval)
 
 
-#: singular points per batch of the rhs; at n_high = 96 one batch's node
-#: arrays are 64 x 864 doubles (0.45 MB each), its psi values 864 doubles
+#: singular points per batch of the rhs; at n_high = 96 one batch's g values
+#: are 64 x 864 doubles (0.45 MB), its offsets and psi values 864 doubles
 _RHS_BLOCK = 64
 
 
@@ -531,10 +530,11 @@ def manufactured_rhs(
 
     The returned w takes a scalar (giving a float) or an array of any shape
     (giving an array of that shape).  It applies the rules, in the offset
-    variable y = x - t, to batches of up to _RHS_BLOCK singular points at
-    once, so ``phi`` and the kernel's ``u_eval``/``u_centered`` must
-    evaluate (points, nodes) arrays elementwise; a ``psi`` kernel's
-    numerator is evaluated once per batch on the shared offsets.  Each
+    variable y = x - t, to a vector-valued g with one row for each of up
+    to _RHS_BLOCK singular points, so ``phi`` and the kernel's
+    ``u_eval``/``u_centered`` must evaluate (points, nodes) arrays
+    elementwise; a ``psi`` kernel's numerator is evaluated once per batch
+    on the shared 1-D offsets.  Each
     value is bit for bit the one the rule gives for its point alone.  A
     non-finite value at a rule node or in the norm sample raises
     EvaluationError; the first point failing the doubling check raises
@@ -553,8 +553,8 @@ def manufactured_rhs(
         integrand = _kernel_slice_integrand(kernel, phi, ts)
         v1 = t_hat(coarse, integrand)
         v2 = t_hat(fine, integrand)
-        xs = np.linspace(integrand.a, integrand.b, 257, axis=-1)
-        g_norm = np.max(np.abs(integrand.g_eval(xs)), axis=-1)
+        ys = np.linspace(integrand.a, integrand.b, 257)
+        g_norm = np.max(np.abs(integrand.g_eval(ys)), axis=-1)
         bad = np.flatnonzero(~np.isfinite(g_norm))
         if bad.size:
             raise EvaluationError(f"kernel slice at t={float(ts[bad[0]])!r} is not finite")

@@ -176,10 +176,6 @@ class TrigPolynomial:
         for k1, b in enumerate(self.sin_coeffs, start=1):
             if b != 0.0:
                 acc = acc + b * float(k1) ** order * np.sin(k1 * x + shift)
-        if order == 0 and self.cos_coeffs:
-            # k=0 cosine term contributes a_0 only at order 0; the loop above
-            # already handled it via 0^0 = 1, so nothing extra to do
-            pass
         return acc if acc.shape else float(acc)
 
     @property

@@ -50,17 +50,15 @@ __all__ = [
 class PeriodicIntegrand:
     """f(x) = g(x)/(x - t)^m, extended T-periodically from [a, b].
 
-    ``g_eval`` must be valid on [a, b] and accept numpy arrays (a scalar-only
-    callable is tolerated but slower).  ``g_derivs_at_t`` holds
-    [g(t), g'(t), ...]; rules that need derivative corrections refuse to run
-    without enough entries rather than finite-differencing silently.
-    Instances are immutable; evaluators must be stateless for concurrent use.
-
-    ``t``, ``a`` and ``b`` may instead be 1-D arrays of one shape: a batch of
-    singular points sharing ``g_eval``, which then receives (points, nodes)
-    arrays with one row of nodes per point.  A batch carries no
-    derivatives, so only the derivative-free compact rules run on it, and
-    ``t_hat`` returns one value per point.
+    ``g_eval`` takes a numpy array of nodes and returns either an array of
+    the same shape or, for a vector-valued g of P functions (the contract
+    of ``scipy.integrate.quad_vec``), one of shape (P, *nodes).  ``t_hat``
+    then returns P values, row i bit for bit the rule applied to the
+    scalar integrand whose g is row i.  An evaluator that raises, returns
+    another shape or a non-finite value gives EvaluationError.
+    ``g_derivs_at_t`` holds [g(t), g'(t), ...] of a scalar g; rules that
+    need derivative corrections refuse to run without enough entries
+    rather than finite-differencing silently.  Instances are immutable.
     """
 
     m: int
@@ -73,25 +71,13 @@ class PeriodicIntegrand:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("singularity order m must be >= 1")
-        if _is_batch(self.t):
-            self._check_batch()
-        elif not self.a < self.t < self.b:
+        if not self.a < self.t < self.b:
             raise ValueError("singular point must satisfy a < t < b")
         for order, d in enumerate(self.g_derivs_at_t or ()):
             if not math.isfinite(d):
                 raise EvaluationError(
                     f"g derivative of order {order} at t is not finite ({d!r})"
                 )
-
-    def _check_batch(self):
-        if self.t.ndim > 1 or not all(
-            isinstance(v, np.ndarray) and v.shape == self.t.shape for v in (self.a, self.b)
-        ):
-            raise ValueError("a batch's t, a and b must be 1-D arrays of one shape")
-        if not np.all((self.a < self.t) & (self.t < self.b)):
-            raise ValueError("singular point must satisfy a < t < b")
-        if self.g_derivs_at_t is not None:
-            raise ValueError("a batch of singular points carries no g derivatives")
 
     @property
     def period(self) -> float:
@@ -101,8 +87,7 @@ class PeriodicIntegrand:
         """Evaluate f at x (scalar or array), wrapping into [a, b) first."""
         # wrap_to_fundamental gives a float for a 0-d x; keep it an array
         xw = np.asarray(wrap_to_fundamental(x, self))
-        y = xw - _col(self.t)
-        vals = _eval_array(self.g_eval, xw) / _kernels.int_power(y, self.m)
+        vals = _eval_g(self, xw) / _kernels.int_power(xw - self.t, self.m)
         return vals if vals.shape else float(vals)
 
     def deriv_at_t(self, order: int) -> float:
@@ -116,47 +101,35 @@ class PeriodicIntegrand:
 def wrap_to_fundamental(x, integrand: PeriodicIntegrand):
     """Shift x by the multiple of the period that lands it in [a, b)."""
     x = np.asarray(x, dtype=float)
-    T = _col(integrand.period)
-    out = x - T * np.floor((x - _col(integrand.a)) / T)
+    T = integrand.period
+    out = x - T * np.floor((x - integrand.a) / T)
     # guard against x exactly at b mapping to b through floor rounding
-    out = np.where(out >= _col(integrand.b), out - T, out)
+    out = np.where(out >= integrand.b, out - T, out)
     return out if out.shape else float(out)
 
 
-def _is_batch(v) -> bool:
-    return isinstance(v, np.ndarray) and v.ndim > 0
+def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
+    """g at the nodes x: an array of x's shape, or (P, *x.shape) for a vector g.
 
-
-def _col(v):
-    """A scalar as is; a batch's (points,) array as a (points, 1) column."""
-    return v[:, None] if _is_batch(v) else v
-
-
-def _eval_array(fn, x: np.ndarray) -> np.ndarray:
-    """Call an evaluator on an array, falling back to a scalar loop.
-
-    Evaluator failures are re-raised as EvaluationError carrying the index
-    of the first offending node.
+    An evaluator that raises or returns another shape gives EvaluationError;
+    a non-finite value gives one carrying the index of the first offending
+    node.  A vector g with ``g_derivs_at_t`` raises ValueError: the
+    derivative corrections are scalars and would be applied to every row
+    alike.
     """
     try:
-        vals = np.asarray(fn(x), dtype=float)
-        if vals.shape != x.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        flat = x.ravel()
-        out = np.empty(flat.shape)
-        for idx, xi in enumerate(flat):
-            try:
-                out[idx] = float(fn(float(xi)))
-            except Exception as exc:
-                raise EvaluationError(
-                    f"integrand evaluator failed at node {idx} (x={float(xi)!r}): {exc}",
-                    node_index=idx,
-                    node_x=float(xi),
-                ) from exc
-        vals = out.reshape(x.shape)
+        vals = np.asarray(integrand.g_eval(x), dtype=float)
+    except Exception as exc:
+        raise EvaluationError(f"integrand evaluator failed on {x.size} nodes: {exc}") from exc
+    if vals.shape not in (x.shape, vals.shape[:1] + x.shape):
+        raise EvaluationError(
+            f"integrand evaluator returned shape {vals.shape} for nodes of shape {x.shape}"
+        )
+    if vals.ndim > x.ndim and integrand.g_derivs_at_t is not None:
+        raise ValueError("a vector-valued g carries no g derivatives")
     if not np.all(np.isfinite(vals)):
-        idx = int(np.flatnonzero(~np.isfinite(vals))[0])
+        # flat index into (P, *x.shape) modulo the node count is the node
+        idx = int(np.flatnonzero(~np.isfinite(vals))[0]) % x.size
         xi = float(x.ravel()[idx])
         raise EvaluationError(
             f"integrand evaluator returned a non-finite value at node {idx} (x={xi!r})",
@@ -345,20 +318,20 @@ def _family_nodes(integrand: PeriodicIntegrand, n: int, fam: NodeFamily):
     at the rounding unit instead of growing with n.  For a power-of-two
     multiple of n the offsets of every coarser grid are the same doubles.
     """
-    t, b = _col(integrand.t), _col(integrand.b)
+    t, b = integrand.t, integrand.b
     delta = (integrand.period / n) / fam.substep_div
     total = fam.substep_div * n
     k = fam.first + fam.step * np.arange(fam.count(n), dtype=np.int64)
-    wrapped = np.where(t + k * _col(delta) < b, k, k - total)
-    y = wrapped * _col(delta)
-    x_hat = np.clip(t + y, _col(integrand.a), b)
+    wrapped = np.where(t + k * delta < b, k, k - total)
+    y = wrapped * delta
+    x_hat = np.clip(t + y, integrand.a, b)
     return delta, y, x_hat
 
 
 def _family_sum(integrand: PeriodicIntegrand, n: int, fam: NodeFamily):
-    """weight * hhat * sum of f over one node family (per point of a batch)."""
+    """weight * hhat * sum of f over one node family (per row of a vector g)."""
     delta, y, x_hat = _family_nodes(integrand, n, fam)
-    g_vals = _eval_array(integrand.g_eval, x_hat)
+    g_vals = _eval_g(integrand, x_hat)
     return float(fam.weight) * delta * _kernels.singular_sum(g_vals, y, integrand.m)
 
 
@@ -455,8 +428,8 @@ def extrapolation_weights(s: int) -> ExtrapolationWeights:
 
 
 def _fsum(terms: list):
-    """math.fsum of the terms; of each point's terms when they are batch arrays."""
-    if not _is_batch(terms[0]):
+    """math.fsum of the terms; of each row's terms for a vector g's arrays."""
+    if np.ndim(terms[0]) == 0:
         return math.fsum(terms)
     return np.array([math.fsum(row) for row in np.stack(terms, axis=-1).tolist()])
 
@@ -479,13 +452,13 @@ def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
     # corrections first: a missing derivative raises before g is evaluated
     corrections = [correction_sum(integrand, 2**k * n) for k in range(s + 1)]
     _, y, x_hat = _family_nodes(integrand, 2**s * n, _PLAIN)
-    g_vals = _eval_array(integrand.g_eval, x_hat)
+    g_vals = _eval_g(integrand, x_hat)
     vals = []
     for k, w in enumerate(extrapolation_weights(s).alpha):
         stride = 2 ** (s - k)
         nodes = slice(stride - 1, None, stride)
         plain = (integrand.period / (2**k * n)) * _kernels.singular_sum(
-            g_vals[..., nodes], y[..., nodes], integrand.m
+            g_vals[nodes], y[nodes], integrand.m
         )
         vals.append(float(w) * (plain - corrections[k]))
     return math.fsum(vals)
@@ -497,9 +470,9 @@ def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):
     The generic path combines base rules at n, 2n, ..., 2^s n with the
     extrapolation weights and therefore needs g derivatives up to order m;
     the compact path evaluates the tabulated closed form directly and is
-    derivative-free at the top level s for each m.  On a batch of singular
-    points (see PeriodicIntegrand) the result is an array, one value per
-    point, each bit for bit the value of that point's own integrand.
+    derivative-free at the top level s for each m.  For a vector-valued g
+    (see PeriodicIntegrand) the result is an array, one value per row of g,
+    each bit for bit the value of that row's own scalar integrand.
     """
     if spec.m != integrand.m:
         raise ValueError(

@@ -192,6 +192,13 @@ class TestSolveIE:
         assert payload["structure"] == "circulant"
         assert "(circulant)" in re.search(r"condition = .*", out).group(0)
 
+    def test_json_without_output_goes_to_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "solve-ie", "--n", "4", "--format", "json")
+        assert code == 0
+        payload = json.loads(out.splitlines()[-1])
+        assert payload["structure"] == "circulant"
+        assert len(payload["nodes"]) == 16
+
 
 class TestFloor:
     def test_matches_module(self, capsys):

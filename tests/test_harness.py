@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hfpquad.errors import ConfigurationError, InsufficientPreFloorDataError
+from hfpquad.errors import InsufficientPreFloorDataError
 from hfpquad.harness import (
     ConvergenceReport,
     ReportRow,
@@ -46,20 +46,6 @@ class TestConvergenceTable:
         case = GeometricKernelCase(eta=0.5, t=1.0)
         rep = convergence_table(case, 0, [20])
         assert rep.rows[0].error == pytest.approx(2.10e-5, rel=0.05)
-
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("HFPQUAD_THREADS", "4")
-        case = GeometricKernelCase(eta=0.5, t=1.0)
-        rep = convergence_table(case, 0, [10, 20, 30])
-        assert [r.n for r in rep.rows] == [10, 20, 30]
-        assert rep.rows[1].error == pytest.approx(2.10e-5, rel=0.05)
-
-    @pytest.mark.parametrize("value", ["four", "0", "-2", ""])
-    def test_malformed_threads_env_raises(self, monkeypatch, value):
-        monkeypatch.setenv("HFPQUAD_THREADS", value)
-        case = GeometricKernelCase(eta=0.5, t=1.0)
-        with pytest.raises(ConfigurationError, match=f"got {value!r}"):
-            convergence_table(case, 0, [10, 20])
 
     def test_rules_agree_within_factor_four(self):
         # pre-floor errors of s = 0, 1, 2 stay within a factor of 4

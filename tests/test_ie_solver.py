@@ -1,6 +1,7 @@
 """Collocation systems: weight pattern, cardinal kernel, assembly, solve,
 and the manufactured problem."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hfpquad import ie_solver
 from hfpquad.errors import (
     DerivativesRequiredError,
     EvaluationError,
@@ -447,6 +449,30 @@ class TestBatchedRhs:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(EvaluationError, match=re.escape(f"t={math.pi!r} is not finite")):
                 w(np.array([0.5, math.pi]))
+
+    def test_slice_g_takes_1d_offsets(self, monkeypatch):
+        # the rows of a batch share their offsets: g sees them once, 1-D,
+        # and returns one row per point
+        shapes = []
+        real = ie_solver.t_hat
+
+        def t_hat(spec, integrand):
+            g = integrand.g_eval
+
+            def recording(y):
+                vals = g(y)
+                shapes.append((np.shape(y), vals.shape))
+                return vals
+
+            return real(spec, dataclasses.replace(integrand, g_eval=recording))
+
+        monkeypatch.setattr(ie_solver, "t_hat", t_hat)
+        w = manufactured_rhs(supersingular_cotangent_kernel(), PoissonKernelU(0.3), 1.0)
+        w(np.linspace(-3.0, 3.0, 5))
+        assert shapes
+        for y_shape, g_shape in shapes:
+            assert len(y_shape) == 1
+            assert g_shape == (5,) + y_shape
 
 
 # ---------------------------------------------------------------------------

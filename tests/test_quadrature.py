@@ -157,18 +157,22 @@ class TestNodeSums:
             plain_trap_sum(integ, 16)
         assert info.value.node_index is not None
 
-    def test_raising_evaluator_carries_node_index(self):
+    def test_raising_evaluator_is_chained(self):
         def raising_g(x):
-            x = float(x)  # scalar-only evaluator
-            if abs(x - 2.0) < 0.3:
+            if np.any(np.abs(np.asarray(x) - 2.0) < 0.3):
                 raise RuntimeError("no data here")
-            return 1.0
+            return np.ones_like(x)
 
         integ = PeriodicIntegrand(2, 1.0, 1.0 - math.pi, 1.0 + math.pi, raising_g)
-        with pytest.raises(EvaluationError) as info:
+        with pytest.raises(EvaluationError, match="no data here") as info:
             plain_trap_sum(integ, 16)
-        assert info.value.node_index is not None
-        assert "no data here" in str(info.value)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_scalar_only_evaluator_raises(self):
+        # no silent node-by-node fallback: g must take the node array
+        integ = PeriodicIntegrand(2, 1.0, 1.0 - math.pi, 1.0 + math.pi, lambda x: math.cos(x))
+        with pytest.raises(EvaluationError):
+            plain_trap_sum(integ, 16)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_derivative_rejected(self, bad):
@@ -379,52 +383,81 @@ class TestTHat:
             assert val == pytest.approx(0.0, abs=1e-10)
 
 
-class TestBatch:
-    """A batch of singular points sharing one g: one value per point."""
+class TestVectorG:
+    """A vector-valued g of P rows: one rule value per row."""
 
-    TS = np.array([-2.9, -0.4, 0.0, 1.3, 3.1])
+    T0 = 0.7
+    SHIFTS = np.array([-2.9, -0.4, 0.0, 1.3, 3.1])
 
-    def batch(self, g_derivs=None):
-        ts = self.TS
+    def vector(self, g_derivs=None):
+        def g(x):
+            return np.cos(np.add.outer(self.SHIFTS, x))
+
         return PeriodicIntegrand(
-            m=3, t=ts, a=ts - math.pi, b=ts + math.pi, g_eval=np.cos, g_derivs_at_t=g_derivs
+            m=3, t=self.T0, a=self.T0 - math.pi, b=self.T0 + math.pi, g_eval=g,
+            g_derivs_at_t=g_derivs,
         )
 
-    def single(self, t):
-        return PeriodicIntegrand(m=3, t=t, a=t - math.pi, b=t + math.pi, g_eval=np.cos)
+    def row(self, i):
+        c = float(self.SHIFTS[i])
+        return dataclasses.replace(self.vector(), g_eval=lambda x: np.cos(c + x))
 
     @pytest.mark.parametrize("s", [s for m, s in COMPACT_PAIRS if m == 3])
-    def test_compact_rule_per_point(self, s):
+    def test_compact_rule_per_row(self, s):
         rule = compact_rule(3, s)
         spec = RuleSpec(3, s, 40, path="compact")
         if rule.deriv_corrections:
             with pytest.raises(DerivativesRequiredError):
-                t_hat(spec, self.batch())
+                t_hat(spec, self.vector())
             return
-        got = t_hat(spec, self.batch())
-        assert got.shape == self.TS.shape
-        for t, v in zip(self.TS, got):
-            assert v == t_hat(spec, self.single(float(t)))
+        got = t_hat(spec, self.vector())
+        assert got.shape == self.SHIFTS.shape
+        for i, v in enumerate(got):
+            assert v == t_hat(spec, self.row(i))
 
-    def test_generic_path_needs_derivatives(self):
+    def test_generic_path_raises_before_g(self):
         calls = []
-        batch = dataclasses.replace(self.batch(), g_eval=lambda x: calls.append(x) or np.cos(x))
+        g = self.vector().g_eval
+        vector = dataclasses.replace(self.vector(), g_eval=lambda x: calls.append(x) or g(x))
         for s in (0, 1, 2):
             with pytest.raises(DerivativesRequiredError):
-                t_hat(RuleSpec(3, s, 40), batch)
+                t_hat(RuleSpec(3, s, 40), vector)
         assert calls == []  # the derivative check comes before any g evaluation
 
     def test_f_eval_per_row(self):
         xs = np.linspace(-7.0, 7.0, 8)
-        rows = self.batch().f_eval(np.tile(xs, (self.TS.size, 1)))
-        for t, row in zip(self.TS, rows):
-            np.testing.assert_array_equal(row, self.single(float(t)).f_eval(xs))
+        rows = self.vector().f_eval(xs)
+        assert rows.shape == (self.SHIFTS.size, xs.size)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(row, self.row(i).f_eval(xs))
 
-    def test_rejects_derivatives_and_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="no g derivatives"):
-            self.batch(g_derivs=(1.0, 0.0, -1.0, 0.0))
-        with pytest.raises(ValueError, match="one shape"):
-            PeriodicIntegrand(m=3, t=self.TS, a=-4.0, b=4.0, g_eval=np.cos)
+    @pytest.mark.parametrize(
+        "spec", [RuleSpec(3, 2, 40, path="compact"), RuleSpec(3, 0, 40)], ids=["compact", "generic"]
+    )
+    def test_rejects_derivatives(self, spec):
+        with pytest.raises(ValueError, match="vector-valued g"):
+            t_hat(spec, self.vector(g_derivs=(1.0, 0.0, -1.0, 0.0)))
+
+    @pytest.mark.parametrize(
+        "g",
+        [lambda x: np.ones(x.size + 1), lambda x: np.ones((2, 2, x.size)), lambda x: 1.0],
+        ids=["other-nodes", "two-leading-axes", "scalar"],
+    )
+    def test_wrong_shape_raises(self, g):
+        integ = dataclasses.replace(self.vector(), g_eval=g)
+        with pytest.raises(EvaluationError, match=r"shape .* for nodes of shape \(40,\)"):
+            t_hat(RuleSpec(3, 2, 40, path="compact"), integ)
+
+    def test_non_finite_row_names_node(self):
+        def g(x):
+            vals = np.cos(np.add.outer(self.SHIFTS, x))
+            vals[3, 7] = np.nan
+            return vals
+
+        integ = dataclasses.replace(self.vector(), g_eval=g)
+        with pytest.raises(EvaluationError, match="non-finite") as info:
+            plain_trap_sum(integ, 16)
+        assert info.value.node_index == 7
 
 
 class TestNestedGrids:
