@@ -1,7 +1,7 @@
 """Finite-part quadrature for periodic integrands and supersingular
 integral-equation solvers built on it."""
 
-from .em_constants import ZetaTable, bernoulli_even, zeta_at, zeta_table
+from .em_constants import bernoulli_even, zeta_at, zeta_even_rational
 from .errors import (
     DerivativesRequiredError,
     EvaluationError,

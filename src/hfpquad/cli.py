@@ -291,7 +291,7 @@ def cmd_solve_ie(args) -> int:
             ],
         }
         _write_output(canonical_json(payload), args.output)
-    elif args.output:
+    else:
         rows = [
             [float(x), float(v), float(p), float(e)]
             for x, v, p, e in zip(system.grid, sol.values, truth, errors)

@@ -9,7 +9,6 @@ ones that actually appear in the correction sums and the roundoff-floor model:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,9 +16,6 @@ from .errors import OrderTooLargeError, UnsupportedZetaArgumentError
 
 #: Highest k for which B_{2k} / zeta(2k) are served by default (m up to 32).
 DEFAULT_MAX_ORDER = 16
-
-#: B_1 in the convention where all other odd Bernoulli numbers vanish.
-B1 = Fraction(-1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -59,50 +55,22 @@ def _zeta3() -> float:
     return partial + tail
 
 
+def zeta_even_rational(k: int, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
+    """zeta(2k)/(2 pi)^(2k) = (-1)^(k+1) B_{2k} / (2 (2k)!), exactly; -1/2 at k = 0."""
+    sign = 1 if k % 2 == 1 else -1
+    return sign * Fraction(bernoulli_even(k, max_order=max_order), 2 * math.factorial(2 * k))
+
+
 def zeta_at(j: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
     """zeta(j) for j in {0} + {even} + {3}.
 
-    zeta(0) = -1/2, zeta(-2k) = 0, zeta(2k) from the Bernoulli formula,
-    zeta(3) from the summed series with a tail correction.
+    zeta(2k) for k >= 0 from the Bernoulli formula (zeta(0) = -1/2),
+    zeta(-2k) = 0, zeta(3) from the summed series with a tail correction.
     """
-    if j == 0:
-        return -0.5
     if j == 3:
         return _zeta3()
-    if j % 2 == 0:
-        if j < 0:
-            return 0.0
-        k = j // 2
-        b = bernoulli_even(k, max_order=max_order)
-        sign = 1.0 if k % 2 == 1 else -1.0
-        rational = Fraction(b, 2 * math.factorial(2 * k))
-        return sign * float(rational) * (2.0 * math.pi) ** (2 * k)
-    raise UnsupportedZetaArgumentError(f"unsupported zeta argument: {j}")
-
-
-@dataclass(frozen=True)
-class ZetaTable:
-    """Precomputed constants for correction sums up to order ``max_order``.
-
-    ``even_values[k]`` is zeta(2k) (so even_values[0] = -1/2) and
-    ``bernoulli`` lists [B_0, B_1, B_2, B_4, ..., B_{2 max_order}].
-    Immutable, safe for concurrent reads.
-    """
-
-    max_order: int
-    even_values: tuple[float, ...]
-    zeta3: float
-    bernoulli: tuple[Fraction, ...]
-
-
-def zeta_table(max_order: int = DEFAULT_MAX_ORDER) -> ZetaTable:
-    """Build the constants table used by the quadrature corrections."""
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    evens = tuple(zeta_at(2 * k, max_order=max_order) for k in range(max_order + 1))
-    bern = (Fraction(1), B1) + tuple(
-        bernoulli_even(k, max_order=max_order) for k in range(1, max_order + 1)
-    )
-    return ZetaTable(
-        max_order=max_order, even_values=evens, zeta3=_zeta3(), bernoulli=bern
-    )
+    if j % 2 == 1:
+        raise UnsupportedZetaArgumentError(f"unsupported zeta argument: {j}")
+    if j < 0:
+        return 0.0
+    return float(zeta_even_rational(j // 2, max_order=max_order)) * (2.0 * math.pi) ** j

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _kernels
-from .em_constants import zeta_at
+from .em_constants import zeta_at, zeta_even_rational
 from .errors import DerivativesRequiredError, EvaluationError
 
 __all__ = [
@@ -183,7 +184,7 @@ class DerivCorrection:
 
 @dataclass(frozen=True)
 class CompactRule:
-    """Node/weight/correction descriptor of one closed-form rule."""
+    """Node/weight/correction descriptor of one compact rule."""
 
     m: int
     s: int
@@ -210,78 +211,67 @@ class CompactRule:
         return max(f.substep_div for f in self.families)
 
 
-def _fam(q, first, step, cf, co, w) -> NodeFamily:
-    return NodeFamily(q, first, step, cf, co, Fraction(w))
+_PLAIN = NodeFamily(1, 1, 1, 1, -1, Fraction(1))  # h * sum_{j=1}^{n-1} f(t + jh)
 
 
-def _cor(order, coef, pi_pow, h_pow) -> DerivCorrection:
-    return DerivCorrection(order, Fraction(coef), pi_pow, h_pow)
+def _odd_multiples(s: int, level: int, weight: Fraction) -> NodeFamily:
+    """The odd multiples of h/2^level, in units of the level-s substep h/2^s."""
+    return NodeFamily(2**s, 2 ** (s - level), 2 ** (s - level + 1), 2 ** (level - 1), 0, weight)
 
 
-_PLAIN = _fam(1, 1, 1, 1, -1, 1)
-_MID1 = _fam(2, 1, 2, 1, 0, 2)  # h * sum f(t + jh - h/2)
-_MID2A = _fam(4, 2, 4, 1, 0, 8)  # 2h * sum f(t + jh - h/2)
-_MID2B = _fam(4, 1, 2, 2, 0, -2)  # -(h/2) * sum f(t + jh/2 - h/4)
-
-_COMPACT_TABLE: dict[tuple[int, int], CompactRule] = {
-    (1, 0): CompactRule(1, 0, (_PLAIN,), (_cor(1, 1, 0, 1),)),
-    (1, 1): CompactRule(1, 1, (_MID1,), ()),
-    (2, 0): CompactRule(
-        2, 0, (_PLAIN,), (_cor(0, Fraction(-1, 3), 2, -1), _cor(2, Fraction(1, 2), 0, 1))
-    ),
-    (2, 1): CompactRule(2, 1, (_MID1,), (_cor(0, -1, 2, -1),)),
-    (2, 2): CompactRule(2, 2, (_MID2A, _MID2B), ()),
-    (3, 0): CompactRule(
-        3, 0, (_PLAIN,), (_cor(1, Fraction(-1, 3), 2, -1), _cor(3, Fraction(1, 6), 0, 1))
-    ),
-    (3, 1): CompactRule(3, 1, (_MID1,), (_cor(1, -1, 2, -1),)),
-    (3, 2): CompactRule(3, 2, (_MID2A, _MID2B), ()),
-    (4, 0): CompactRule(
-        4,
-        0,
-        (_PLAIN,),
-        (
-            _cor(0, Fraction(-1, 45), 4, -3),
-            _cor(2, Fraction(-1, 6), 2, -1),
-            _cor(4, Fraction(1, 24), 0, 1),
-        ),
-    ),
-    (4, 1): CompactRule(
-        4, 1, (_MID1,), (_cor(0, Fraction(-1, 3), 4, -3), _cor(2, Fraction(-1, 2), 2, -1))
-    ),
-    (4, 2): CompactRule(4, 2, (_MID2A, _MID2B), (_cor(0, 2, 4, -3),)),
-    (4, 3): CompactRule(
-        4,
-        3,
-        (
-            _fam(8, 4, 8, 1, 0, Fraction(128, 7)),
-            _fam(8, 2, 4, 2, 0, Fraction(-40, 7)),
-            _fam(8, 1, 2, 4, 0, Fraction(2, 7)),
-        ),
-        (),
-    ),
-}
-
-COMPACT_PAIRS = frozenset(_COMPACT_TABLE)
+#: s runs up to m//2 + 1, the first derivative-free level: the corrections
+#: scale as h^1, h^-1, ..., h^(1 - 2(m//2)) and each level removes one power.
+#: m stops at 4 because hfpbench's paper-tables mix is this set.
+COMPACT_PAIRS = frozenset((m, s) for m in range(1, 5) for s in range(m // 2 + 2))
 
 
 def max_compact_level(m: int) -> int:
-    """Largest s with a tabulated closed-form rule for this m (derivative-free)."""
-    levels = [s for (mm, s) in COMPACT_PAIRS if mm == m]
-    if not levels:
-        raise ValueError(f"no compact rules tabulated for m={m}")
-    return max(levels)
+    """Largest s with a compact rule for this m: the first derivative-free level."""
+    if (m, 0) not in COMPACT_PAIRS:
+        raise ValueError(f"no compact rules for m={m}")
+    return m // 2 + 1
 
 
+@lru_cache(maxsize=None)
 def compact_rule(m: int, s: int) -> CompactRule:
-    """Descriptor of the closed-form rule for (m, s)."""
-    try:
-        return _COMPACT_TABLE[(m, s)]
-    except KeyError:
+    """The level-s extrapolation of the corrected rule, regrouped by node.
+
+    With alpha = extrapolation_weights(s), the base rule at 2^k n weighs its
+    nodes by alpha_k h/2^k.  A node that is an odd multiple of h/2^level lies
+    on the grids k >= level, so its family weighs 2^s sum_{k>=level}
+    alpha_k 2^-k in units of h/2^s.  The nodes jh lie on every grid and get
+    sum_k alpha_k 2^-k = 0 for s >= 1 (the first step removes h^1).  The
+    correction term of g^(order) scales as h^(1-2j) on every grid, so its
+    coefficient is the base one times sum_k alpha_k 2^(-k(1-2j)), which
+    vanishes for the powers the extrapolation has eliminated.
+    """
+    if (m, s) not in COMPACT_PAIRS:
         raise ValueError(
-            f"no compact rule for (m={m}, s={s}); tabulated pairs: "
+            f"no compact rule for (m={m}, s={s}); pairs: "
             f"{sorted(COMPACT_PAIRS)}"
-        ) from None
+        )
+    alpha = extrapolation_weights(s).alpha
+    if s == 0:
+        families = (_PLAIN,)
+    else:
+        families = tuple(
+            _odd_multiples(s, level, 2**s * sum(alpha[k] / 2**k for k in range(level, s + 1)))
+            for level in range(1, s + 1)
+        )
+    corrections = []
+    for i in range(m // 2 + 1):
+        order, j = 2 * i + m % 2, m // 2 - i
+        # base term -(2/order!) zeta(2j) g^(order)(t) h^(1-2j), where
+        # zeta(2j) = zeta_even_rational(j) 4^j pi^(2j)
+        coef = (
+            -Fraction(2, math.factorial(order))
+            * 4**j
+            * zeta_even_rational(j)
+            * sum(a * Fraction(2) ** (k * (2 * j - 1)) for k, a in enumerate(alpha))
+        )
+        if coef:
+            corrections.append(DerivCorrection(order, coef, 2 * j, 1 - 2 * j))
+    return CompactRule(m, s, families, tuple(corrections))
 
 
 @dataclass(frozen=True)
@@ -350,11 +340,9 @@ def midpoint_sum(integrand: PeriodicIntegrand, n: int, level: int = 1) -> float:
     """
     if n < 1:
         raise ValueError("midpoint sum needs n >= 1")
-    if level == 1:
-        return _family_sum(integrand, n, _MID1)
-    if level == 2:
-        return _family_sum(integrand, n, _fam(4, 1, 2, 2, 0, 2))
-    raise ValueError("level must be 1 or 2")
+    if level not in (1, 2):
+        raise ValueError("level must be 1 or 2")
+    return _family_sum(integrand, n, _odd_multiples(level, level, Fraction(2)))
 
 
 def correction_sum(integrand: PeriodicIntegrand, n: int) -> float:
@@ -469,7 +457,7 @@ def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):
 
     The generic path combines base rules at n, 2n, ..., 2^s n with the
     extrapolation weights and therefore needs g derivatives up to order m;
-    the compact path evaluates the tabulated closed form directly and is
+    the compact path evaluates the same combination regrouped by node and is
     derivative-free at the top level s for each m.  For a vector-valued g
     (see PeriodicIntegrand) the result is an array, one value per row of g,
     each bit for bit the value of that row's own scalar integrand.

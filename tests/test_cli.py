@@ -199,6 +199,15 @@ class TestSolveIE:
         assert payload["structure"] == "circulant"
         assert len(payload["nodes"]) == 16
 
+    def test_csv_without_output_goes_to_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "solve-ie", "--n", "4", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 4 + 1 + 16
+        assert lines[3].startswith("condition = ")
+        assert lines[4] == "x,phi_hat,phi_true,error"
+        assert all(len(row.split(",")) == 4 for row in lines[5:])
+
 
 class TestFloor:
     def test_matches_module(self, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hfpquad.em_constants import ZetaTable, bernoulli_even, zeta_at, zeta_table
+from hfpquad.em_constants import bernoulli_even, zeta_at, zeta_even_rational
 from hfpquad.errors import OrderTooLargeError, UnsupportedZetaArgumentError
 
 
@@ -91,21 +91,16 @@ class TestZeta:
                 zeta_at(j)
 
 
-class TestZetaTable:
-    def test_fields_consistent(self):
-        table = zeta_table(8)
-        assert isinstance(table, ZetaTable)
-        assert table.even_values[0] == -0.5
-        assert len(table.even_values) == 9
-        # bernoulli layout: B_0, B_1, B_2, B_4, ...
-        assert table.bernoulli[0] == 1
-        assert table.bernoulli[1] == Fraction(-1, 2)
-        for k in range(1, 9):
-            assert table.bernoulli[k + 1] == bernoulli_even(k)
-            formula = (
-                (-1) ** (k + 1)
-                * float(Fraction(table.bernoulli[k + 1], 2 * math.factorial(2 * k)))
-                * (2 * math.pi) ** (2 * k)
-            )
-            assert table.even_values[k] == pytest.approx(formula, rel=1e-15)
-        assert table.zeta3 == pytest.approx(1.2020569031595943, rel=1e-14)
+class TestZetaEvenRational:
+    def test_hand_values(self):
+        assert zeta_even_rational(0) == Fraction(-1, 2)
+        assert zeta_even_rational(1) == Fraction(1, 24)  # (pi^2/6)/(2 pi)^2
+        assert zeta_even_rational(2) == Fraction(1, 1440)  # (pi^4/90)/(2 pi)^4
+
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_scaled_is_zeta_at(self, k):
+        assert float(zeta_even_rational(k)) * (2 * math.pi) ** (2 * k) == zeta_at(2 * k)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_positive_for_k_at_least_one(self, k):
+        assert zeta_even_rational(k) > 0

@@ -20,6 +20,9 @@ from hfpquad.integrands import (
 from hfpquad.oracles import GeometricKernelCase
 from hfpquad.quadrature import (
     COMPACT_PAIRS,
+    CompactRule,
+    DerivCorrection,
+    NodeFamily,
     PeriodicIntegrand,
     RuleSpec,
     compact_rule,
@@ -239,7 +242,69 @@ class TestExtrapolationWeights:
         assert sum(extrapolation_weights(s).alpha) == Fraction(1)
 
 
+def _fam(substep, first, step, count_factor, count_offset, weight):
+    return NodeFamily(substep, first, step, count_factor, count_offset, Fraction(weight))
+
+
+def _cor(order, coef, pi_power, h_power):
+    return DerivCorrection(order, Fraction(coef), pi_power, h_power)
+
+
+# The paper's closed forms, written out by hand: the oracle for the rules
+# that compact_rule derives from the extrapolation weights.
+_PLAIN = _fam(1, 1, 1, 1, -1, 1)  # h * sum f(t + jh), j = 1..n-1
+_MID1 = _fam(2, 1, 2, 1, 0, 2)  # h * sum f(t + jh - h/2)
+_MID2A = _fam(4, 2, 4, 1, 0, 8)  # 2h * sum f(t + jh - h/2)
+_MID2B = _fam(4, 1, 2, 2, 0, -2)  # -(h/2) * sum f(t + jh/2 - h/4)
+
+CLOSED_FORMS = {
+    (1, 0): CompactRule(1, 0, (_PLAIN,), (_cor(1, 1, 0, 1),)),
+    (1, 1): CompactRule(1, 1, (_MID1,), ()),
+    (2, 0): CompactRule(
+        2, 0, (_PLAIN,), (_cor(0, Fraction(-1, 3), 2, -1), _cor(2, Fraction(1, 2), 0, 1))
+    ),
+    (2, 1): CompactRule(2, 1, (_MID1,), (_cor(0, -1, 2, -1),)),
+    (2, 2): CompactRule(2, 2, (_MID2A, _MID2B), ()),
+    (3, 0): CompactRule(
+        3, 0, (_PLAIN,), (_cor(1, Fraction(-1, 3), 2, -1), _cor(3, Fraction(1, 6), 0, 1))
+    ),
+    (3, 1): CompactRule(3, 1, (_MID1,), (_cor(1, -1, 2, -1),)),
+    (3, 2): CompactRule(3, 2, (_MID2A, _MID2B), ()),
+    (4, 0): CompactRule(
+        4,
+        0,
+        (_PLAIN,),
+        (
+            _cor(0, Fraction(-1, 45), 4, -3),
+            _cor(2, Fraction(-1, 6), 2, -1),
+            _cor(4, Fraction(1, 24), 0, 1),
+        ),
+    ),
+    (4, 1): CompactRule(
+        4, 1, (_MID1,), (_cor(0, Fraction(-1, 3), 4, -3), _cor(2, Fraction(-1, 2), 2, -1))
+    ),
+    (4, 2): CompactRule(4, 2, (_MID2A, _MID2B), (_cor(0, 2, 4, -3),)),
+    (4, 3): CompactRule(
+        4,
+        3,
+        (
+            _fam(8, 4, 8, 1, 0, Fraction(128, 7)),
+            _fam(8, 2, 4, 2, 0, Fraction(-40, 7)),
+            _fam(8, 1, 2, 4, 0, Fraction(2, 7)),
+        ),
+        (),
+    ),
+}
+
+
 class TestCompactRules:
+    @pytest.mark.parametrize("pair", sorted(CLOSED_FORMS))
+    def test_derived_rule_is_closed_form(self, pair):
+        rule = compact_rule(*pair)
+        assert rule == CLOSED_FORMS[pair]
+        assert all(type(f.weight) is Fraction for f in rule.families)
+        assert all(type(c.coef) is Fraction for c in rule.deriv_corrections)
+
     def test_pairs(self):
         assert COMPACT_PAIRS == {
             (1, 0),
@@ -259,6 +324,10 @@ class TestCompactRules:
         assert max_compact_level(4) == 3
         with pytest.raises(ValueError):
             compact_rule(5, 0)
+        with pytest.raises(ValueError):
+            compact_rule(2, 3)
+        with pytest.raises(ValueError):
+            max_compact_level(5)
 
     def test_m2_s1_descriptor(self):
         rule = compact_rule(2, 1)
