@@ -273,10 +273,14 @@ def cmd_solve_ie(args) -> int:
     print(f"residual = {format_float(sol.residual)}")
     print(f"condition = {format_float(sol.condition)} ({sol.structure})")
     if args.format == "json":
+        # the rhs the system was built with against its closed form
+        fp_part = np.array([exact_supersingular(args.eta, float(t)) for t in system.grid])
+        rhs_max_err = float(np.max(np.abs(system.rhs - (args.lam * truth + fp_part))))
         payload = {
             "approach": args.approach,
             "lambda": args.lam,
             "max_error": max_err,
+            "rhs_max_error": rhs_max_err,
             "residual": sol.residual,
             "condition": sol.condition,
             "structure": sol.structure,

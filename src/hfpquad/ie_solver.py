@@ -71,10 +71,11 @@ class PeriodicKernel:
     centered offsets alone (elementwise, any shape).  It takes precedence
     over ``u_centered``.  Every collocation matrix of such a kernel is
     circulant, so the builders store its first column only, and
-    ``solve_collocation`` solves it with the FFT; ``manufactured_rhs``
-    evaluates psi once per batch of points.  The diagonal derivatives are
-    then constants, psi^(k)(0), and the advanced builder reads them at its
-    first grid point.
+    ``solve_collocation`` solves it with the FFT.  ``manufactured_rhs``
+    applies its rule on a uniform periodic grid as one FFT convolution per
+    rule, and elsewhere in batches with psi evaluated once per batch.  The
+    diagonal derivatives are then constants, psi^(k)(0), and the advanced
+    builder reads them at its first grid point.
     """
 
     u_eval: Callable
@@ -191,6 +192,12 @@ def epsilon_weight(i: int, j: int) -> int:
     return 0
 
 
+def _epsilon_pattern(N: int) -> np.ndarray:
+    """epsilon_weight(0, d) for the residues d = 0..N-1, as one array."""
+    d = np.arange(N)
+    return np.where(d % 4 == 2, 8, np.where(d % 2 == 1, -2, 0))
+
+
 def _residue_offsets(step: float, weights: np.ndarray):
     """Centered integer offsets of the residues d = 0..N-1 times ``step``,
     and the live residues, those of nonzero weight.
@@ -271,7 +278,7 @@ def build_simple_system(
     js = np.arange(1, N + 1, dtype=np.int64)
     grid = kernel.a + js * hh
     # eps_ij depends only on (j - i) mod 4, and 4 divides N
-    eps = np.array([epsilon_weight(0, d) for d in range(N)])
+    eps = _epsilon_pattern(N)
     rhs = np.asarray(w_eval(grid), dtype=float)
     if kernel.psi is not None:
         column = _kernel_column(kernel, hh, eps * hh, lam)
@@ -508,8 +515,48 @@ def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> Periodi
 
 
 #: singular points per batch of the rhs; at n_high = 96 one batch's g values
-#: are 64 x 864 doubles (0.45 MB), its offsets and psi values 864 doubles
+#: are 64 x 864 doubles (0.45 MB), its offsets and psi values 864 doubles.
+#: The grid path gathers its norm sample in blocks of as many points
 _RHS_BLOCK = 64
+
+#: most lattice points the grid path of the rhs samples phi on (16 MB per
+#: array); a grid that needs more takes the batched rule
+_RHS_LATTICE_MAX = 2**21
+
+
+def _grid_indices(ts: np.ndarray, a: float, period: float) -> Optional[np.ndarray]:
+    """k with ts[i] = a + (k[0] + i) T/N for N = ts.size >= 2 points, or None.
+
+    Each point may be off its grid value by 4 ulp of the largest of |a|,
+    |b| and |ts|, so both builders' grids qualify whichever way they round.
+    """
+    N = ts.size
+    if N < 2 or not np.all(np.isfinite(ts)):
+        return None
+    h = period / N
+    k = np.rint((ts - a) / h)
+    if not np.array_equal(k, k[0] + np.arange(N)):
+        return None
+    slack = 4.0 * np.spacing(max(abs(a), abs(a + period), float(np.max(np.abs(ts)))))
+    if not np.all(np.abs(ts - (a + k * h)) <= slack):
+        return None
+    return k.astype(np.int64)
+
+
+def _rule_on_lattice(kernel: PeriodicKernel, n_rule: int, spectrum: np.ndarray, L: int):
+    """The (3, 2) compact rule at n_rule at every point of an L-point lattice.
+
+    There the rule is the kernel part of the simple system at n_rule, the
+    circulant of ``_kernel_column``, applied to phi's samples (criterion 07
+    checks this row by row), with its 4 n_rule residues spread at stride
+    L/(4 n_rule).  So it is one convolution, done with the real FFT;
+    ``spectrum`` is the rfft of phi on the lattice.
+    """
+    M = 4 * n_rule
+    hh = (kernel.period / n_rule) / 4.0
+    column = np.zeros(L)
+    column[:: L // M] = _kernel_column(kernel, hh, _epsilon_pattern(M) * hh, 0.0)
+    return np.fft.irfft(np.fft.rfft(column) * spectrum, L)
 
 
 def manufactured_rhs(
@@ -521,24 +568,40 @@ def manufactured_rhs(
 ) -> Callable:
     """Right-hand side w(t) = lam*phi(t) + FP-integral of K(t,.)phi.
 
-    The inner integral uses the derivative-free rule at n_high with a
-    doubling self-check; failure of the check raises rather than returning
-    an unconverged value.  Because the rule's own roundoff floor grows like
-    u*(4n)^2 in double precision, the check allows that much noise on top of
-    the stated tolerance (otherwise large n_high would fail spuriously while
-    being as converged as the arithmetic permits).
+    The inner integral uses the derivative-free (3, 2) compact rule at
+    n_high with a doubling self-check against 2 n_high; failure of the check
+    raises rather than returning an unconverged value.  Because the rule's
+    own roundoff floor grows like u*(4n)^2 in double precision, the check
+    allows that much noise on top of the stated tolerance (otherwise large
+    n_high would fail spuriously while being as converged as the arithmetic
+    permits): 50 * roundoff_floor(||g||, 0, 0, T, 8 n_high), with ||g|| the
+    largest |g| over 257 equispaced offsets.
 
     The returned w takes a scalar (giving a float) or an array of any shape
-    (giving an array of that shape).  It applies the rules, in the offset
-    variable y = x - t, to a vector-valued g with one row for each of up
-    to _RHS_BLOCK singular points, so ``phi`` and the kernel's
-    ``u_eval``/``u_centered`` must evaluate (points, nodes) arrays
-    elementwise; a ``psi`` kernel's numerator is evaluated once per batch
-    on the shared 1-D offsets.  Each
-    value is bit for bit the one the rule gives for its point alone.  A
-    non-finite value at a rule node or in the norm sample raises
-    EvaluationError; the first point failing the doubling check raises
-    ReferenceConvergenceError naming it.
+    (giving an array of that shape).  It takes one of two paths:
+
+    * grid: a ``psi`` kernel and a 1-D array of N >= 2 points forming one
+      period of a uniform grid, ts[i] = a + (k0 + i) T/N to within a few
+      ulp (``_grid_indices``), as both builders' grids are.  Every rule node and norm
+      sample point then lies on the lattice of L = lcm(N, 8 n_high, 256)
+      points: phi is sampled there once, and each rule is one FFT
+      convolution (``_rule_on_lattice``) with psi evaluated on its live
+      offsets.  The checks run on whole arrays.  The first point also goes
+      through the batched rule as an anchor; the two values must agree
+      within that point's noise allowance, else ReferenceConvergenceError
+      names it.  A lattice above _RHS_LATTICE_MAX points takes the batched
+      path instead.
+    * batched: every other input.  The rules are applied, in the offset
+      variable y = x - t, to a vector-valued g with one row for each of up
+      to _RHS_BLOCK singular points, so ``phi`` and the kernel's
+      ``u_eval``/``u_centered`` must evaluate (points, nodes) arrays
+      elementwise; a ``psi`` kernel's numerator is evaluated once per batch
+      on the shared 1-D offsets.  Each value is bit for bit the one the rule
+      gives for its point alone.
+
+    A non-finite value at a rule node, at a lattice point or in the norm
+    sample raises EvaluationError; the first point failing the doubling
+    check raises ReferenceConvergenceError naming it.
 
     Points that reach a or b need a kernel with ``psi`` or ``u_centered``.
     With ``u_eval`` alone, the norm sample at t = b (the simple grid's last
@@ -548,32 +611,67 @@ def manufactured_rhs(
     """
     coarse = RuleSpec(3, 2, n_high, path="compact")
     fine = RuleSpec(3, 2, 2 * n_high, path="compact")
+    T = kernel.period
+    ys = np.linspace(-T / 2.0, T / 2.0, 257)
+    # roundoff_floor is linear in the norm of g
+    noise_per_norm = 50.0 * roundoff_floor(1.0, 0.0, 0.0, T, 8 * n_high)
 
-    def batch(ts):
-        integrand = _kernel_slice_integrand(kernel, phi, ts)
-        v1 = t_hat(coarse, integrand)
-        v2 = t_hat(fine, integrand)
-        ys = np.linspace(integrand.a, integrand.b, 257)
-        g_norm = np.max(np.abs(integrand.g_eval(ys)), axis=-1)
+    def check(ts, v1, v2, g_norm):
         bad = np.flatnonzero(~np.isfinite(g_norm))
         if bad.size:
             raise EvaluationError(f"kernel slice at t={float(ts[bad[0]])!r} is not finite")
-        noise = 50.0 * np.array(
-            [roundoff_floor(g, 0.0, 0.0, kernel.period, 8 * n_high) for g in g_norm.tolist()]
-        )
         # written so that a NaN on either side fails the check
-        bad = np.flatnonzero(~(np.abs(v1 - v2) <= tol * (1.0 + np.abs(v2)) + noise))
+        allowed = tol * (1.0 + np.abs(v2)) + noise_per_norm * g_norm
+        bad = np.flatnonzero(~(np.abs(v1 - v2) <= allowed))
         if bad.size:
             i = bad[0]
             raise ReferenceConvergenceError(
                 f"inner quadrature doubling check failed at t={float(ts[i])!r}: "
                 f"|{v1[i] - v2[i]:.3e}| above tolerance"
             )
+
+    def batch(ts):
+        integrand = _kernel_slice_integrand(kernel, phi, ts)
+        v1 = t_hat(coarse, integrand)
+        v2 = t_hat(fine, integrand)
+        check(ts, v1, v2, np.max(np.abs(integrand.g_eval(ys)), axis=-1))
         return lam * np.asarray(phi(ts), dtype=float) + v2
+
+    def on_grid(ts, k, L):
+        N = ts.size
+        x = kernel.a + np.arange(L) * (T / L)
+        samples = np.asarray(phi(x), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise EvaluationError(f"phi is not finite at lattice point x={float(x[bad[0]])!r}")
+        spectrum = np.fft.rfft(samples)
+        p = k % N * (L // N)
+        v1 = _rule_on_lattice(kernel, n_high, spectrum, L)[p]
+        v2 = _rule_on_lattice(kernel, 2 * n_high, spectrum, L)[p]
+        psi_ys = np.asarray(kernel.psi(ys), dtype=float)
+        offsets = np.arange(ys.size) * (L // 256) - L // 2
+        g_norm = np.empty(N)
+        for start in range(0, N, _RHS_BLOCK):
+            rows = (p[start : start + _RHS_BLOCK, None] + offsets) % L
+            g_norm[start : start + _RHS_BLOCK] = np.max(np.abs(psi_ys * samples[rows]), axis=-1)
+        check(ts, v1, v2, g_norm)
+        out = lam * np.asarray(phi(ts), dtype=float) + v2
+        anchor = batch(ts[:1])[0]
+        if not abs(out[0] - anchor) <= noise_per_norm * g_norm[0]:
+            raise ReferenceConvergenceError(
+                f"rhs on the grid disagrees with the per-point rule at t={float(ts[0])!r}: "
+                f"|{out[0] - anchor:.3e}| above its noise allowance"
+            )
+        return out
 
     def w(tval):
         tval = np.asarray(tval, dtype=float)
         ts = tval.ravel()
+        if kernel.psi is not None and tval.ndim == 1:
+            k = _grid_indices(ts, kernel.a, T)
+            L = math.lcm(ts.size, 8 * n_high, 256)
+            if k is not None and L <= _RHS_LATTICE_MAX:
+                return on_grid(ts, k, L)
         out = np.empty(ts.shape)
         for start in range(0, ts.size, _RHS_BLOCK):
             out[start : start + _RHS_BLOCK] = batch(ts[start : start + _RHS_BLOCK])

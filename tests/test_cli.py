@@ -4,9 +4,13 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from hfpquad.cli import canonical_json, main, parse_float_list, parse_n_range
+from hfpquad.ie_solver import build_simple_system, manufactured_rhs, supersingular_cotangent_kernel
+from hfpquad.integrands import PoissonKernelU
+from hfpquad.oracles import exact_supersingular
 from hfpquad.quadrature import roundoff_floor
 
 TWO_PI = 2.0 * math.pi
@@ -198,6 +202,22 @@ class TestSolveIE:
         payload = json.loads(out.splitlines()[-1])
         assert payload["structure"] == "circulant"
         assert len(payload["nodes"]) == 16
+
+    def test_json_reports_rhs_error_against_closed_form(self, capsys):
+        eta, lam = 0.3, 1.2
+        code, out, _ = run_cli(
+            capsys, "solve-ie", "--n", "16", "--eta", str(eta), "--lambda", str(lam),
+            "--format", "json",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 5  # the four summary lines, then the payload
+        payload = json.loads(lines[-1])
+        kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(eta)
+        system = build_simple_system(kern, manufactured_rhs(kern, phi, lam), lam, 16)
+        exact = lam * phi(system.grid) + [exact_supersingular(eta, float(t)) for t in system.grid]
+        assert payload["rhs_max_error"] == float(np.max(np.abs(system.rhs - exact)))
+        assert 0.0 < payload["rhs_max_error"] < 1e-8
 
     def test_csv_without_output_goes_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "solve-ie", "--n", "4", "--format", "csv")

@@ -20,6 +20,8 @@ from hfpquad.ie_solver import (
     _RHS_BLOCK,
     CollocationSystem,
     PeriodicKernel,
+    _epsilon_pattern,
+    _grid_indices,
     _kernel_slice_integrand,
     ak_coefficients,
     build_advanced_system,
@@ -34,7 +36,7 @@ from hfpquad.ie_solver import (
 )
 from hfpquad.integrands import PoissonKernelU, numerator_factor, numerator_factor_derivs
 from hfpquad.oracles import exact_supersingular, fourier_mode_hfp
-from hfpquad.quadrature import RuleSpec, t_hat
+from hfpquad.quadrature import RuleSpec, roundoff_floor, t_hat
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,6 +79,11 @@ class TestEpsilonWeights:
             assert sum(row) == 4 * n
             assert row.count(8) == n
             assert row.count(-2) == 2 * n
+
+    def test_pattern_array_matches_scalar_weight(self):
+        pattern = _epsilon_pattern(256)
+        assert pattern.shape == (256,)
+        assert np.array_equal(pattern, [epsilon_weight(0, d) for d in range(256)])
 
 
 class TestDirichletKernel:
@@ -385,6 +392,27 @@ def t_dependent_kernel():
     return PeriodicKernel(u_eval=u_eval, a=-math.pi, b=math.pi, u_xderivs_diag=diag)
 
 
+def noise_allowance(kernel, phi, ts, n_high=96):
+    """The rhs's noise allowance per point, 50 roundoff_floor(||g||, 0, 0,
+    T, 8 n_high), with ||g|| the largest |g| of the point's kernel slice
+    over 257 equispaced offsets."""
+    T = kernel.period
+    g = _kernel_slice_integrand(kernel, phi, np.asarray(ts, float)).g_eval(
+        np.linspace(-T / 2.0, T / 2.0, 257)
+    )
+    g_norm = np.max(np.abs(g), axis=-1)
+    return np.array([50.0 * roundoff_floor(v, 0.0, 0.0, T, 8 * n_high) for v in g_norm])
+
+
+def per_point_rhs(kernel, phi, lam, ts, n_high=96):
+    """lam phi(t) + the fine rule on t's own kernel slice, point by point."""
+    spec = RuleSpec(3, 2, 2 * n_high, path="compact")
+    return [
+        lam * phi(float(t)) + t_hat(spec, _kernel_slice_integrand(kernel, phi, float(t)))
+        for t in ts
+    ]
+
+
 def gated_cotangent_kernel(t_on):
     """The cotangent kernel for t >= t_on and zero below, so a slice's rule
     value is exactly 0 (and its doubling check passes) for t < t_on."""
@@ -473,6 +501,106 @@ class TestBatchedRhs:
         for y_shape, g_shape in shapes:
             assert len(y_shape) == 1
             assert g_shape == (5,) + y_shape
+
+
+def builder_grid(approach, n):
+    """The collocation grid of the simple (4n points) or advanced (n) builder."""
+    build = build_simple_system if approach == "simple" else build_advanced_system
+    return build(supersingular_cotangent_kernel(), np.zeros_like, 1.0, n).grid
+
+
+class TestGridRhs:
+    """A psi kernel's rhs on one period of a uniform grid: one FFT
+    convolution per rule, anchored to the batched rule at the first point."""
+
+    @pytest.mark.parametrize("eta", [0.1, 0.4])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("approach", ["simple", "advanced"])
+    def test_matches_closed_form(self, approach, n, eta):
+        lam, tol = 1.2, 1e-11
+        kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(eta)
+        grid = builder_grid(approach, n)
+        got = manufactured_rhs(kern, phi, lam, tol=tol)(grid)
+        want = lam * phi(grid) + np.array([exact_supersingular(eta, float(t)) for t in grid])
+        bound = tol * (1.0 + np.abs(got)) + noise_allowance(kern, phi, grid)
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("approach, n", [("simple", 16), ("simple", 256), ("advanced", 64)])
+    def test_matches_batched_rule(self, approach, n):
+        # an (N, 1) array takes the batched rule
+        kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(0.4)
+        grid = builder_grid(approach, n)
+        w = manufactured_rhs(kern, phi, 1.2)
+        got, batched = w(grid), w(grid[:, None])[:, 0]
+        assert np.all(np.abs(got - batched) <= noise_allowance(kern, phi, grid))
+
+    @pytest.mark.parametrize("pick", ["shuffled", "partial", "scalar"])
+    def test_other_inputs_take_the_per_point_rule(self, pick):
+        kern, phi, lam = supersingular_cotangent_kernel(), PoissonKernelU(0.3), 1.2
+        grid = builder_grid("simple", 16)
+        ts = {
+            "shuffled": np.random.default_rng(0).permutation(grid),
+            "partial": grid[:40],
+            "scalar": float(grid[5]),
+        }[pick]
+        got = np.atleast_1d(manufactured_rhs(kern, phi, lam)(ts))
+        assert list(got) == per_point_rhs(kern, phi, lam, np.atleast_1d(ts))
+
+    def test_lattice_above_the_cap_takes_the_per_point_rule(self, monkeypatch):
+        monkeypatch.setattr(ie_solver, "_RHS_LATTICE_MAX", 512)  # n = 4 needs 768
+        kern, phi, lam = supersingular_cotangent_kernel(), PoissonKernelU(0.3), 1.2
+        grid = builder_grid("simple", 4)
+        assert list(manufactured_rhs(kern, phi, lam)(grid)) == per_point_rhs(kern, phi, lam, grid)
+
+    def test_drifting_rule_fails_on_a_grid(self, monkeypatch):
+        # as hfpbench's ie-solve control: the rule disagrees between n_high
+        # and 2 n_high, and the anchor's doubling check sees it
+        real = ie_solver.t_hat
+
+        def drifting(spec, integrand):
+            return real(spec, integrand) + 1e-6 * spec.n
+
+        monkeypatch.setattr(ie_solver, "t_hat", drifting)
+        w = manufactured_rhs(supersingular_cotangent_kernel(), PoissonKernelU(0.3), 1.0)
+        with pytest.raises(ReferenceConvergenceError, match="doubling check"):
+            w(builder_grid("simple", 4))
+
+    def test_anchor_catches_a_lattice_shift_common_to_both_rules(self, monkeypatch):
+        # both rules one lattice point off: the doubling check passes
+        real = ie_solver._rule_on_lattice
+        monkeypatch.setattr(ie_solver, "_rule_on_lattice", lambda *args: np.roll(real(*args), 1))
+        grid = builder_grid("simple", 16)
+        w = manufactured_rhs(supersingular_cotangent_kernel(), PoissonKernelU(0.3), 1.0)
+        with pytest.raises(
+            ReferenceConvergenceError, match=re.escape(f"per-point rule at t={float(grid[0])!r}:")
+        ):
+            w(grid)
+
+    def test_non_finite_phi_on_the_lattice_raises(self):
+        poisson = PoissonKernelU(0.3)
+
+        def phi(x):
+            x = np.asarray(x, float)
+            return np.where(np.abs(x - 1.0) < 0.05, np.nan, poisson(x))
+
+        w = manufactured_rhs(supersingular_cotangent_kernel(), phi, 1.0)
+        with pytest.raises(EvaluationError, match="not finite at lattice point"):
+            w(builder_grid("advanced", 16))
+
+    def test_grid_detection(self):
+        kern = supersingular_cotangent_kernel()
+        a, T = kern.a, kern.period
+        for approach, n in (("simple", 4), ("simple", 256), ("advanced", 16)):
+            grid = builder_grid(approach, n)
+            k = _grid_indices(grid, a, T)
+            assert np.array_equal(k, k[0] + np.arange(grid.size))
+        grid = builder_grid("advanced", 16)
+        assert _grid_indices(grid + T, a, T) is not None  # a later period
+        assert _grid_indices(grid + 1e-9, a, T) is None  # off the grid
+        assert _grid_indices(grid[::-1], a, T) is None
+        assert _grid_indices(grid[:8], a, T) is None  # half a period
+        assert _grid_indices(grid[:1], a, T) is None
+        assert _grid_indices(np.array([np.nan, 0.0]), a, T) is None
 
 
 # ---------------------------------------------------------------------------
@@ -670,16 +798,21 @@ class TestCirculantSolve:
         "build, n", [(build_simple_system, 16), (build_advanced_system, 16)]
     )
     def test_psi_and_u_centered_declarations_agree(self, build, n):
+        # the matrices are equal; the rhs of the psi kernel takes the grid
+        # path and the u_centered one the batched rule, so they agree within
+        # the rule's noise allowance and the solutions within cond times it
         phi, lam = PoissonKernelU(0.3), 1.2
         by_psi, by_u = supersingular_cotangent_kernel(), cotangent_kernel_by_u_centered()
         sys_psi = build(by_psi, manufactured_rhs(by_psi, phi, lam), lam, n)
         sys_u = build(by_u, manufactured_rhs(by_u, phi, lam), lam, n)
         assert sys_psi.column is not None and sys_u.column is None
         assert np.array_equal(sys_psi.matrix, sys_u.matrix)
-        assert np.array_equal(sys_psi.rhs, sys_u.rhs)
-        np.testing.assert_array_equal(
-            solve_collocation(sys_psi).values, solve_collocation(sys_u).values
-        )
+        allowance = noise_allowance(by_psi, phi, sys_psi.grid)
+        assert np.all(np.abs(sys_psi.rhs - sys_u.rhs) <= allowance)
+        sol_psi, sol_u = solve_collocation(sys_psi), solve_collocation(sys_u)
+        rel_rhs = np.linalg.norm(allowance) / np.linalg.norm(sys_u.rhs)
+        rel_sol = np.linalg.norm(sol_psi.values - sol_u.values) / np.linalg.norm(sol_u.values)
+        assert rel_sol <= sol_u.condition * rel_rhs
 
 
 class TestGridEnds:

@@ -1,4 +1,6 @@
-"""Property test: the batched manufactured rhs equals the per-point rule.
+"""Property tests of the manufactured rhs: off a grid it equals the
+per-point rule, and on a uniform periodic grid (the FFT path) it agrees
+with the batched rule within the rule's noise allowance.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it.
 """
@@ -9,10 +11,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_ie_solver import t_dependent_kernel  # noqa: E402
+from test_ie_solver import noise_allowance, t_dependent_kernel  # noqa: E402
 
 from hfpquad.ie_solver import (  # noqa: E402
     _RHS_BLOCK,
+    _grid_indices,
     _kernel_slice_integrand,
     manufactured_rhs,
     supersingular_cotangent_kernel,
@@ -43,3 +46,24 @@ def test_equals_per_point_rule(make_kernel, length, eta, lam, data):
     for i, t in enumerate(ts):
         want = lam * phi(t) + t_hat(spec, _kernel_slice_integrand(kern, phi, t))
         assert got[i] == want, f"t={t!r}"
+
+
+@settings(max_examples=6, deadline=None, database=None, phases=[Phase.generate])
+@given(
+    N=st.integers(2, 80),
+    period=st.integers(-2, 2),
+    eta=st.floats(0.05, 0.5),
+    lam=st.floats(-2.0, 2.0),
+    data=st.data(),
+)
+def test_grid_path_agrees_with_batched_rule(N, period, eta, lam, data):
+    # any number of points, starting anywhere within two periods of [a, b);
+    # the same points as an (N, 1) array take the batched rule
+    k0 = period * N + data.draw(st.integers(0, N - 1))
+    kern = supersingular_cotangent_kernel()
+    phi = PoissonKernelU(eta)
+    ts = kern.a + (k0 + np.arange(N)) * (kern.period / N)
+    assert _grid_indices(ts, kern.a, kern.period) is not None
+    w = manufactured_rhs(kern, phi, lam)
+    got, batched = w(ts), w(ts[:, None])[:, 0]
+    assert np.all(np.abs(got - batched) <= noise_allowance(kern, phi, ts))
