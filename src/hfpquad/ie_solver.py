@@ -52,66 +52,52 @@ _Z_SWITCH = 1e-4  # |z| below this uses the series branch of D_n
 
 @dataclass(frozen=True)
 class PeriodicKernel:
-    """K(t,x) = U(t,x)/(x-t)^3 on [a,b]^2, T-periodic in both arguments.
+    """K(t,x) on [a,b]^2, T-periodic in both arguments, with a pole of
+    order 3 at x = t, given through its numerator in the offset y = x - t.
 
-    ``u_eval`` and ``u_centered`` take (t, x) or (t, y) arrays of one shape,
-    possibly (rows, nodes) as in ``manufactured_rhs``, and must evaluate them
-    elementwise.  ``u_xderivs_diag``, when present, holds four callables
-    t -> (d^k U/dx^k)(t,t) for k = 0..3; the advanced discretization
-    requires them.  ``u_centered``, when present, evaluates
-    (t, y) -> K_per(t, t+y) * y^3 for centered offsets |y| <= T/2, where
-    K_per is the periodic extension of K; near the wrap-around pole this is
-    far better conditioned than the in-square U/(x-t)^3 split and the
-    assemblies prefer it.  A kernel without it cannot go through
-    ``manufactured_rhs`` at points at or next to a or b, so not on the
-    simple grid, whose last point is b: see ``manufactured_rhs``.
+    Exactly one numerator is declared:
 
-    ``psi``, when present, declares the kernel translation invariant:
-    K_per(t, t+y) * y^3 = psi(y) for every t, with psi a function of the
-    centered offsets alone (elementwise, any shape).  It takes precedence
-    over ``u_centered``.  Every collocation matrix of such a kernel is
-    circulant, so the builders store its first column only, and
-    ``solve_collocation`` solves it with the FFT.  ``manufactured_rhs``
-    applies its rule on a uniform periodic grid as one FFT convolution per
-    rule, and elsewhere in batches with psi evaluated once per batch.  The
-    diagonal derivatives are then constants, psi^(k)(0), and the advanced
-    builder reads them at its first grid point.
+    * ``centered(t, y)`` = K_per(t, t+y) * y^3 for centered offsets
+      |y| <= T/2, with K_per the periodic extension of K.  It is evaluated
+      elementwise and broadcasts like numpy: the dense assembly passes t as
+      a column against a row of offsets, and ``manufactured_rhs`` points
+      against nodes.
+    * ``psi(y)``, which declares the kernel translation invariant:
+      K_per(t, t+y) * y^3 = psi(y) for every t, elementwise in y.  Every
+      collocation matrix of such a kernel is circulant, so the builders
+      store its first column only, and ``solve_collocation`` solves it with
+      the FFT.  ``manufactured_rhs`` applies its rule on a uniform periodic
+      grid as one FFT convolution per rule, and elsewhere in batches with
+      psi evaluated once per batch.
+
+    ``u_xderivs_diag``, when present, holds four callables t -> the k-th
+    y-derivative of the numerator K_per(t, t+y) * y^3 at y = 0, k = 0..3;
+    the advanced discretization requires them.  For a ``psi`` kernel they
+    are the constants psi^(k)(0), and the advanced builder reads them at
+    its first grid point.
     """
 
-    u_eval: Callable
     a: float
     b: float
-    u_xderivs_diag: Optional[tuple[Callable, ...]] = None
-    u_centered: Optional[Callable] = None
+    centered: Optional[Callable] = None
     psi: Optional[Callable] = None
+    u_xderivs_diag: Optional[tuple[Callable, ...]] = None
 
     m = 3
+
+    def __post_init__(self):
+        if (self.centered is None) == (self.psi is None):
+            raise ValueError("a periodic kernel takes exactly one of centered and psi")
 
     @property
     def period(self) -> float:
         return self.b - self.a
 
-    def k_eval(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return np.asarray(self.u_eval(t, x), dtype=float) / (x - t) ** 3
-
     def numerator_centered(self, t, y):
-        """K_per(t, t+y) * y^3 for centered offsets, y array-like."""
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
+        """K_per(t, t+y) * y^3 for centered offsets, broadcast over t and y."""
         if self.psi is not None:
             return np.asarray(self.psi(y), dtype=float)
-        if self.u_centered is not None:
-            return np.asarray(self.u_centered(t, y), dtype=float)
-        T = self.period
-        x = t + y
-        x_ab = x - T * np.floor((x - self.a) / T)
-        x_ab = np.where(x_ab >= self.b, x_ab - T, x_ab)
-        y_ab = y + T * np.round((x_ab - x) / T)
-        wrapped = y_ab != y
-        ratio = np.where(wrapped, (y / np.where(wrapped, y_ab, 1.0)) ** 3, 1.0)
-        return np.asarray(self.u_eval(t, x_ab), dtype=float) * ratio
+        return np.asarray(self.centered(t, y), dtype=float)
 
     def diag_derivs(self, t: float) -> tuple[float, float, float, float]:
         if self.u_xderivs_diag is None or len(self.u_xderivs_diag) < 4:
@@ -225,15 +211,12 @@ def _assemble_kernel(
     t_i = grid[i] and dy_d the centered integer offset of the residue d
     times ``step``; entries of residues with weight 0 stay 0.  An entry
     depends on i only through t_i, so the weights, the offsets and their
-    cubes are length-N tables over d, and the kernel is evaluated on an
-    (N rows x live residues) layout.
+    cubes are length-N tables over d, and the kernel is evaluated with the
+    grid as a column against the live offsets as a row.
     """
     N = grid.size
     dy, live = _residue_offsets(step, weights)
-    shape = (N, live.size)
-    kmat = kernel.numerator_centered(
-        np.broadcast_to(grid[:, None], shape), np.broadcast_to(dy[live], shape)
-    ) / dy[live] ** 3
+    kmat = kernel.numerator_centered(grid[:, None], dy[live]) / dy[live] ** 3
     kmat *= weights[live]
     matrix = np.diag(diagonal)
     rows = np.arange(N)[:, None]
@@ -427,27 +410,19 @@ def build_advanced_system(
 # ---------------------------------------------------------------------------
 
 
-def _is_circulant(matrix: np.ndarray) -> bool:
-    """True when every entry depends only on (i - j) mod N, compared exactly."""
-    return bool(
-        np.array_equal(matrix[1:, 1:], matrix[:-1, :-1])
-        and np.array_equal(matrix[1:, 0], matrix[:-1, -1])
-    )
-
-
 def solve_collocation(system: CollocationSystem) -> CollocationSolution:
     """Solve with a residual and 2-norm condition report.
 
-    A circulant system, stored as its first column or given as a dense
-    matrix that is exactly circulant (a translation-invariant kernel, either
-    approach), is diagonalised by the FFT: its eigenvalues lambda are the
-    FFT of the first column, the solution is ifft(fft(rhs)/lambda) and the
-    residual is formed with the same eigenvalues, all in O(N log N) and
-    without the N x N matrix.  The matrix is normal, so its singular values
-    are the moduli of lambda, and the condition number comes from those
-    exactly.  Any other matrix takes ``np.linalg.cond`` and
-    ``np.linalg.solve``.  A non-finite entry or a condition number above
-    0.05/u raises SingularSystemError.
+    The system's storage decides the path.  A system stored as its first
+    column (a ``psi`` kernel, either approach) is circulant and is
+    diagonalised by the FFT: its eigenvalues lambda are the FFT of the
+    column, the solution is ifft(fft(rhs)/lambda) and the residual is formed
+    with the same eigenvalues, all in O(N log N) and without the N x N
+    matrix.  The matrix is normal, so its singular values are the moduli of
+    lambda, and the condition number comes from those exactly.  A system
+    given as a dense matrix takes ``np.linalg.cond`` and ``np.linalg.solve``.
+    A non-finite entry or a condition number above 0.05/u raises
+    SingularSystemError.
     """
     column, matrix = system.column, None
     if column is None:
@@ -456,8 +431,6 @@ def solve_collocation(system: CollocationSystem) -> CollocationSolution:
         raise SingularSystemError(
             "collocation matrix has non-finite entries", condition=math.nan
         )
-    if column is None and _is_circulant(matrix):
-        column = matrix[:, 0]
     if column is not None:
         structure = "circulant"
         eigenvalues = np.fft.fft(column)
@@ -490,26 +463,26 @@ def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> Periodi
     The singular point is y = 0 on [-T/2, T/2): the rule's nodes are then
     the centered offsets themselves, and g(y) = K_per(t, t+y) y^3 phi(x)
     evaluates phi at the wrapped representative x of t + y inside [a, b).
-    A 1-D array ``t`` gives a vector-valued g (see PeriodicIntegrand), one
-    row per point over the same 1-D offsets: a ``psi`` kernel's numerator
-    is evaluated once on the offsets, and only phi per (point, node).
+    t is first reduced into [a, b), so that x keeps the offsets' accuracy
+    for a point any number of periods out.  A 1-D array ``t`` gives a
+    vector-valued g (see PeriodicIntegrand), one row per point over the
+    same 1-D offsets: a ``psi`` kernel's numerator is evaluated once on the
+    offsets, and only phi per (point, node).
     """
     T = kernel.period
     a, b = kernel.a, kernel.b
-    t_col = np.asarray(t, dtype=float)[:, None] if np.ndim(t) else t
+
+    def wrap(x):
+        x_ab = x - T * np.floor((x - a) / T)
+        return np.where(x_ab >= b, x_ab - T, x_ab)
+
+    t_ab = wrap(np.asarray(t, dtype=float))
+    t_col = t_ab[:, None] if t_ab.ndim else float(t_ab)
 
     def g_eval(y):
         y = np.asarray(y, dtype=float)
-        x = t_col + y
-        x_ab = x - T * np.floor((x - a) / T)
-        x_ab = np.where(x_ab >= b, x_ab - T, x_ab)
-        if kernel.psi is not None:
-            u = np.asarray(kernel.psi(y), dtype=float)
-        else:
-            u = kernel.numerator_centered(
-                np.broadcast_to(t_col, x.shape), np.broadcast_to(y, x.shape)
-            )
-        return u * np.asarray(phi(x_ab), dtype=float)
+        u = kernel.numerator_centered(t_col, y)
+        return u * np.asarray(phi(wrap(t_col + y)), dtype=float)
 
     return PeriodicIntegrand(m=3, t=0.0, a=-T / 2.0, b=T / 2.0, g_eval=g_eval)
 
@@ -593,21 +566,15 @@ def manufactured_rhs(
       path instead.
     * batched: every other input.  The rules are applied, in the offset
       variable y = x - t, to a vector-valued g with one row for each of up
-      to _RHS_BLOCK singular points, so ``phi`` and the kernel's
-      ``u_eval``/``u_centered`` must evaluate (points, nodes) arrays
-      elementwise; a ``psi`` kernel's numerator is evaluated once per batch
-      on the shared 1-D offsets.  Each value is bit for bit the one the rule
-      gives for its point alone.
+      to _RHS_BLOCK singular points, so ``phi`` must evaluate (points,
+      nodes) arrays elementwise and a ``centered`` numerator must broadcast
+      a (points, 1) column of t against the 1-D offsets; a ``psi`` kernel's
+      numerator is evaluated once per batch on the shared offsets.  Each
+      value is bit for bit the one the rule gives for its point alone.
 
     A non-finite value at a rule node, at a lattice point or in the norm
     sample raises EvaluationError; the first point failing the doubling
     check raises ReferenceConvergenceError naming it.
-
-    Points that reach a or b need a kernel with ``psi`` or ``u_centered``.
-    With ``u_eval`` alone, the norm sample at t = b (the simple grid's last
-    point) puts y = 0 onto the wrap-around pole and raises EvaluationError,
-    and points within about 0.01 of a or b fail the doubling check, because
-    the in-square split loses accuracy at the corners of the square.
     """
     coarse = RuleSpec(3, 2, n_high, path="compact")
     fine = RuleSpec(3, 2, 2 * n_high, path="compact")
@@ -683,18 +650,14 @@ def manufactured_rhs(
 def supersingular_cotangent_kernel(a: float = -math.pi, b: float = math.pi) -> PeriodicKernel:
     """The kernel K(t,x) = cos(pi(x-t)/T)/sin^3(pi(x-t)/T) as a PeriodicKernel.
 
-    U(t,x) = psi_3(x-t); its diagonal x-derivatives are (T/pi)^3, 0, 0, 0.
     It is translation invariant with psi = psi_3, the exact centered
-    numerator.
+    numerator, whose derivatives at 0 are (T/pi)^3, 0, 0, 0.
     """
     T = b - a
     psi0 = numerator_factor_derivs(3, 3, T)
-
-    def u_eval(t, x):
-        return numerator_factor(3, np.asarray(x, float) - np.asarray(t, float), T)
 
     def psi(y):
         return numerator_factor(3, y, T)
 
     diag = tuple((lambda v: (lambda t: v))(psi0[k]) for k in range(4))
-    return PeriodicKernel(u_eval=u_eval, a=a, b=b, u_xderivs_diag=diag, psi=psi)
+    return PeriodicKernel(a, b, psi=psi, u_xderivs_diag=diag)

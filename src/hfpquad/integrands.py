@@ -84,6 +84,12 @@ def kernel_factor_series(m: int, n_terms: int = _N_SERIES) -> tuple[Fraction, ..
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _series_floats(m: int) -> tuple[float, ...]:
+    """kernel_factor_series(m) as floats, converted once per m."""
+    return tuple(float(c) for c in kernel_factor_series(m))
+
+
 def numerator_factor(m: int, y, period: float = TWO_PI):
     """psi_m(y) = y^m * theta_m(y), the smooth numerator factor.
 
@@ -96,7 +102,7 @@ def numerator_factor(m: int, y, period: float = TWO_PI):
     shape = y.shape
     yf = np.atleast_1d(y).astype(float)
     z = math.pi * yf / period
-    coeffs = [float(c) for c in kernel_factor_series(m)]
+    coeffs = _series_floats(m)
     w = np.empty_like(z)
 
     near = np.abs(z) <= _Z_SWITCH

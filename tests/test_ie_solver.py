@@ -42,16 +42,15 @@ TWO_PI = 2.0 * math.pi
 
 
 def constant_kernel(value=1.0, a=-math.pi, b=math.pi):
-    def u_eval(t, x):
-        return np.full(np.broadcast(np.asarray(t), np.asarray(x)).shape, value)
-
     diag = (
         (lambda t: value),
         (lambda t: 0.0),
         (lambda t: 0.0),
         (lambda t: 0.0),
     )
-    return PeriodicKernel(u_eval=u_eval, a=a, b=b, u_xderivs_diag=diag)
+    return PeriodicKernel(
+        a, b, psi=lambda y: np.full(np.shape(y), value), u_xderivs_diag=diag
+    )
 
 
 class TestEpsilonWeights:
@@ -177,12 +176,7 @@ class TestAkCoefficients:
             (lambda t: -1.0),
             (lambda t: 0.25),
         )
-        kern = PeriodicKernel(
-            u_eval=lambda t, x: np.ones_like(np.asarray(x, float)),
-            a=-math.pi,
-            b=math.pi,
-            u_xderivs_diag=diag,
-        )
+        kern = PeriodicKernel(-math.pi, math.pi, psi=np.ones_like, u_xderivs_diag=diag)
         for h in (0.1, 0.02):
             _, _, a2, a3 = ak_coefficients(kern, 0.0, h)
             assert a2 / a3 == pytest.approx(3.0 * 0.5 / 2.0, rel=1e-14)
@@ -195,22 +189,13 @@ class TestAkCoefficients:
             (lambda t: -1.0),
             (lambda t: 0.0),
         )
-        kern = PeriodicKernel(
-            u_eval=lambda t, x: np.cos(np.asarray(x, float) - np.asarray(t, float)),
-            a=-math.pi,
-            b=math.pi,
-            u_xderivs_diag=diag,
-        )
+        kern = PeriodicKernel(-math.pi, math.pi, psi=np.cos, u_xderivs_diag=diag)
         h = 0.05
         _, a1, _, _ = ak_coefficients(kern, 0.7, h)
         assert a1 == pytest.approx(-math.pi**2 / 3.0 / h - h / 2.0, rel=1e-14)
 
     def test_missing_derivatives(self):
-        kern = PeriodicKernel(
-            u_eval=lambda t, x: np.ones_like(np.asarray(x, float)),
-            a=-math.pi,
-            b=math.pi,
-        )
+        kern = PeriodicKernel(-math.pi, math.pi, psi=np.ones_like)
         with pytest.raises(DerivativesRequiredError):
             ak_coefficients(kern, 0.0, 0.1)
 
@@ -376,20 +361,20 @@ class TestManufactured:
 
 
 def t_dependent_kernel():
-    """K(t,x) = (1.5 + sin t) cos(y/2)/sin^3(y/2), y = x - t, from u_eval only.
+    """K(t,x) = (1.5 + sin t) cos(y/2)/sin^3(y/2), y = x - t, declared by
+    its centered numerator (1.5 + sin t) psi_3(y).
 
-    Without ``u_centered`` the slice numerator goes through the wrap branch
-    of ``numerator_centered``.  The diagonal x-derivatives are
-    (1.5 + sin t) psi_3^(k)(0).
+    The diagonal derivatives are (1.5 + sin t) psi_3^(k)(0), and the finite
+    part of K(t,.) times PoissonKernelU(eta) is (1.5 + sin t) times
+    exact_supersingular(eta, t).
     """
 
-    def u_eval(t, x):
-        t = np.asarray(t, float)
-        return (1.5 + np.sin(t)) * numerator_factor(3, np.asarray(x, float) - t, TWO_PI)
+    def centered(t, y):
+        return (1.5 + np.sin(t)) * numerator_factor(3, y, TWO_PI)
 
     psi0 = numerator_factor_derivs(3, 3, TWO_PI)
     diag = tuple((lambda v: (lambda t: (1.5 + math.sin(t)) * v))(v) for v in psi0)
-    return PeriodicKernel(u_eval=u_eval, a=-math.pi, b=math.pi, u_xderivs_diag=diag)
+    return PeriodicKernel(-math.pi, math.pi, centered=centered, u_xderivs_diag=diag)
 
 
 def noise_allowance(kernel, phi, ts, n_high=96):
@@ -416,12 +401,11 @@ def per_point_rhs(kernel, phi, lam, ts, n_high=96):
 def gated_cotangent_kernel(t_on):
     """The cotangent kernel for t >= t_on and zero below, so a slice's rule
     value is exactly 0 (and its doubling check passes) for t < t_on."""
-    base = supersingular_cotangent_kernel()
 
-    def u_centered(t, y):
+    def centered(t, y):
         return np.where(np.asarray(t) >= t_on, numerator_factor(3, y, TWO_PI), 0.0)
 
-    return PeriodicKernel(u_eval=base.u_eval, a=base.a, b=base.b, u_centered=u_centered)
+    return PeriodicKernel(-math.pi, math.pi, centered=centered)
 
 
 class TestBatchedRhs:
@@ -470,13 +454,26 @@ class TestBatchedRhs:
             w(ts)
 
     def test_non_finite_norm_sample_raises(self):
-        # at t = b the norm sample's point x = t wraps to a, where the
-        # u_eval-only kernel gives inf * 0; a NaN noise bound must not pass
-        # the doubling check
-        w = manufactured_rhs(t_dependent_kernel(), PoissonKernelU(0.3), 1.0)
+        # the naive centered form is 0 * inf at y = 0, a norm sample offset
+        # that no rule node hits; a NaN noise bound must not pass the
+        # doubling check
+        def centered(t, y):
+            return y**3 * np.cos(y / 2.0) / (8.0 * np.sin(y / 2.0) ** 3)
+
+        kern = PeriodicKernel(-math.pi, math.pi, centered=centered)
+        w = manufactured_rhs(kern, PoissonKernelU(0.3), 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(EvaluationError, match=re.escape(f"t={math.pi!r} is not finite")):
+            with pytest.raises(EvaluationError, match=re.escape(f"t={0.5!r} is not finite")):
                 w(np.array([0.5, math.pi]))
+
+    @pytest.mark.parametrize("t", [547.6843192758206, 10000.3, -3000.7])
+    def test_points_many_periods_out(self, t):
+        # t is reduced into [a, b) before the nodes t + y are formed
+        lam, tol = 1.0, 1e-11
+        kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(0.3)
+        got = manufactured_rhs(kern, phi, lam, tol=tol)(t)
+        want = lam * phi(t) + exact_supersingular(0.3, t)
+        assert abs(got - want) <= tol * (1.0 + abs(want)) + noise_allowance(kern, phi, [t])[0]
 
     def test_slice_g_takes_1d_offsets(self, monkeypatch):
         # the rows of a batch share their offsets: g sees them once, 1-D,
@@ -602,15 +599,40 @@ class TestGridRhs:
         assert _grid_indices(grid[:1], a, T) is None
         assert _grid_indices(np.array([np.nan, 0.0]), a, T) is None
 
+    def test_grid_many_periods_out(self):
+        # the anchor goes through the batched rule at the grid's first point,
+        # here t = 547.72, 87.7 periods out
+        lam, tol, eta = 1.2, 1e-11, 0.3
+        kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(eta)
+        grid = kern.a + (87 * 64 + 43 + np.arange(64)) * (kern.period / 64)
+        assert _grid_indices(grid, kern.a, kern.period) is not None
+        got = manufactured_rhs(kern, phi, lam, tol=tol)(grid)
+        want = lam * phi(grid) + np.array([exact_supersingular(eta, float(t)) for t in grid])
+        bound = tol * (1.0 + np.abs(got)) + noise_allowance(kern, phi, grid)
+        assert np.all(np.abs(got - want) <= bound)
+
 
 # ---------------------------------------------------------------------------
 # assembly against an entry-by-entry reference, and the condition paths
 # ---------------------------------------------------------------------------
 
+
+def cotangent_kernel_by_centered():
+    """The cotangent kernel declared without psi, by a t-independent
+    ``centered``: its systems are assembled and solved as dense."""
+    base = supersingular_cotangent_kernel()
+    return PeriodicKernel(
+        base.a,
+        base.b,
+        centered=lambda t, y: numerator_factor(3, y, TWO_PI),
+        u_xderivs_diag=base.u_xderivs_diag,
+    )
+
+
 ORACLE_KERNELS = {
     "cotangent": supersingular_cotangent_kernel,
+    "cotangent_by_centered": cotangent_kernel_by_centered,
     "t_dependent": t_dependent_kernel,
-    "u_eval_only": lambda: constant_kernel(1.0),
 }
 
 
@@ -702,10 +724,9 @@ class TestConditionPaths:
         assert sol.structure == "dense"
         assert sol.condition == float(np.linalg.cond(matrix))
 
-    @pytest.mark.parametrize("kernel_name", ["t_dependent", "u_eval_only"])
+    @pytest.mark.parametrize("kernel_name", ["t_dependent"])
     def test_kernel_not_depending_on_x_minus_t_is_dense(self, kernel_name):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sys_ = build_simple_system(ORACLE_KERNELS[kernel_name](), np.cos, 1.0, 4)
+        sys_ = build_simple_system(ORACLE_KERNELS[kernel_name](), np.cos, 1.0, 4)
         assert solve_collocation(sys_).structure == "dense"
 
     @pytest.mark.parametrize("where", [(0, 0), (3, 5)])
@@ -717,18 +738,6 @@ class TestConditionPaths:
         )
         with pytest.raises(SingularSystemError, match="non-finite"):
             solve_collocation(system)
-
-
-def cotangent_kernel_by_u_centered():
-    """The cotangent kernel declared without psi, through u_centered."""
-    base = supersingular_cotangent_kernel()
-    return PeriodicKernel(
-        u_eval=base.u_eval,
-        a=base.a,
-        b=base.b,
-        u_xderivs_diag=base.u_xderivs_diag,
-        u_centered=lambda t, y: numerator_factor(3, y, TWO_PI),
-    )
 
 
 def column_system(column):
@@ -778,6 +787,12 @@ class TestCirculantSolve:
                 matrix=np.eye(2), column=np.array([1.0, 0.0]),
             )
 
+    def test_kernel_takes_one_of_centered_and_psi(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            PeriodicKernel(-math.pi, math.pi)
+        with pytest.raises(ValueError, match="exactly one"):
+            PeriodicKernel(-math.pi, math.pi, centered=lambda t, y: y, psi=np.ones_like)
+
     def test_nan_in_column_raises(self):
         column = np.zeros(8)
         column[0], column[3] = 1.0, np.nan
@@ -798,37 +813,45 @@ class TestCirculantSolve:
         "build, n", [(build_simple_system, 16), (build_advanced_system, 16)]
     )
     def test_psi_and_u_centered_declarations_agree(self, build, n):
-        # the matrices are equal; the rhs of the psi kernel takes the grid
-        # path and the u_centered one the batched rule, so they agree within
-        # the rule's noise allowance and the solutions within cond times it
+        # the psi and centered declarations of one kernel: the matrices are
+        # equal; the rhs of the psi kernel takes the grid path and the
+        # centered one the batched rule, so they agree within the rule's
+        # noise allowance and the solutions within cond times it
         phi, lam = PoissonKernelU(0.3), 1.2
-        by_psi, by_u = supersingular_cotangent_kernel(), cotangent_kernel_by_u_centered()
+        by_psi, by_centered = supersingular_cotangent_kernel(), cotangent_kernel_by_centered()
         sys_psi = build(by_psi, manufactured_rhs(by_psi, phi, lam), lam, n)
-        sys_u = build(by_u, manufactured_rhs(by_u, phi, lam), lam, n)
-        assert sys_psi.column is not None and sys_u.column is None
-        assert np.array_equal(sys_psi.matrix, sys_u.matrix)
+        sys_c = build(by_centered, manufactured_rhs(by_centered, phi, lam), lam, n)
+        assert sys_psi.column is not None and sys_c.column is None
+        assert np.array_equal(sys_psi.matrix, sys_c.matrix)
         allowance = noise_allowance(by_psi, phi, sys_psi.grid)
-        assert np.all(np.abs(sys_psi.rhs - sys_u.rhs) <= allowance)
-        sol_psi, sol_u = solve_collocation(sys_psi), solve_collocation(sys_u)
-        rel_rhs = np.linalg.norm(allowance) / np.linalg.norm(sys_u.rhs)
-        rel_sol = np.linalg.norm(sol_psi.values - sol_u.values) / np.linalg.norm(sol_u.values)
-        assert rel_sol <= sol_u.condition * rel_rhs
+        assert np.all(np.abs(sys_psi.rhs - sys_c.rhs) <= allowance)
+        sol_psi, sol_c = solve_collocation(sys_psi), solve_collocation(sys_c)
+        assert (sol_psi.structure, sol_c.structure) == ("circulant", "dense")
+        rel_rhs = np.linalg.norm(allowance) / np.linalg.norm(sys_c.rhs)
+        rel_sol = np.linalg.norm(sol_psi.values - sol_c.values) / np.linalg.norm(sol_c.values)
+        assert rel_sol <= sol_c.condition * rel_rhs
 
 
 class TestGridEnds:
-    # the simple grid's last point is t = b; there the rhs's norm sample
-    # point y = 0 wraps onto the pole of a kernel given only by u_eval.
-    # Wrapping t into [a, b) instead leaves a failed doubling check (the
-    # in-square split loses accuracy at the corner of the square)
-    @pytest.mark.xfail(
-        strict=True,
-        raises=EvaluationError,
-        reason="a kernel without u_centered cannot reach t = b through manufactured_rhs",
-    )
-    @pytest.mark.parametrize("n", [16, 64])
-    def test_u_eval_only_kernel_on_simple_grid(self, n):
-        kern = t_dependent_kernel()
-        w = manufactured_rhs(kern, PoissonKernelU(0.3), 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sys_ = build_simple_system(kern, w, 1.0, n)
+    """A t-dependent kernel at and next to the ends a and b of the period."""
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_t_dependent_kernel_on_simple_grid(self, n):
+        # the grid's last point is b, and at n = 128 its first point
+        # a + T/(4n) is 0.012 from a
+        kern, phi = t_dependent_kernel(), PoissonKernelU(0.3)
+        sys_ = build_simple_system(kern, manufactured_rhs(kern, phi, 1.0), 1.0, n)
         assert np.all(np.isfinite(sys_.rhs))
+        sol = solve_collocation(sys_)
+        assert sol.structure == "dense"
+        assert np.max(np.abs(sol.values - phi(sys_.grid))) <= 1e-9
+
+    def test_batched_rhs_next_to_the_ends(self):
+        lam, tol, eta = 1.0, 1e-11, 0.3
+        kern, phi = t_dependent_kernel(), PoissonKernelU(eta)
+        ts = np.array([3.13, 3.14, math.pi - 1e-3, -3.14])
+        got = manufactured_rhs(kern, phi, lam, tol=tol)(ts)
+        fp = np.array([(1.5 + math.sin(t)) * exact_supersingular(eta, t) for t in ts])
+        want = lam * phi(ts) + fp
+        bound = tol * (1.0 + np.abs(want)) + noise_allowance(kern, phi, ts)
+        assert np.all(np.abs(got - want) <= bound)

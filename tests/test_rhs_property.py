@@ -33,12 +33,9 @@ from hfpquad.quadrature import RuleSpec, t_hat  # noqa: E402
 @settings(max_examples=4, deadline=None, database=None, phases=[Phase.generate])
 @given(eta=st.floats(0.05, 0.5), lam=st.floats(-2.0, 2.0), data=st.data())
 def test_equals_per_point_rule(make_kernel, length, eta, lam, data):
-    # bit for bit: each row is the same pairwise node sum as t_hat's.
-    # t stays 0.14 inside [a, b): closer to the ends the u_eval-only kernel
-    # wraps nodes next to the pole at |x - t| = T, and both paths fail the
-    # doubling check (that is what u_centered is for)
-    ts = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=length, max_size=length))
+    # bit for bit: each row is the same pairwise node sum as t_hat's
     kern = make_kernel()
+    ts = data.draw(st.lists(st.floats(kern.a, kern.b), min_size=length, max_size=length))
     phi = PoissonKernelU(eta)
     n_high = 96
     got = manufactured_rhs(kern, phi, lam, n_high=n_high)(np.array(ts))
