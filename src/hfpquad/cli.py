@@ -5,7 +5,8 @@ Subcommands: quad (single rule value), table (error-vs-n table), rate
 floor (roundoff-floor estimate).  Integrand families: the geometric-kernel
 family selected by --eta, or a user trigonometric polynomial selected by
 --cos/--sin.  Output is CSV or canonical JSON with %.16e floats, so emitted
-files are byte-stable.
+files are byte-stable; the summary lines of rate and solve-ie go to stderr,
+so stdout is exactly the CSV or JSON document.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def cmd_rate(args) -> int:
     reports = _build_tables(args, with_rate=True)
     for rep in reports:
         label = f"eta={rep.eta:g}: " if rep.eta is not None else ""
-        print(f"{label}fitted ln-error slope = {format_float(rep.fitted_rate)}")
+        print(f"{label}fitted ln-error slope = {format_float(rep.fitted_rate)}", file=sys.stderr)
     return _emit_reports(args, reports)
 
 
@@ -268,10 +269,10 @@ def cmd_solve_ie(args) -> int:
     truth = np.asarray(phi(system.grid), dtype=float)
     errors = np.abs(sol.values - truth)
     max_err = float(np.max(errors))
-    print(f"approach = {args.approach}, unknowns = {len(system.grid)}")
-    print(f"max node error vs manufactured solution = {format_float(max_err)}")
-    print(f"residual = {format_float(sol.residual)}")
-    print(f"condition = {format_float(sol.condition)} ({sol.structure})")
+    print(f"approach = {args.approach}, unknowns = {len(system.grid)}", file=sys.stderr)
+    print(f"max node error vs manufactured solution = {format_float(max_err)}", file=sys.stderr)
+    print(f"residual = {format_float(sol.residual)}", file=sys.stderr)
+    print(f"condition = {format_float(sol.condition)} ({sol.structure})", file=sys.stderr)
     if args.format == "json":
         # the rhs the system was built with against its closed form
         fp_part = np.array([exact_supersingular(args.eta, float(t)) for t in system.grid])

@@ -21,15 +21,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .em_constants import bernoulli_even
 from .errors import (
     DerivativesRequiredError,
     EvaluationError,
     ReferenceConvergenceError,
     SingularSystemError,
 )
-from .integrands import numerator_factor, numerator_factor_derivs
-from .quadrature import PeriodicIntegrand, RuleSpec, roundoff_floor, t_hat
+from .integrands import _series_mul, kernel_factor_series, numerator_factor, numerator_factor_derivs
+from .quadrature import PeriodicIntegrand, RuleSpec, _wrap, roundoff_floor, t_hat
 
 __all__ = [
     "PeriodicKernel",
@@ -277,21 +276,11 @@ def build_simple_system(
 
 @lru_cache(maxsize=None)
 def _dirichlet_taylor(n: int, n_terms: int = 10) -> tuple[float, ...]:
-    # even z-series of sin(n z) cot(z)/n about z = 0, via the Bernoulli
-    # expansion cot z = sum (-4)^k B_2k z^(2k-1)/(2k)!
-    coeffs = []
-    for q in range(n_terms):
-        acc = Fraction(0)
-        for k in range(q + 1):
-            acc += (
-                Fraction((-1) ** (q - k))
-                * Fraction(n ** (2 * (q - k)), math.factorial(2 * (q - k) + 1))
-                * Fraction((-4) ** k)
-                * bernoulli_even(k)
-                / math.factorial(2 * k)
-            )
-        coeffs.append(float(acc))
-    return tuple(coeffs)
+    # even z-series of sin(n z) cot(z)/n about z = 0: sin(n z)/(n z) times
+    # z cot z, which is kernel_factor_series(1)
+    sinc_n = [Fraction((-n * n) ** q, math.factorial(2 * q + 1)) for q in range(n_terms)]
+    series = _series_mul(sinc_n, kernel_factor_series(1, n_terms), n_terms)
+    return tuple(float(c) for c in series)
 
 
 def _check_even_n(n: int):
@@ -471,18 +460,13 @@ def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> Periodi
     """
     T = kernel.period
     a, b = kernel.a, kernel.b
-
-    def wrap(x):
-        x_ab = x - T * np.floor((x - a) / T)
-        return np.where(x_ab >= b, x_ab - T, x_ab)
-
-    t_ab = wrap(np.asarray(t, dtype=float))
+    t_ab = _wrap(np.asarray(t, dtype=float), a, b)
     t_col = t_ab[:, None] if t_ab.ndim else float(t_ab)
 
     def g_eval(y):
         y = np.asarray(y, dtype=float)
         u = kernel.numerator_centered(t_col, y)
-        return u * np.asarray(phi(wrap(t_col + y)), dtype=float)
+        return u * np.asarray(phi(_wrap(t_col + y, a, b)), dtype=float)
 
     return PeriodicIntegrand(m=3, t=0.0, a=-T / 2.0, b=T / 2.0, g_eval=g_eval)
 

@@ -26,8 +26,6 @@ __all__ = [
     "PeriodicIntegrand",
     "RuleSpec",
     "CompactRule",
-    "NodeFamily",
-    "DerivCorrection",
     "ExtrapolationWeights",
     "wrap_to_fundamental",
     "plain_trap_sum",
@@ -101,12 +99,16 @@ class PeriodicIntegrand:
 
 def wrap_to_fundamental(x, integrand: PeriodicIntegrand):
     """Shift x by the multiple of the period that lands it in [a, b)."""
-    x = np.asarray(x, dtype=float)
-    T = integrand.period
-    out = x - T * np.floor((x - integrand.a) / T)
-    # guard against x exactly at b mapping to b through floor rounding
-    out = np.where(out >= integrand.b, out - T, out)
+    out = _wrap(np.asarray(x, dtype=float), integrand.a, integrand.b)
     return out if out.shape else float(out)
+
+
+def _wrap(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """x shifted by the multiple of T = b - a that lands it in [a, b)."""
+    T = b - a
+    out = x - T * np.floor((x - a) / T)
+    # guard against x exactly at b mapping to b through floor rounding
+    return np.where(out >= b, out - T, out)
 
 
 def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
@@ -146,77 +148,20 @@ def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NodeFamily:
-    """Equispaced node family: offsets (first + step*i)*hhat, i < count(n).
-
-    hhat = h/substep_div is the finest substep of the rule; per-node weight
-    is ``weight`` in units of hhat.  count(n) = count_factor*n + count_offset.
-    """
-
-    substep_div: int
-    first: int
-    step: int
-    count_factor: int
-    count_offset: int
-    weight: Fraction
-
-    def count(self, n: int) -> int:
-        return self.count_factor * n + self.count_offset
-
-
-@dataclass(frozen=True)
-class DerivCorrection:
-    """Additive term coef * pi^pi_power * g^(order)(t) * h^h_power."""
-
-    order: int
-    coef: Fraction
-    pi_power: int
-    h_power: int
-
-    def value(self, integrand: PeriodicIntegrand, h: float) -> float:
-        return (
-            float(self.coef)
-            * math.pi**self.pi_power
-            * integrand.deriv_at_t(self.order)
-            * h**self.h_power
-        )
-
-
-@dataclass(frozen=True)
 class CompactRule:
-    """Node/weight/correction descriptor of one compact rule."""
+    """One compact rule as weighted node sums plus derivative terms.
+
+    ``families`` holds (level, weight) pairs: level 0 is the nodes t + jh,
+    j = 1..n-1, and level l >= 1 the odd multiples of h/2^l; each node of a
+    family weighs ``weight`` in units of h.  ``deriv_corrections`` holds
+    (order, coef) pairs, each the term coef pi^(m-order) g^(order)(t)
+    h^(1-m+order).
+    """
 
     m: int
     s: int
-    families: tuple[NodeFamily, ...]
-    deriv_corrections: tuple[DerivCorrection, ...]
-
-    def node_offsets(self, n: int) -> np.ndarray:
-        """All node offsets, in units of the finest substep hhat."""
-        parts = [
-            fam.first + fam.step * np.arange(fam.count(n), dtype=np.int64)
-            for fam in self.families
-        ]
-        return np.concatenate(parts)
-
-    def node_weights(self, n: int) -> list[Fraction]:
-        """Per-node weights in units of hhat, aligned with node_offsets."""
-        out: list[Fraction] = []
-        for fam in self.families:
-            out.extend([fam.weight] * fam.count(n))
-        return out
-
-    @property
-    def substep_div(self) -> int:
-        return max(f.substep_div for f in self.families)
-
-
-_PLAIN = NodeFamily(1, 1, 1, 1, -1, Fraction(1))  # h * sum_{j=1}^{n-1} f(t + jh)
-
-
-def _odd_multiples(s: int, level: int, weight: Fraction) -> NodeFamily:
-    """The odd multiples of h/2^level, in units of the level-s substep h/2^s."""
-    return NodeFamily(2**s, 2 ** (s - level), 2 ** (s - level + 1), 2 ** (level - 1), 0, weight)
+    families: tuple[tuple[int, Fraction], ...]
+    deriv_corrections: tuple[tuple[int, Fraction], ...]
 
 
 #: s runs up to m//2 + 1, the first derivative-free level: the corrections
@@ -238,8 +183,8 @@ def compact_rule(m: int, s: int) -> CompactRule:
 
     With alpha = extrapolation_weights(s), the base rule at 2^k n weighs its
     nodes by alpha_k h/2^k.  A node that is an odd multiple of h/2^level lies
-    on the grids k >= level, so its family weighs 2^s sum_{k>=level}
-    alpha_k 2^-k in units of h/2^s.  The nodes jh lie on every grid and get
+    on the grids k >= level, so its family weighs sum_{k>=level} alpha_k 2^-k
+    in units of h.  The nodes jh lie on every grid and get
     sum_k alpha_k 2^-k = 0 for s >= 1 (the first step removes h^1).  The
     correction term of g^(order) scales as h^(1-2j) on every grid, so its
     coefficient is the base one times sum_k alpha_k 2^(-k(1-2j)), which
@@ -252,10 +197,10 @@ def compact_rule(m: int, s: int) -> CompactRule:
         )
     alpha = extrapolation_weights(s).alpha
     if s == 0:
-        families = (_PLAIN,)
+        families = ((0, Fraction(1)),)
     else:
         families = tuple(
-            _odd_multiples(s, level, 2**s * sum(alpha[k] / 2**k for k in range(level, s + 1)))
+            (level, sum(alpha[k] / 2**k for k in range(level, s + 1)))
             for level in range(1, s + 1)
         )
     corrections = []
@@ -270,7 +215,7 @@ def compact_rule(m: int, s: int) -> CompactRule:
             * sum(a * Fraction(2) ** (k * (2 * j - 1)) for k, a in enumerate(alpha))
         )
         if coef:
-            corrections.append(DerivCorrection(order, coef, 2 * j, 1 - 2 * j))
+            corrections.append((order, coef))
     return CompactRule(m, s, families, tuple(corrections))
 
 
@@ -299,37 +244,39 @@ class RuleSpec:
 # ---------------------------------------------------------------------------
 
 
-def _family_nodes(integrand: PeriodicIntegrand, n: int, fam: NodeFamily):
-    """(delta, y, x_hat): substep, offsets y_j = x_j - t and wrapped nodes.
+def _family_nodes(integrand: PeriodicIntegrand, n: int, level: int):
+    """(y, x_hat): offsets y_j = x_j - t of a node family and wrapped nodes.
 
-    Offsets are kept as integers times the substep for as long as possible:
-    the wrapped offset is (k - q*n)*delta rather than a wrapped coordinate
-    difference, which keeps the relative error of the singular denominator
-    at the rounding unit instead of growing with n.  For a power-of-two
-    multiple of n the offsets of every coarser grid are the same doubles.
+    Level 0 is the nodes jh, j = 1..n-1, and level l >= 1 the odd multiples
+    of h/2^l.  Offsets are kept as integers times the spacing for as long
+    as possible: the wrapped offset is (k - q*2^l n)*delta rather than a
+    wrapped coordinate difference, which keeps the relative error of the
+    singular denominator at the rounding unit instead of growing with n.
+    For a power-of-two multiple of n the offsets of every coarser grid are
+    the same doubles.
     """
     t, b = integrand.t, integrand.b
-    delta = (integrand.period / n) / fam.substep_div
-    total = fam.substep_div * n
-    k = fam.first + fam.step * np.arange(fam.count(n), dtype=np.int64)
+    delta = (integrand.period / n) / 2**level
+    total = 2**level * n
+    k = np.arange(1, total, 2 if level else 1, dtype=np.int64)
     wrapped = np.where(t + k * delta < b, k, k - total)
     y = wrapped * delta
     x_hat = np.clip(t + y, integrand.a, b)
-    return delta, y, x_hat
+    return y, x_hat
 
 
-def _family_sum(integrand: PeriodicIntegrand, n: int, fam: NodeFamily):
-    """weight * hhat * sum of f over one node family (per row of a vector g)."""
-    delta, y, x_hat = _family_nodes(integrand, n, fam)
+def _family_sum(integrand: PeriodicIntegrand, n: int, level: int, weight: Fraction):
+    """weight * h * sum of f over one node family (per row of a vector g)."""
+    y, x_hat = _family_nodes(integrand, n, level)
     g_vals = _eval_g(integrand, x_hat)
-    return float(fam.weight) * delta * _kernels.singular_sum(g_vals, y, integrand.m)
+    return float(weight) * (integrand.period / n) * _kernels.singular_sum(g_vals, y, integrand.m)
 
 
 def plain_trap_sum(integrand: PeriodicIntegrand, n: int) -> float:
     """h * sum_{j=1}^{n-1} f(t + j h), h = T/n, nodes wrapped into [a, b)."""
     if n < 2:
         raise ValueError("plain trapezoidal sum needs n >= 2")
-    return _family_sum(integrand, n, _PLAIN)
+    return _family_sum(integrand, n, 0, Fraction(1))
 
 
 def midpoint_sum(integrand: PeriodicIntegrand, n: int, level: int = 1) -> float:
@@ -342,7 +289,7 @@ def midpoint_sum(integrand: PeriodicIntegrand, n: int, level: int = 1) -> float:
         raise ValueError("midpoint sum needs n >= 1")
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
-    return _family_sum(integrand, n, _odd_multiples(level, level, Fraction(2)))
+    return _family_sum(integrand, n, level, Fraction(1, 2 ** (level - 1)))
 
 
 def correction_sum(integrand: PeriodicIntegrand, n: int) -> float:
@@ -423,9 +370,12 @@ def _fsum(terms: list):
 
 
 def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
-    h = integrand.period / n
-    total = _fsum([_family_sum(integrand, n, fam) for fam in rule.families])
-    total += math.fsum(c.value(integrand, h) for c in rule.deriv_corrections)
+    h, m = integrand.period / n, rule.m
+    total = _fsum([_family_sum(integrand, n, level, w) for level, w in rule.families])
+    total += math.fsum(
+        float(coef) * math.pi ** (m - order) * integrand.deriv_at_t(order) * h ** (1 - m + order)
+        for order, coef in rule.deriv_corrections
+    )
     return total
 
 
@@ -439,7 +389,7 @@ def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
     """
     # corrections first: a missing derivative raises before g is evaluated
     corrections = [correction_sum(integrand, 2**k * n) for k in range(s + 1)]
-    _, y, x_hat = _family_nodes(integrand, 2**s * n, _PLAIN)
+    y, x_hat = _family_nodes(integrand, 2**s * n, 0)
     g_vals = _eval_g(integrand, x_hat)
     vals = []
     for k, w in enumerate(extrapolation_weights(s).alpha):

@@ -163,28 +163,40 @@ class TestTable:
 
 class TestRate:
     def test_slope_printed(self, capsys):
-        code, out, _ = run_cli(
+        code, _, err = run_cli(
             capsys,
             "rate", "--m", "3", "--s", "0", "--t", "1", "--eta", "0.5",
             "--n", "10:40:5", "--format", "json", "--output", "/dev/null",
         )
         assert code == 0
-        slope = float(re.search(r"slope = (\S+)", out).group(1))
+        slope = float(re.search(r"slope = (\S+)", err).group(1))
         assert slope == pytest.approx(math.log(0.5), rel=0.10)
+
+    def test_json_stdout_is_one_document(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "rate", "--m", "3", "--s", "2", "--n", "10:60:10", "--eta", "0.5",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)  # the whole stdout: the slope line is on stderr
+        assert [r["n"] for r in payload["rows"]] == [10, 20, 30, 40, 50, 60]
+        slope = float(re.search(r"slope = (\S+)", err).group(1))
+        assert slope == payload["fitted_rate"]
 
 
 class TestSolveIE:
     def test_simple_reaches_tolerance(self, capsys):
-        code, out, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "solve-ie", "--approach", "simple", "--n", "16", "--lambda", "1"
         )
         assert code == 0
-        max_err = float(re.search(r"max node error.* = (\S+)", out).group(1))
+        max_err = float(re.search(r"max node error.* = (\S+)", err).group(1))
         assert max_err < 1e-6
 
     def test_advanced_runs(self, capsys, tmp_path):
         out_file = tmp_path / "sol.json"
-        code, out, _ = run_cli(
+        code, _, err = run_cli(
             capsys,
             "solve-ie", "--approach", "advanced", "--n", "16",
             "--format", "json", "--output", str(out_file),
@@ -194,25 +206,24 @@ class TestSolveIE:
         assert len(payload["nodes"]) == 16
         assert payload["max_error"] < 1e-3
         assert payload["structure"] == "circulant"
-        assert "(circulant)" in re.search(r"condition = .*", out).group(0)
+        assert "(circulant)" in re.search(r"condition = .*", err).group(0)
 
     def test_json_without_output_goes_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "solve-ie", "--n", "4", "--format", "json")
         assert code == 0
-        payload = json.loads(out.splitlines()[-1])
+        payload = json.loads(out)
         assert payload["structure"] == "circulant"
         assert len(payload["nodes"]) == 16
 
     def test_json_reports_rhs_error_against_closed_form(self, capsys):
         eta, lam = 0.3, 1.2
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "solve-ie", "--n", "16", "--eta", str(eta), "--lambda", str(lam),
             "--format", "json",
         )
         assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 5  # the four summary lines, then the payload
-        payload = json.loads(lines[-1])
+        assert len(err.splitlines()) == 4  # the four summary lines
+        payload = json.loads(out)
         kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(eta)
         system = build_simple_system(kern, manufactured_rhs(kern, phi, lam), lam, 16)
         exact = lam * phi(system.grid) + [exact_supersingular(eta, float(t)) for t in system.grid]
@@ -220,13 +231,25 @@ class TestSolveIE:
         assert 0.0 < payload["rhs_max_error"] < 1e-8
 
     def test_csv_without_output_goes_to_stdout(self, capsys):
-        code, out, _ = run_cli(capsys, "solve-ie", "--n", "4", "--format", "csv")
+        code, out, err = run_cli(capsys, "solve-ie", "--n", "4", "--format", "csv")
         assert code == 0
+        summary = err.splitlines()
+        assert len(summary) == 4
+        assert summary[3].startswith("condition = ")
         lines = out.splitlines()
-        assert len(lines) == 4 + 1 + 16
-        assert lines[3].startswith("condition = ")
-        assert lines[4] == "x,phi_hat,phi_true,error"
-        assert all(len(row.split(",")) == 4 for row in lines[5:])
+        assert len(lines) == 1 + 16
+        assert lines[0] == "x,phi_hat,phi_true,error"
+        assert all(len(row.split(",")) == 4 for row in lines[1:])
+
+    def test_json_stdout_is_one_document(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve-ie", "--approach", "advanced", "--n", "64", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)  # the whole stdout: the summary is on stderr
+        assert payload["structure"] == "circulant"
+        assert len(payload["nodes"]) == 64
+        assert err.splitlines()[0] == "approach = advanced, unknowns = 64"
 
 
 class TestFloor:

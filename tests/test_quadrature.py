@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hfpquad import _kernels
+from hfpquad import _kernels, quadrature
 from hfpquad.errors import DerivativesRequiredError, EvaluationError
 from hfpquad.harness import integrand_norms
 from hfpquad.integrands import (
@@ -21,8 +21,6 @@ from hfpquad.oracles import GeometricKernelCase
 from hfpquad.quadrature import (
     COMPACT_PAIRS,
     CompactRule,
-    DerivCorrection,
-    NodeFamily,
     PeriodicIntegrand,
     RuleSpec,
     compact_rule,
@@ -242,57 +240,31 @@ class TestExtrapolationWeights:
         assert sum(extrapolation_weights(s).alpha) == Fraction(1)
 
 
-def _fam(substep, first, step, count_factor, count_offset, weight):
-    return NodeFamily(substep, first, step, count_factor, count_offset, Fraction(weight))
-
-
-def _cor(order, coef, pi_power, h_power):
-    return DerivCorrection(order, Fraction(coef), pi_power, h_power)
-
-
 # The paper's closed forms, written out by hand: the oracle for the rules
-# that compact_rule derives from the extrapolation weights.
-_PLAIN = _fam(1, 1, 1, 1, -1, 1)  # h * sum f(t + jh), j = 1..n-1
-_MID1 = _fam(2, 1, 2, 1, 0, 2)  # h * sum f(t + jh - h/2)
-_MID2A = _fam(4, 2, 4, 1, 0, 8)  # 2h * sum f(t + jh - h/2)
-_MID2B = _fam(4, 1, 2, 2, 0, -2)  # -(h/2) * sum f(t + jh/2 - h/4)
+# that compact_rule derives from the extrapolation weights.  Families are
+# (level, weight in units of h): level 0 is t + jh, j = 1..n-1, level l the
+# odd multiples of h/2^l.  Corrections are (order, coef) for the term
+# coef pi^(m-order) g^(order)(t) h^(1-m+order).
+_PLAIN = ((0, Fraction(1)),)  # h * sum f(t + jh), j = 1..n-1
+_MID1 = ((1, Fraction(1)),)  # h * sum f(t + jh - h/2)
+_MID2 = ((1, Fraction(2)), (2, Fraction(-1, 2)))  # 2h sum f(t+jh-h/2) - (h/2) sum f(t+jh/2-h/4)
 
 CLOSED_FORMS = {
-    (1, 0): CompactRule(1, 0, (_PLAIN,), (_cor(1, 1, 0, 1),)),
-    (1, 1): CompactRule(1, 1, (_MID1,), ()),
-    (2, 0): CompactRule(
-        2, 0, (_PLAIN,), (_cor(0, Fraction(-1, 3), 2, -1), _cor(2, Fraction(1, 2), 0, 1))
-    ),
-    (2, 1): CompactRule(2, 1, (_MID1,), (_cor(0, -1, 2, -1),)),
-    (2, 2): CompactRule(2, 2, (_MID2A, _MID2B), ()),
-    (3, 0): CompactRule(
-        3, 0, (_PLAIN,), (_cor(1, Fraction(-1, 3), 2, -1), _cor(3, Fraction(1, 6), 0, 1))
-    ),
-    (3, 1): CompactRule(3, 1, (_MID1,), (_cor(1, -1, 2, -1),)),
-    (3, 2): CompactRule(3, 2, (_MID2A, _MID2B), ()),
+    (1, 0): CompactRule(1, 0, _PLAIN, ((1, Fraction(1)),)),
+    (1, 1): CompactRule(1, 1, _MID1, ()),
+    (2, 0): CompactRule(2, 0, _PLAIN, ((0, Fraction(-1, 3)), (2, Fraction(1, 2)))),
+    (2, 1): CompactRule(2, 1, _MID1, ((0, Fraction(-1)),)),
+    (2, 2): CompactRule(2, 2, _MID2, ()),
+    (3, 0): CompactRule(3, 0, _PLAIN, ((1, Fraction(-1, 3)), (3, Fraction(1, 6)))),
+    (3, 1): CompactRule(3, 1, _MID1, ((1, Fraction(-1)),)),
+    (3, 2): CompactRule(3, 2, _MID2, ()),
     (4, 0): CompactRule(
-        4,
-        0,
-        (_PLAIN,),
-        (
-            _cor(0, Fraction(-1, 45), 4, -3),
-            _cor(2, Fraction(-1, 6), 2, -1),
-            _cor(4, Fraction(1, 24), 0, 1),
-        ),
+        4, 0, _PLAIN, ((0, Fraction(-1, 45)), (2, Fraction(-1, 6)), (4, Fraction(1, 24)))
     ),
-    (4, 1): CompactRule(
-        4, 1, (_MID1,), (_cor(0, Fraction(-1, 3), 4, -3), _cor(2, Fraction(-1, 2), 2, -1))
-    ),
-    (4, 2): CompactRule(4, 2, (_MID2A, _MID2B), (_cor(0, 2, 4, -3),)),
+    (4, 1): CompactRule(4, 1, _MID1, ((0, Fraction(-1, 3)), (2, Fraction(-1, 2)))),
+    (4, 2): CompactRule(4, 2, _MID2, ((0, Fraction(2)),)),
     (4, 3): CompactRule(
-        4,
-        3,
-        (
-            _fam(8, 4, 8, 1, 0, Fraction(128, 7)),
-            _fam(8, 2, 4, 2, 0, Fraction(-40, 7)),
-            _fam(8, 1, 2, 4, 0, Fraction(2, 7)),
-        ),
-        (),
+        4, 3, ((1, Fraction(16, 7)), (2, Fraction(-5, 7)), (3, Fraction(1, 28))), ()
     ),
 }
 
@@ -302,8 +274,8 @@ class TestCompactRules:
     def test_derived_rule_is_closed_form(self, pair):
         rule = compact_rule(*pair)
         assert rule == CLOSED_FORMS[pair]
-        assert all(type(f.weight) is Fraction for f in rule.families)
-        assert all(type(c.coef) is Fraction for c in rule.deriv_corrections)
+        assert all(type(w) is Fraction for _, w in rule.families)
+        assert all(type(c) is Fraction for _, c in rule.deriv_corrections)
 
     def test_pairs(self):
         assert COMPACT_PAIRS == {
@@ -331,30 +303,38 @@ class TestCompactRules:
 
     def test_m2_s1_descriptor(self):
         rule = compact_rule(2, 1)
-        (c,) = rule.deriv_corrections
-        assert (c.order, c.coef, c.pi_power, c.h_power) == (0, Fraction(-1), 2, -1)
+        # -pi^2 g(t) h^-1: pi^(m - order), h^(1 - m + order)
+        assert rule.deriv_corrections == ((0, Fraction(-1)),)
         n = 5
-        offs = rule.node_offsets(n)
-        np.testing.assert_array_equal(offs, np.arange(1, 2 * n, 2))
+        ((level, _),) = rule.families
+        integ = singular_periodic_integrand(TrigPolynomial((1.0,)), m=2, t=0.3)
+        y, _ = quadrature._family_nodes(integ, n, level)
+        half = (TWO_PI / n) / 2
+        # in units of h/2: the odd multiples 1, 3, ..., 2n - 1, each wrapped
+        # by one period (2n) into the period centered at t
+        unwrapped = np.where(y < 0, y / half + 2 * n, y / half)
+        np.testing.assert_array_equal(unwrapped, np.arange(1, 2 * n, 2))
 
     def test_m4_s2_correction(self):
         rule = compact_rule(4, 2)
-        (c,) = rule.deriv_corrections
-        assert (c.order, c.coef, c.pi_power, c.h_power) == (0, Fraction(2), 4, -3)
+        # 2 pi^4 g(t) h^-3: pi^(m - order), h^(1 - m + order)
+        assert rule.deriv_corrections == ((0, Fraction(2)),)
 
     def test_m1_s1_no_corrections(self):
         assert compact_rule(1, 1).deriv_corrections == ()
 
     def test_m3_s2_node_layout(self):
         rule = compact_rule(3, 2)
+        assert rule.families == ((1, Fraction(2)), (2, Fraction(-1, 2)))
         n = 3
-        offs = rule.node_offsets(n)
-        weights = rule.node_weights(n)
-        np.testing.assert_array_equal(offs[:n], [2, 6, 10])
-        np.testing.assert_array_equal(offs[n:], np.arange(1, 4 * n, 2))
-        assert weights[:n] == [Fraction(8)] * n
-        assert weights[n:] == [Fraction(-2)] * (2 * n)
-        assert rule.substep_div == 4
+        integ = singular_periodic_integrand(TrigPolynomial((1.0,)), m=3, t=0.3)
+        quarter = (TWO_PI / n) / 4
+        # in units of h/4: level 1 is 2, 6, 10 and level 2 is 1, 3, ..., 11,
+        # each wrapped by one period (4n) into the period centered at t
+        for level, expected in ((1, [2, 6, 10]), (2, np.arange(1, 4 * n, 2))):
+            y, _ = quadrature._family_nodes(integ, n, level)
+            unwrapped = np.where(y < 0, y / quarter + 4 * n, y / quarter)
+            np.testing.assert_array_equal(unwrapped, expected)
 
 
 class TestTHat:
