@@ -35,6 +35,7 @@ from .oracles import exact_supersingular, hfp_reference
 from .quadrature import RuleSpec, roundoff_floor, t_hat
 
 TWO_PI = 2.0 * math.pi
+_REF_SMOOTHING = 6  # Taylor orders hfp_reference subtracts beyond m
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,12 @@ def _integrand_for(args, eta: Optional[float], u, n_derivs: int):
     )
 
 
+def _oracle_derivs(args, eta: Optional[float]) -> int:
+    """Highest order of g's derivatives at t the oracle reads: m for the
+    closed form, else hfp_reference's lead term, of order m + smoothing."""
+    return args.m if eta is not None and args.m == 3 else args.m + _REF_SMOOTHING
+
+
 def _oracle_for(args, eta: Optional[float], integrand) -> tuple[str, float]:
     if eta is not None and args.m == 3:
         return "exact_supersingular", exact_supersingular(eta, args.t)
@@ -143,7 +150,7 @@ def _oracle_for(args, eta: Optional[float], integrand) -> tuple[str, float]:
         integrand.a,
         integrand.b,
         args.t,
-        smoothing=6,
+        smoothing=_REF_SMOOTHING,
     )
     return "hfp_reference", ref
 
@@ -165,7 +172,7 @@ def cmd_quad(args) -> int:
         if len(etas) != 1:
             raise ValueError("quad takes a single --eta value")
         eta = etas[0]
-    need = args.m + 7 if args.oracle else args.m
+    need = _oracle_derivs(args, eta) if args.oracle else args.m
     integrand = _integrand_for(args, eta, u, n_derivs=need)
     value = t_hat(RuleSpec(args.m, args.s, args.n, path=_rule_path(args)), integrand)
     print(f"value = {format_float(value)}")
@@ -227,8 +234,7 @@ def _build_tables(args, with_rate: bool) -> list:
     etas = parse_float_list(args.eta) if kind == "eta-oracle" else [None]
     reports = []
     for eta in etas:
-        need = args.m if (eta is not None and args.m == 3) else args.m + 7
-        integrand = _integrand_for(args, eta, u, n_derivs=max(need, args.m))
+        integrand = _integrand_for(args, eta, u, n_derivs=_oracle_derivs(args, eta))
         name, oracle = _oracle_for(args, eta, integrand)
         rep = convergence_table_for(
             integrand,

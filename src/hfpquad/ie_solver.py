@@ -82,8 +82,6 @@ class PeriodicKernel:
     psi: Optional[Callable] = None
     u_xderivs_diag: Optional[tuple[Callable, ...]] = None
 
-    m = 3
-
     def __post_init__(self):
         if (self.centered is None) == (self.psi is None):
             raise ValueError("a periodic kernel takes exactly one of centered and psi")
@@ -106,6 +104,13 @@ class PeriodicKernel:
         return tuple(float(fn(t)) for fn in self.u_xderivs_diag)
 
 
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """The circulant matrix with first column ``column``: entry (i, j) =
+    column[(i - j) mod N]."""
+    js = np.arange(column.size)
+    return column[np.subtract.outer(js, js) % column.size]
+
+
 class CollocationSystem:
     """Collocation system matrix @ phi_hat = rhs on ``grid``.
 
@@ -121,8 +126,6 @@ class CollocationSystem:
         *,
         grid: np.ndarray,
         rhs: np.ndarray,
-        approach: str,
-        lam: float,
         matrix: Optional[np.ndarray] = None,
         column: Optional[np.ndarray] = None,
     ):
@@ -130,16 +133,13 @@ class CollocationSystem:
             raise ValueError("a collocation system takes exactly one of matrix and column")
         self.grid = grid
         self.rhs = rhs
-        self.approach = approach
-        self.lam = lam
         self.column = column
         self._matrix = matrix
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            js = np.arange(self.column.size)
-            self._matrix = self.column[np.subtract.outer(js, js) % js.size]
+            self._matrix = _circulant(self.column)
         return self._matrix
 
 
@@ -183,64 +183,55 @@ def _epsilon_pattern(N: int) -> np.ndarray:
     return np.where(d % 4 == 2, 8, np.where(d % 2 == 1, -2, 0))
 
 
-def _residue_offsets(step: float, weights: np.ndarray):
-    """Centered integer offsets of the residues d = 0..N-1 times ``step``,
-    and the live residues, those of nonzero weight.
-
-    Integer offsets times ``step`` keep the singular denominators free of
-    wrap cancellation and let the kernel be evaluated away from its
-    wrap-around pole.  weights[0] must be 0: residue 0 is the diagonal,
-    where the kernel is singular.
-    """
-    N = weights.size
-    dy = ((np.arange(N) + N // 2) % N - N // 2) * step
-    return dy, np.flatnonzero(weights)
-
-
-def _assemble_kernel(
+def _assemble(
     kernel: PeriodicKernel,
-    grid: np.ndarray,
+    grid: Optional[np.ndarray],
     step: float,
     weights: np.ndarray,
-    diagonal: np.ndarray,
-) -> np.ndarray:
-    """Matrix with ``diagonal`` on its diagonal and weighted kernel entries.
+    lam: float,
+    ak: Optional[Callable] = None,
+) -> dict:
+    """The collocation matrix as CollocationSystem's storage keyword.
 
-    Entry (i, (i + d) mod N) is weights[d] * K_per(t_i, t_i + dy_d), with
-    t_i = grid[i] and dy_d the centered integer offset of the residue d
-    times ``step``; entries of residues with weight 0 stay 0.  An entry
-    depends on i only through t_i, so the weights, the offsets and their
-    cubes are length-N tables over d, and the kernel is evaluated with the
-    grid as a column against the live offsets as a row.
+    Row i has lam on its diagonal and weights[d] * K_per(t_i, t_i + dy_d)
+    at column (i + d) mod N, t_i = grid[i], dy_d the centered integer offset
+    of the residue d times ``step`` (free of wrap cancellation and away from
+    the wrap-around pole).  weights[0] must be 0: residue 0 is the diagonal.
+    ``ak`` (advanced approach) maps t to A_0..A_3; row i then gains A_0(t_i)
+    on its diagonal and sum_k A_k(t_i) D_N^(k)((i - j) T/N), k = 1, 2, 3.
+
+    A ``psi`` kernel is evaluated once on the live offsets, laid out as the
+    first ``column`` (residue d at row (N - d) mod N), with its A_k read at
+    grid[0]; without ``ak`` the grid is not read and may be None.  A
+    ``centered`` kernel is evaluated with the grid as a column against the
+    live offsets and scattered into the dense ``matrix``.  Both paths take
+    the same float operations, so their matrices are equal bit for bit.
     """
-    N = grid.size
-    dy, live = _residue_offsets(step, weights)
-    kmat = kernel.numerator_centered(grid[:, None], dy[live]) / dy[live] ** 3
+    N = weights.size
+    live = np.flatnonzero(weights)
+    dy = ((live + N // 2) % N - N // 2) * step
+    circulant = kernel.psi is not None
+    # one row of residues for a psi kernel, one per grid point otherwise
+    kmat = kernel.numerator_centered(None if circulant else grid[:, None], dy) / dy**3
     kmat *= weights[live]
-    matrix = np.diag(diagonal)
+    # without ak, the A_k table is A_0 = 0 alone
+    if circulant:
+        acoef = ak(float(grid[0])) if ak is not None else (0.0,)
+        column = np.zeros(N)
+        column[0] = lam + acoef[0]
+        column[-live % N] = kmat
+        for k in range(1, len(acoef)):
+            column += acoef[k] * _cardinal_row(k, N, kernel.period)
+        return {"column": column}
+    amat = np.array([ak(float(t)) for t in grid]) if ak is not None else np.zeros((N, 1))
+    matrix = np.diag(lam + amat[:, 0])
     rows = np.arange(N)[:, None]
     cols = rows + live
     cols[cols >= N] -= N
     matrix[rows, cols] = kmat
-    return matrix
-
-
-def _kernel_column(kernel: PeriodicKernel, step: float, weights: np.ndarray, diagonal: float):
-    """First column of the circulant matrix of a ``psi`` kernel.
-
-    The entries are those of ``_assemble_kernel`` from the same tables:
-    residue d of every row is weights[d] * psi(dy_d) / dy_d^3, and it sits
-    in the first column at row (N - d) mod N.  So psi is evaluated on the
-    live offsets once, N values in all, and the dense matrix built from the
-    column equals the one ``_assemble_kernel`` gives bit for bit.
-    """
-    dy, live = _residue_offsets(step, weights)
-    column = np.zeros(weights.size)
-    column[0] = diagonal
-    column[-live % weights.size] = (
-        np.asarray(kernel.psi(dy[live]), dtype=float) / dy[live] ** 3 * weights[live]
-    )
-    return column
+    for k in range(1, amat.shape[1]):
+        matrix += amat[:, k][:, None] * cardinal_derivative_matrix(k, N, kernel.period)
+    return {"matrix": matrix}
 
 
 def build_simple_system(
@@ -255,18 +246,12 @@ def build_simple_system(
     if n < 2:
         raise ValueError("simple approach needs n >= 2")
     N = 4 * n
-    T = kernel.period
-    hh = (T / n) / 4.0
-    js = np.arange(1, N + 1, dtype=np.int64)
-    grid = kernel.a + js * hh
-    # eps_ij depends only on (j - i) mod 4, and 4 divides N
-    eps = _epsilon_pattern(N)
+    hh = (kernel.period / n) / 4.0
+    grid = kernel.a + np.arange(1, N + 1, dtype=np.int64) * hh
     rhs = np.asarray(w_eval(grid), dtype=float)
-    if kernel.psi is not None:
-        column = _kernel_column(kernel, hh, eps * hh, lam)
-        return CollocationSystem(grid=grid, column=column, rhs=rhs, approach="simple", lam=lam)
-    matrix = _assemble_kernel(kernel, grid, hh, eps * hh, np.full(N, lam))
-    return CollocationSystem(grid=grid, matrix=matrix, rhs=rhs, approach="simple", lam=lam)
+    # eps_ij depends only on (j - i) mod 4, and 4 divides N
+    storage = _assemble(kernel, grid, hh, _epsilon_pattern(N) * hh, lam)
+    return CollocationSystem(grid=grid, rhs=rhs, **storage)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +268,9 @@ def _dirichlet_taylor(n: int, n_terms: int = 10) -> tuple[float, ...]:
     return tuple(float(c) for c in series)
 
 
-def _check_even_n(n: int):
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"odd n unsupported for the cardinal kernel (got n={n})")
-
-
 def _dirichlet_eval(order: int, n: int, y, period: float):
-    _check_even_n(n)
+    if n < 2 or n % 2:
+        raise ValueError(f"the cardinal kernel needs even n >= 2 (got n={n})")
     y = np.asarray(y, dtype=float)
     shape = y.shape
     yw = y - period * np.round(y / period)
@@ -322,7 +303,6 @@ def dirichlet_kernel_deriv(k: int, n: int, y, period: float):
 
 def _cardinal_row(k: int, n: int, period: float) -> np.ndarray:
     """D_n^(k)(j T/n) for j = 0..n-1."""
-    _check_even_n(n)
     offs = np.arange(n, dtype=np.int64) * (period / n)
     return np.asarray(_dirichlet_eval(k, n, offs, period))
 
@@ -336,9 +316,7 @@ def cardinal_derivative_matrix(k: int, n: int, period: float) -> np.ndarray:
     to rules that need them when analytic derivatives are unavailable; note
     the approximation changes the rule's error expansion.
     """
-    row = _cardinal_row(k, n, period)
-    js = np.arange(n, dtype=np.int64)
-    return row[(js[:, None] - js[None, :]) % n]
+    return _circulant(_cardinal_row(k, n, period))
 
 
 # ---------------------------------------------------------------------------
@@ -366,32 +344,17 @@ def build_advanced_system(
     Grid x_j = a + j T/n, j = 0..n-1; matrix
     [lam + A_0(x_i)] delta_ij + h K(x_i,x_j)(1-delta_ij)
     + sum_k A_k(x_i) D_n^(k)(x_i - x_j).  For a ``psi`` kernel the A_k are
-    constants and the matrix is circulant; it is stored as its first
-    column, with the D_n^(k) terms added at the offsets j T/n.
+    constants and the system is stored as its first column.
     """
-    _check_even_n(n)
-    if n < 4:
-        raise ValueError("advanced approach needs even n >= 4")
-    T = kernel.period
-    h = T / n
-    js = np.arange(n, dtype=np.int64)
-    grid = kernel.a + js * h
+    if n < 4 or n % 2:
+        raise ValueError(f"advanced approach needs even n >= 4 (got n={n})")
+    h = kernel.period / n
+    grid = kernel.a + np.arange(n, dtype=np.int64) * h
     weights = np.full(n, h)
     weights[0] = 0.0
     rhs = np.asarray(w_eval(grid), dtype=float)
-    if kernel.psi is not None:
-        acoef = ak_coefficients(kernel, float(grid[0]), h)
-        column = _kernel_column(kernel, h, weights, lam + acoef[0])
-        for k in (1, 2, 3):
-            column += acoef[k] * _cardinal_row(k, n, T)
-        return CollocationSystem(grid=grid, column=column, rhs=rhs, approach="advanced", lam=lam)
-    amat = np.array([ak_coefficients(kernel, float(t), h) for t in grid])
-    matrix = _assemble_kernel(kernel, grid, h, weights, lam + amat[:, 0])
-    for k in (1, 2, 3):
-        matrix += amat[:, k][:, None] * cardinal_derivative_matrix(k, n, T)
-    return CollocationSystem(
-        grid=grid, matrix=matrix, rhs=rhs, approach="advanced", lam=lam
-    )
+    storage = _assemble(kernel, grid, h, weights, lam, ak=lambda t: ak_coefficients(kernel, t, h))
+    return CollocationSystem(grid=grid, rhs=rhs, **storage)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +467,15 @@ def _rule_on_lattice(kernel: PeriodicKernel, n_rule: int, spectrum: np.ndarray, 
     """The (3, 2) compact rule at n_rule at every point of an L-point lattice.
 
     There the rule is the kernel part of the simple system at n_rule, the
-    circulant of ``_kernel_column``, applied to phi's samples (criterion 07
-    checks this row by row), with its 4 n_rule residues spread at stride
-    L/(4 n_rule).  So it is one convolution, done with the real FFT;
+    circulant column ``_assemble`` gives with lam = 0, applied to phi's
+    samples (criterion 07 checks this row by row), with its 4 n_rule
+    residues spread at stride L/(4 n_rule).  So it is one convolution, done with the real FFT;
     ``spectrum`` is the rfft of phi on the lattice.
     """
     M = 4 * n_rule
     hh = (kernel.period / n_rule) / 4.0
     column = np.zeros(L)
-    column[:: L // M] = _kernel_column(kernel, hh, _epsilon_pattern(M) * hh, 0.0)
+    column[:: L // M] = _assemble(kernel, None, hh, _epsilon_pattern(M) * hh, 0.0)["column"]
     return np.fft.irfft(np.fft.rfft(column) * spectrum, L)
 
 

@@ -100,10 +100,14 @@ class TestDirichletKernel:
         )
 
     def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
-            dirichlet_kernel(5, 0.1, TWO_PI)
-        with pytest.raises(ValueError):
-            dirichlet_kernel_deriv(1, 7, 0.1, TWO_PI)
+        # n = 2 is the smallest the cardinal kernel takes
+        assert dirichlet_kernel(2, 0.0, TWO_PI) == 1.0
+        for n in (0, -2, 3, 5, 7):
+            message = rf"the cardinal kernel needs even n >= 2 \(got n={n}\)"
+            with pytest.raises(ValueError, match=message):
+                dirichlet_kernel(n, 0.1, TWO_PI)
+            with pytest.raises(ValueError, match=message):
+                dirichlet_kernel_deriv(1, n, 0.1, TWO_PI)
 
     def test_interpolation_property(self):
         rng = np.random.default_rng(11)
@@ -250,8 +254,10 @@ class TestAdvancedSystem:
 
     def test_odd_n_rejected(self):
         kern = supersingular_cotangent_kernel()
-        with pytest.raises(ValueError):
-            build_advanced_system(kern, lambda x: np.zeros_like(x), 1.0, 7)
+        for n in (0, -2, 2, 3, 7):
+            message = rf"advanced approach needs even n >= 4 \(got n={n}\)"
+            with pytest.raises(ValueError, match=message):
+                build_advanced_system(kern, lambda x: np.zeros_like(x), 1.0, n)
 
 
 class TestSolve:
@@ -718,7 +724,7 @@ class TestConditionPaths:
         matrix = sys_.matrix.copy()
         matrix[3, 5] = np.nextafter(matrix[3, 5], np.inf)
         dense = CollocationSystem(
-            grid=sys_.grid, matrix=matrix, rhs=sys_.rhs, approach="simple", lam=1.0
+            grid=sys_.grid, matrix=matrix, rhs=sys_.rhs
         )
         sol = solve_collocation(dense)
         assert sol.structure == "dense"
@@ -734,7 +740,7 @@ class TestConditionPaths:
         matrix = np.eye(8)
         matrix[where] = np.nan
         system = CollocationSystem(
-            grid=np.arange(8.0), matrix=matrix, rhs=np.ones(8), approach="simple", lam=1.0
+            grid=np.arange(8.0), matrix=matrix, rhs=np.ones(8)
         )
         with pytest.raises(SingularSystemError, match="non-finite"):
             solve_collocation(system)
@@ -744,7 +750,6 @@ def column_system(column):
     N = len(column)
     return CollocationSystem(
         grid=np.arange(float(N)), column=np.asarray(column, float), rhs=np.ones(N),
-        approach="simple", lam=1.0,
     )
 
 
@@ -780,10 +785,10 @@ class TestCirculantSolve:
 
     def test_takes_one_of_matrix_and_column(self):
         with pytest.raises(ValueError, match="exactly one"):
-            CollocationSystem(grid=np.zeros(2), rhs=np.zeros(2), approach="simple", lam=1.0)
+            CollocationSystem(grid=np.zeros(2), rhs=np.zeros(2))
         with pytest.raises(ValueError, match="exactly one"):
             CollocationSystem(
-                grid=np.zeros(2), rhs=np.zeros(2), approach="simple", lam=1.0,
+                grid=np.zeros(2), rhs=np.zeros(2),
                 matrix=np.eye(2), column=np.array([1.0, 0.0]),
             )
 
@@ -810,7 +815,9 @@ class TestCirculantSolve:
         assert info.value.condition == math.inf
 
     @pytest.mark.parametrize(
-        "build, n", [(build_simple_system, 16), (build_advanced_system, 16)]
+        "build, n",
+        [(build_simple_system, n) for n in (2, 5, 16, 64)]
+        + [(build_advanced_system, n) for n in (4, 16, 64)],
     )
     def test_psi_and_u_centered_declarations_agree(self, build, n):
         # the psi and centered declarations of one kernel: the matrices are
