@@ -32,7 +32,6 @@ from .ie_solver import (
     cardinal_derivative_matrix,
     dirichlet_kernel,
     dirichlet_kernel_deriv,
-    epsilon_weight,
     manufactured_rhs,
     solve_collocation,
     supersingular_cotangent_kernel,

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import InsufficientPreFloorDataError
 from .oracles import GeometricKernelCase
 from .quadrature import (
-    COMPACT_PAIRS,
     PeriodicIntegrand,
     RuleSpec,
     roundoff_floor,
@@ -107,7 +106,7 @@ def integrand_norms(
 
 
 def _preferred_path(m: int, s: int) -> str:
-    return "compact" if (m, s) in COMPACT_PAIRS else "generic"
+    return "compact" if s <= m // 2 + 1 else "generic"
 
 
 def convergence_table_for(

@@ -3,10 +3,10 @@
 lambda*phi(t) + FP-integral of K(t,x) phi(x) dx = w(t), with K(t,x) =
 U(t,x)/(x-t)^3 extended T-periodically.  Two discretizations:
 
-* "simple": the derivative-free rule on a grid of 4n points per period,
-  encoded by the integer weight pattern epsilon_ij in {8, -2, 0};
-* "advanced": the n-point corrected rule, with the unknown derivatives of
-  phi expressed through derivatives of the trigonometric cardinal kernel
+* "simple": the derivative-free compact rule (3, 2) on a grid of 4n points
+  per period, the paper's weights epsilon_ij in {8, -2, 0} times T/(4n);
+* "advanced": the n-point corrected rule (3, 0), with the unknown derivatives
+  of phi expressed through derivatives of the trigonometric cardinal kernel
   D_n, so the system stays n-by-n.
 """
 
@@ -28,13 +28,12 @@ from .errors import (
     SingularSystemError,
 )
 from .integrands import _series_mul, kernel_factor_series, numerator_factor, numerator_factor_derivs
-from .quadrature import PeriodicIntegrand, RuleSpec, _wrap, roundoff_floor, t_hat
+from .quadrature import CompactRule, PeriodicIntegrand, RuleSpec, _wrap, compact_rule, roundoff_floor, t_hat
 
 __all__ = [
     "PeriodicKernel",
     "CollocationSystem",
     "CollocationSolution",
-    "epsilon_weight",
     "build_simple_system",
     "cardinal_derivative_matrix",
     "dirichlet_kernel",
@@ -73,7 +72,7 @@ class PeriodicKernel:
     y-derivative of the numerator K_per(t, t+y) * y^3 at y = 0, k = 0..3;
     the advanced discretization requires them.  For a ``psi`` kernel they
     are the constants psi^(k)(0), and the advanced builder reads them at
-    its first grid point.
+    t = a, its first grid point.
     """
 
     a: float
@@ -163,67 +162,54 @@ class CollocationSolution:
 # ---------------------------------------------------------------------------
 
 
-def epsilon_weight(i: int, j: int) -> int:
-    """Quadrature weight pattern: 8, -2 or 0 depending on i - j.
-
-    8 when |i-j-2| is divisible by 4, -2 when |i-j-1| is divisible by 2,
-    0 otherwise; in particular the diagonal weight is 0, so the kernel is
-    never evaluated at its singular point.
-    """
-    if abs(i - j - 2) % 4 == 0:
-        return 8
-    if abs(i - j - 1) % 2 == 0:
-        return -2
-    return 0
-
-
-def _epsilon_pattern(N: int) -> np.ndarray:
-    """epsilon_weight(0, d) for the residues d = 0..N-1, as one array."""
-    d = np.arange(N)
-    return np.where(d % 4 == 2, 8, np.where(d % 2 == 1, -2, 0))
+def _residue_weights(rule: CompactRule, N: int, h: float) -> np.ndarray:
+    """Weights on the residues d = 0..N-1, the offsets d h/2^s: level l >= 1 on
+    the odd multiples of 2^(s-l), level 0 on the nonzero multiples of 2^s."""
+    weights = np.zeros(N)
+    for level, weight in rule.families:
+        first = 2 ** (rule.s - level)
+        weights[first :: 2 * first if level else first] = float(weight) * h
+    return weights
 
 
 def _assemble(
-    kernel: PeriodicKernel,
-    grid: Optional[np.ndarray],
-    step: float,
-    weights: np.ndarray,
-    lam: float,
-    ak: Optional[Callable] = None,
+    kernel: PeriodicKernel, grid: Optional[np.ndarray], rule: CompactRule, n: int, lam: float
 ) -> dict:
-    """The collocation matrix as CollocationSystem's storage keyword.
+    """``rule`` at n on N = 2^s n grid points as CollocationSystem's storage keyword.
 
     Row i has lam on its diagonal and weights[d] * K_per(t_i, t_i + dy_d)
-    at column (i + d) mod N, t_i = grid[i], dy_d the centered integer offset
-    of the residue d times ``step`` (free of wrap cancellation and away from
-    the wrap-around pole).  weights[0] must be 0: residue 0 is the diagonal.
-    ``ak`` (advanced approach) maps t to A_0..A_3; row i then gains A_0(t_i)
-    on its diagonal and sum_k A_k(t_i) D_N^(k)((i - j) T/N), k = 1, 2, 3.
+    at column (i + d) mod N, t_i = grid[i], with ``_residue_weights`` and
+    dy_d the centered integer offset of the residue d times h/2^s (free of
+    wrap cancellation and away from the wrap-around pole).  A rule with
+    derivative corrections (the advanced approach) adds, by ``_ak_rows``,
+    A_0(t_i) on the diagonal and sum_k A_k(t_i) D_N^(k)((i - j) T/N).
 
     A ``psi`` kernel is evaluated once on the live offsets, laid out as the
     first ``column`` (residue d at row (N - d) mod N), with its A_k read at
-    grid[0]; without ``ak`` the grid is not read and may be None.  A
+    t = a; the grid is not read and may be None.  A
     ``centered`` kernel is evaluated with the grid as a column against the
     live offsets and scattered into the dense ``matrix``.  Both paths take
     the same float operations, so their matrices are equal bit for bit.
     """
-    N = weights.size
+    h = kernel.period / n
+    N = 2**rule.s * n
+    weights = _residue_weights(rule, N, h)
     live = np.flatnonzero(weights)
-    dy = ((live + N // 2) % N - N // 2) * step
+    dy = ((live + N // 2) % N - N // 2) * (h / 2**rule.s)
     circulant = kernel.psi is not None
     # one row of residues for a psi kernel, one per grid point otherwise
     kmat = kernel.numerator_centered(None if circulant else grid[:, None], dy) / dy**3
     kmat *= weights[live]
-    # without ak, the A_k table is A_0 = 0 alone
+    # A_k per grid point, once at t = a for a psi kernel; without corrections A_0 = 0 alone
+    ts = [kernel.a] if circulant else grid
+    amat = _ak_rows(kernel, ts, rule, h) if rule.deriv_corrections else np.zeros((len(ts), 1))
     if circulant:
-        acoef = ak(float(grid[0])) if ak is not None else (0.0,)
         column = np.zeros(N)
-        column[0] = lam + acoef[0]
+        column[0] = lam + amat[0, 0]
         column[-live % N] = kmat
-        for k in range(1, len(acoef)):
-            column += acoef[k] * _cardinal_row(k, N, kernel.period)
+        for k in range(1, amat.shape[1]):
+            column += amat[0, k] * _cardinal_row(k, N, kernel.period)
         return {"column": column}
-    amat = np.array([ak(float(t)) for t in grid]) if ak is not None else np.zeros((N, 1))
     matrix = np.diag(lam + amat[:, 0])
     rows = np.arange(N)[:, None]
     cols = rows + live
@@ -234,10 +220,21 @@ def _assemble(
     return {"matrix": matrix}
 
 
+def _system(kernel, w_eval, grid, rule, n, lam) -> CollocationSystem:
+    """The system of ``rule`` at n on ``grid``; w_eval(grid) must be one finite value per point."""
+    rhs = np.asarray(w_eval(grid), dtype=float)
+    if rhs.shape != grid.shape:
+        raise EvaluationError(f"rhs has shape {rhs.shape}, the grid has shape {grid.shape}")
+    if not np.isfinite(rhs).all():
+        i = int(np.flatnonzero(~np.isfinite(rhs))[0])
+        raise EvaluationError(f"rhs is not finite at grid point {i} (x={float(grid[i])!r})")
+    return CollocationSystem(grid=grid, rhs=rhs, **_assemble(kernel, grid, rule, n, lam))
+
+
 def build_simple_system(
     kernel: PeriodicKernel, w_eval: Callable, lam: float, n: int
 ) -> CollocationSystem:
-    """Collocation system of the derivative-free rule on 4n grid points.
+    """Collocation system of the derivative-free rule (3, 2) on 4n grid points.
 
     Grid x_j = a + j*hhat, hhat = T/(4n), j = 1..4n; entries
     eps_ij * hhat * K(x_i, x_j) + lam on the diagonal pattern.  A ``psi``
@@ -245,13 +242,9 @@ def build_simple_system(
     """
     if n < 2:
         raise ValueError("simple approach needs n >= 2")
-    N = 4 * n
     hh = (kernel.period / n) / 4.0
-    grid = kernel.a + np.arange(1, N + 1, dtype=np.int64) * hh
-    rhs = np.asarray(w_eval(grid), dtype=float)
-    # eps_ij depends only on (j - i) mod 4, and 4 divides N
-    storage = _assemble(kernel, grid, hh, _epsilon_pattern(N) * hh, lam)
-    return CollocationSystem(grid=grid, rhs=rhs, **storage)
+    grid = kernel.a + np.arange(1, 4 * n + 1, dtype=np.int64) * hh
+    return _system(kernel, w_eval, grid, compact_rule(3, 2), n, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +294,13 @@ def dirichlet_kernel_deriv(k: int, n: int, y, period: float):
     return _dirichlet_eval(k, n, y, period)
 
 
+@lru_cache(maxsize=64)
 def _cardinal_row(k: int, n: int, period: float) -> np.ndarray:
-    """D_n^(k)(j T/n) for j = 0..n-1."""
+    """D_n^(k)(j T/n) for j = 0..n-1, read-only: every n-point build reads it."""
     offs = np.arange(n, dtype=np.int64) * (period / n)
-    return np.asarray(_dirichlet_eval(k, n, offs, period))
+    row = np.asarray(_dirichlet_eval(k, n, offs, period))
+    row.flags.writeable = False
+    return row
 
 
 def cardinal_derivative_matrix(k: int, n: int, period: float) -> np.ndarray:
@@ -324,22 +320,29 @@ def cardinal_derivative_matrix(k: int, n: int, period: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _ak_rows(kernel: PeriodicKernel, ts, rule: CompactRule, h: float) -> np.ndarray:
+    """Row i: A_0..A_3 at ts[i], m = 3.  By Leibniz the correction
+    coef pi^(m-order) (U phi)^(order)(t) h^(1-m+order) puts binom(order, k) of
+    itself on U_(order-k) phi^(k), A_k = sum_j C[k, j] U_j, summed in order of j."""
+    table = np.zeros((4, 4))
+    for order, coef in rule.deriv_corrections:
+        scale = float(coef) * math.pi ** (rule.m - order) * h ** (1 - rule.m + order)
+        for k in range(order + 1):
+            table[k, order - k] = math.comb(order, k) * scale
+    u = np.array([kernel.diag_derivs(float(t)) for t in ts])
+    return (u[:, :, None] * table.T).sum(axis=1)
+
+
 def ak_coefficients(kernel: PeriodicKernel, t: float, h: float):
     """Coefficients A_0..A_3 multiplying phi(t), phi'(t), phi''(t), phi'''(t)
-    in the corrected rule applied to K(t,.)phi."""
-    u0, u1, u2, u3 = kernel.diag_derivs(t)
-    pi2_3 = math.pi**2 / 3.0
-    a0 = -pi2_3 * u1 / h + u3 * h / 6.0
-    a1 = -pi2_3 * u0 / h + u2 * h / 2.0
-    a2 = u1 * h / 2.0
-    a3 = u0 * h / 6.0
-    return a0, a1, a2, a3
+    in the corrected rule, compact rule (3, 0), applied to K(t,.)phi."""
+    return tuple(_ak_rows(kernel, [t], compact_rule(3, 0), h)[0].tolist())
 
 
 def build_advanced_system(
     kernel: PeriodicKernel, w_eval: Callable, lam: float, n: int
 ) -> CollocationSystem:
-    """n-point collocation system of the corrected rule, n even >= 4.
+    """n-point collocation system of the corrected rule (3, 0), n even >= 4.
 
     Grid x_j = a + j T/n, j = 0..n-1; matrix
     [lam + A_0(x_i)] delta_ij + h K(x_i,x_j)(1-delta_ij)
@@ -350,11 +353,7 @@ def build_advanced_system(
         raise ValueError(f"advanced approach needs even n >= 4 (got n={n})")
     h = kernel.period / n
     grid = kernel.a + np.arange(n, dtype=np.int64) * h
-    weights = np.full(n, h)
-    weights[0] = 0.0
-    rhs = np.asarray(w_eval(grid), dtype=float)
-    storage = _assemble(kernel, grid, h, weights, lam, ak=lambda t: ak_coefficients(kernel, t, h))
-    return CollocationSystem(grid=grid, rhs=rhs, **storage)
+    return _system(kernel, w_eval, grid, compact_rule(3, 0), n, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +471,8 @@ def _rule_on_lattice(kernel: PeriodicKernel, n_rule: int, spectrum: np.ndarray, 
     residues spread at stride L/(4 n_rule).  So it is one convolution, done with the real FFT;
     ``spectrum`` is the rfft of phi on the lattice.
     """
-    M = 4 * n_rule
-    hh = (kernel.period / n_rule) / 4.0
     column = np.zeros(L)
-    column[:: L // M] = _assemble(kernel, None, hh, _epsilon_pattern(M) * hh, 0.0)["column"]
+    column[:: L // (4 * n_rule)] = _assemble(kernel, None, compact_rule(3, 2), n_rule, 0.0)["column"]
     return np.fft.irfft(np.fft.rfft(column) * spectrum, L)
 
 

@@ -164,15 +164,16 @@ class CompactRule:
     deriv_corrections: tuple[tuple[int, Fraction], ...]
 
 
-#: s runs up to m//2 + 1, the first derivative-free level: the corrections
-#: scale as h^1, h^-1, ..., h^(1 - 2(m//2)) and each level removes one power.
-#: m stops at 4 because hfpbench's paper-tables mix is this set.
+#: The compact pairs with m <= 4, kept because hfpbench's paper-tables mix
+#: is taken from this set; every m >= 1 has the levels s = 0..m//2 + 1.
 COMPACT_PAIRS = frozenset((m, s) for m in range(1, 5) for s in range(m // 2 + 2))
 
 
 def max_compact_level(m: int) -> int:
-    """Largest s with a compact rule for this m: the first derivative-free level."""
-    if (m, 0) not in COMPACT_PAIRS:
+    """Largest s with a compact rule for this m, the first derivative-free
+    level: the corrections scale as h^1, h^-1, ..., h^(1 - 2(m//2)) and each
+    level removes one power."""
+    if m < 1:
         raise ValueError(f"no compact rules for m={m}")
     return m // 2 + 1
 
@@ -190,19 +191,11 @@ def compact_rule(m: int, s: int) -> CompactRule:
     coefficient is the base one times sum_k alpha_k 2^(-k(1-2j)), which
     vanishes for the powers the extrapolation has eliminated.
     """
-    if (m, s) not in COMPACT_PAIRS:
-        raise ValueError(
-            f"no compact rule for (m={m}, s={s}); pairs: "
-            f"{sorted(COMPACT_PAIRS)}"
-        )
+    if not 0 <= s <= max_compact_level(m):
+        raise ValueError(f"no compact rule for (m={m}, s={s}); s runs 0..m//2 + 1")
     alpha = extrapolation_weights(s).alpha
-    if s == 0:
-        families = ((0, Fraction(1)),)
-    else:
-        families = tuple(
-            (level, sum(alpha[k] / 2**k for k in range(level, s + 1)))
-            for level in range(1, s + 1)
-        )
+    weights = ((level, sum(alpha[k] / 2**k for k in range(level, s + 1))) for level in range(s + 1))
+    families = tuple((level, w) for level, w in weights if w)
     corrections = []
     for i in range(m // 2 + 1):
         order, j = 2 * i + m % 2, m // 2 - i
@@ -235,7 +228,7 @@ class RuleSpec:
             raise ValueError("require m >= 1, s >= 0, n >= 1")
         if self.s == 0 and self.n < 2:
             raise ValueError("base rule needs n >= 2")
-        if self.path == "compact" and (self.m, self.s) not in COMPACT_PAIRS:
+        if self.path == "compact" and self.s > self.m // 2 + 1:
             raise ValueError(f"(m={self.m}, s={self.s}) has no compact form")
 
 
@@ -280,15 +273,15 @@ def plain_trap_sum(integrand: PeriodicIntegrand, n: int) -> float:
 
 
 def midpoint_sum(integrand: PeriodicIntegrand, n: int, level: int = 1) -> float:
-    """Offset sums used by the extrapolated rules.
+    """Offset sums used by the extrapolated rules, level >= 1.
 
     level=1: h * sum_{j=1}^{n} f(t + jh - h/2)
-    level=2: (h/2) * sum_{j=1}^{2n} f(t + jh/2 - h/4)
+    level=l: (h/2^(l-1)) * sum_{j=1}^{2^(l-1) n} f(t + jh/2^(l-1) - h/2^l)
     """
     if n < 1:
         raise ValueError("midpoint sum needs n >= 1")
-    if level not in (1, 2):
-        raise ValueError("level must be 1 or 2")
+    if level < 1:
+        raise ValueError("level must be >= 1")
     return _family_sum(integrand, n, level, Fraction(1, 2 ** (level - 1)))
 
 

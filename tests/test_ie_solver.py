@@ -20,23 +20,22 @@ from hfpquad.ie_solver import (
     _RHS_BLOCK,
     CollocationSystem,
     PeriodicKernel,
-    _epsilon_pattern,
     _grid_indices,
     _kernel_slice_integrand,
+    _residue_weights,
     ak_coefficients,
     build_advanced_system,
     build_simple_system,
     cardinal_derivative_matrix,
     dirichlet_kernel,
     dirichlet_kernel_deriv,
-    epsilon_weight,
     manufactured_rhs,
     solve_collocation,
     supersingular_cotangent_kernel,
 )
 from hfpquad.integrands import PoissonKernelU, numerator_factor, numerator_factor_derivs
 from hfpquad.oracles import exact_supersingular, fourier_mode_hfp
-from hfpquad.quadrature import RuleSpec, roundoff_floor, t_hat
+from hfpquad.quadrature import RuleSpec, compact_rule, roundoff_floor, t_hat
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,12 +52,27 @@ def constant_kernel(value=1.0, a=-math.pi, b=math.pi):
     )
 
 
+def epsilon_weight(i: int, j: int) -> int:
+    """The paper's weight pattern of the simple system, in units of T/(4n):
+    8 when |i-j-2| is divisible by 4, -2 when |i-j-1| is divisible by 2, 0
+    otherwise (the diagonal among them)."""
+    if abs(i - j - 2) % 4 == 0:
+        return 8
+    if abs(i - j - 1) % 2 == 0:
+        return -2
+    return 0
+
+
 class TestEpsilonWeights:
     def test_examples(self):
         assert epsilon_weight(5, 3) == 8  # i - j = 2
         assert epsilon_weight(4, 4) == 0  # diagonal
         assert epsilon_weight(4, 3) == -2  # i - j = 1
         assert epsilon_weight(7, 3) == 0  # i - j = 4
+        # the (3, 2) rule's families on the residues d = j - i, in units of h/4
+        hh = 0.25
+        weights = _residue_weights(compact_rule(3, 2), 12, 4 * hh) / hh
+        assert [weights[d % 12] for d in (-2, 0, -1, -4)] == [8, 0, -2, 0]
 
     def test_branch_disjointness_and_row_sums(self):
         n = 5
@@ -80,9 +94,12 @@ class TestEpsilonWeights:
             assert row.count(-2) == 2 * n
 
     def test_pattern_array_matches_scalar_weight(self):
-        pattern = _epsilon_pattern(256)
-        assert pattern.shape == (256,)
-        assert np.array_equal(pattern, [epsilon_weight(0, d) for d in range(256)])
+        # the simple system's weights, read from compact_rule(3, 2), are the
+        # literal pattern times hhat = h/4, bit for bit
+        h = TWO_PI / 64
+        weights = _residue_weights(compact_rule(3, 2), 256, h)
+        assert weights.shape == (256,)
+        assert np.array_equal(weights, [epsilon_weight(0, d) * (h / 4.0) for d in range(256)])
 
 
 class TestDirichletKernel:
@@ -258,6 +275,34 @@ class TestAdvancedSystem:
             message = rf"advanced approach needs even n >= 4 \(got n={n}\)"
             with pytest.raises(ValueError, match=message):
                 build_advanced_system(kern, lambda x: np.zeros_like(x), 1.0, n)
+
+
+class TestBadRhs:
+    """Both builders take one finite right-hand side value per grid point."""
+
+    BUILDS = [(build_simple_system, 4), (build_advanced_system, 8)]
+
+    @pytest.mark.parametrize("build, n", BUILDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_names_the_first_point(self, build, n, bad):
+        def w(x):
+            out = np.cos(x)
+            out[[3, 5]] = bad
+            return out
+
+        kern = supersingular_cotangent_kernel()
+        x3 = float(build(kern, np.cos, 1.0, n).grid[3])
+        with pytest.raises(EvaluationError, match=re.escape(f"grid point 3 (x={x3!r})")):
+            build(kern, w, 1.0, n)
+
+    @pytest.mark.parametrize("build, n", BUILDS)
+    @pytest.mark.parametrize("w", [lambda x: 1.0, lambda x: np.cos(x)[:-1]], ids=["scalar", "short"])
+    def test_wrong_shape_names_both_shapes(self, build, n, w):
+        kern = supersingular_cotangent_kernel()
+        N = build(kern, np.cos, 1.0, n).grid.size
+        shapes = f"shape {np.shape(w(np.zeros(N)))}, the grid has shape {(N,)}"
+        with pytest.raises(EvaluationError, match=re.escape(shapes)):
+            build(kern, w, 1.0, n)
 
 
 class TestSolve:

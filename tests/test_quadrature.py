@@ -17,7 +17,7 @@ from hfpquad.integrands import (
     random_trig_polynomial,
     singular_periodic_integrand,
 )
-from hfpquad.oracles import GeometricKernelCase
+from hfpquad.oracles import GeometricKernelCase, hfp_reference
 from hfpquad.quadrature import (
     COMPACT_PAIRS,
     CompactRule,
@@ -109,6 +109,16 @@ class TestNodeSums:
                 midpoint_sum(integ, 2 * n, level=1), rel=1e-14
             )
 
+    def test_deeper_levels_equal_level1(self):
+        # level l at n is level 1 at 2^(l-1) n; the rules with m >= 5 use
+        # levels up to m//2 + 1
+        integ = cosec2_integrand()
+        for level in (3, 4):
+            for n in (1, 3, 6):
+                assert midpoint_sum(integ, n, level=level) == pytest.approx(
+                    midpoint_sum(integ, 2 ** (level - 1) * n, level=1), rel=1e-14
+                )
+
     def test_midpoint_odd_kernel_vanishes(self):
         integ = supersingular_one()
         assert midpoint_sum(integ, 6, level=1) == pytest.approx(0.0, abs=1e-11)
@@ -120,7 +130,7 @@ class TestNodeSums:
         with pytest.raises(ValueError):
             midpoint_sum(integ, 0)
         with pytest.raises(ValueError):
-            midpoint_sum(integ, 4, level=3)
+            midpoint_sum(integ, 4, level=0)
 
     @staticmethod
     def mixed_sign_terms(size):
@@ -292,14 +302,17 @@ class TestCompactRules:
             (4, 2),
             (4, 3),
         }
+        # every m >= 1 has rules s = 0..m//2 + 1; the set is the m <= 4 ones
         assert max_compact_level(1) == 1
         assert max_compact_level(4) == 3
+        assert max_compact_level(6) == 4
+        assert compact_rule(6, 4).deriv_corrections == ()
         with pytest.raises(ValueError):
-            compact_rule(5, 0)
+            compact_rule(0, 0)
         with pytest.raises(ValueError):
             compact_rule(2, 3)
         with pytest.raises(ValueError):
-            max_compact_level(5)
+            max_compact_level(0)
 
     def test_m2_s1_descriptor(self):
         rule = compact_rule(2, 1)
@@ -393,6 +406,48 @@ class TestTHat:
             ]
             scale = max(max(abs(p) for p in parts), 1e-30)
             assert abs(compact_val - math.fsum(parts)) <= 50 * 2**-53 * scale * 10
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_compact_equals_generic_above_m4(self, m):
+        # criterion 06's draws for the orders above the paper's.  Its
+        # tolerance relative to the values alone does not cover the rounding
+        # here, which grows like (N/T)^(m-1) on the finest grid N = 2^s n:
+        # the absolute part is 100 x the roundoff floor, a model of m = 3,
+        # scaled by (N/T)^(m-3), as in the property tests
+        rng = np.random.default_rng(7)
+        for s in range(1, max_compact_level(m) + 1):
+            for _ in range(10):
+                u = random_trig_polynomial(rng, degree=6)
+                t = float(rng.uniform(-1.5, 1.5))
+                n = int(rng.choice([6, 8, 10, 12]))
+                integ = singular_periodic_integrand(u, m=m, t=t, n_derivs=m)
+                compact_val = t_hat(RuleSpec(m, s, n, path="compact"), integ)
+                parts = [
+                    float(w) * t_hat(RuleSpec(m, 0, (2**k) * n), integ)
+                    for k, w in enumerate(extrapolation_weights(s).alpha)
+                ]
+                combo = math.fsum(parts)
+                scale = max(abs(compact_val), abs(combo), max(abs(p) for p in parts))
+                N = 2**s * n
+                floor = roundoff_floor(*integrand_norms(integ), TWO_PI, N) * (N / TWO_PI) ** (m - 3)
+                assert abs(compact_val - combo) <= 100 * floor + 1e-12 * scale
+
+    def test_m5_matches_reference(self):
+        # criterion 05's tolerance at n <= 10: the rule's rounding grows like
+        # (2^s n)^(m-1), and at m = 6 hfp_reference does not always reach
+        # its 1e-10 tolerance
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            u = random_trig_polynomial(rng, degree=6)
+            t = float(rng.uniform(-2.0, 2.0))
+            integ = singular_periodic_integrand(u, m=5, t=t, n_derivs=12)
+            ref = hfp_reference(
+                integ.g_eval, integ.g_derivs_at_t, 5, integ.a, integ.b, t, smoothing=6
+            )
+            for s in range(max_compact_level(5) + 1):
+                for n in (8, 10):
+                    val = t_hat(RuleSpec(5, s, n, path="compact"), integ)
+                    assert abs(val - ref) <= 1e-8 * max(1.0, abs(ref))
 
     def test_base_rule_decay_beats_n8(self):
         # corrected plain sum converges faster than n^-8 before the floor
