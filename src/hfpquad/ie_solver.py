@@ -216,7 +216,9 @@ def _assemble(
     cols[cols >= N] -= N
     matrix[rows, cols] = kmat
     for k in range(1, amat.shape[1]):
-        matrix += amat[:, k][:, None] * cardinal_derivative_matrix(k, N, kernel.period)
+        # a column of zeros (A_2 of the t-dependent and cotangent kernels) adds nothing
+        if amat[:, k].any():
+            matrix += amat[:, k][:, None] * cardinal_derivative_matrix(k, N, kernel.period)
     return {"matrix": matrix}
 
 

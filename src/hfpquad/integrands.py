@@ -278,11 +278,12 @@ def singular_periodic_integrand(
         x = np.asarray(x, dtype=float)
         return numerator_factor(m, x - t, period) * np.asarray(u(x), dtype=float)
 
+    u0 = [float(u.deriv(k, t)) for k in range(n_derivs + 1)]
     derivs = []
     for i in range(n_derivs + 1):
         acc = 0.0
         for j in range(0, i + 1, 2):  # odd psi derivatives vanish
-            acc += math.comb(i, j) * psi0[j] * float(u.deriv(i - j, t))
+            acc += math.comb(i, j) * psi0[j] * u0[i - j]
         derivs.append(acc)
 
     return PeriodicIntegrand(

@@ -137,16 +137,20 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_integrate(fn, breakpoints, panels_per_seg, order=16):
+    """Gauss panels on every segment, with one fn call on all their nodes.
+
+    ``fn`` must be elementwise; math.fsum is exactly rounded, so the sum
+    does not depend on the order of the terms.
+    """
     xs, ws = _gauss_nodes(order)
-    pieces = []
+    nodes, weights = [], []
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         edges = np.linspace(lo, hi, panels_per_seg + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-        weights = (half[:, None] * ws[None, :]).ravel()
-        pieces.append(weights * fn(nodes))
-    return math.fsum(np.concatenate(pieces))
+        nodes.append((mid[:, None] + half[:, None] * xs[None, :]).ravel())
+        weights.append((half[:, None] * ws[None, :]).ravel())
+    return math.fsum(np.concatenate(weights) * fn(np.concatenate(nodes)))
 
 
 def hfp_reference(

@@ -10,6 +10,7 @@ extra function evaluations, down to fully derivative-free forms.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .em_constants import zeta_at, zeta_even_rational
-from .errors import DerivativesRequiredError, EvaluationError
+from .errors import DerivativesRequiredError, EvaluationError, HfpquadError
 
 __all__ = [
     "PeriodicIntegrand",
@@ -111,15 +112,9 @@ def _wrap(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.where(out >= b, out - T, out)
 
 
-def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
-    """g at the nodes x: an array of x's shape, or (P, *x.shape) for a vector g.
-
-    An evaluator that raises or returns another shape gives EvaluationError;
-    a non-finite value gives one carrying the index of the first offending
-    node.  A vector g with ``g_derivs_at_t`` raises ValueError: the
-    derivative corrections are scalars and would be applied to every row
-    alike.
-    """
+def _call_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
+    """g_eval(x) as floats of shape x.shape or (P, *x.shape); an evaluator
+    that raises or returns another shape gives EvaluationError."""
     try:
         vals = np.asarray(integrand.g_eval(x), dtype=float)
     except Exception as exc:
@@ -128,6 +123,18 @@ def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
         raise EvaluationError(
             f"integrand evaluator returned shape {vals.shape} for nodes of shape {x.shape}"
         )
+    return vals
+
+
+def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
+    """g at the nodes x: an array of x's shape, or (P, *x.shape) for a vector g.
+
+    Besides ``_call_g``'s checks, a non-finite value gives EvaluationError
+    carrying the index of the first offending node.  A vector g with
+    ``g_derivs_at_t`` raises ValueError: the derivative corrections are
+    scalars and would be applied to every row alike.
+    """
+    vals = _call_g(integrand, x)
     if vals.ndim > x.ndim and integrand.g_derivs_at_t is not None:
         raise ValueError("a vector-valued g carries no g derivatives")
     if not np.all(np.isfinite(vals)):
@@ -393,6 +400,43 @@ def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
         )
         vals.append(float(w) * (plain - corrections[k]))
     return math.fsum(vals)
+
+
+def _rule_nodes(spec: RuleSpec, integrand: PeriodicIntegrand) -> list[np.ndarray]:
+    """The wrapped node arrays on which ``t_hat(spec, integrand)`` evaluates g."""
+    if spec.path == "compact":
+        families = compact_rule(spec.m, spec.s).families
+        return [_family_nodes(integrand, spec.n, level)[1] for level, _ in families]
+    return [_family_nodes(integrand, 2**spec.s * spec.n, 0)[1]]
+
+
+def _prefetch_g(integrand: PeriodicIntegrand, specs) -> PeriodicIntegrand:
+    """``integrand`` with g served from one evaluation on every node array of ``specs``.
+
+    g is called once, on the concatenation of the distinct arrays
+    ``_rule_nodes`` gives for the specs, and the served g_eval returns the
+    slice of an array with the same bytes.  So t_hat(spec, served) equals
+    t_hat(spec, integrand) bit for bit when g is elementwise (a node's value
+    does not depend on the other nodes of the call), as the evaluators of
+    ``integrands`` are.  Nodes that were not prefetched raise HfpquadError.
+    The non-finite check is left to each rule's own ``_eval_g``, so an error
+    names the node and index a direct t_hat call would name.
+    """
+    arrays = {}
+    for spec in specs:
+        for x in _rule_nodes(spec, integrand):
+            arrays.setdefault(x.tobytes(), x)
+    vals = _call_g(integrand, np.concatenate(list(arrays.values())))
+    bounds = np.cumsum([0] + [x.size for x in arrays.values()]).tolist()
+    served = {key: vals[..., lo:hi] for key, lo, hi in zip(arrays, bounds, bounds[1:])}
+
+    def g_eval(x):
+        try:
+            return served[np.asarray(x, dtype=float).tobytes()]
+        except KeyError:
+            raise HfpquadError(f"g was not prefetched at these {np.size(x)} nodes") from None
+
+    return dataclasses.replace(integrand, g_eval=g_eval)
 
 
 def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):

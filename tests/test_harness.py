@@ -1,19 +1,24 @@
 """Convergence tables, rate fits, floor checks."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from hfpquad.errors import InsufficientPreFloorDataError
+from hfpquad.errors import EvaluationError, HfpquadError, InsufficientPreFloorDataError
 from hfpquad.harness import (
     ConvergenceReport,
     ReportRow,
     convergence_table,
+    convergence_table_for,
     empirical_rate,
     floor_check,
     integrand_norms,
 )
+from hfpquad.integrands import TrigPolynomial, singular_periodic_integrand
 from hfpquad.oracles import GeometricKernelCase
+from hfpquad.quadrature import RuleSpec, _family_nodes, _prefetch_g, t_hat
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,6 +70,58 @@ class TestConvergenceTable:
             if prev is not None:
                 assert row.error < prev
             prev = row.error
+
+
+class TestTableEvaluatesGOnce:
+    U = TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4))
+
+    @pytest.mark.parametrize("path", ["compact", "generic"])
+    def test_one_g_call(self, path):
+        integ = singular_periodic_integrand(self.U, m=3, t=0.4)
+        calls = []
+        g = integ.g_eval
+        counted = dataclasses.replace(integ, g_eval=lambda x: calls.append(x.size) or g(x))
+        rep = convergence_table_for(counted, 0.0, "zero", 2, [30, 10, 20, 10], path=path)
+        assert len(calls) == 2  # the table's one pass and integrand_norms' samples
+        for row in rep.rows:
+            assert row.value == t_hat(RuleSpec(3, 2, row.n, path=path), integ)
+
+    def test_non_finite_g_in_one_row_names_its_node(self):
+        integ = singular_periodic_integrand(self.U, m=4, t=0.4)
+        # a node of the n = 30 row only: 7T/240 is on no grid of n = 10 or 20
+        # (multiples of T/160)
+        bad = float(_family_nodes(integ, 30, 3)[1][3])
+        g = integ.g_eval
+
+        def nan_at_bad(x):
+            return np.where(x == bad, np.nan, g(x))
+
+        broken = dataclasses.replace(integ, g_eval=nan_at_bad)
+        spec = RuleSpec(4, 3, 30, path="compact")
+        with pytest.raises(EvaluationError) as direct:
+            t_hat(spec, broken)
+        with pytest.raises(EvaluationError) as table:
+            convergence_table_for(broken, 0.0, "zero", 3, [10, 20, 30, 40])
+        assert table.value.node_x == direct.value.node_x == bad
+        assert table.value.node_index == direct.value.node_index
+        # the rows before it are fine
+        convergence_table_for(broken, 0.0, "zero", 3, [10, 20])
+
+    def test_nodes_not_prefetched_raise(self):
+        integ = singular_periodic_integrand(self.U, m=3, t=0.4)
+        served = _prefetch_g(integ, [RuleSpec(3, 2, 10, path="compact")])
+        assert t_hat(RuleSpec(3, 2, 10, path="compact"), served) == t_hat(
+            RuleSpec(3, 2, 10, path="compact"), integ
+        )
+        with pytest.raises(HfpquadError, match="not prefetched"):
+            served.g_eval(np.array([0.4, 1.0]))
+        with pytest.raises(HfpquadError, match="not prefetched"):
+            t_hat(RuleSpec(3, 2, 12, path="compact"), served)
+
+    def test_empty_n_list(self):
+        integ = singular_periodic_integrand(self.U, m=3, t=0.4)
+        with pytest.raises(ValueError, match="empty"):
+            convergence_table_for(integ, 0.0, "zero", 2, [])
 
 
 class TestEmpiricalRate:

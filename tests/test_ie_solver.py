@@ -744,6 +744,23 @@ class TestAssemblyOracle:
         assert np.all(np.isfinite(want))
         assert np.array_equal(got, want)
 
+    # A_2 of these kernels is identically zero: its D^(2) term is skipped,
+    # which leaves the matrix == (up to the sign of zero)
+    @pytest.mark.parametrize("kernel_name", ["cotangent_by_centered", "t_dependent"])
+    def test_dense_skips_zero_ak_column(self, monkeypatch, kernel_name):
+        orders = []
+        real = ie_solver.cardinal_derivative_matrix
+
+        def counted(k, n, period):
+            orders.append(k)
+            return real(k, n, period)
+
+        monkeypatch.setattr(ie_solver, "cardinal_derivative_matrix", counted)
+        kern = ORACLE_KERNELS[kernel_name]()
+        got = build_advanced_system(kern, lambda x: np.zeros_like(x), 0.7, 16).matrix
+        assert orders == [1, 3]
+        assert np.array_equal(got, reference_advanced_matrix(kern, 0.7, 16))
+
 
 class TestConditionPaths:
     @pytest.mark.parametrize(

@@ -174,6 +174,30 @@ class TestIntegrandFactory:
                + vals[3] * (4 / 3) + vals[4] * (-1 / 12)) / h**2
         assert integ.g_derivs_at_t[2] == pytest.approx(fd2, rel=1e-6)
 
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    def test_leibniz_derivs_one_u_call_per_order(self, m):
+        u = random_trig_polynomial(np.random.default_rng(m), degree=5)
+        orders = []
+
+        class Counted:
+            def __call__(self, x):
+                return u(x)
+
+            def deriv(self, order, x):
+                orders.append(order)
+                return u.deriv(order, x)
+
+        n_derivs = m + 7
+        t = 0.7
+        integ = singular_periodic_integrand(Counted(), m=m, t=t, n_derivs=n_derivs)
+        assert orders == list(range(n_derivs + 1))
+        psi0 = numerator_factor_derivs(m, n_derivs, TWO_PI)
+        for i, d in enumerate(integ.g_derivs_at_t):
+            ref = 0.0
+            for j in range(0, i + 1, 2):
+                ref += math.comb(i, j) * psi0[j] * float(u.deriv(i - j, t))
+            assert d == ref
+
     def test_interval_centered(self):
         u = PoissonKernelU(0.2)
         integ = singular_periodic_integrand(u, m=3, t=2.5)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from hfpquad import oracles
 from hfpquad.errors import DerivativesRequiredError, ReferenceConvergenceError
-from hfpquad.integrands import PoissonKernelU, singular_periodic_integrand
+from hfpquad.integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
 from hfpquad.oracles import (
     GeometricKernelCase,
     exact_supersingular,
@@ -95,6 +96,21 @@ def _const_one(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
+def per_segment_panel_integrate(fn, breakpoints, panels_per_seg, order=16):
+    """Gauss panels with one fn call per segment: the reference for the
+    single call on all segments' nodes."""
+    xs, ws = oracles._gauss_nodes(order)
+    pieces = []
+    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+        edges = np.linspace(lo, hi, panels_per_seg + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
+        weights = (half[:, None] * ws[None, :]).ravel()
+        pieces.append(weights * fn(nodes))
+    return math.fsum(np.concatenate(pieces))
+
+
 class TestReference:
     def test_constant_numerator_cpv(self):
         val = hfp_reference(_const_one, [1.0] + [0.0] * 6, 1, 0.0, 3.0, 1.0)
@@ -144,6 +160,34 @@ class TestReference:
             integ.g_eval, integ.g_derivs_at_t, 3, integ.a, integ.b, t, smoothing=4
         )
         assert ref == pytest.approx(exact_supersingular(eta, t), abs=1e-8)
+
+    # with a derivative beyond the subtracted ones the remainder has its lead
+    # term and four segments about t, without it two; without it the
+    # cancellation next to t stalls the doubling near 1e-6 at m >= 3
+    @pytest.mark.parametrize("lead", [True, False], ids=["lead", "no-lead"])
+    @pytest.mark.parametrize(
+        "u", [TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4)), PoissonKernelU(0.6)], ids=["trig", "poisson"]
+    )
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equals_per_segment_reference(self, monkeypatch, m, u, lead):
+        integ = singular_periodic_integrand(u, m=m, t=0.8, n_derivs=m + 6 if lead else m + 5)
+        calls = []
+        g = integ.g_eval
+
+        def counted(x):
+            calls.append(x.size)
+            return g(x)
+
+        def ref():
+            return hfp_reference(counted, integ.g_derivs_at_t, m, integ.a, integ.b, integ.t,
+                                 smoothing=6, tol=1e-10 if lead else 1e-4)
+
+        value = ref()
+        levels = len(calls)  # one g call per panel doubling
+        monkeypatch.setattr(oracles, "_panel_integrate", per_segment_panel_integrate)
+        calls.clear()
+        assert value == ref()
+        assert len(calls) == levels * (4 if lead else 2)
 
     def test_insufficient_derivatives(self):
         with pytest.raises(DerivativesRequiredError):
