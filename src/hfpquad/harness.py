@@ -95,14 +95,16 @@ def integrand_norms(
 ) -> tuple[float, float, float]:
     """Crude max-norms of g, g', g''' by sampling and differencing.
 
-    Order-of-magnitude accuracy is all the floor model needs.
+    Order-of-magnitude accuracy is all the floor model needs.  A
+    vector-valued g is differenced along its nodes, so each norm is the
+    largest over its rows.
     """
     xs = np.linspace(integrand.a, integrand.b, samples)
     g = np.asarray(integrand.g_eval(xs), dtype=float)
     dx = xs[1] - xs[0]
-    g1 = np.gradient(g, dx)
-    g2 = np.gradient(g1, dx)
-    g3 = np.gradient(g2, dx)
+    g1 = np.gradient(g, dx, axis=-1)
+    g2 = np.gradient(g1, dx, axis=-1)
+    g3 = np.gradient(g2, dx, axis=-1)
     return float(np.max(np.abs(g))), float(np.max(np.abs(g1))), float(np.max(np.abs(g3)))
 
 

@@ -48,7 +48,7 @@ __all__ = [
 _Z_SWITCH = 1e-4  # |z| below this uses the series branch of D_n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicKernel:
     """K(t,x) on [a,b]^2, T-periodic in both arguments, with a pole of
     order 3 at x = t, given through its numerator in the offset y = x - t.
@@ -65,8 +65,10 @@ class PeriodicKernel:
       collocation matrix of such a kernel is circulant, so the builders
       store its first column only, and ``solve_collocation`` solves it with
       the FFT.  ``manufactured_rhs`` applies its rule on a uniform periodic
-      grid as one FFT convolution per rule, and elsewhere in batches with
-      psi evaluated once per batch.
+      grid as one FFT convolution per rule, and elsewhere in batches.  psi
+      must be deterministic: ``numerator_centered`` serves its values from
+      a table shared by every call with the same kernel and offsets
+      (``_psi_table``).
 
     ``u_xderivs_diag``, when present, holds four callables t -> the k-th
     y-derivative of the numerator K_per(t, t+y) * y^3 at y = 0, k = 0..3;
@@ -90,9 +92,13 @@ class PeriodicKernel:
         return self.b - self.a
 
     def numerator_centered(self, t, y):
-        """K_per(t, t+y) * y^3 for centered offsets, broadcast over t and y."""
+        """K_per(t, t+y) * y^3 for centered offsets, broadcast over t and y.
+
+        A ``psi`` kernel's values are read-only arrays from ``_psi_table``.
+        """
         if self.psi is not None:
-            return np.asarray(self.psi(y), dtype=float)
+            y = np.asarray(y, dtype=float)
+            return _psi_table(self, y.shape, y.tobytes())
         return np.asarray(self.centered(t, y), dtype=float)
 
     def diag_derivs(self, t: float) -> tuple[float, float, float, float]:
@@ -101,6 +107,23 @@ class PeriodicKernel:
                 "advanced approach requires U_k(t,t) for k = 0..3"
             )
         return tuple(float(fn(t)) for fn in self.u_xderivs_diag)
+
+
+@lru_cache(maxsize=64)
+def _psi_table(kernel: PeriodicKernel, shape: tuple, data: bytes) -> np.ndarray:
+    """kernel.psi on the offsets with this shape and these float64 bytes, read-only.
+
+    Every rhs, build and solve with one kernel evaluates psi on the same few
+    offset arrays (the rule columns, the anchor's rule families, the norm
+    sample), so each is evaluated once.  An entry holds its key's bytes and
+    the values, 16 bytes per offset, so the table holds at most 64 * 16 * M
+    bytes for arrays of at most M offsets: 1 MB at M = 1024, the largest
+    array of an rhs at n_high <= 128 or of a build with N <= 1024 unknowns.
+    """
+    y = np.frombuffer(data).reshape(shape)
+    vals = np.asarray(kernel.psi(y), dtype=float)
+    vals.flags.writeable = False
+    return vals
 
 
 def _circulant(column: np.ndarray) -> np.ndarray:
@@ -184,7 +207,7 @@ def _assemble(
     derivative corrections (the advanced approach) adds, by ``_ak_rows``,
     A_0(t_i) on the diagonal and sum_k A_k(t_i) D_N^(k)((i - j) T/N).
 
-    A ``psi`` kernel is evaluated once on the live offsets, laid out as the
+    A ``psi`` kernel is read once on the live offsets, laid out as the
     first ``column`` (residue d at row (N - d) mod N), with its A_k read at
     t = a; the grid is not read and may be None.  A
     ``centered`` kernel is evaluated with the grid as a column against the
@@ -419,8 +442,8 @@ def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> Periodi
     t is first reduced into [a, b), so that x keeps the offsets' accuracy
     for a point any number of periods out.  A 1-D array ``t`` gives a
     vector-valued g (see PeriodicIntegrand), one row per point over the
-    same 1-D offsets: a ``psi`` kernel's numerator is evaluated once on the
-    offsets, and only phi per (point, node).
+    same 1-D offsets: a ``psi`` kernel's numerator is read once on the
+    offsets, from its table, and only phi is evaluated per (point, node).
     """
     T = kernel.period
     a, b = kernel.a, kernel.b
@@ -437,7 +460,7 @@ def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> Periodi
 
 #: singular points per batch of the rhs; at n_high = 96 one batch's g values
 #: are 64 x 864 doubles (0.45 MB), its offsets and psi values 864 doubles.
-#: The grid path gathers its norm sample in blocks of as many points
+#: The grid path takes its norm sample in blocks of as many points
 _RHS_BLOCK = 64
 
 #: most lattice points the grid path of the rhs samples phi on (16 MB per
@@ -478,6 +501,28 @@ def _rule_on_lattice(kernel: PeriodicKernel, n_rule: int, spectrum: np.ndarray, 
     return np.fft.irfft(np.fft.rfft(column) * spectrum, L)
 
 
+def _lattice_norms(psi_ys: np.ndarray, samples: np.ndarray, N: int) -> np.ndarray:
+    """The norm sample at the N grid points a + i T/N, i < N: the largest
+    |psi_ys[j] samples[(i L/N + j L/256 - L/2) mod L]| over the 257 offsets
+    ``ys``, with ``samples`` phi on the L-point lattice.
+
+    |psi phi| = |psi| |phi| exactly in IEEE arithmetic, so |phi| is laid out
+    once, half a period on either side of the lattice, and point i reads it
+    at stride L/256 from i L/N through a strided view: no index array and no
+    modulo.
+    """
+    L = samples.size
+    mags = np.abs(samples)
+    wrapped = np.concatenate((mags[L // 2 :], mags, mags[: L // 2]))
+    windows = np.lib.stride_tricks.sliding_window_view(wrapped, L + 1)[:: L // N, :: L // 256]
+    psi_mags = np.abs(psi_ys)
+    norms = np.empty(N)
+    for start in range(0, N, _RHS_BLOCK):
+        block = slice(start, start + _RHS_BLOCK)
+        norms[block] = np.max(psi_mags * windows[block], axis=-1)
+    return norms
+
+
 def manufactured_rhs(
     kernel: PeriodicKernel,
     phi: Callable,
@@ -504,8 +549,9 @@ def manufactured_rhs(
       ulp (``_grid_indices``), as both builders' grids are.  Every rule node and norm
       sample point then lies on the lattice of L = lcm(N, 8 n_high, 256)
       points: phi is sampled there once, and each rule is one FFT
-      convolution (``_rule_on_lattice``) with psi evaluated on its live
-      offsets.  The checks run on whole arrays.  The first point also goes
+      convolution (``_rule_on_lattice``) with psi read on its live
+      offsets.  The checks run on whole arrays, with the norm sample read
+      from |phi| on the lattice (``_lattice_norms``).  The first point also goes
       through the batched rule as an anchor; the two values must agree
       within that point's noise allowance, else ReferenceConvergenceError
       names it.  A lattice above _RHS_LATTICE_MAX points takes the batched
@@ -515,7 +561,8 @@ def manufactured_rhs(
       to _RHS_BLOCK singular points, so ``phi`` must evaluate (points,
       nodes) arrays elementwise and a ``centered`` numerator must broadcast
       a (points, 1) column of t against the 1-D offsets; a ``psi`` kernel's
-      numerator is evaluated once per batch on the shared offsets.  Each
+      numerator is read on the shared offsets from its table, so psi is
+      evaluated once per kernel and offsets, not once per batch.  Each
       value is bit for bit the one the rule gives for its point alone.
 
     A non-finite value at a rule node, at a lattice point or in the norm
@@ -558,15 +605,10 @@ def manufactured_rhs(
         if bad.size:
             raise EvaluationError(f"phi is not finite at lattice point x={float(x[bad[0]])!r}")
         spectrum = np.fft.rfft(samples)
-        p = k % N * (L // N)
-        v1 = _rule_on_lattice(kernel, n_high, spectrum, L)[p]
-        v2 = _rule_on_lattice(kernel, 2 * n_high, spectrum, L)[p]
-        psi_ys = np.asarray(kernel.psi(ys), dtype=float)
-        offsets = np.arange(ys.size) * (L // 256) - L // 2
-        g_norm = np.empty(N)
-        for start in range(0, N, _RHS_BLOCK):
-            rows = (p[start : start + _RHS_BLOCK, None] + offsets) % L
-            g_norm[start : start + _RHS_BLOCK] = np.max(np.abs(psi_ys * samples[rows]), axis=-1)
+        i = k % N
+        v1 = _rule_on_lattice(kernel, n_high, spectrum, L)[i * (L // N)]
+        v2 = _rule_on_lattice(kernel, 2 * n_high, spectrum, L)[i * (L // N)]
+        g_norm = _lattice_norms(kernel.numerator_centered(None, ys), samples, N)[i]
         check(ts, v1, v2, g_norm)
         out = lam * np.asarray(phi(ts), dtype=float) + v2
         anchor = batch(ts[:1])[0]
@@ -597,8 +639,14 @@ def supersingular_cotangent_kernel(a: float = -math.pi, b: float = math.pi) -> P
     """The kernel K(t,x) = cos(pi(x-t)/T)/sin^3(pi(x-t)/T) as a PeriodicKernel.
 
     It is translation invariant with psi = psi_3, the exact centered
-    numerator, whose derivatives at 0 are (T/pi)^3, 0, 0, 0.
+    numerator, whose derivatives at 0 are (T/pi)^3, 0, 0, 0.  Each (a, b)
+    gives one shared instance, so every solve with it reads one psi table.
     """
+    return _cotangent_kernel(float(a), float(b))
+
+
+@lru_cache(maxsize=64)
+def _cotangent_kernel(a: float, b: float) -> PeriodicKernel:
     T = b - a
     psi0 = numerator_factor_derivs(3, 3, T)
 

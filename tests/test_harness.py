@@ -16,7 +16,7 @@ from hfpquad.harness import (
     floor_check,
     integrand_norms,
 )
-from hfpquad.integrands import TrigPolynomial, singular_periodic_integrand
+from hfpquad.integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
 from hfpquad.oracles import GeometricKernelCase
 from hfpquad.quadrature import RuleSpec, _family_nodes, _prefetch_g, t_hat
 
@@ -184,3 +184,28 @@ class TestFloorCheck:
         u_max = (1.0 - 0.3) / (1.0 - 0.6 + 0.09)
         assert g == pytest.approx(8.0 * u_max, rel=0.05)
         assert gp > 0 and gppp > 0
+
+    def test_vector_g_norms_are_the_largest_row_norms(self):
+        # differencing across the rows once gave (13.3, 4.5e3, 1.9e9) here
+        trig = singular_periodic_integrand(
+            TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4)), m=3, t=1.0
+        )
+        poisson = singular_periodic_integrand(PoissonKernelU(0.4), m=3, t=1.0)
+        both = dataclasses.replace(
+            trig, g_eval=lambda x: np.stack([trig.g_eval(x), poisson.g_eval(x)])
+        )
+        rows = [integrand_norms(trig), integrand_norms(poisson)]
+        assert integrand_norms(both) == tuple(map(max, zip(*rows)))
+
+    def test_scalar_g_norms_difference_the_nodes(self):
+        # axis=-1 changes nothing for a scalar g
+        for integ in (
+            singular_periodic_integrand(TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4)), m=3, t=1.0),
+            singular_periodic_integrand(PoissonKernelU(0.4), m=3, t=1.0),
+        ):
+            xs = np.linspace(integ.a, integ.b, 4096)
+            g = integ.g_eval(xs)
+            g1 = np.gradient(g, xs[1] - xs[0])
+            g3 = np.gradient(np.gradient(g1, xs[1] - xs[0]), xs[1] - xs[0])
+            want = tuple(float(np.max(np.abs(v))) for v in (g, g1, g3))
+            assert integrand_norms(integ) == want

@@ -662,6 +662,86 @@ class TestGridRhs:
         bound = tol * (1.0 + np.abs(got)) + noise_allowance(kern, phi, grid)
         assert np.all(np.abs(got - want) <= bound)
 
+    @pytest.mark.parametrize("N", [16, 64, 1024, 40])
+    def test_norm_sample_equals_the_modulo_gather(self, N):
+        # the gather the grid path used before |psi phi| = |psi| |phi| and
+        # the strided view, kept as the reference; L = 768, 768, 3072, 3840
+        L = math.lcm(N, 8 * 96, 256)
+        rng = np.random.default_rng(N)
+        samples = rng.standard_normal(L)
+        ys = np.linspace(-math.pi, math.pi, 257)
+        psi_ys = rng.standard_normal(257) * numerator_factor(3, ys, TWO_PI)
+        assert (samples < 0).any() and (samples > 0).any() and (psi_ys < 0).any()
+        offsets = np.arange(257) * (L // 256) - L // 2
+        rows = (np.arange(N)[:, None] * (L // N) + offsets) % L
+        want = np.max(np.abs(psi_ys * samples[rows]), axis=-1)
+        got = ie_solver._lattice_norms(psi_ys, samples, N)
+        assert L == {16: 768, 64: 768, 1024: 3072, 40: 3840}[N]
+        assert np.array_equal(got, want)
+
+
+class TestPsiTable:
+    """A psi kernel's values are evaluated once per kernel and offsets."""
+
+    def counting_kernel(self, calls):
+        kern = supersingular_cotangent_kernel()
+
+        def psi(y):
+            calls.append(np.shape(y))
+            return numerator_factor(3, y, kern.period)
+
+        return PeriodicKernel(kern.a, kern.b, psi=psi, u_xderivs_diag=kern.u_xderivs_diag)
+
+    @pytest.mark.parametrize("approach, n", [("simple", 16), ("simple", 256), ("advanced", 64)])
+    def test_second_solve_calls_psi_zero_times(self, approach, n):
+        calls = []
+        kern, phi, lam = self.counting_kernel(calls), PoissonKernelU(0.3), 1.2
+        build = build_simple_system if approach == "simple" else build_advanced_system
+        values = []
+        for _ in range(2):
+            calls.clear()
+            system = build(kern, manufactured_rhs(kern, phi, lam), lam, n)
+            values.append(solve_collocation(system).values)
+        assert calls == []
+        assert np.array_equal(values[0], values[1])
+
+    def test_batched_rhs_reads_the_table(self):
+        calls = []
+        kern, phi = self.counting_kernel(calls), PoissonKernelU(0.3)
+        ts = np.array([0.3, -1.2, 2.9])
+        first = manufactured_rhs(kern, phi, 1.0)(ts)
+        calls.clear()
+        assert np.array_equal(manufactured_rhs(kern, phi, 1.0)(ts[::-1]), first[::-1])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "y", [0.3, np.linspace(-3.0, 3.0, 7), np.linspace(-3.0, 3.0, 12).reshape(3, 4)]
+    )
+    def test_values_equal_psi_and_are_read_only(self, y):
+        kern = supersingular_cotangent_kernel()
+        got = kern.numerator_centered(None, y)
+        want = np.asarray(numerator_factor(3, y, kern.period), dtype=float)
+        assert got.shape == want.shape == np.shape(y)
+        assert np.array_equal(got, want)
+        assert got is kern.numerator_centered(None, np.array(y))  # one entry per shape and bytes
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0.0
+
+    def test_one_cotangent_kernel_per_ends(self):
+        assert supersingular_cotangent_kernel() is supersingular_cotangent_kernel()
+        assert supersingular_cotangent_kernel() is supersingular_cotangent_kernel(-math.pi, math.pi)
+        assert supersingular_cotangent_kernel(0, 1) is supersingular_cotangent_kernel(0.0, 1.0)
+        assert supersingular_cotangent_kernel(0.0, 1.0) is not supersingular_cotangent_kernel()
+
+    def test_table_holds_at_most_its_cap(self):
+        table = ie_solver._psi_table
+        cap = table.cache_info().maxsize
+        assert cap == 64
+        kern = supersingular_cotangent_kernel()
+        for size in range(1, 2 * cap + 2):
+            kern.numerator_centered(None, np.linspace(-1.0, 1.0, size))
+            assert table.cache_info().currsize <= cap
+
 
 # ---------------------------------------------------------------------------
 # assembly against an entry-by-entry reference, and the condition paths
