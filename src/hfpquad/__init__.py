@@ -48,7 +48,6 @@ from .oracles import (
     fourier_mode_hfp,
     hfp_power_integral,
     hfp_reference,
-    poisson_u,
     supersingular_series,
 )
 from .quadrature import (

@@ -32,7 +32,7 @@ from .ie_solver import (
 )
 from .integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
 from .oracles import exact_supersingular, hfp_reference
-from .quadrature import RuleSpec, roundoff_floor, t_hat
+from .quadrature import DOUBLE_UNIT, RuleSpec, roundoff_floor, t_hat
 
 TWO_PI = 2.0 * math.pi
 _REF_SMOOTHING = 6  # Taylor orders hfp_reference subtracts beyond m
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpnorm", type=float, default=0.0)
     p.add_argument("--gpppnorm", type=float, default=0.0)
     p.add_argument("--T", dest="period", type=float, default=TWO_PI)
-    p.add_argument("--u", dest="unit", type=float, default=2.0**-53)
+    p.add_argument("--u", dest="unit", type=float, default=DOUBLE_UNIT)
     p.set_defaults(func=cmd_floor)
 
     return parser

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import OrderTooLargeError, UnsupportedZetaArgumentError
 
-#: Highest k for which B_{2k} / zeta(2k) are served by default (m up to 32).
+#: Highest k for which B_{2k} / zeta(2k) are served (m up to 32).
 DEFAULT_MAX_ORDER = 16
 
 
@@ -30,47 +30,41 @@ def _bernoulli_list(n: int) -> tuple[Fraction, ...]:
     return tuple(vals)
 
 
-def bernoulli_even(k: int, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
+def bernoulli_even(k: int) -> Fraction:
     """Exact B_{2k}.
 
-    Raises OrderTooLargeError for k beyond ``max_order`` so that runaway
+    Raises OrderTooLargeError for k beyond DEFAULT_MAX_ORDER so that runaway
     rational arithmetic is an explicit failure rather than a stall.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > max_order:
+    if k > DEFAULT_MAX_ORDER:
         raise OrderTooLargeError(
-            f"order too large: B_{2 * k} requested but max_order={max_order}"
+            f"order too large: B_{2 * k} requested but DEFAULT_MAX_ORDER={DEFAULT_MAX_ORDER}"
         )
     return _bernoulli_list(2 * k)[2 * k]
 
 
-@lru_cache(maxsize=None)
-def _zeta3() -> float:
-    # Partial sum plus Euler-Maclaurin tail: sum_{k>M} k^-3 =
-    # 1/(2M^2) - 1/(2M^3) + 1/(4M^4) + O(M^-6).
-    M = 2000
-    partial = math.fsum(k**-3 for k in range(1, M + 1))
-    tail = 0.5 / M**2 - 0.5 / M**3 + 0.25 / M**4
-    return partial + tail
+#: zeta(3) (Apery's constant) rounded to the nearest double
+_ZETA3 = 1.2020569031595942
 
 
-def zeta_even_rational(k: int, max_order: int = DEFAULT_MAX_ORDER) -> Fraction:
+def zeta_even_rational(k: int) -> Fraction:
     """zeta(2k)/(2 pi)^(2k) = (-1)^(k+1) B_{2k} / (2 (2k)!), exactly; -1/2 at k = 0."""
     sign = 1 if k % 2 == 1 else -1
-    return sign * Fraction(bernoulli_even(k, max_order=max_order), 2 * math.factorial(2 * k))
+    return sign * Fraction(bernoulli_even(k), 2 * math.factorial(2 * k))
 
 
-def zeta_at(j: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
+def zeta_at(j: int) -> float:
     """zeta(j) for j in {0} + {even} + {3}.
 
     zeta(2k) for k >= 0 from the Bernoulli formula (zeta(0) = -1/2),
-    zeta(-2k) = 0, zeta(3) from the summed series with a tail correction.
+    zeta(-2k) = 0, zeta(3) the constant _ZETA3.
     """
     if j == 3:
-        return _zeta3()
+        return _ZETA3
     if j % 2 == 1:
         raise UnsupportedZetaArgumentError(f"unsupported zeta argument: {j}")
     if j < 0:
         return 0.0
-    return float(zeta_even_rational(j // 2, max_order=max_order)) * (2.0 * math.pi) ** j
+    return float(zeta_even_rational(j // 2)) * (2.0 * math.pi) ** j

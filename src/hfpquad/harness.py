@@ -17,9 +17,11 @@ import numpy as np
 from .errors import InsufficientPreFloorDataError
 from .oracles import GeometricKernelCase
 from .quadrature import (
+    DOUBLE_UNIT,
     PeriodicIntegrand,
     RuleSpec,
     _prefetch_g,
+    max_compact_level,
     roundoff_floor,
     t_hat,
 )
@@ -36,10 +38,17 @@ __all__ = [
     "integrand_norms",
 ]
 
-DOUBLE_UNIT = 2.0**-53
-
 #: errors above this multiple of the floor estimate count as pre-floor data
 PRE_FLOOR_FACTOR = 100.0
+
+#: fewest pre-floor rows a rate fit takes
+MIN_RATE_ROWS = 3
+
+#: fitted slopes smaller than this in magnitude mark a floor-dominated table
+FLAT_SLOPE = 0.05
+
+#: equispaced points on [a, b] that integrand_norms samples g at
+NORM_SAMPLES = 4096
 
 
 @dataclass
@@ -65,15 +74,12 @@ class ConvergenceReport:
     floor_estimate: float
     fitted_rate: Optional[float] = None
 
-    def errors(self) -> np.ndarray:
-        return np.array([r.error for r in self.rows])
-
     def ns(self) -> np.ndarray:
         return np.array([r.n for r in self.rows])
 
-    def floor_at(self, n: int, unit: float = DOUBLE_UNIT) -> float:
+    def floor_at(self, n: int) -> float:
         g, gp, gppp = self.g_norms
-        return roundoff_floor(g, gp, gppp, self.period, n, unit)
+        return roundoff_floor(g, gp, gppp, self.period, n)
 
 
 @dataclass
@@ -90,16 +96,15 @@ class FloorCheck:
     passed: bool
 
 
-def integrand_norms(
-    integrand: PeriodicIntegrand, samples: int = 4096
-) -> tuple[float, float, float]:
-    """Crude max-norms of g, g', g''' by sampling and differencing.
+def integrand_norms(integrand: PeriodicIntegrand) -> tuple[float, float, float]:
+    """Crude max-norms of g, g', g''' by differencing g on NORM_SAMPLES
+    equispaced points.
 
     Order-of-magnitude accuracy is all the floor model needs.  A
     vector-valued g is differenced along its nodes, so each norm is the
     largest over its rows.
     """
-    xs = np.linspace(integrand.a, integrand.b, samples)
+    xs = np.linspace(integrand.a, integrand.b, NORM_SAMPLES)
     g = np.asarray(integrand.g_eval(xs), dtype=float)
     dx = xs[1] - xs[0]
     g1 = np.gradient(g, dx, axis=-1)
@@ -109,7 +114,7 @@ def integrand_norms(
 
 
 def _preferred_path(m: int, s: int) -> str:
-    return "compact" if s <= m // 2 + 1 else "generic"
+    return "compact" if s <= max_compact_level(m) else "generic"
 
 
 def convergence_table_for(
@@ -120,7 +125,6 @@ def convergence_table_for(
     n_list: Sequence[int],
     eta: Optional[float] = None,
     path: Optional[str] = None,
-    unit: float = DOUBLE_UNIT,
 ) -> ConvergenceReport:
     """Table of rule values and errors against a precomputed oracle value.
 
@@ -141,7 +145,7 @@ def convergence_table_for(
         rows.append(ReportRow(n=spec.n, value=val, error=abs(val - oracle_value)))
 
     norms = integrand_norms(integrand)
-    floor_est = roundoff_floor(*norms, integrand.period, max(ns), unit)
+    floor_est = roundoff_floor(*norms, integrand.period, max(ns))
     return ConvergenceReport(
         m=integrand.m,
         s=s,
@@ -160,11 +164,9 @@ def convergence_table(
     case: GeometricKernelCase,
     s: int,
     n_list: Sequence[int],
-    path: Optional[str] = None,
-    unit: float = DOUBLE_UNIT,
 ) -> ConvergenceReport:
     """Error table for the geometric-kernel case against its closed form."""
-    integrand = case.integrand(n_derivs=3)
+    integrand = case.integrand()
     return convergence_table_for(
         integrand,
         oracle_value=case.exact(),
@@ -172,38 +174,32 @@ def convergence_table(
         s=s,
         n_list=n_list,
         eta=case.eta,
-        path=path,
-        unit=unit,
     )
 
 
-def empirical_rate(
-    report: ConvergenceReport,
-    unit: float = DOUBLE_UNIT,
-    min_rows: int = 3,
-    flat_slope: float = 0.05,
-) -> RateFit:
+def empirical_rate(report: ConvergenceReport) -> RateFit:
     """Least-squares slope of ln(error) vs n over the pre-floor rows.
 
     For the geometric-kernel family the expected slope is ln(eta).  Rows
     whose error is within PRE_FLOOR_FACTOR of the per-n floor estimate are
-    excluded; fewer than ``min_rows`` surviving rows is an error.
+    excluded; fewer than MIN_RATE_ROWS surviving rows is an error.  A slope
+    below FLAT_SLOPE in magnitude marks the fit floor-dominated.
     """
     pre = [
         r
         for r in report.rows
-        if r.error > PRE_FLOOR_FACTOR * report.floor_at(r.n, unit) and r.error > 0.0
+        if r.error > PRE_FLOOR_FACTOR * report.floor_at(r.n) and r.error > 0.0
     ]
-    if len(pre) < min_rows:
+    if len(pre) < MIN_RATE_ROWS:
         raise InsufficientPreFloorDataError(
             f"insufficient pre-floor data: {len(pre)} rows above "
-            f"{PRE_FLOOR_FACTOR}x floor, need {min_rows}"
+            f"{PRE_FLOOR_FACTOR}x floor, need {MIN_RATE_ROWS}"
         )
     ns = np.array([r.n for r in pre], dtype=float)
     logs = np.log([r.error for r in pre])
     slope = float(np.polyfit(ns, logs, 1)[0])
     fit = RateFit(
-        slope=slope, rows_used=len(pre), floor_dominated=abs(slope) < flat_slope
+        slope=slope, rows_used=len(pre), floor_dominated=abs(slope) < FLAT_SLOPE
     )
     report.fitted_rate = slope
     return fit
@@ -211,16 +207,14 @@ def empirical_rate(
 
 def floor_check(
     report: ConvergenceReport,
-    g_norms: Optional[tuple[float, float, float]] = None,
     unit: float = DOUBLE_UNIT,
     safety_factor: float = PRE_FLOOR_FACTOR,
 ) -> FloorCheck:
     """Observed plateau vs the floor model: error_n <= safety * K(n) u n^2."""
-    norms = g_norms if g_norms is not None else report.g_norms
     rows = []
     ok = True
     for r in report.rows:
-        bound = safety_factor * roundoff_floor(*norms, report.period, r.n, unit)
+        bound = safety_factor * roundoff_floor(*report.g_norms, report.period, r.n, unit)
         rows.append((r.n, r.error, bound))
         if r.error > bound:
             ok = False

@@ -118,7 +118,7 @@ def _psi_table(kernel: PeriodicKernel, shape: tuple, data: bytes) -> np.ndarray:
     sample), so each is evaluated once.  An entry holds its key's bytes and
     the values, 16 bytes per offset, so the table holds at most 64 * 16 * M
     bytes for arrays of at most M offsets: 1 MB at M = 1024, the largest
-    array of an rhs at n_high <= 128 or of a build with N <= 1024 unknowns.
+    array of an rhs at _RHS_N_HIGH or of a build with N <= 1024 unknowns.
     """
     y = np.frombuffer(data).reshape(shape)
     vals = np.asarray(kernel.psi(y), dtype=float)
@@ -458,7 +458,16 @@ def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> Periodi
     return PeriodicIntegrand(m=3, t=0.0, a=-T / 2.0, b=T / 2.0, g_eval=g_eval)
 
 
-#: singular points per batch of the rhs; at n_high = 96 one batch's g values
+#: base node count of the rhs's (3, 2) compact rule, checked against twice it
+_RHS_N_HIGH = 96
+
+#: tolerance of the rhs's doubling check, relative to 1 + |w|
+_RHS_TOL = 1e-11
+
+#: intervals per period of the equispaced offsets of the rhs's norm sample
+_RHS_NORM_INTERVALS = 256
+
+#: singular points per batch of the rhs; at _RHS_N_HIGH one batch's g values
 #: are 64 x 864 doubles (0.45 MB), its offsets and psi values 864 doubles.
 #: The grid path takes its norm sample in blocks of as many points
 _RHS_BLOCK = 64
@@ -503,18 +512,20 @@ def _rule_on_lattice(kernel: PeriodicKernel, n_rule: int, spectrum: np.ndarray, 
 
 def _lattice_norms(psi_ys: np.ndarray, samples: np.ndarray, N: int) -> np.ndarray:
     """The norm sample at the N grid points a + i T/N, i < N: the largest
-    |psi_ys[j] samples[(i L/N + j L/256 - L/2) mod L]| over the 257 offsets
-    ``ys``, with ``samples`` phi on the L-point lattice.
+    |psi_ys[j] samples[(i L/N + j L/I - L/2) mod L]| over the I + 1 offsets
+    ``ys``, I = _RHS_NORM_INTERVALS, with ``samples`` phi on the L-point
+    lattice.
 
     |psi phi| = |psi| |phi| exactly in IEEE arithmetic, so |phi| is laid out
     once, half a period on either side of the lattice, and point i reads it
-    at stride L/256 from i L/N through a strided view: no index array and no
+    at stride L/I from i L/N through a strided view: no index array and no
     modulo.
     """
     L = samples.size
     mags = np.abs(samples)
     wrapped = np.concatenate((mags[L // 2 :], mags, mags[: L // 2]))
-    windows = np.lib.stride_tricks.sliding_window_view(wrapped, L + 1)[:: L // N, :: L // 256]
+    windows = np.lib.stride_tricks.sliding_window_view(wrapped, L + 1)
+    windows = windows[:: L // N, :: L // _RHS_NORM_INTERVALS]
     psi_mags = np.abs(psi_ys)
     norms = np.empty(N)
     for start in range(0, N, _RHS_BLOCK):
@@ -523,23 +534,17 @@ def _lattice_norms(psi_ys: np.ndarray, samples: np.ndarray, N: int) -> np.ndarra
     return norms
 
 
-def manufactured_rhs(
-    kernel: PeriodicKernel,
-    phi: Callable,
-    lam: float,
-    n_high: int = 96,
-    tol: float = 1e-11,
-) -> Callable:
+def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Callable:
     """Right-hand side w(t) = lam*phi(t) + FP-integral of K(t,.)phi.
 
     The inner integral uses the derivative-free (3, 2) compact rule at
-    n_high with a doubling self-check against 2 n_high; failure of the check
-    raises rather than returning an unconverged value.  Because the rule's
-    own roundoff floor grows like u*(4n)^2 in double precision, the check
-    allows that much noise on top of the stated tolerance (otherwise large
-    n_high would fail spuriously while being as converged as the arithmetic
-    permits): 50 * roundoff_floor(||g||, 0, 0, T, 8 n_high), with ||g|| the
-    largest |g| over 257 equispaced offsets.
+    n_high = _RHS_N_HIGH with a doubling self-check against 2 n_high within
+    _RHS_TOL * (1 + |w|); failure of the check raises rather than returning
+    an unconverged value.  Because the rule's own roundoff floor grows like
+    u*(4n)^2 in double precision, the check allows that much noise on top
+    (at _RHS_N_HIGH the rounding alone reaches up to 31 times _RHS_TOL):
+    50 * roundoff_floor(||g||, 0, 0, T, 8 n_high), with ||g|| the largest
+    |g| over _RHS_NORM_INTERVALS + 1 equispaced offsets.
 
     The returned w takes a scalar (giving a float) or an array of any shape
     (giving an array of that shape).  It takes one of two paths:
@@ -547,8 +552,8 @@ def manufactured_rhs(
     * grid: a ``psi`` kernel and a 1-D array of N >= 2 points forming one
       period of a uniform grid, ts[i] = a + (k0 + i) T/N to within a few
       ulp (``_grid_indices``), as both builders' grids are.  Every rule node and norm
-      sample point then lies on the lattice of L = lcm(N, 8 n_high, 256)
-      points: phi is sampled there once, and each rule is one FFT
+      sample point then lies on the lattice of L = lcm(N, 8 n_high,
+      _RHS_NORM_INTERVALS) points: phi is sampled there once, and each rule is one FFT
       convolution (``_rule_on_lattice``) with psi read on its live
       offsets.  The checks run on whole arrays, with the norm sample read
       from |phi| on the lattice (``_lattice_norms``).  The first point also goes
@@ -569,19 +574,19 @@ def manufactured_rhs(
     sample raises EvaluationError; the first point failing the doubling
     check raises ReferenceConvergenceError naming it.
     """
-    coarse = RuleSpec(3, 2, n_high, path="compact")
-    fine = RuleSpec(3, 2, 2 * n_high, path="compact")
+    coarse = RuleSpec(3, 2, _RHS_N_HIGH, path="compact")
+    fine = RuleSpec(3, 2, 2 * _RHS_N_HIGH, path="compact")
     T = kernel.period
-    ys = np.linspace(-T / 2.0, T / 2.0, 257)
+    ys = np.linspace(-T / 2.0, T / 2.0, _RHS_NORM_INTERVALS + 1)
     # roundoff_floor is linear in the norm of g
-    noise_per_norm = 50.0 * roundoff_floor(1.0, 0.0, 0.0, T, 8 * n_high)
+    noise_per_norm = 50.0 * roundoff_floor(1.0, 0.0, 0.0, T, 8 * _RHS_N_HIGH)
 
     def check(ts, v1, v2, g_norm):
         bad = np.flatnonzero(~np.isfinite(g_norm))
         if bad.size:
             raise EvaluationError(f"kernel slice at t={float(ts[bad[0]])!r} is not finite")
         # written so that a NaN on either side fails the check
-        allowed = tol * (1.0 + np.abs(v2)) + noise_per_norm * g_norm
+        allowed = _RHS_TOL * (1.0 + np.abs(v2)) + noise_per_norm * g_norm
         bad = np.flatnonzero(~(np.abs(v1 - v2) <= allowed))
         if bad.size:
             i = bad[0]
@@ -606,8 +611,8 @@ def manufactured_rhs(
             raise EvaluationError(f"phi is not finite at lattice point x={float(x[bad[0]])!r}")
         spectrum = np.fft.rfft(samples)
         i = k % N
-        v1 = _rule_on_lattice(kernel, n_high, spectrum, L)[i * (L // N)]
-        v2 = _rule_on_lattice(kernel, 2 * n_high, spectrum, L)[i * (L // N)]
+        v1 = _rule_on_lattice(kernel, _RHS_N_HIGH, spectrum, L)[i * (L // N)]
+        v2 = _rule_on_lattice(kernel, 2 * _RHS_N_HIGH, spectrum, L)[i * (L // N)]
         g_norm = _lattice_norms(kernel.numerator_centered(None, ys), samples, N)[i]
         check(ts, v1, v2, g_norm)
         out = lam * np.asarray(phi(ts), dtype=float) + v2
@@ -624,7 +629,7 @@ def manufactured_rhs(
         ts = tval.ravel()
         if kernel.psi is not None and tval.ndim == 1:
             k = _grid_indices(ts, kernel.a, T)
-            L = math.lcm(ts.size, 8 * n_high, 256)
+            L = math.lcm(ts.size, 8 * _RHS_N_HIGH, _RHS_NORM_INTERVALS)
             if k is not None and L <= _RHS_LATTICE_MAX:
                 return on_grid(ts, k, L)
         out = np.empty(ts.shape)

@@ -25,7 +25,6 @@ from .quadrature import PeriodicIntegrand
 
 __all__ = [
     "GeometricKernelCase",
-    "poisson_u",
     "exact_supersingular",
     "supersingular_series",
     "fourier_mode_hfp",
@@ -35,6 +34,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _SERIES_MAX_TERMS = 100000
+#: the series' tail bound is pushed below this
+_SERIES_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,13 @@ class GeometricKernelCase:
     def u(self) -> PoissonKernelU:
         return PoissonKernelU(self.eta)
 
-    def integrand(self, n_derivs: int = 3) -> PeriodicIntegrand:
+    def integrand(self) -> PeriodicIntegrand:
         return singular_periodic_integrand(
-            self.u(), m=self.m, t=self.t, period=self.period, n_derivs=n_derivs
+            self.u(), m=self.m, t=self.t, period=self.period, n_derivs=self.m
         )
 
     def exact(self) -> float:
         return exact_supersingular(self.eta, self.t)
-
-
-def poisson_u(eta: float, x):
-    """(1 - eta cos x)/(1 - 2 eta cos x + eta^2) for |eta| < 1."""
-    return PoissonKernelU(eta)(x)
 
 
 def exact_supersingular(eta: float, t: float) -> float:
@@ -79,11 +75,11 @@ def exact_supersingular(eta: float, t: float) -> float:
     return 4.0 * math.pi * (q * (1.0 + q) / (1.0 - q) ** 3).imag
 
 
-def supersingular_series(eta: float, t: float, tol: float = 1e-16) -> tuple[float, float]:
+def supersingular_series(eta: float, t: float) -> tuple[float, float]:
     """Partial-sum route 4*pi*sum_m eta^m m^2 sin(mt), with its tail bound.
 
     Returns (value, bound) where bound >= 4*pi*sum_{m>M} |eta|^m m^2; the
-    cutoff M is chosen so the bound is below ``tol``.  Raises
+    cutoff M is chosen so the bound is below _SERIES_TOL.  Raises
     ReferenceConvergenceError when no M up to _SERIES_MAX_TERMS gets there.
     """
     if not abs(eta) < 1.0:
@@ -96,11 +92,11 @@ def supersingular_series(eta: float, t: float, tol: float = 1e-16) -> tuple[floa
         return 4.0 * math.pi * ae ** (M + 1) * (M + 1) ** 2 * 2.0 / (1.0 - ae)
 
     M = 10
-    while tail_bound(M) > tol:
+    while tail_bound(M) > _SERIES_TOL:
         M += 10
         if M > _SERIES_MAX_TERMS:
             raise ReferenceConvergenceError(
-                f"series tail bound {tail_bound(M):.3e} still above tol {tol:.3e} "
+                f"series tail bound {tail_bound(M):.3e} still above tol {_SERIES_TOL:.3e} "
                 f"at {M} terms (eta={eta!r})"
             )
     ms = np.arange(1, M + 1, dtype=float)

@@ -235,7 +235,7 @@ class RuleSpec:
             raise ValueError("require m >= 1, s >= 0, n >= 1")
         if self.s == 0 and self.n < 2:
             raise ValueError("base rule needs n >= 2")
-        if self.path == "compact" and self.s > self.m // 2 + 1:
+        if self.path == "compact" and self.s > max_compact_level(self.m):
             raise ValueError(f"(m={self.m}, s={self.s}) has no compact form")
 
 
@@ -462,6 +462,9 @@ def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):
 # roundoff floor
 # ---------------------------------------------------------------------------
 
+#: unit roundoff of IEEE double precision
+DOUBLE_UNIT = 2.0**-53
+
 
 def roundoff_floor(
     g_norm: float,
@@ -469,7 +472,7 @@ def roundoff_floor(
     gppp_norm: float,
     period: float,
     n: int,
-    unit: float = 2.0**-53,
+    unit: float = DOUBLE_UNIT,
 ) -> float:
     """Upper envelope K(n) * u * n^2 for the computed-rule error at large n.
 

@@ -8,6 +8,7 @@ import pytest
 
 from hfpquad.errors import EvaluationError, HfpquadError, InsufficientPreFloorDataError
 from hfpquad.harness import (
+    NORM_SAMPLES,
     ConvergenceReport,
     ReportRow,
     convergence_table,
@@ -165,7 +166,7 @@ class TestFloorCheck:
         case = GeometricKernelCase(eta=0.0, t=1.0)
         rep = convergence_table(case, 0, [10, 20])
         # errors and bounds are both at the zero scale
-        check = floor_check(rep, g_norms=(8.0, 0.0, 0.0))
+        check = floor_check(rep)
         assert check.passed
 
     def test_paper_quad_precision_plateau_consistent(self):
@@ -203,7 +204,7 @@ class TestFloorCheck:
             singular_periodic_integrand(TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4)), m=3, t=1.0),
             singular_periodic_integrand(PoissonKernelU(0.4), m=3, t=1.0),
         ):
-            xs = np.linspace(integ.a, integ.b, 4096)
+            xs = np.linspace(integ.a, integ.b, NORM_SAMPLES)
             g = integ.g_eval(xs)
             g1 = np.gradient(g, xs[1] - xs[0])
             g3 = np.gradient(np.gradient(g1, xs[1] - xs[0]), xs[1] - xs[0])

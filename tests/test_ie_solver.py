@@ -18,6 +18,8 @@ from hfpquad.errors import (
 )
 from hfpquad.ie_solver import (
     _RHS_BLOCK,
+    _RHS_N_HIGH,
+    _RHS_NORM_INTERVALS,
     CollocationSystem,
     PeriodicKernel,
     _grid_indices,
@@ -363,10 +365,10 @@ class TestManufactured:
             assert w(t) - lam * float(phi(t)) == pytest.approx(modewise, abs=1e-9)
             assert modewise == pytest.approx(exact_supersingular(eta, t), abs=1e-12)
 
-    # w(t) = lam phi(t) + exact_supersingular(eta, t) in closed form.  At the
-    # default n_high = 96 the rule's rounding, which grows like n_high^2,
-    # leaves 2-3e-10, up to 31 times tol; an n_high chosen by doubling from
-    # a small start is the fix
+    # w(t) = lam phi(t) + exact_supersingular(eta, t) in closed form.  At
+    # _RHS_N_HIGH = 96 the rule's rounding, which grows like n_high^2, leaves
+    # 2-3e-10, up to 31 times tol; an n_high chosen by doubling from a small
+    # start is the fix
     @pytest.mark.xfail(
         strict=True, raises=AssertionError, reason="rhs rounding at n_high = 96 exceeds tol"
     )
@@ -377,7 +379,7 @@ class TestManufactured:
         kern = supersingular_cotangent_kernel()
         phi = PoissonKernelU(eta)
         grid = build_simple_system(kern, np.zeros_like, lam, n).grid
-        got = manufactured_rhs(kern, phi, lam, tol=tol)(grid)
+        got = manufactured_rhs(kern, phi, lam)(grid)
         want = lam * phi(grid) + np.array([exact_supersingular(eta, float(t)) for t in grid])
         assert np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want)))
 
@@ -428,21 +430,21 @@ def t_dependent_kernel():
     return PeriodicKernel(-math.pi, math.pi, centered=centered, u_xderivs_diag=diag)
 
 
-def noise_allowance(kernel, phi, ts, n_high=96):
+def noise_allowance(kernel, phi, ts):
     """The rhs's noise allowance per point, 50 roundoff_floor(||g||, 0, 0,
-    T, 8 n_high), with ||g|| the largest |g| of the point's kernel slice
-    over 257 equispaced offsets."""
+    T, 8 _RHS_N_HIGH), with ||g|| the largest |g| of the point's kernel
+    slice over _RHS_NORM_INTERVALS + 1 equispaced offsets."""
     T = kernel.period
     g = _kernel_slice_integrand(kernel, phi, np.asarray(ts, float)).g_eval(
-        np.linspace(-T / 2.0, T / 2.0, 257)
+        np.linspace(-T / 2.0, T / 2.0, _RHS_NORM_INTERVALS + 1)
     )
     g_norm = np.max(np.abs(g), axis=-1)
-    return np.array([50.0 * roundoff_floor(v, 0.0, 0.0, T, 8 * n_high) for v in g_norm])
+    return np.array([50.0 * roundoff_floor(v, 0.0, 0.0, T, 8 * _RHS_N_HIGH) for v in g_norm])
 
 
-def per_point_rhs(kernel, phi, lam, ts, n_high=96):
+def per_point_rhs(kernel, phi, lam, ts):
     """lam phi(t) + the fine rule on t's own kernel slice, point by point."""
-    spec = RuleSpec(3, 2, 2 * n_high, path="compact")
+    spec = RuleSpec(3, 2, 2 * _RHS_N_HIGH, path="compact")
     return [
         lam * phi(float(t)) + t_hat(spec, _kernel_slice_integrand(kernel, phi, float(t)))
         for t in ts
@@ -487,7 +489,7 @@ class TestBatchedRhs:
         # second block and every later row fails as well
         ts = np.linspace(-3.0, 3.0, 3 * _RHS_BLOCK)
         kern = gated_cotangent_kernel(ts[100])
-        w = manufactured_rhs(kern, PoissonKernelU(0.97), 1.0, n_high=8)
+        w = manufactured_rhs(kern, PoissonKernelU(0.97), 1.0)
         np.testing.assert_array_equal(w(ts[:100]), PoissonKernelU(0.97)(ts[:100]))
         with pytest.raises(ReferenceConvergenceError, match=re.escape(f"t={float(ts[100])!r}:")):
             w(ts)
@@ -522,7 +524,7 @@ class TestBatchedRhs:
         # t is reduced into [a, b) before the nodes t + y are formed
         lam, tol = 1.0, 1e-11
         kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(0.3)
-        got = manufactured_rhs(kern, phi, lam, tol=tol)(t)
+        got = manufactured_rhs(kern, phi, lam)(t)
         want = lam * phi(t) + exact_supersingular(0.3, t)
         assert abs(got - want) <= tol * (1.0 + abs(want)) + noise_allowance(kern, phi, [t])[0]
 
@@ -568,7 +570,7 @@ class TestGridRhs:
         lam, tol = 1.2, 1e-11
         kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(eta)
         grid = builder_grid(approach, n)
-        got = manufactured_rhs(kern, phi, lam, tol=tol)(grid)
+        got = manufactured_rhs(kern, phi, lam)(grid)
         want = lam * phi(grid) + np.array([exact_supersingular(eta, float(t)) for t in grid])
         bound = tol * (1.0 + np.abs(got)) + noise_allowance(kern, phi, grid)
         assert np.all(np.abs(got - want) <= bound)
@@ -657,7 +659,7 @@ class TestGridRhs:
         kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(eta)
         grid = kern.a + (87 * 64 + 43 + np.arange(64)) * (kern.period / 64)
         assert _grid_indices(grid, kern.a, kern.period) is not None
-        got = manufactured_rhs(kern, phi, lam, tol=tol)(grid)
+        got = manufactured_rhs(kern, phi, lam)(grid)
         want = lam * phi(grid) + np.array([exact_supersingular(eta, float(t)) for t in grid])
         bound = tol * (1.0 + np.abs(got)) + noise_allowance(kern, phi, grid)
         assert np.all(np.abs(got - want) <= bound)
@@ -999,7 +1001,7 @@ class TestGridEnds:
         lam, tol, eta = 1.0, 1e-11, 0.3
         kern, phi = t_dependent_kernel(), PoissonKernelU(eta)
         ts = np.array([3.13, 3.14, math.pi - 1e-3, -3.14])
-        got = manufactured_rhs(kern, phi, lam, tol=tol)(ts)
+        got = manufactured_rhs(kern, phi, lam)(ts)
         fp = np.array([(1.5 + math.sin(t)) * exact_supersingular(eta, t) for t in ts])
         want = lam * phi(ts) + fp
         bound = tol * (1.0 + np.abs(want)) + noise_allowance(kern, phi, ts)

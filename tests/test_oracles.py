@@ -14,7 +14,6 @@ from hfpquad.oracles import (
     fourier_mode_hfp,
     hfp_power_integral,
     hfp_reference,
-    poisson_u,
     supersingular_series,
 )
 
@@ -23,13 +22,13 @@ TWO_PI = 2.0 * math.pi
 
 class TestPoissonU:
     def test_values(self):
-        assert poisson_u(0.0, 2.2) == pytest.approx(1.0, rel=1e-15)
-        assert poisson_u(0.5, 0.0) == pytest.approx(2.0, rel=1e-15)
-        assert poisson_u(0.5, math.pi) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert PoissonKernelU(0.0)(2.2) == pytest.approx(1.0, rel=1e-15)
+        assert PoissonKernelU(0.5)(0.0) == pytest.approx(2.0, rel=1e-15)
+        assert PoissonKernelU(0.5)(math.pi) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            poisson_u(1.2, 0.0)
+            PoissonKernelU(1.2)
 
 
 class TestExactSupersingular:

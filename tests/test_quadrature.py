@@ -585,7 +585,7 @@ class TestNestedGrids:
 
     @pytest.mark.parametrize("s", [0, 1, 2, 3])
     def test_one_g_call_on_finest_grid(self, s):
-        integ = GeometricKernelCase(eta=0.5, t=1.0).integrand(n_derivs=3)
+        integ = GeometricKernelCase(eta=0.5, t=1.0).integrand()
         sizes = []
         g = integ.g_eval
         counted = dataclasses.replace(integ, g_eval=lambda x: sizes.append(np.size(x)) or g(x))
@@ -603,7 +603,7 @@ class TestLargeNFloor:
     @pytest.mark.parametrize("eta", [0.5, 0.9])
     def test_error_within_100x_floor(self, eta, s, path):
         case = GeometricKernelCase(eta=eta, t=1.0)
-        integ = case.integrand(n_derivs=3)
+        integ = case.integrand()
         exact = case.exact()
         norms = integrand_norms(integ)
         for n in self.NS:
@@ -617,7 +617,7 @@ class TestLargeNFloor:
         # with 1 - 2 eta cos x + eta^2 as written this case erred by
         # 130 x roundoff_floor
         case = GeometricKernelCase(eta=0.9, t=0.05)
-        integ = case.integrand(n_derivs=3)
+        integ = case.integrand()
         err = abs(t_hat(RuleSpec(3, 2, 4096, path="compact"), integ) - case.exact())
         floor = roundoff_floor(*integrand_norms(integ), TWO_PI, 4 * 4096)
         assert err <= 100.0 * floor

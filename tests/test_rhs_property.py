@@ -15,6 +15,7 @@ from test_ie_solver import noise_allowance, t_dependent_kernel  # noqa: E402
 
 from hfpquad.ie_solver import (  # noqa: E402
     _RHS_BLOCK,
+    _RHS_N_HIGH,
     _grid_indices,
     _kernel_slice_integrand,
     manufactured_rhs,
@@ -37,9 +38,8 @@ def test_equals_per_point_rule(make_kernel, length, eta, lam, data):
     kern = make_kernel()
     ts = data.draw(st.lists(st.floats(kern.a, kern.b), min_size=length, max_size=length))
     phi = PoissonKernelU(eta)
-    n_high = 96
-    got = manufactured_rhs(kern, phi, lam, n_high=n_high)(np.array(ts))
-    spec = RuleSpec(3, 2, 2 * n_high, path="compact")
+    got = manufactured_rhs(kern, phi, lam)(np.array(ts))
+    spec = RuleSpec(3, 2, 2 * _RHS_N_HIGH, path="compact")
     for i, t in enumerate(ts):
         want = lam * phi(t) + t_hat(spec, _kernel_slice_integrand(kern, phi, t))
         assert got[i] == want, f"t={t!r}"
