@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -113,50 +114,50 @@ def parse_float_list(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _family(args):
-    """Return (kind, u) for the selected integrand family."""
+def _cases(args, with_oracle: bool):
+    """(eta, integrand, oracle) for each case the family flags select: one
+    per --eta value, or one for the --cos/--sin polynomial (eta None).
+
+    The flags are checked, and the polynomial parsed, on this call; --eta
+    is parsed when the cases are iterated.  ``oracle()`` returns (name,
+    value), the closed form for --eta at m = 3 and hfp_reference otherwise,
+    and is evaluated only when called.  The integrand carries g's
+    derivatives at t to order m, or to order m + _REF_SMOOTHING when
+    hfp_reference is asked for, which reads that many.
+    """
     if args.eta is not None and (args.cos or args.sin):
         raise ValueError("choose either --eta or --cos/--sin, not both")
-    if args.eta is not None:
-        return "eta-oracle", None
-    if args.cos or args.sin:
+    if args.eta is None and not (args.cos or args.sin):
+        raise ValueError("no integrand family given: pass --eta or --cos/--sin")
+    poly = None
+    if args.eta is None:
         cos = tuple(parse_float_list(args.cos)) if args.cos else (0.0,)
         sin = tuple(parse_float_list(args.sin)) if args.sin else ()
-        return "user-modes", TrigPolynomial(cos, sin)
-    raise ValueError("no integrand family given: pass --eta or --cos/--sin")
+        poly = TrigPolynomial(cos, sin)
 
-
-def _integrand_for(args, eta: Optional[float], u, n_derivs: int):
-    if eta is not None:
-        u = PoissonKernelU(eta)
-    return singular_periodic_integrand(
-        u, m=args.m, t=args.t, period=TWO_PI, n_derivs=n_derivs
-    )
-
-
-def _oracle_derivs(args, eta: Optional[float]) -> int:
-    """Highest order of g's derivatives at t the oracle reads: m for the
-    closed form, else hfp_reference's lead term, of order m + smoothing."""
-    return args.m if eta is not None and args.m == 3 else args.m + _REF_SMOOTHING
-
-
-def _oracle_for(args, eta: Optional[float], integrand) -> tuple[str, float]:
-    if eta is not None and args.m == 3:
+    def closed_form(eta):
         return "exact_supersingular", exact_supersingular(eta, args.t)
-    ref = hfp_reference(
-        integrand.g_eval,
-        integrand.g_derivs_at_t,
-        args.m,
-        integrand.a,
-        integrand.b,
-        args.t,
-        smoothing=_REF_SMOOTHING,
-    )
-    return "hfp_reference", ref
 
+    def reference(f):
+        ref = hfp_reference(
+            f.g_eval, f.g_derivs_at_t, args.m, f.a, f.b, args.t, smoothing=_REF_SMOOTHING
+        )
+        return "hfp_reference", ref
 
-def _rule_path(args) -> str:
-    return _preferred_path(args.m, args.s) if args.path == "auto" else args.path
+    def cases():
+        etas = [None] if poly is not None else parse_float_list(args.eta)
+        if args.command == "quad" and len(etas) != 1:
+            raise ValueError("quad takes a single --eta value")
+        if not etas:
+            raise ValueError("--eta lists no value")
+        for eta in etas:
+            closed = eta is not None and args.m == 3
+            n_derivs = args.m if closed or not with_oracle else args.m + _REF_SMOOTHING
+            u = poly if eta is None else PoissonKernelU(eta)
+            f = singular_periodic_integrand(u, m=args.m, t=args.t, period=TWO_PI, n_derivs=n_derivs)
+            yield eta, f, partial(closed_form, eta) if closed else partial(reference, f)
+
+    return cases()
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +166,14 @@ def _rule_path(args) -> str:
 
 
 def cmd_quad(args) -> int:
-    _, u = _family(args)
-    eta = None
-    if args.eta is not None:
-        etas = parse_float_list(args.eta)
-        if len(etas) != 1:
-            raise ValueError("quad takes a single --eta value")
-        eta = etas[0]
-    need = _oracle_derivs(args, eta) if args.oracle else args.m
-    integrand = _integrand_for(args, eta, u, n_derivs=need)
-    value = t_hat(RuleSpec(args.m, args.s, args.n, path=_rule_path(args)), integrand)
+    ((_, integrand, oracle),) = _cases(args, with_oracle=args.oracle)
+    path = _preferred_path(args.m, args.s) if args.path == "auto" else args.path
+    value = t_hat(RuleSpec(args.m, args.s, args.n, path=path), integrand)
     print(f"value = {format_float(value)}")
     if args.oracle:
-        name, oracle = _oracle_for(args, eta, integrand)
-        print(f"oracle = {format_float(oracle)} ({name})")
-        print(f"error = {format_float(abs(value - oracle))}")
+        name, exact = oracle()
+        print(f"oracle = {format_float(exact)} ({name})")
+        print(f"error = {format_float(abs(value - exact))}")
     return 0
 
 
@@ -192,9 +186,7 @@ def _report_payload(report) -> dict:
         "oracle": report.oracle_name,
         "oracle_value": report.oracle_value,
         "floor_estimate": report.floor_estimate,
-        "rows": [
-            {"n": r.n, "value": r.value, "error": r.error} for r in report.rows
-        ],
+        "rows": [{"n": r.n, "value": r.value, "error": r.error} for r in report.rows],
     }
     if report.eta is not None:
         payload["eta"] = report.eta
@@ -219,47 +211,31 @@ def _emit_reports(args, reports: list) -> int:
             rows.append(["fitted_rate", rep.fitted_rate, ""])
     else:
         header = ["n"] + [f"error_eta_{r.eta:g}" for r in reports]
-        ns = reports[0].ns()
         rows = [
-            [int(n)] + [float(rep.rows[i].error) for rep in reports]
-            for i, n in enumerate(ns)
+            [int(r.n)] + [float(rep.rows[i].error) for rep in reports]
+            for i, r in enumerate(reports[0].rows)
         ]
     _write_output(rows_to_csv(header, rows), args.output)
     return 0
 
 
-def _build_tables(args, with_rate: bool) -> list:
-    kind, u = _family(args)
+def cmd_table(args) -> int:
+    """table and rate: one convergence table per case; rate also fits each
+    table's ln-error slope and prints it to stderr."""
+    cases = _cases(args, with_oracle=True)
     n_list = parse_n_range(args.n)
-    etas = parse_float_list(args.eta) if kind == "eta-oracle" else [None]
+    path = None if args.path == "auto" else args.path
     reports = []
-    for eta in etas:
-        integrand = _integrand_for(args, eta, u, n_derivs=_oracle_derivs(args, eta))
-        name, oracle = _oracle_for(args, eta, integrand)
-        rep = convergence_table_for(
-            integrand,
-            oracle_value=oracle,
-            oracle_name=name,
-            s=args.s,
-            n_list=n_list,
-            eta=eta,
-            path=_rule_path(args),
-        )
-        if with_rate:
+    for eta, integrand, oracle in cases:
+        name, exact = oracle()
+        rep = convergence_table_for(integrand, exact, name, s=args.s, n_list=n_list, eta=eta, path=path)
+        if args.command == "rate":
             empirical_rate(rep)
         reports.append(rep)
-    return reports
-
-
-def cmd_table(args) -> int:
-    return _emit_reports(args, _build_tables(args, with_rate=False))
-
-
-def cmd_rate(args) -> int:
-    reports = _build_tables(args, with_rate=True)
-    for rep in reports:
-        label = f"eta={rep.eta:g}: " if rep.eta is not None else ""
-        print(f"{label}fitted ln-error slope = {format_float(rep.fitted_rate)}", file=sys.stderr)
+    if args.command == "rate":
+        for rep in reports:
+            label = f"eta={rep.eta:g}: " if rep.eta is not None else ""
+            print(f"{label}fitted ln-error slope = {format_float(rep.fitted_rate)}", file=sys.stderr)
     return _emit_reports(args, reports)
 
 
@@ -279,6 +255,8 @@ def cmd_solve_ie(args) -> int:
     print(f"max node error vs manufactured solution = {format_float(max_err)}", file=sys.stderr)
     print(f"residual = {format_float(sol.residual)}", file=sys.stderr)
     print(f"condition = {format_float(sol.condition)} ({sol.structure})", file=sys.stderr)
+    header = ["x", "phi_hat", "phi_true", "error"]
+    rows = [[float(v) for v in row] for row in zip(system.grid, sol.values, truth, errors)]
     if args.format == "json":
         # the rhs the system was built with against its closed form
         fp_part = np.array([exact_supersingular(args.eta, float(t)) for t in system.grid])
@@ -291,23 +269,11 @@ def cmd_solve_ie(args) -> int:
             "residual": sol.residual,
             "condition": sol.condition,
             "structure": sol.structure,
-            "nodes": [
-                {
-                    "x": float(x),
-                    "phi_hat": float(v),
-                    "phi_true": float(p),
-                    "error": float(e),
-                }
-                for x, v, p, e in zip(system.grid, sol.values, truth, errors)
-            ],
+            "nodes": [dict(zip(header, row)) for row in rows],
         }
         _write_output(canonical_json(payload), args.output)
     else:
-        rows = [
-            [float(x), float(v), float(p), float(e)]
-            for x, v, p, e in zip(system.grid, sol.values, truth, errors)
-        ]
-        _write_output(rows_to_csv(["x", "phi_hat", "phi_true", "error"], rows), args.output)
+        _write_output(rows_to_csv(header, rows), args.output)
     return 0
 
 
@@ -354,16 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="also report the oracle error")
     p.set_defaults(func=cmd_quad)
 
-    for name, fn, hint in (
-        ("table", cmd_table, "emit an error-vs-n table"),
-        ("rate", cmd_rate, "table plus fitted ln-error slope"),
+    for name, hint in (
+        ("table", "emit an error-vs-n table"),
+        ("rate", "table plus fitted ln-error slope"),
     ):
         p = sub.add_parser(name, help=hint)
         add_rule(p)
         add_family(p)
         p.add_argument("--n", type=str, required=True, help="n list as start:stop:step or single value")
         add_output(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("solve-ie", help="solve the manufactured integral equation")
     p.add_argument("--approach", choices=["simple", "advanced"], default="simple")

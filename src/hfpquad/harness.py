@@ -20,6 +20,8 @@ from .quadrature import (
     DOUBLE_UNIT,
     PeriodicIntegrand,
     RuleSpec,
+    _call_g,
+    _check_finite,
     _prefetch_g,
     max_compact_level,
     roundoff_floor,
@@ -74,9 +76,6 @@ class ConvergenceReport:
     floor_estimate: float
     fitted_rate: Optional[float] = None
 
-    def ns(self) -> np.ndarray:
-        return np.array([r.n for r in self.rows])
-
     def floor_at(self, n: int) -> float:
         g, gp, gppp = self.g_norms
         return roundoff_floor(g, gp, gppp, self.period, n)
@@ -102,10 +101,11 @@ def integrand_norms(integrand: PeriodicIntegrand) -> tuple[float, float, float]:
 
     Order-of-magnitude accuracy is all the floor model needs.  A
     vector-valued g is differenced along its nodes, so each norm is the
-    largest over its rows.
+    largest over its rows.  g goes through the rule's evaluator checks, so
+    a non-finite sample raises EvaluationError naming its x.
     """
     xs = np.linspace(integrand.a, integrand.b, NORM_SAMPLES)
-    g = np.asarray(integrand.g_eval(xs), dtype=float)
+    g = _check_finite(_call_g(integrand, xs), xs)
     dx = xs[1] - xs[0]
     g1 = np.gradient(g, dx, axis=-1)
     g2 = np.gradient(g1, dx, axis=-1)
@@ -216,6 +216,6 @@ def floor_check(
     for r in report.rows:
         bound = safety_factor * roundoff_floor(*report.g_norms, report.period, r.n, unit)
         rows.append((r.n, r.error, bound))
-        if r.error > bound:
+        if not r.error <= bound:  # so a NaN error fails
             ok = False
     return FloorCheck(rows=rows, safety_factor=safety_factor, passed=ok)

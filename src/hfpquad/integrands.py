@@ -184,10 +184,6 @@ class TrigPolynomial:
                 acc = acc + b * float(k1) ** order * np.sin(k1 * x + shift)
         return acc if acc.shape else float(acc)
 
-    @property
-    def degree(self) -> int:
-        return max(len(self.cos_coeffs) - 1, len(self.sin_coeffs))
-
 
 def random_trig_polynomial(rng: np.random.Generator, degree: int = 6) -> TrigPolynomial:
     """Random coefficients in [-1, 1]; constant term biased positive."""

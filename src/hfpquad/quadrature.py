@@ -137,6 +137,12 @@ def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
     vals = _call_g(integrand, x)
     if vals.ndim > x.ndim and integrand.g_derivs_at_t is not None:
         raise ValueError("a vector-valued g carries no g derivatives")
+    return _check_finite(vals, x)
+
+
+def _check_finite(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """vals, or EvaluationError naming the first node of x whose value is
+    not finite (for a vector g, of any row)."""
     if not np.all(np.isfinite(vals)):
         # flat index into (P, *x.shape) modulo the node count is the node
         idx = int(np.flatnonzero(~np.isfinite(vals))[0]) % x.size
@@ -477,9 +483,14 @@ def roundoff_floor(
     """Upper envelope K(n) * u * n^2 for the computed-rule error at large n.
 
     K(n) = 2 zeta(3)/T^2 * ||g|| + pi^2/(3 T n) * ||g'|| + T/(6 n^3) * ||g'''||.
+    Needs n >= 1, a finite T > 0, finite norms >= 0 and a finite u > 0.
     """
-    if min(g_norm, gp_norm, gppp_norm) < 0 or unit <= 0:
-        raise ValueError("norms must be >= 0 and unit > 0")
+    if n < 1:
+        raise ValueError(f"n must be >= 1 (got {n})")
+    if not 0 < period < math.inf:
+        raise ValueError(f"period must be finite and > 0 (got {period})")
+    if not all(0 <= v < math.inf for v in (g_norm, gp_norm, gppp_norm)) or not 0 < unit < math.inf:
+        raise ValueError("norms must be finite and >= 0, and unit finite and > 0")
     K = (
         2.0 * zeta_at(3) / period**2 * g_norm
         + math.pi**2 / (3.0 * period * n) * gp_norm

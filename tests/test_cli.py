@@ -91,6 +91,75 @@ class TestQuad:
         assert code == 1
         assert "compact" in err
 
+    def test_value_is_printed_before_the_oracle_fails(self, capsys):
+        # at m = 6 hfp_reference does not converge here; the rule value
+        # comes first, and the oracle's error after it
+        code, out, err = run_cli(
+            capsys,
+            "quad", "--m", "6", "--s", "4", "--n", "10",
+            "--cos", "0.5,0.3,0.1", "--sin", "0.2,-0.4", "--oracle",
+        )
+        assert code == 1
+        assert re.fullmatch(r"value = \S+\n", out)
+        assert err.startswith("error: reference did not converge")
+
+
+class TestFamilyErrors:
+    """Which error a command reports when more than one flag is wrong:
+    the family flags are checked first, before --n and the --eta count."""
+
+    BOTH = "error: choose either --eta or --cos/--sin, not both\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--m", "3", "--n", "bad", "--eta", "0.5", "--cos", "1"),
+            ("quad", "--m", "3", "--n", "8", "--eta", "0.3,0.4", "--cos", "1"),
+        ],
+    )
+    def test_both_families_reported_first(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (1, "", self.BOTH)
+
+    def test_bad_n_reported_before_a_bad_eta(self, capsys):
+        code, _, err = run_cli(capsys, "table", "--m", "3", "--n", "bad", "--eta", "abc")
+        assert code == 1
+        assert "'bad'" in err
+
+    def test_quad_eta_count_reported_before_its_values(self, capsys):
+        code, _, err = run_cli(capsys, "quad", "--m", "3", "--n", "8", "--eta", "1.5,0.3")
+        assert (code, err) == (1, "error: quad takes a single --eta value\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_eta_list(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "table", "--m", "3", "--n", "10", "--eta", ",", "--format", fmt
+        )
+        assert (code, out, err) == (1, "", "error: --eta lists no value\n")
+
+
+_MODES = ("--cos", "0.5,0.3,0.1", "--sin", "0.2,-0.4")
+
+
+class TestQuadEqualsTable:
+    """Every row of a table is the quad value at its n, bit for bit: a
+    table serves g from one evaluation, quad evaluates it per rule."""
+
+    @pytest.mark.parametrize("path", ["auto", "generic"])
+    @pytest.mark.parametrize(
+        "m, family",
+        [(m, _MODES) for m in range(1, 6)] + [(3, ("--eta", "0.5"))],
+    )
+    def test_rows_equal_quad(self, capsys, m, family, path):
+        for s in sorted({0, 1, m // 2 + 1}):
+            rule = ("--m", str(m), "--s", str(s), "--path", path, *family)
+            code, out, _ = run_cli(capsys, "table", *rule, "--n", "10:30:10", "--format", "json")
+            assert code == 0
+            for row in json.loads(out)["rows"]:
+                code, quad, _ = run_cli(capsys, "quad", *rule, "--n", str(row["n"]))
+                assert code == 0
+                # both print %.16e, which round-trips a double exactly
+                assert quad == f"value = {'%.16e' % row['value']}\n", (s, row["n"])
+
 
 class TestTable:
     def test_grid_shape(self, capsys, tmp_path):
@@ -262,6 +331,22 @@ class TestFloor:
         assert code == 0
         expected = roundoff_floor(1.0, 0.0, 0.0, 6.283185307, 100, 2.2e-16)
         assert float(out.strip()) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "0", "--gnorm", "1"), "n must be >= 1"),
+            (("--n", "-5", "--gnorm", "1"), "n must be >= 1"),
+            (("--n", "10", "--gnorm", "1", "--T", "0"), "period must be finite and > 0"),
+            (("--n", "10", "--gnorm", "1", "--T", "-1"), "period must be finite and > 0"),
+            (("--n", "10", "--gnorm", "nan"), "norms must be finite"),
+            (("--n", "10", "--gnorm", "1", "--u", "inf"), "unit finite and > 0"),
+        ],
+    )
+    def test_invalid_input_is_an_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "floor", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
 
 
 class TestCanonicalJson:

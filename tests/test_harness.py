@@ -19,7 +19,7 @@ from hfpquad.harness import (
 )
 from hfpquad.integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
 from hfpquad.oracles import GeometricKernelCase
-from hfpquad.quadrature import RuleSpec, _family_nodes, _prefetch_g, t_hat
+from hfpquad.quadrature import PeriodicIntegrand, RuleSpec, _family_nodes, _prefetch_g, t_hat
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,6 +161,27 @@ class TestFloorCheck:
         assert check.passed
         for n, err, bound in check.rows:
             assert err <= bound
+
+    def test_nan_error_fails(self):
+        # a NaN compares false with every bound, so it once passed
+        rep = synthetic_report([10, 20], [math.nan, 0.0], norms=(1.0, 0.0, 0.0))
+        check = floor_check(rep)
+        assert not check.passed
+
+    def test_non_finite_norm_sample_raises(self):
+        # the rule never samples x = a here, so the rows are finite; the
+        # norm sample does, and once gave NaN norms, a NaN floor and a
+        # floor check that passed at errors of 1.10 and 0.90
+        a = -math.pi
+        integ = PeriodicIntegrand(
+            m=1, t=0.3, a=a, b=math.pi, g_eval=lambda x: np.where(x == a, np.nan, np.cos(x))
+        )
+        assert np.all(np.isfinite([t_hat(RuleSpec(1, 1, n, path="compact"), integ) for n in (10, 20)]))
+        with pytest.raises(EvaluationError) as info:
+            convergence_table_for(integ, 0.0, "zero", s=1, n_list=[10, 20])
+        assert info.value.node_x == a
+        with pytest.raises(EvaluationError, match="x=-3.14159"):
+            integrand_norms(integ)
 
     def test_zero_integrand(self):
         case = GeometricKernelCase(eta=0.0, t=1.0)

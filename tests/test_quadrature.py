@@ -651,3 +651,24 @@ class TestRoundoffFloor:
             roundoff_floor(-1.0, 0.0, 0.0, TWO_PI, 10)
         with pytest.raises(ValueError):
             roundoff_floor(1.0, 0.0, 0.0, TWO_PI, 10, unit=0.0)
+
+    @pytest.mark.parametrize(
+        "norms, period, n, unit",
+        [
+            ((1.0, 0.0, 0.0), TWO_PI, 0, 2.0**-53),
+            ((1.0, 0.0, 0.0), TWO_PI, -5, 2.0**-53),
+            ((1.0, 0.0, 0.0), 0.0, 10, 2.0**-53),
+            ((1.0, 0.0, 0.0), -1.0, 10, 2.0**-53),
+            ((1.0, 0.0, 0.0), math.nan, 10, 2.0**-53),
+            ((math.nan, 0.0, 0.0), TWO_PI, 10, 2.0**-53),
+            ((1.0, math.inf, 0.0), TWO_PI, 10, 2.0**-53),
+            ((1.0, 0.0, -1e-300), TWO_PI, 10, 2.0**-53),
+            ((1.0, 0.0, 0.0), TWO_PI, 10, math.inf),
+            ((1.0, 0.0, 0.0), TWO_PI, 10, math.nan),
+        ],
+    )
+    def test_rejects_what_has_no_floor(self, norms, period, n, unit):
+        # n = 0 and T = 0 once divided by zero; n < 0, T < 0 and a NaN
+        # norm once returned a number
+        with pytest.raises(ValueError):
+            roundoff_floor(*norms, period, n, unit)
