@@ -133,6 +133,9 @@ def _cases(args, with_oracle: bool):
     if args.eta is None:
         cos = tuple(parse_float_list(args.cos)) if args.cos else (0.0,)
         sin = tuple(parse_float_list(args.sin)) if args.sin else ()
+        for flag, text, coefs in (("cos", args.cos, cos), ("sin", args.sin, sin)):
+            if text and not coefs:
+                raise ValueError(f"--{flag} lists no value")
         poly = TrigPolynomial(cos, sin)
 
     def closed_form(eta):

@@ -47,6 +47,9 @@ __all__ = [
 
 _Z_SWITCH = 1e-4  # |z| below this uses the series branch of D_n
 
+#: terms of the even z-series of D_n that the series branch sums
+_DIRICHLET_TERMS = 10
+
 
 @dataclass(frozen=True, eq=False)
 class PeriodicKernel:
@@ -126,11 +129,15 @@ def _psi_table(kernel: PeriodicKernel, shape: tuple, data: bytes) -> np.ndarray:
     return vals
 
 
-def _circulant(column: np.ndarray) -> np.ndarray:
-    """The circulant matrix with first column ``column``: entry (i, j) =
-    column[(i - j) mod N]."""
-    js = np.arange(column.size)
-    return column[np.subtract.outer(js, js) % column.size]
+def _circulant(rows: np.ndarray) -> np.ndarray:
+    """Entry (i, j) = rows[i, (i - j) mod N], ``rows`` broadcast to N rows:
+    a circulant matrix from its first column, any collocation matrix from
+    one row per grid point.  With ext[i, q] = rows[i, (N - 1 - q) mod N],
+    row i is the window ext[i, N - 1 - i :][:N], so every entry is a copy."""
+    N = rows.shape[-1]
+    ext = np.broadcast_to(np.concatenate((rows[..., ::-1], rows[..., :0:-1]), axis=-1), (N, 2 * N - 1))
+    js = np.arange(N)
+    return np.lib.stride_tricks.sliding_window_view(ext, N, axis=-1)[js, N - 1 - js]
 
 
 class CollocationSystem:
@@ -200,19 +207,18 @@ def _assemble(
 ) -> dict:
     """``rule`` at n on N = 2^s n grid points as CollocationSystem's storage keyword.
 
-    Row i has lam on its diagonal and weights[d] * K_per(t_i, t_i + dy_d)
-    at column (i + d) mod N, t_i = grid[i], with ``_residue_weights`` and
-    dy_d the centered integer offset of the residue d times h/2^s (free of
-    wrap cancellation and away from the wrap-around pole).  A rule with
-    derivative corrections (the advanced approach) adds, by ``_ak_rows``,
-    A_0(t_i) on the diagonal and sum_k A_k(t_i) D_N^(k)((i - j) T/N).
+    Entry (i, j) depends only on t_i = grid[i] and the residue (j - i) mod N,
+    so the system is one table ``rows``, entry (i, (i - c) mod N) at rows[i, c],
+    laid out by ``_circulant``.  Column 0 holds lam, plus A_0(t_i) for a rule
+    with derivative corrections (the advanced approach).  The column of a live
+    residue d, (N - d) mod N, holds weights[d] * K_per(t_i, t_i + dy_d), with
+    ``_residue_weights`` and dy_d the centered integer offset of d times h/2^s
+    (free of wrap cancellation and away from the wrap-around pole).  Each A_k,
+    k >= 1, not all zero adds A_k(t_i) D_N^(k)(c T/N) (``_ak_rows``).
 
-    A ``psi`` kernel is read once on the live offsets, laid out as the
-    first ``column`` (residue d at row (N - d) mod N), with its A_k read at
-    t = a; the grid is not read and may be None.  A
-    ``centered`` kernel is evaluated with the grid as a column against the
-    live offsets and scattered into the dense ``matrix``.  Both paths take
-    the same float operations, so their matrices are equal bit for bit.
+    A ``psi`` kernel has one row, read at t = a and stored as the first
+    ``column``; the grid is not read and may be None.  A ``centered`` kernel
+    has one row per grid point, laid out as the dense ``matrix``.
     """
     h = kernel.period / n
     N = 2**rule.s * n
@@ -220,29 +226,20 @@ def _assemble(
     live = np.flatnonzero(weights)
     dy = ((live + N // 2) % N - N // 2) * (h / 2**rule.s)
     circulant = kernel.psi is not None
-    # one row of residues for a psi kernel, one per grid point otherwise
-    kmat = kernel.numerator_centered(None if circulant else grid[:, None], dy) / dy**3
+    ts = np.array([kernel.a]) if circulant else grid
+    kmat = kernel.numerator_centered(ts[:, None], dy) / dy**3
     kmat *= weights[live]
-    # A_k per grid point, once at t = a for a psi kernel; without corrections A_0 = 0 alone
-    ts = [kernel.a] if circulant else grid
-    amat = _ak_rows(kernel, ts, rule, h) if rule.deriv_corrections else np.zeros((len(ts), 1))
-    if circulant:
-        column = np.zeros(N)
-        column[0] = lam + amat[0, 0]
-        column[-live % N] = kmat
-        for k in range(1, amat.shape[1]):
-            column += amat[0, k] * _cardinal_row(k, N, kernel.period)
-        return {"column": column}
-    matrix = np.diag(lam + amat[:, 0])
-    rows = np.arange(N)[:, None]
-    cols = rows + live
-    cols[cols >= N] -= N
-    matrix[rows, cols] = kmat
+    # without corrections A_0 = 0 alone
+    amat = _ak_rows(kernel, ts, rule, h) if rule.deriv_corrections else np.zeros((ts.size, 1))
+    rows = np.zeros((ts.size, N))
+    rows[:, 0] = lam + amat[:, 0]
+    rows[:, -live % N] = kmat
+    # a column of zeros (A_2 of the t-dependent and cotangent kernels) adds nothing
+    nonzero = amat.any(axis=0)
     for k in range(1, amat.shape[1]):
-        # a column of zeros (A_2 of the t-dependent and cotangent kernels) adds nothing
-        if amat[:, k].any():
-            matrix += amat[:, k][:, None] * cardinal_derivative_matrix(k, N, kernel.period)
-    return {"matrix": matrix}
+        if nonzero[k]:
+            rows += amat[:, k, None] * _cardinal_row(k, N, kernel.period)
+    return {"column": rows[0]} if circulant else {"matrix": _circulant(rows)}
 
 
 def _system(kernel, w_eval, grid, rule, n, lam) -> CollocationSystem:
@@ -278,11 +275,11 @@ def build_simple_system(
 
 
 @lru_cache(maxsize=None)
-def _dirichlet_taylor(n: int, n_terms: int = 10) -> tuple[float, ...]:
+def _dirichlet_taylor(n: int) -> tuple[float, ...]:
     # even z-series of sin(n z) cot(z)/n about z = 0: sin(n z)/(n z) times
     # z cot z, which is kernel_factor_series(1)
-    sinc_n = [Fraction((-n * n) ** q, math.factorial(2 * q + 1)) for q in range(n_terms)]
-    series = _series_mul(sinc_n, kernel_factor_series(1, n_terms), n_terms)
+    sinc_n = [Fraction((-n * n) ** q, math.factorial(2 * q + 1)) for q in range(_DIRICHLET_TERMS)]
+    series = _series_mul(sinc_n, kernel_factor_series(1, _DIRICHLET_TERMS), _DIRICHLET_TERMS)
     return tuple(float(c) for c in series)
 
 

@@ -262,12 +262,16 @@ def singular_periodic_integrand(
     ``u`` is a callable with a ``deriv(order, x)`` method (TrigPolynomial,
     PoissonKernelU).  g(x) = psi_m(x - t) u(x); derivative values of g at t
     are assembled by Leibniz from the series derivatives of psi_m and the
-    analytic derivatives of u, up to order ``n_derivs`` (default m).
+    analytic derivatives of u, up to order ``n_derivs`` (default m).  A
+    non-finite t, or a period that is not finite and > 0, is rejected
+    before anything is evaluated.
     """
     if n_derivs is None:
         n_derivs = m
     a = t - 0.5 * period
     b = t + 0.5 * period
+    if not (math.isfinite(a) and math.isfinite(b) and a < t < b):
+        raise ValueError("singular point must satisfy a < t < b")
     psi0 = numerator_factor_derivs(m, n_derivs, period)
 
     def g_eval(x):

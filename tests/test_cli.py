@@ -137,6 +137,32 @@ class TestFamilyErrors:
         assert (code, out, err) == (1, "", "error: --eta lists no value\n")
 
 
+class TestInputErrors:
+    """A --cos/--sin that lists no value, and a non-finite --t, are one
+    error line and exit 1, with no numpy warning before it."""
+
+    T_RANGE = "singular point must satisfy a < t < b"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--m", "2", "--s", "1", "--n", "10", "--cos", ",", "--oracle"), "--cos lists no value"),
+            (("--m", "2", "--s", "1", "--n", "10", "--sin", ","), "--sin lists no value"),
+            (("--m", "2", "--s", "1", "--n", "10", "--cos", "1", "--sin", ","), "--sin lists no value"),
+            (("--m", "3", "--s", "1", "--n", "8", "--eta", "0.5", "--t", "nan"), T_RANGE),
+            (("--m", "3", "--s", "1", "--n", "8", "--cos", "1,2", "--t", "inf"), T_RANGE),
+            (("--m", "3", "--s", "1", "--n", "8", "--eta", "0.5", "--t=-inf"), T_RANGE),
+        ],
+    )
+    def test_one_error_line(self, capsys, argv, message):
+        assert run_cli(capsys, "quad", *argv) == (1, "", f"error: {message}\n")
+
+    def test_empty_cos_text_is_no_family(self, capsys):
+        code, _, err = run_cli(capsys, "quad", "--m", "2", "--n", "10", "--cos", "")
+        assert (code, err) == (1, "error: no integrand family given: pass --eta or --cos/--sin\n")
+
+
 _MODES = ("--cos", "0.5,0.3,0.1", "--sin", "0.2,-0.4")
 
 

@@ -805,6 +805,21 @@ def reference_advanced_matrix(kernel, lam, n):
     return ref
 
 
+class TestCirculantLayout:
+    # the one layout of every collocation matrix: entry (i, j) =
+    # rows[i, (i - j) mod N], a 1-D rows standing for N equal rows
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("n_rows", [1, "N"])
+    def test_equals_the_index_formula(self, N, n_rows):
+        rows = np.random.default_rng(N).standard_normal(N if n_rows == 1 else (N, N))
+        table = np.broadcast_to(rows, (N, N)).copy()
+        got = ie_solver._circulant(rows)
+        want = np.array([[table[i, (i - j) % N] for j in range(N)] for i in range(N)])
+        assert np.array_equal(got, want)
+        got[...] = 0.0  # a fresh array: writing to it leaves rows as they were
+        assert np.array_equal(np.broadcast_to(rows, (N, N)), table)
+
+
 class TestAssemblyOracle:
     # bit for bit: the builders evaluate the same entries on a residue layout
     @pytest.mark.parametrize("kernel_name", sorted(ORACLE_KERNELS))
@@ -831,13 +846,13 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("kernel_name", ["cotangent_by_centered", "t_dependent"])
     def test_dense_skips_zero_ak_column(self, monkeypatch, kernel_name):
         orders = []
-        real = ie_solver.cardinal_derivative_matrix
+        real = ie_solver._cardinal_row
 
         def counted(k, n, period):
             orders.append(k)
             return real(k, n, period)
 
-        monkeypatch.setattr(ie_solver, "cardinal_derivative_matrix", counted)
+        monkeypatch.setattr(ie_solver, "_cardinal_row", counted)
         kern = ORACLE_KERNELS[kernel_name]()
         got = build_advanced_system(kern, lambda x: np.zeros_like(x), 0.7, 16).matrix
         assert orders == [1, 3]

@@ -1,6 +1,7 @@
 """Series coefficients, smooth-numerator evaluation, and the u(x) families."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -204,3 +205,18 @@ class TestIntegrandFactory:
         assert integ.a == pytest.approx(2.5 - math.pi)
         assert integ.b == pytest.approx(2.5 + math.pi)
         assert integ.a < integ.t < integ.b
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("u", [PoissonKernelU(0.5), TrigPolynomial((1.0, 2.0), ())])
+    def test_non_finite_t_is_rejected_before_any_evaluation(self, u, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="singular point must satisfy a < t < b"):
+                singular_periodic_integrand(u, m=3, t=t)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_period_that_is_not_finite_and_positive_is_rejected(self, period):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="singular point must satisfy a < t < b"):
+                singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=1.0, period=period)
