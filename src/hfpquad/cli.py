@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from functools import partial
 from typing import Optional, Sequence
@@ -354,9 +355,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_values(argv: Sequence[str]) -> list[str]:
+    """``--opt -1,2`` as ``--opt=-1,2``: argparse takes a token that starts
+    with ``-`` for an option unless it is a plain negative number, so a
+    value such as ``-1,2`` or ``-1e-3`` needs the ``=`` form."""
+    out: list[str] = []
+    for tok in argv:
+        if out and re.match(r"-[\d.]", tok) and re.fullmatch(r"--[\w-]+", out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (HfpquadError, ValueError) as exc:

@@ -36,6 +36,9 @@ TWO_PI = 2.0 * math.pi
 _SERIES_MAX_TERMS = 100000
 #: the series' tail bound is pushed below this
 _SERIES_TOL = 1e-16
+_GAUSS_ORDER = 16  # Gauss-Legendre nodes per reference panel
+_REF_TOL = 1e-10  # two panel doublings agree to this, relative to 1 + |value|
+_REF_MAX_PANELS = 4096  # panels per segment at the last doubling
 
 
 @dataclass(frozen=True)
@@ -132,13 +135,13 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_integrate(fn, breakpoints, panels_per_seg, order=16):
-    """Gauss panels on every segment, with one fn call on all their nodes.
+def _panel_integrate(fn, breakpoints, panels_per_seg):
+    """_GAUSS_ORDER-node Gauss panels on every segment, one fn call on all.
 
     ``fn`` must be elementwise; math.fsum is exactly rounded, so the sum
     does not depend on the order of the terms.
     """
-    xs, ws = _gauss_nodes(order)
+    xs, ws = _gauss_nodes(_GAUSS_ORDER)
     nodes, weights = [], []
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         edges = np.linspace(lo, hi, panels_per_seg + 1)
@@ -157,35 +160,32 @@ def hfp_reference(
     b: float,
     t: float,
     smoothing: int = 4,
-    tol: float = 1e-10,
-    max_panels: int = 4096,
 ) -> float:
     """Brute-force finite-part value by Taylor subtraction.
 
     Subtracts the Taylor polynomial of g at t through order m+K-1
     (K = ``smoothing``), integrates the regular remainder by doubling Gauss
-    panels split at t, and adds the subtracted part back in closed form via
-    hfp_power_integral.  ``g_derivs_at_t`` must cover orders 0..m+K-1; when
-    an order-(m+K) value is also present, the remainder is evaluated from
-    its own leading Taylor term inside a small window around t, which
-    removes the subtractive cancellation there.
+    panels on [a, t-rho, t, t+rho, b] to _REF_TOL (at most _REF_MAX_PANELS
+    per segment), and adds the subtracted part back in closed form via
+    hfp_power_integral.  Inside |x - t| < rho the remainder is its leading
+    term g^(m+K)(t)/(m+K)! (x-t)^K, free of the cancellation next to t, so
+    ``g_derivs_at_t`` must cover orders 0..m+K; with fewer,
+    DerivativesRequiredError is raised before g is called.
     """
     if smoothing < 2:
         raise ValueError("smoothing order K must be >= 2")
     if not a < t < b:
         raise ValueError("require a < t < b")
     n_sub = m + smoothing
-    if len(g_derivs_at_t) < n_sub:
+    if len(g_derivs_at_t) <= n_sub:
         raise DerivativesRequiredError(
-            f"reference needs g derivatives at t through order {n_sub - 1} "
+            f"reference needs g derivatives at t through order {n_sub} "
             f"(got {len(g_derivs_at_t)} values)"
         )
     d = np.array(
         [float(g_derivs_at_t[i]) / math.factorial(i) for i in range(n_sub)]
     )
-    lead = None
-    if len(g_derivs_at_t) > n_sub:
-        lead = float(g_derivs_at_t[n_sub]) / math.factorial(n_sub)
+    lead = float(g_derivs_at_t[n_sub]) / math.factorial(n_sub)
 
     closed = math.fsum(
         d[i] * hfp_power_integral(i - m, a, b, t) for i in range(n_sub)
@@ -195,25 +195,23 @@ def hfp_reference(
 
     def remainder(x):
         y = x - t
-        near = np.abs(y) < rho if lead is not None else np.zeros(x.shape, dtype=bool)
+        near = np.abs(y) < rho
         y_safe = np.where(near, 1.0, y)
         poly = np.zeros_like(y)
         for c in d[::-1]:
             poly = poly * y + c
         out = (g_eval(x) - poly) / y_safe**m
-        if lead is not None:
-            out = np.where(near, lead * y**smoothing, out)
-        return out
+        return np.where(near, lead * y**smoothing, out)
 
-    breakpoints = [a, t - rho, t, t + rho, b] if lead is not None else [a, t, b]
+    breakpoints = [a, t - rho, t, t + rho, b]
     prev = None
     panels = 4
-    while panels <= max_panels:
+    while panels <= _REF_MAX_PANELS:
         val = _panel_integrate(remainder, breakpoints, panels)
-        if prev is not None and abs(val - prev) <= tol * (1.0 + abs(val)):
+        if prev is not None and abs(val - prev) <= _REF_TOL * (1.0 + abs(val)):
             return closed + val
         prev = val
         panels *= 2
     raise ReferenceConvergenceError(
-        f"reference did not converge below tol={tol} with {max_panels} panels per segment"
+        f"reference did not converge below tol={_REF_TOL} with {_REF_MAX_PANELS} panels per segment"
     )

@@ -307,8 +307,7 @@ def correction_sum(integrand: PeriodicIntegrand, n: int) -> float:
     """
     m = integrand.m
     h = integrand.period / n
-    r = m // 2 if m % 2 == 0 else (m - 1) // 2
-    parity = 0 if m % 2 == 0 else 1
+    r, parity = m // 2, m % 2
     if integrand.g_derivs_at_t is None or len(integrand.g_derivs_at_t) <= m:
         raise DerivativesRequiredError(
             f"derivatives of g at t up to order {m} required for the s=0 rule"
@@ -377,12 +376,12 @@ def _fsum(terms: list):
 
 def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
     h, m = integrand.period / n, rule.m
-    total = _fsum([_family_sum(integrand, n, level, w) for level, w in rule.families])
-    total += math.fsum(
+    # corrections first: a missing derivative raises before g is evaluated
+    corrections = math.fsum(
         float(coef) * math.pi ** (m - order) * integrand.deriv_at_t(order) * h ** (1 - m + order)
         for order, coef in rule.deriv_corrections
     )
-    return total
+    return _fsum([_family_sum(integrand, n, level, w) for level, w in rule.families]) + corrections
 
 
 def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:

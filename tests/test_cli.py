@@ -163,6 +163,36 @@ class TestInputErrors:
         assert (code, err) == (1, "error: no integrand family given: pass --eta or --cos/--sin\n")
 
 
+class TestSignedValues:
+    """A value that starts with '-' may follow its option as its own token,
+    as a plain negative number always could."""
+
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (("quad", "--m", "3", "--s", "1", "--n", "8", "--cos", "-1,2"),
+             ("quad", "--m", "3", "--s", "1", "--n", "8", "--cos=-1,2")),
+            (("quad", "--m", "3", "--s", "1", "--n", "8", "--eta", "0.5", "--t", "-1e-3"),
+             ("quad", "--m", "3", "--s", "1", "--n", "8", "--eta", "0.5", "--t=-1e-3")),
+            (("quad", "--m", "2", "--s", "1", "--n", "10", "--sin", "-.5", "--t", "-1e-3", "--oracle"),
+             ("quad", "--m", "2", "--s", "1", "--n", "10", "--sin=-.5", "--t=-1e-3", "--oracle")),
+            (("table", "--m", "4", "--s", "3", "--n", "10:30:10", "--cos", "-0.5,0.3", "--format", "json"),
+             ("table", "--m", "4", "--s", "3", "--n", "10:30:10", "--cos=-0.5,0.3", "--format", "json")),
+        ],
+        ids=["cos", "t", "sin-t-oracle", "table"],
+    )
+    def test_equals_the_joined_form(self, capsys, spaced, joined):
+        got = run_cli(capsys, *spaced)
+        assert got[0] == 0
+        assert got == run_cli(capsys, *joined)
+
+    def test_option_after_option_is_an_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["quad", "--m", "3", "--n", "8", "--cos", "--oracle"])
+        assert info.value.code == 2
+        assert "argument --cos: expected one argument" in capsys.readouterr().err
+
+
 _MODES = ("--cos", "0.5,0.3,0.1", "--sin", "0.2,-0.4")
 
 

@@ -95,10 +95,10 @@ def _const_one(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-def per_segment_panel_integrate(fn, breakpoints, panels_per_seg, order=16):
+def per_segment_panel_integrate(fn, breakpoints, panels_per_seg):
     """Gauss panels with one fn call per segment: the reference for the
     single call on all segments' nodes."""
-    xs, ws = oracles._gauss_nodes(order)
+    xs, ws = oracles._gauss_nodes(oracles._GAUSS_ORDER)
     pieces = []
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         edges = np.linspace(lo, hi, panels_per_seg + 1)
@@ -108,6 +108,9 @@ def per_segment_panel_integrate(fn, breakpoints, panels_per_seg, order=16):
         weights = (half[:, None] * ws[None, :]).ravel()
         pieces.append(weights * fn(nodes))
     return math.fsum(np.concatenate(pieces))
+
+
+_REF_US = [("trig", TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4))), ("poisson", PoissonKernelU(0.6))]
 
 
 class TestReference:
@@ -160,16 +163,13 @@ class TestReference:
         )
         assert ref == pytest.approx(exact_supersingular(eta, t), abs=1e-8)
 
-    # with a derivative beyond the subtracted ones the remainder has its lead
-    # term and four segments about t, without it two; without it the
-    # cancellation next to t stalls the doubling near 1e-6 at m >= 3
-    @pytest.mark.parametrize("lead", [True, False], ids=["lead", "no-lead"])
+    # the remainder is read from its lead term next to t, on four segments
+    # about t; "lead" in the ids names that term
     @pytest.mark.parametrize(
-        "u", [TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4)), PoissonKernelU(0.6)], ids=["trig", "poisson"]
+        "m, u", [pytest.param(m, u, id=f"{m}-{name}-lead") for m in range(1, 6) for name, u in _REF_US]
     )
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_equals_per_segment_reference(self, monkeypatch, m, u, lead):
-        integ = singular_periodic_integrand(u, m=m, t=0.8, n_derivs=m + 6 if lead else m + 5)
+    def test_equals_per_segment_reference(self, monkeypatch, m, u):
+        integ = singular_periodic_integrand(u, m=m, t=0.8, n_derivs=m + 6)
         calls = []
         g = integ.g_eval
 
@@ -178,24 +178,33 @@ class TestReference:
             return g(x)
 
         def ref():
-            return hfp_reference(counted, integ.g_derivs_at_t, m, integ.a, integ.b, integ.t,
-                                 smoothing=6, tol=1e-10 if lead else 1e-4)
+            return hfp_reference(counted, integ.g_derivs_at_t, m, integ.a, integ.b, integ.t, smoothing=6)
 
         value = ref()
         levels = len(calls)  # one g call per panel doubling
         monkeypatch.setattr(oracles, "_panel_integrate", per_segment_panel_integrate)
         calls.clear()
         assert value == ref()
-        assert len(calls) == levels * (4 if lead else 2)
+        assert len(calls) == levels * 4
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_lead_order_required(self, m):
+        # orders 0..m+K-1 are subtracted; the lead term needs order m+K too
+        integ = singular_periodic_integrand(_REF_US[0][1], m=m, t=0.8, n_derivs=m + 5)
+        calls = []
+        counted = lambda x: calls.append(x) or integ.g_eval(x)
+        with pytest.raises(DerivativesRequiredError, match=f"through order {m + 6}"):
+            hfp_reference(counted, integ.g_derivs_at_t, m, integ.a, integ.b, integ.t, smoothing=6)
+        assert calls == []  # the derivative check comes before any g evaluation
 
     def test_insufficient_derivatives(self):
         with pytest.raises(DerivativesRequiredError):
             hfp_reference(_const_one, [1.0, 0.0], 2, 0.0, 2.0, 1.0, smoothing=4)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_REF_TOL", 1e-16)
+        monkeypatch.setattr(oracles, "_REF_MAX_PANELS", 8)
         g = lambda x: np.exp(np.sin(np.asarray(x, dtype=float)))
         derivs = [1.0] * 8
-        with pytest.raises(ReferenceConvergenceError):
-            hfp_reference(
-                g, derivs, 3, -1.0, 1.0, 0.0, smoothing=4, tol=1e-16, max_panels=8
-            )
+        with pytest.raises(ReferenceConvergenceError, match="tol=1e-16 with 8 panels"):
+            hfp_reference(g, derivs, 3, -1.0, 1.0, 0.0, smoothing=4)

@@ -379,6 +379,14 @@ class TestTHat:
         with pytest.raises(ValueError):
             t_hat(RuleSpec(2, 0, 8), integ)
 
+    @pytest.mark.parametrize("m, s", [p for p in COMPACT_PAIRS if compact_rule(*p).deriv_corrections])
+    def test_compact_path_raises_before_g(self, m, s):
+        calls = []
+        integ = PeriodicIntegrand(m, 0.7, 0.7 - math.pi, 0.7 + math.pi, lambda x: calls.append(x) or np.cos(x))
+        with pytest.raises(DerivativesRequiredError):
+            t_hat(RuleSpec(m, s, 40, path="compact"), integ)
+        assert calls == []  # the derivative check comes before any g evaluation
+
     def test_rule_spec_validation(self):
         with pytest.raises(ValueError):
             RuleSpec(3, 0, 1)
