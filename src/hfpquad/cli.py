@@ -358,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_signed_values(argv: Sequence[str]) -> list[str]:
     """``--opt -1,2`` as ``--opt=-1,2``: argparse takes a token that starts
     with ``-`` for an option unless it is a plain negative number, so a
-    value such as ``-1,2`` or ``-1e-3`` needs the ``=`` form."""
+    value such as ``-1,2``, ``-1e-3`` or ``-inf`` needs the ``=`` form."""
     out: list[str] = []
     for tok in argv:
-        if out and re.match(r"-[\d.]", tok) and re.fullmatch(r"--[\w-]+", out[-1]):
+        if out and re.match(r"-([\d.]|inf|nan)", tok, re.I) and re.fullmatch(r"--[\w-]+", out[-1]):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -242,8 +242,15 @@ def _assemble(
     return {"column": rows[0]} if circulant else {"matrix": _circulant(rows)}
 
 
+def _require_finite_lam(lam) -> None:
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite (got {lam!r})")
+
+
 def _system(kernel, w_eval, grid, rule, n, lam) -> CollocationSystem:
-    """The system of ``rule`` at n on ``grid``; w_eval(grid) must be one finite value per point."""
+    """The system of ``rule`` at n on ``grid``; w_eval(grid) must be one finite
+    value per point.  A non-finite lam raises ValueError before w_eval runs."""
+    _require_finite_lam(lam)
     rhs = np.asarray(w_eval(grid), dtype=float)
     if rhs.shape != grid.shape:
         raise EvaluationError(f"rhs has shape {rhs.shape}, the grid has shape {grid.shape}")
@@ -260,7 +267,8 @@ def build_simple_system(
 
     Grid x_j = a + j*hhat, hhat = T/(4n), j = 1..4n; entries
     eps_ij * hhat * K(x_i, x_j) + lam on the diagonal pattern.  A ``psi``
-    kernel gives a circulant system stored as its first column.
+    kernel gives a circulant system stored as its first column.  A
+    non-finite lam raises ValueError before w_eval is called.
     """
     if n < 2:
         raise ValueError("simple approach needs n >= 2")
@@ -369,7 +377,8 @@ def build_advanced_system(
     Grid x_j = a + j T/n, j = 0..n-1; matrix
     [lam + A_0(x_i)] delta_ij + h K(x_i,x_j)(1-delta_ij)
     + sum_k A_k(x_i) D_n^(k)(x_i - x_j).  For a ``psi`` kernel the A_k are
-    constants and the system is stored as its first column.
+    constants and the system is stored as its first column.  A non-finite
+    lam raises ValueError before w_eval is called.
     """
     if n < 4 or n % 2:
         raise ValueError(f"advanced approach needs even n >= 4 (got n={n})")
@@ -493,18 +502,34 @@ def _grid_indices(ts: np.ndarray, a: float, period: float) -> Optional[np.ndarra
     return k.astype(np.int64)
 
 
-def _rule_on_lattice(kernel: PeriodicKernel, n_rule: int, spectrum: np.ndarray, L: int):
-    """The (3, 2) compact rule at n_rule at every point of an L-point lattice.
+@lru_cache(maxsize=8)
+def _lattice_spectrum(kernel: PeriodicKernel, n_rule: int, L: int) -> np.ndarray:
+    """The rfft of the (3, 2) rule's column at n_rule on an L-point lattice, read-only.
 
-    There the rule is the kernel part of the simple system at n_rule, the
-    circulant column ``_assemble`` gives with lam = 0, applied to phi's
-    samples (criterion 07 checks this row by row), with its 4 n_rule
-    residues spread at stride L/(4 n_rule).  So it is one convolution, done with the real FFT;
-    ``spectrum`` is the rfft of phi on the lattice.
+    The column is the kernel part of the simple system at n_rule, the
+    circulant column ``_assemble`` gives with lam = 0, with its 4 n_rule
+    residues spread at stride L/(4 n_rule).  It depends on neither phi nor
+    lam, so every rhs with one kernel and lattice reads it from this table.
+    An entry holds (L/2 + 1) * 16 bytes: the 4 keys of a kernel at n_rule
+    in {96, 192} and L in {768, 3072} hold 62 KB, and 8 entries at
+    L = _RHS_LATTICE_MAX hold at most 8 * (2^20 + 1) * 16 bytes, 134 MB.
     """
     column = np.zeros(L)
     column[:: L // (4 * n_rule)] = _assemble(kernel, None, compact_rule(3, 2), n_rule, 0.0)["column"]
-    return np.fft.irfft(np.fft.rfft(column) * spectrum, L)
+    spectrum = np.fft.rfft(column)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _rule_on_lattice(kernel: PeriodicKernel, n_rule: int, spectrum: np.ndarray, L: int):
+    """The (3, 2) compact rule at n_rule at every point of an L-point lattice.
+
+    There the rule is the rule's lattice column (``_lattice_spectrum``)
+    applied to phi's samples (criterion 07 checks this row by row): one
+    convolution, done as one irfft of the product of the column's spectrum
+    from its table and ``spectrum``, the rfft of phi on the lattice.
+    """
+    return np.fft.irfft(_lattice_spectrum(kernel, n_rule, L) * spectrum, L)
 
 
 def _lattice_norms(psi_ys: np.ndarray, samples: np.ndarray, N: int) -> np.ndarray:
@@ -550,10 +575,11 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
       period of a uniform grid, ts[i] = a + (k0 + i) T/N to within a few
       ulp (``_grid_indices``), as both builders' grids are.  Every rule node and norm
       sample point then lies on the lattice of L = lcm(N, 8 n_high,
-      _RHS_NORM_INTERVALS) points: phi is sampled there once, and each rule is one FFT
-      convolution (``_rule_on_lattice``) with psi read on its live
-      offsets.  The checks run on whole arrays, with the norm sample read
-      from |phi| on the lattice (``_lattice_norms``).  The first point also goes
+      _RHS_NORM_INTERVALS) points: phi is sampled and transformed there once,
+      and each rule is one inverse FFT (``_rule_on_lattice``) of phi's
+      spectrum times the rule's, which a table keyed by (kernel, n_rule, L)
+      holds (``_lattice_spectrum``).  The checks run on whole arrays, with
+      the norm sample read from |phi| on the lattice (``_lattice_norms``).  The first point also goes
       through the batched rule as an anchor; the two values must agree
       within that point's noise allowance, else ReferenceConvergenceError
       names it.  A lattice above _RHS_LATTICE_MAX points takes the batched
@@ -567,10 +593,12 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
       evaluated once per kernel and offsets, not once per batch.  Each
       value is bit for bit the one the rule gives for its point alone.
 
+    A non-finite lam raises ValueError here, before anything is evaluated.
     A non-finite value at a rule node, at a lattice point or in the norm
     sample raises EvaluationError; the first point failing the doubling
     check raises ReferenceConvergenceError naming it.
     """
+    _require_finite_lam(lam)
     coarse = RuleSpec(3, 2, _RHS_N_HIGH, path="compact")
     fine = RuleSpec(3, 2, 2 * _RHS_N_HIGH, path="compact")
     T = kernel.period

@@ -138,8 +138,8 @@ class TestFamilyErrors:
 
 
 class TestInputErrors:
-    """A --cos/--sin that lists no value, and a non-finite --t, are one
-    error line and exit 1, with no numpy warning before it."""
+    """A --cos/--sin that lists no value, a non-finite --t and a non-finite
+    --lambda are one error line and exit 1, with no numpy warning before it."""
 
     T_RANGE = "singular point must satisfy a < t < b"
 
@@ -157,6 +157,12 @@ class TestInputErrors:
     )
     def test_one_error_line(self, capsys, argv, message):
         assert run_cli(capsys, "quad", *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-nan"])
+    def test_non_finite_lambda_is_one_error_line(self, capsys, lam):
+        message = f"error: lambda must be finite (got {float(lam)!r})\n"
+        assert run_cli(capsys, "solve-ie", "--n", "4", "--lambda", lam) == (1, "", message)
 
     def test_empty_cos_text_is_no_family(self, capsys):
         code, _, err = run_cli(capsys, "quad", "--m", "2", "--n", "10", "--cos", "")

@@ -119,6 +119,12 @@ def test_shift_by_one_period(pair, u, t, n, direction):
     t=st.floats(-math.pi, math.pi),
     n=st.sampled_from([6, 8, 10, 12]),
 )
+# Subnormal c.  (1, 1): lhs and rhs 2 subnormal steps apart (1e-323), with
+# both floors 0 and a relative term below one step; (6, 3): the rule
+# amplifies the same rounding to 2.5e-319.  Both fail without the underflow
+# term below.
+@example(pair=(1, 1), u1=TrigPolynomial((0.0,)), u2=TrigPolynomial((0.5, 1.0)), c=-2.2517524146e-314, t=-1.0, n=10)
+@example(pair=(6, 3), u1=TrigPolynomial((0.0,)), u2=TrigPolynomial((1.0,)), c=1e-323, t=-1.0, n=10)
 def test_linear_in_g(pair, u1, u2, c, t, n):
     m, s = pair
 
@@ -139,7 +145,31 @@ def test_linear_in_g(pair, u1, u2, c, t, n):
         singular_periodic_integrand(u2, m=m, t=t), s, n
     )
     scale = abs(lhs) + sum(abs(p) for p in parts)
-    assert abs(lhs - rhs) <= 100 * floor + 1e-12 * scale
+    terms = 3 * sum(1 for b in u2.cos_coeffs + u2.sin_coeffs if b != 0.0)
+    underflow = _underflow_floor(singular_periodic_integrand(u2, m=m, t=t), s, n, terms)
+    assert abs(lhs - rhs) <= 100 * floor + 1e-12 * scale + underflow
+
+
+# Higham's model of a rounded operation (Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., sec. 2.1) is fl(x op y) = (x op y)(1 + d) + e, with
+# |d| <= u and |e| <= 2^-1075.  e is what is left where a result is
+# subnormal, as when a subnormal c scales u2: neither the floor nor the
+# relative term, both proportional to c, covers it.  Each nonzero coefficient
+# of c u2 is rounded when it is formed and twice more in each evaluation of u
+# (times k^order, then times the cosine or sine), so ``terms`` = 3 per
+# coefficient, and g is off by up to terms * e at each node.  The rule
+# amplifies that as its floor amplifies u ||g||, so the term is 100 floors
+# of g, scaled to ||g|| = 1 at unit 1, times terms * e.  It scales by
+# (N/T)^(m-3) from m = 4 on, not above m = 4 as ``_floor`` does, because the
+# relative term that covers m = 4 there is below one subnormal step here.
+def _underflow_floor(integ, s, n, terms):
+    if not terms:
+        return 0.0
+    N = 2**s * n
+    norms = np.array(integrand_norms(integ))
+    amplification = roundoff_floor(*(norms / norms[0]), TWO_PI, N, unit=1.0)
+    amplification *= (N / TWO_PI) ** max(integ.m - 3, 0)
+    return math.ldexp(100 * terms * amplification, -1075)
 
 
 # ---------------------------------------------------------------------------

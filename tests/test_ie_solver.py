@@ -307,6 +307,27 @@ class TestBadRhs:
             build(kern, w, 1.0, n)
 
 
+class TestNonFiniteLambda:
+    """A non-finite lam is an input error, raised before phi or w is evaluated."""
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_manufactured_rhs(self, lam):
+        calls = []
+        kern = supersingular_cotangent_kernel()
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            manufactured_rhs(kern, lambda x: calls.append(x) or np.cos(x), lam)
+        assert calls == []
+
+    @pytest.mark.parametrize("build, n", TestBadRhs.BUILDS)
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_builders(self, build, n, lam):
+        calls = []
+        kern = supersingular_cotangent_kernel()
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            build(kern, lambda x: calls.append(x) or np.cos(x), lam, n)
+        assert calls == []
+
+
 class TestSolve:
     def test_identity_system(self):
         # K = 0: solution is w at the nodes, up to the FFT's rounding (the
@@ -742,6 +763,51 @@ class TestPsiTable:
         kern = supersingular_cotangent_kernel()
         for size in range(1, 2 * cap + 2):
             kern.numerator_centered(None, np.linspace(-1.0, 1.0, size))
+            assert table.cache_info().currsize <= cap
+
+
+def fresh_rule_on_lattice(kernel, n_rule, spectrum, L):
+    """The rule on the lattice with its column built and transformed afresh."""
+    column = np.zeros(L)
+    column[:: L // (4 * n_rule)] = ie_solver._assemble(kernel, None, compact_rule(3, 2), n_rule, 0.0)["column"]
+    return np.fft.irfft(np.fft.rfft(column) * spectrum, L)
+
+
+class TestLatticeSpectrum:
+    """A rule's lattice spectrum is built once per kernel, n_rule and L."""
+
+    @pytest.mark.parametrize("L", [768, 3072, 3840])
+    @pytest.mark.parametrize("n_rule", [_RHS_N_HIGH, 2 * _RHS_N_HIGH])
+    def test_rule_equals_fresh_column(self, n_rule, L):
+        kern = supersingular_cotangent_kernel()
+        x = kern.a + np.arange(L) * (kern.period / L)
+        spectrum = np.fft.rfft(PoissonKernelU(0.3)(x))
+        want = fresh_rule_on_lattice(kern, n_rule, spectrum, L)
+        for _ in range(2):  # built, then read from the table
+            assert np.array_equal(ie_solver._rule_on_lattice(kern, n_rule, spectrum, L), want)
+
+    @pytest.mark.parametrize("approach, n", [("simple", 16), ("simple", 256), ("advanced", 64)])
+    def test_second_grid_rhs_assembles_nothing(self, monkeypatch, approach, n):
+        kern, grid = supersingular_cotangent_kernel(), builder_grid(approach, n)
+        manufactured_rhs(kern, PoissonKernelU(0.3), 1.2)(grid)
+        calls = []
+        real = ie_solver._assemble
+        monkeypatch.setattr(ie_solver, "_assemble", lambda *args: calls.append(args) or real(*args))
+        manufactured_rhs(kern, PoissonKernelU(0.2), 0.7)(grid)
+        assert calls == []
+
+    def test_spectrum_is_read_only(self):
+        spectrum = ie_solver._lattice_spectrum(supersingular_cotangent_kernel(), _RHS_N_HIGH, 768)
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum[0] = 0.0
+
+    def test_table_holds_at_most_its_cap(self):
+        table = ie_solver._lattice_spectrum
+        cap = table.cache_info().maxsize
+        assert cap == 8
+        kern = supersingular_cotangent_kernel()
+        for k in range(1, 2 * cap + 2):
+            table(kern, _RHS_N_HIGH, 768 * k)
             assert table.cache_info().currsize <= cap
 
 
