@@ -44,11 +44,11 @@ from .integrands import (
 )
 from .oracles import (
     GeometricKernelCase,
+    exact_hfp,
     exact_supersingular,
-    fourier_mode_hfp,
+    fourier_symbol,
     hfp_power_integral,
     hfp_reference,
-    supersingular_series,
 )
 from .quadrature import (
     COMPACT_PAIRS,

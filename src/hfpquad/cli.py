@@ -18,7 +18,6 @@ import json
 import math
 import re
 import sys
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,11 +32,10 @@ from .ie_solver import (
     supersingular_cotangent_kernel,
 )
 from .integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
-from .oracles import exact_supersingular, hfp_reference
+from .oracles import exact_hfp, exact_supersingular
 from .quadrature import DOUBLE_UNIT, RuleSpec, roundoff_floor, t_hat
 
 TWO_PI = 2.0 * math.pi
-_REF_SMOOTHING = 6  # Taylor orders hfp_reference subtracts beyond m
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +109,25 @@ def parse_n_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+def parse_float_list(text: str, flag: str) -> list[float]:
+    """The comma-separated floats of --flag.  A list with no value (``,``)
+    or with an empty item (``1,,2``, ``1,``) is an error: dropping the item
+    would shift every value after it."""
+    items = text.split(",")
+    if not any(p.strip() for p in items):
+        raise ValueError(f"--{flag} lists no value")
+    if not all(p.strip() for p in items):
+        raise ValueError(f"--{flag} has an empty item: {text!r}")
+    return [float(p) for p in items]
 
 
-def _cases(args, with_oracle: bool):
-    """(eta, integrand, oracle) for each case the family flags select: one
-    per --eta value, or one for the --cos/--sin polynomial (eta None).
+def _cases(args):
+    """(eta, u, integrand) for each case the family flags select: one per
+    --eta value, or one for the --cos/--sin polynomial (eta None).
 
     The flags are checked, and the polynomial parsed, on this call; --eta
-    is parsed when the cases are iterated.  ``oracle()`` returns (name,
-    value), the closed form for --eta at m = 3 and hfp_reference otherwise,
-    and is evaluated only when called.  The integrand carries g's
-    derivatives at t to order m, or to order m + _REF_SMOOTHING when
-    hfp_reference is asked for, which reads that many.
+    is parsed when the cases are iterated.  The integrand carries g's
+    derivatives at t to order m; the oracle is ``exact_hfp(u, m, t)``.
     """
     if args.eta is not None and (args.cos or args.sin):
         raise ValueError("choose either --eta or --cos/--sin, not both")
@@ -132,34 +135,17 @@ def _cases(args, with_oracle: bool):
         raise ValueError("no integrand family given: pass --eta or --cos/--sin")
     poly = None
     if args.eta is None:
-        cos = tuple(parse_float_list(args.cos)) if args.cos else (0.0,)
-        sin = tuple(parse_float_list(args.sin)) if args.sin else ()
-        for flag, text, coefs in (("cos", args.cos, cos), ("sin", args.sin, sin)):
-            if text and not coefs:
-                raise ValueError(f"--{flag} lists no value")
+        cos = tuple(parse_float_list(args.cos, "cos")) if args.cos else (0.0,)
+        sin = tuple(parse_float_list(args.sin, "sin")) if args.sin else ()
         poly = TrigPolynomial(cos, sin)
 
-    def closed_form(eta):
-        return "exact_supersingular", exact_supersingular(eta, args.t)
-
-    def reference(f):
-        ref = hfp_reference(
-            f.g_eval, f.g_derivs_at_t, args.m, f.a, f.b, args.t, smoothing=_REF_SMOOTHING
-        )
-        return "hfp_reference", ref
-
     def cases():
-        etas = [None] if poly is not None else parse_float_list(args.eta)
+        etas = [None] if poly is not None else parse_float_list(args.eta, "eta")
         if args.command == "quad" and len(etas) != 1:
             raise ValueError("quad takes a single --eta value")
-        if not etas:
-            raise ValueError("--eta lists no value")
         for eta in etas:
-            closed = eta is not None and args.m == 3
-            n_derivs = args.m if closed or not with_oracle else args.m + _REF_SMOOTHING
             u = poly if eta is None else PoissonKernelU(eta)
-            f = singular_periodic_integrand(u, m=args.m, t=args.t, period=TWO_PI, n_derivs=n_derivs)
-            yield eta, f, partial(closed_form, eta) if closed else partial(reference, f)
+            yield eta, u, singular_periodic_integrand(u, m=args.m, t=args.t, period=TWO_PI)
 
     return cases()
 
@@ -170,13 +156,13 @@ def _cases(args, with_oracle: bool):
 
 
 def cmd_quad(args) -> int:
-    ((_, integrand, oracle),) = _cases(args, with_oracle=args.oracle)
+    ((_, u, integrand),) = _cases(args)
     path = _preferred_path(args.m, args.s) if args.path == "auto" else args.path
     value = t_hat(RuleSpec(args.m, args.s, args.n, path=path), integrand)
     print(f"value = {format_float(value)}")
     if args.oracle:
-        name, exact = oracle()
-        print(f"oracle = {format_float(exact)} ({name})")
+        exact = exact_hfp(u, args.m, args.t)
+        print(f"oracle = {format_float(exact)} (exact_hfp)")
         print(f"error = {format_float(abs(value - exact))}")
     return 0
 
@@ -226,13 +212,13 @@ def _emit_reports(args, reports: list) -> int:
 def cmd_table(args) -> int:
     """table and rate: one convergence table per case; rate also fits each
     table's ln-error slope and prints it to stderr."""
-    cases = _cases(args, with_oracle=True)
+    cases = _cases(args)
     n_list = parse_n_range(args.n)
     path = None if args.path == "auto" else args.path
     reports = []
-    for eta, integrand, oracle in cases:
-        name, exact = oracle()
-        rep = convergence_table_for(integrand, exact, name, s=args.s, n_list=n_list, eta=eta, path=path)
+    for eta, u, integrand in cases:
+        exact = exact_hfp(u, args.m, args.t)
+        rep = convergence_table_for(integrand, exact, "exact_hfp", s=args.s, n_list=n_list, eta=eta, path=path)
         if args.command == "rate":
             empirical_rate(rep)
         reports.append(rep)

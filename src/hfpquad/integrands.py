@@ -194,7 +194,7 @@ def random_trig_polynomial(rng: np.random.Generator, degree: int = 6) -> TrigPol
 
 @lru_cache(maxsize=None)
 def _eulerian_row(k: int) -> tuple[int, ...]:
-    # <k, j> with sum_m m^k q^m = (sum_j <k,j> q^(j+1)) / (1-q)^(k+1), k >= 1
+    # <k, j> with sum_m m^k q^m = (sum_j <k,j> q^(j+1)) / (1-q)^(k+1), k >= 0
     row = (1,)
     for kk in range(2, k + 1):
         prev = row

@@ -1,8 +1,9 @@
-"""Closed-form finite-part values and an independent brute-force reference.
+"""Exact finite-part values and an independent brute-force reference.
 
-The geometric-kernel family (supersingular kernel paired with the Poisson
-sum u(x) = sum eta^m cos mx) has a closed-form integral value that every
-rule is validated against.  For arbitrary smooth numerators, a
+``exact_hfp`` sums the kernel's Fourier symbol c_m(k) in closed form, at
+every m, against a trigonometric polynomial or the Poisson sum
+u(x) = sum eta^k cos kx; ``exact_supersingular`` is its m = 3 Poisson
+case, the paper's example.  For arbitrary smooth numerators, a
 Taylor-subtraction reference integrator provides the second, independent
 route: subtract enough of the Taylor polynomial of g at t so the remainder
 integrand is regular, integrate it by adaptive Gauss panels, and add back
@@ -14,28 +15,26 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DerivativesRequiredError, ReferenceConvergenceError
-from .integrands import PoissonKernelU, singular_periodic_integrand
+from .integrands import PoissonKernelU, TrigPolynomial, _eulerian_row, singular_periodic_integrand
 from .quadrature import PeriodicIntegrand
 
 __all__ = [
     "GeometricKernelCase",
     "exact_supersingular",
-    "supersingular_series",
-    "fourier_mode_hfp",
+    "fourier_symbol",
+    "exact_hfp",
     "hfp_power_integral",
     "hfp_reference",
 ]
 
 TWO_PI = 2.0 * math.pi
-_SERIES_MAX_TERMS = 100000
-#: the series' tail bound is pushed below this
-_SERIES_TOL = 1e-16
 _GAUSS_ORDER = 16  # Gauss-Legendre nodes per reference panel
 _REF_TOL = 1e-10  # two panel doublings agree to this, relative to 1 + |value|
 _REF_MAX_PANELS = 4096  # panels per segment at the last doubling
@@ -55,12 +54,9 @@ class GeometricKernelCase:
         if not abs(self.eta) < 1.0:
             raise ValueError("eta must satisfy |eta| < 1")
 
-    def u(self) -> PoissonKernelU:
-        return PoissonKernelU(self.eta)
-
     def integrand(self) -> PeriodicIntegrand:
         return singular_periodic_integrand(
-            self.u(), m=self.m, t=self.t, period=self.period, n_derivs=self.m
+            PoissonKernelU(self.eta), m=self.m, t=self.t, period=self.period, n_derivs=self.m
         )
 
     def exact(self) -> float:
@@ -68,52 +64,69 @@ class GeometricKernelCase:
 
 
 def exact_supersingular(eta: float, t: float) -> float:
-    """Closed-form finite-part value for the geometric-kernel case.
+    """The geometric-kernel case, exact_hfp at m = 3: 4*pi Im[q(1+q)/(1-q)^3], q = eta e^(it)."""
+    return exact_hfp(PoissonKernelU(eta), 3, t)
 
-    4*pi * Im[ q(1+q)/(1-q)^3 ] with q = eta e^(it).
+
+@lru_cache(maxsize=None)
+def _symbol_poly(m: int) -> tuple[tuple[int, ...], int]:
+    """(c, d) with c_m(k) = 2*pi i^m R_m(k) for k > 0, R_m(k) = sum_p c[p] k^p / d.
+
+    Integrating by parts gives c_1 = 2*pi*i sgn k, c_(j+1) = 2ik c_j/j for
+    even j and c_(j+1) = (2ik c_j + (j-1) c_(j-1))/j for odd j; R_m has only
+    powers of the parity of m - 1.
     """
-    if not abs(eta) < 1.0:
-        raise ValueError("eta must satisfy |eta| < 1")
-    q = eta * cmath.exp(1j * t)
-    return 4.0 * math.pi * (q * (1.0 + q) / (1.0 - q) ** 3).imag
+    if m < 1:
+        raise ValueError("singularity order m must be >= 1")
+    r_prev, r = [Fraction(0)], [Fraction(1)]  # R_0 and R_1
+    for j in range(1, m):
+        nxt = [Fraction(0)] + [2 * c for c in r]
+        for p, c in enumerate(r_prev):
+            nxt[p] -= (j % 2) * (j - 1) * c
+        r_prev, r = r, [c / j for c in nxt]
+    d = math.lcm(*(c.denominator for c in r))
+    return tuple(int(c * d) for c in r), d
 
 
-def supersingular_series(eta: float, t: float) -> tuple[float, float]:
-    """Partial-sum route 4*pi*sum_m eta^m m^2 sin(mt), with its tail bound.
+def fourier_symbol(m: int, k: int) -> complex:
+    """c_m(k), the finite part of theta_m(y) e^(iky) over one period 2*pi:
+    2*pi i^m R_m(k) for k > 0, conj(c_m(-k)) for k < 0 and 0 at k = 0.
 
-    Returns (value, bound) where bound >= 4*pi*sum_{m>M} |eta|^m m^2; the
-    cutoff M is chosen so the bound is below _SERIES_TOL.  Raises
-    ReferenceConvergenceError when no M up to _SERIES_MAX_TERMS gets there.
+    R_m(|k|) is one correctly rounded integer division, so a mode the
+    kernel annihilates (c_4(1), c_6(2)) is an exact 0.
     """
-    if not abs(eta) < 1.0:
-        raise ValueError("eta must satisfy |eta| < 1")
-    if eta == 0.0:
-        return 0.0, 0.0
-    ae = abs(eta)
-
-    def tail_bound(M: int) -> float:
-        return 4.0 * math.pi * ae ** (M + 1) * (M + 1) ** 2 * 2.0 / (1.0 - ae)
-
-    M = 10
-    while tail_bound(M) > _SERIES_TOL:
-        M += 10
-        if M > _SERIES_MAX_TERMS:
-            raise ReferenceConvergenceError(
-                f"series tail bound {tail_bound(M):.3e} still above tol {_SERIES_TOL:.3e} "
-                f"at {M} terms (eta={eta!r})"
-            )
-    ms = np.arange(1, M + 1, dtype=float)
-    value = 4.0 * math.pi * math.fsum(eta**m * m * m * math.sin(m * t) for m in ms)
-    return value, tail_bound(M)
+    coefs, den = _symbol_poly(m)
+    x = TWO_PI * (sum(c * abs(k) ** p for p, c in enumerate(coefs)) / den) if k else 0.0
+    re, im = ((x, 0.0), (0.0, x), (-x, 0.0), (0.0, -x))[m % 4]
+    return complex(re, im if k > 0 else -im)
 
 
-def fourier_mode_hfp(mode: int, t: float) -> complex:
-    """Finite part of the supersingular kernel against e^(i*mode*x).
+def exact_hfp(u, m: int, t: float) -> float:
+    """Finite part of theta_m(x - t) u(x) over one period 2*pi, in closed form.
 
-    Over one full period: -sgn(mode) * i * 4*pi * mode^2 * e^(i*mode*t).
+    A TrigPolynomial is summed mode by mode against c_m(k).  For
+    PoissonKernelU(eta), whose modes are eta^|k|/2, the sum is
+    Re sum_p 2*pi i^m r_p S_p(q) with q = eta e^(it), r_p the coefficients
+    of R_m and S_p(q) = sum_(k>=1) k^p q^k = q E_p(q)/(1 - q)^(p+1), E_p
+    the Eulerian numerator in Horner form; Re(i^m s) is picked by m mod 4.
+    Any other u raises TypeError.
     """
-    sgn = (mode > 0) - (mode < 0)
-    return -sgn * 4j * math.pi * mode**2 * cmath.exp(1j * mode * t)
+    coefs, den = _symbol_poly(m)
+    if isinstance(u, TrigPolynomial):
+        n_modes = max(len(u.cos_coeffs) - 1, len(u.sin_coeffs))
+        modes = [fourier_symbol(m, k) * cmath.exp(1j * k * t) for k in range(1, n_modes + 1)]
+        cos, sin = u.cos_coeffs[1:], u.sin_coeffs
+        return math.fsum([a * z.real for a, z in zip(cos, modes)] + [b * z.imag for b, z in zip(sin, modes)])
+    if not isinstance(u, PoissonKernelU):
+        raise TypeError(f"exact_hfp takes a TrigPolynomial or a PoissonKernelU (got {type(u).__name__})")
+    q = u.eta * cmath.exp(1j * t)
+    terms = []
+    for p, c in enumerate(coefs):
+        if c:
+            row = _eulerian_row(p)
+            s = q * reduce(lambda acc, e: acc * q + e, row[-2::-1], row[-1]) / (1.0 - q) ** (p + 1)
+            terms.append(TWO_PI * (c / den) * (s.real, -s.imag, -s.real, s.imag)[m % 4])
+    return math.fsum(terms)
 
 
 def hfp_power_integral(p: int, a: float, b: float, t: float) -> float:

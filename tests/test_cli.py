@@ -10,7 +10,7 @@ import pytest
 from hfpquad.cli import canonical_json, main, parse_float_list, parse_n_range
 from hfpquad.ie_solver import build_simple_system, manufactured_rhs, supersingular_cotangent_kernel
 from hfpquad.integrands import PoissonKernelU
-from hfpquad.oracles import exact_supersingular
+from hfpquad.oracles import exact_hfp, exact_supersingular
 from hfpquad.quadrature import roundoff_floor
 
 TWO_PI = 2.0 * math.pi
@@ -32,7 +32,7 @@ class TestParsers:
             parse_n_range("1:2")
 
     def test_float_list(self):
-        assert parse_float_list("0.1,0.2") == [0.1, 0.2]
+        assert parse_float_list("0.1,0.2", "cos") == [0.1, 0.2]
 
 
 class TestQuad:
@@ -91,17 +91,31 @@ class TestQuad:
         assert code == 1
         assert "compact" in err
 
-    def test_value_is_printed_before_the_oracle_fails(self, capsys):
-        # at m = 6 hfp_reference does not converge here; the rule value
-        # comes first, and the oracle's error after it
-        code, out, err = run_cli(
+    def test_m6_has_an_oracle(self, capsys):
+        # c_6(1) = c_6(2) = 0, so the oracle of this polynomial is an exact
+        # 0 and the error is the rule value itself
+        code, out, _ = run_cli(
             capsys,
             "quad", "--m", "6", "--s", "4", "--n", "10",
             "--cos", "0.5,0.3,0.1", "--sin", "0.2,-0.4", "--oracle",
         )
-        assert code == 1
-        assert re.fullmatch(r"value = \S+\n", out)
-        assert err.startswith("error: reference did not converge")
+        assert code == 0
+        value = float(re.search(r"value = (\S+)", out).group(1))
+        assert "oracle = 0.0000000000000000e+00 (exact_hfp)\n" in out
+        assert float(re.search(r"error = (\S+)", out).group(1)) == abs(value) < 1e-8
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_eta_table_above_m5(self, capsys, m):
+        code, out, _ = run_cli(
+            capsys, "table", "--m", str(m), "--s", "0", "--n", "10:40:10",
+            "--eta", "0.3,0.5", "--format", "json",
+        )
+        assert code == 0
+        for table in json.loads(out)["tables"]:
+            exact = exact_hfp(PoissonKernelU(table["eta"]), m, 1.0)
+            assert (table["oracle"], table["oracle_value"]) == ("exact_hfp", exact)
+            assert [r["error"] for r in table["rows"]] == [abs(r["value"] - exact) for r in table["rows"]]
+            assert min(r["error"] for r in table["rows"]) < 1e-7 * max(1.0, abs(exact))
 
 
 class TestFamilyErrors:
@@ -138,8 +152,9 @@ class TestFamilyErrors:
 
 
 class TestInputErrors:
-    """A --cos/--sin that lists no value, a non-finite --t and a non-finite
-    --lambda are one error line and exit 1, with no numpy warning before it."""
+    """A --cos/--sin that lists no value, an empty item in --cos, --sin or
+    --eta, a non-finite --t and a non-finite --lambda are one error line
+    and exit 1, with no numpy warning before it."""
 
     T_RANGE = "singular point must satisfy a < t < b"
 
@@ -150,6 +165,7 @@ class TestInputErrors:
             (("--m", "2", "--s", "1", "--n", "10", "--cos", ",", "--oracle"), "--cos lists no value"),
             (("--m", "2", "--s", "1", "--n", "10", "--sin", ","), "--sin lists no value"),
             (("--m", "2", "--s", "1", "--n", "10", "--cos", "1", "--sin", ","), "--sin lists no value"),
+            (("--m", "3", "--s", "1", "--n", "8", "--eta", ","), "--eta lists no value"),
             (("--m", "3", "--s", "1", "--n", "8", "--eta", "0.5", "--t", "nan"), T_RANGE),
             (("--m", "3", "--s", "1", "--n", "8", "--cos", "1,2", "--t", "inf"), T_RANGE),
             (("--m", "3", "--s", "1", "--n", "8", "--eta", "0.5", "--t=-inf"), T_RANGE),
@@ -163,6 +179,22 @@ class TestInputErrors:
     def test_non_finite_lambda_is_one_error_line(self, capsys, lam):
         message = f"error: lambda must be finite (got {float(lam)!r})\n"
         assert run_cli(capsys, "solve-ie", "--n", "4", "--lambda", lam) == (1, "", message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (("quad", "--m", "3", "--s", "1", "--n", "16", "--cos", "1,,2"), "cos", "1,,2"),
+            (("quad", "--m", "3", "--s", "1", "--n", "16", "--cos", "1,"), "cos", "1,"),
+            (("quad", "--m", "3", "--s", "1", "--n", "16", "--sin", ",0.5"), "sin", ",0.5"),
+            (("quad", "--m", "3", "--s", "1", "--n", "16", "--cos", "1", "--sin", "0.5, ,1"), "sin", "0.5, ,1"),
+            (("table", "--m", "3", "--n", "10", "--eta", "0.5,,0.4"), "eta", "0.5,,0.4"),
+            (("table", "--m", "3", "--n", "10", "--eta", "0.5,", "--format", "json"), "eta", "0.5,"),
+        ],
+    )
+    def test_empty_item_is_one_error_line(self, capsys, argv, flag, text):
+        # dropping the item would shift every value after it
+        assert run_cli(capsys, *argv) == (1, "", f"error: --{flag} has an empty item: {text!r}\n")
 
     def test_empty_cos_text_is_no_family(self, capsys):
         code, _, err = run_cli(capsys, "quad", "--m", "2", "--n", "10", "--cos", "")

@@ -1,6 +1,7 @@
 """Collocation systems: weight pattern, cardinal kernel, assembly, solve,
 and the manufactured problem."""
 
+import cmath
 import dataclasses
 import math
 import re
@@ -36,7 +37,7 @@ from hfpquad.ie_solver import (
     supersingular_cotangent_kernel,
 )
 from hfpquad.integrands import PoissonKernelU, numerator_factor, numerator_factor_derivs
-from hfpquad.oracles import exact_supersingular, fourier_mode_hfp
+from hfpquad.oracles import exact_supersingular, fourier_symbol
 from hfpquad.quadrature import RuleSpec, compact_rule, roundoff_floor, t_hat
 
 TWO_PI = 2.0 * math.pi
@@ -379,9 +380,9 @@ class TestManufactured:
         w = manufactured_rhs(kern, phi, lam)
         for t in (0.25, 1.0, 2.9):
             modewise = sum(
-                (eta**m / 2.0)
-                * (fourier_mode_hfp(m, t) + fourier_mode_hfp(-m, t)).real
-                for m in range(1, 120)
+                (eta**k / 2.0)
+                * (fourier_symbol(3, k) * cmath.exp(1j * k * t) + fourier_symbol(3, -k) * cmath.exp(-1j * k * t)).real
+                for k in range(1, 120)
             )
             assert w(t) - lam * float(phi(t)) == pytest.approx(modewise, abs=1e-9)
             assert modewise == pytest.approx(exact_supersingular(eta, t), abs=1e-12)

@@ -1,5 +1,6 @@
-"""Closed-form oracle values and the Taylor-subtraction reference."""
+"""The exact Fourier-symbol oracle and the Taylor-subtraction reference."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,14 +8,19 @@ import pytest
 
 from hfpquad import oracles
 from hfpquad.errors import DerivativesRequiredError, ReferenceConvergenceError
-from hfpquad.integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
+from hfpquad.integrands import (
+    PoissonKernelU,
+    TrigPolynomial,
+    random_trig_polynomial,
+    singular_periodic_integrand,
+)
 from hfpquad.oracles import (
     GeometricKernelCase,
+    exact_hfp,
     exact_supersingular,
-    fourier_mode_hfp,
+    fourier_symbol,
     hfp_power_integral,
     hfp_reference,
-    supersingular_series,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -39,14 +45,19 @@ class TestExactSupersingular:
     @pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, -0.4])
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.8])
     def test_matches_series(self, eta, t):
+        # the closed form against the mode-by-mode sum of the Poisson series
+        # 4 pi sum_k eta^k k^2 sin(kt), cut where its tail is below 1e-16
+        K = next(K for K in range(10, 10**4, 10) if 8 * math.pi * (K + 1) ** 2 * abs(eta) ** (K + 1) / (1 - abs(eta)) < 1e-16)
+        series = exact_hfp(TrigPolynomial(tuple(eta**k for k in range(K + 1))), 3, t)
         closed = exact_supersingular(eta, t)
-        series, bound = supersingular_series(eta, t)
-        assert abs(closed - series) <= bound + 1e-12 * abs(closed)
+        assert abs(closed - series) <= 1e-16 + 1e-12 * abs(closed)
 
-    def test_series_cap_raises(self):
-        # the tail bound of eta = 0.9999 is ~1e11 when the term cap is hit
-        with pytest.raises(ReferenceConvergenceError, match="tail bound"):
-            supersingular_series(0.9999, 1.0)
+    def test_is_exact_hfp_at_m3(self):
+        for eta in (0.0, 0.3, -0.4, 0.9, 0.99):
+            for t in (0.0, 1e-3, 1.0, -2.5, math.pi):
+                q = eta * cmath.exp(1j * t)
+                closed = 4.0 * math.pi * (q * (1.0 + q) / (1.0 - q) ** 3).imag
+                assert exact_supersingular(eta, t) == closed == exact_hfp(PoissonKernelU(eta), 3, t)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -58,17 +69,81 @@ class TestExactSupersingular:
 
 
 class TestFourierMode:
+    """fourier_symbol(m, k) = c_m(k), the finite part of theta_m(y) e^(iky)."""
+
     def test_examples(self):
-        assert fourier_mode_hfp(0, 0.3) == 0
-        assert fourier_mode_hfp(1, 0.0) == pytest.approx(-4j * math.pi)
-        assert fourier_mode_hfp(-2, 0.0) == pytest.approx(16j * math.pi)
+        assert fourier_symbol(3, 0) == 0
+        assert fourier_symbol(3, 1) == pytest.approx(-4j * math.pi)
+        assert fourier_symbol(3, -2) == pytest.approx(16j * math.pi)
+        assert fourier_symbol(1, 5) == 2j * math.pi
+        assert fourier_symbol(2, -3) == -12 * math.pi
+        # modes the kernel annihilates are an exact 0
+        assert fourier_symbol(4, 1) == fourier_symbol(6, 1) == fourier_symbol(6, 2) == 0
 
     def test_conjugate_symmetry(self):
-        t = 0.77
-        for m in (1, 2, 5):
-            assert fourier_mode_hfp(-m, t) == pytest.approx(
-                fourier_mode_hfp(m, t).conjugate()
-            )
+        for m in range(1, 8):
+            for k in range(1, 11):
+                assert fourier_symbol(m, -k) == fourier_symbol(m, k).conjugate()
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_zero_mode(self, m):
+        assert fourier_symbol(m, 0) == 0
+
+    def test_m3_is_the_closed_mode_formula(self):
+        # the m = 3 mode formula -sgn(k) 4 pi i k^2 e^(ikt), bit for bit
+        for t in (0.0, 0.77, -2.9):
+            for k in range(-10, 11):
+                sgn = (k > 0) - (k < 0)
+                closed = -sgn * 4j * math.pi * k**2 * cmath.exp(1j * k * t)
+                assert fourier_symbol(3, k) * cmath.exp(1j * k * t) == closed
+
+    def test_m_below_one_raises(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            fourier_symbol(0, 1)
+
+
+def _reference(u, m, t):
+    integ = singular_periodic_integrand(u, m=m, t=t, n_derivs=m + 6)
+    return hfp_reference(integ.g_eval, integ.g_derivs_at_t, m, integ.a, integ.b, t, smoothing=6)
+
+
+class TestExactHfp:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_reference(self, m):
+        # the reference's own error grows with m: over 60 draws the gap
+        # reached 1.8e-10 at m = 5 and 1.7e-9 at m = 6
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            u = random_trig_polynomial(rng)
+            t = float(rng.uniform(-3.0, 3.0))
+            value = exact_hfp(u, m, t)
+            assert abs(value - _reference(u, m, t)) <= 1e-9 * (1.0 + abs(value))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("eta", [0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.9, 3.1])
+    def test_poisson_equals_truncated_series(self, m, eta, t):
+        # the cut series misses sum_(k>K) |c_m(k)| eta^k, which the k^(m-1)
+        # growth of c_m makes up to 1.5e-4 here; rounding is measured
+        # against the sum of the terms' moduli
+        K = next(K for K in range(1, 10**4) if eta**K < 1e-18)
+        series = exact_hfp(TrigPolynomial(tuple(eta**k for k in range(K + 1))), m, t)
+        closed = exact_hfp(PoissonKernelU(eta), m, t)
+        size, tail = (math.fsum(abs(fourier_symbol(m, k)) * eta**k for k in ks) for ks in (range(1, K + 1), range(K + 1, 20 * K)))
+        assert abs(closed - series) <= tail + 1e-14 * size
+
+    def test_annihilated_modes_sum_to_zero(self):
+        # c_6(1) = c_6(2) = 0 and c_m(0) = 0: the oracle is an exact 0
+        assert exact_hfp(TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4)), 6, 1.0) == 0.0
+
+    def test_other_u_raises(self):
+        with pytest.raises(TypeError, match="TrigPolynomial or a PoissonKernelU"):
+            exact_hfp(math.cos, 3, 1.0)
+
+    @pytest.mark.parametrize("u", [TrigPolynomial((1.0, 2.0)), PoissonKernelU(0.5)])
+    def test_m_below_one_raises(self, u):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            exact_hfp(u, 0, 1.0)
 
 
 class TestPowerIntegral:
