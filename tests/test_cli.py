@@ -165,10 +165,10 @@ class TestInputErrors:
             (("--m", "2", "--s", "1", "--n", "10", "--cos", ",", "--oracle"), "--cos lists no value"),
             (("--m", "2", "--s", "1", "--n", "10", "--sin", ","), "--sin lists no value"),
             (("--m", "2", "--s", "1", "--n", "10", "--cos", "1", "--sin", ","), "--sin lists no value"),
-            (("--m", "3", "--s", "1", "--n", "8", "--eta", ","), "--eta lists no value"),
             (("--m", "3", "--s", "1", "--n", "8", "--eta", "0.5", "--t", "nan"), T_RANGE),
             (("--m", "3", "--s", "1", "--n", "8", "--cos", "1,2", "--t", "inf"), T_RANGE),
             (("--m", "3", "--s", "1", "--n", "8", "--eta", "0.5", "--t=-inf"), T_RANGE),
+            (("--m", "3", "--s", "1", "--n", "8", "--eta", ","), "--eta lists no value"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
