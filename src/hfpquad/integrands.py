@@ -37,6 +37,10 @@ TWO_PI = 2.0 * math.pi
 _N_SERIES = 12
 _Z_SWITCH = 0.5
 
+# g is evaluated on slices of this many nodes, so that the evaluators'
+# temporaries stay in cache; each node's double does not depend on the slice
+_G_BLOCK = 8192
+
 
 def _series_mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
     out = [Fraction(0)] * n
@@ -265,6 +269,11 @@ def singular_periodic_integrand(
     analytic derivatives of u, up to order ``n_derivs`` (default m).  A
     non-finite t, or a period that is not finite and > 0, is rejected
     before anything is evaluated.
+
+    ``g_eval`` evaluates g in blocks of ``_G_BLOCK`` consecutive nodes of
+    the flattened node array, so that a large rule's temporaries stay in
+    cache; psi_m and u are elementwise, so every node gets the same double
+    as in one unblocked call.
     """
     if n_derivs is None:
         n_derivs = m
@@ -276,7 +285,13 @@ def singular_periodic_integrand(
 
     def g_eval(x):
         x = np.asarray(x, dtype=float)
-        return numerator_factor(m, x - t, period) * np.asarray(u(x), dtype=float)
+        flat = x.ravel()
+        out = np.empty(flat.size)
+        for i in range(0, flat.size, _G_BLOCK):
+            xs = flat[i : i + _G_BLOCK]
+            out[i : i + _G_BLOCK] = numerator_factor(m, xs - t, period) * np.asarray(u(xs), dtype=float)
+        # [()] turns a 0-d result into a scalar and leaves arrays as they are
+        return out.reshape(x.shape)[()]
 
     u0 = [float(u.deriv(k, t)) for k in range(n_derivs + 1)]
     derivs = []

@@ -184,6 +184,11 @@ def hfp_reference(
     term g^(m+K)(t)/(m+K)! (x-t)^K, free of the cancellation next to t, so
     ``g_derivs_at_t`` must cover orders 0..m+K; with fewer,
     DerivativesRequiredError is raised before g is called.
+
+    The stopping test bounds the change between two doublings, not the
+    error, and above m = 5 the two part ways: for PoissonKernelU(0.3) at
+    m = 6, t = -0.3 (K = 6) the value is off by 6.0e-9 (1 + |value|).  For
+    those orders use ``exact_hfp``.
     """
     if smoothing < 2:
         raise ValueError("smoothing order K must be >= 2")

@@ -10,6 +10,7 @@ extra function evaluations, down to fully derivative-free forms.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -261,13 +262,20 @@ def _family_nodes(integrand: PeriodicIntegrand, n: int, level: int):
     For a power-of-two multiple of n the offsets of every coarser grid are
     the same doubles.
     """
-    t, b = integrand.t, integrand.b
-    delta = (integrand.period / n) / 2**level
+    # Python floats, so the scalar wrap test below rounds as numpy's float64
+    # arrays do whatever numeric types the integrand holds
+    t, b = float(integrand.t), float(integrand.b)
+    delta = float((integrand.period / n) / 2**level)
     total = 2**level * n
-    k = np.arange(1, total, 2 if level else 1, dtype=np.int64)
-    wrapped = np.where(t + k * delta < b, k, k - total)
-    y = wrapped * delta
-    x_hat = np.clip(t + y, integrand.a, b)
+    ks = range(1, total, 2 if level else 1)
+    # t + k*delta rounds monotonically in k, so the k with t + k*delta < b
+    # are a leading run; the rest wrap to k - total
+    inside = bisect.bisect_left(ks, True, key=lambda k: not t + k * delta < b)
+    y = np.arange(ks.start, ks.stop, ks.step, dtype=float)
+    y[inside:] -= total
+    y *= delta
+    x_hat = t + y
+    np.clip(x_hat, integrand.a, b, out=x_hat)
     return y, x_hat
 
 

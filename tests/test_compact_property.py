@@ -25,6 +25,7 @@ from hfpquad.integrands import (  # noqa: E402
     singular_periodic_integrand,
 )
 from hfpquad.quadrature import (  # noqa: E402
+    PeriodicIntegrand,
     RuleSpec,
     _family_nodes,
     extrapolation_weights,
@@ -220,7 +221,12 @@ def test_table_rows_equal_t_hat(rule, u, t, ns, vector):
     m=st.integers(1, 6),
     u=_trig_polynomial | st.floats(-0.9, 0.9).map(PoissonKernelU),
     t=st.floats(-math.pi, math.pi),
-    families=st.lists(st.tuples(st.integers(1, 50), st.integers(0, 3)), min_size=1, max_size=6),
+    # some families larger than g_eval's block of 8192 nodes
+    families=st.lists(
+        st.tuples(st.integers(1, 50) | st.integers(4000, 12000), st.integers(0, 3)),
+        min_size=1,
+        max_size=6,
+    ),
 )
 def test_g_on_concatenated_nodes_equals_g_per_family(m, u, t, families):
     integ = singular_periodic_integrand(u, m=m, t=t)
@@ -230,6 +236,75 @@ def test_g_on_concatenated_nodes_equals_g_per_family(m, u, t, families):
     for x in xs:
         assert np.array_equal(together[start : start + x.size], integ.g_eval(x))
         start += x.size
+
+
+def _family_nodes_reference(integ, n, level):
+    """The node family by the np.where formula over int64 that
+    _family_nodes replaced: its reference, bit for bit."""
+    t, b = integ.t, integ.b
+    delta = (integ.period / n) / 2**level
+    total = 2**level * n
+    k = np.arange(1, total, 2 if level else 1, dtype=np.int64)
+    y = np.where(t + k * delta < b, k, k - total) * delta
+    return y, np.clip(t + y, integ.a, b)
+
+
+def _check_family_nodes(integ, n, level):
+    y, x_hat = _family_nodes(integ, n, level)
+    y_ref, x_ref = _family_nodes_reference(integ, n, level)
+    assert y.tobytes() == y_ref.tobytes()
+    assert x_hat.tobytes() == x_ref.tobytes()
+    # the wrapped offsets are the tail: once a node wraps, every later one does
+    wrapped = y < 0
+    assert not np.any(wrapped[:-1] & ~wrapped[1:])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    t=st.floats(-math.pi, math.pi),
+    n=st.integers(2, 3000),
+    level=st.integers(0, 4),
+)
+def test_family_nodes_equal_the_np_where_formula(t, n, level):
+    _check_family_nodes(singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=t), n, level)
+
+
+def _edge_integrand(t, a, b):
+    return PeriodicIntegrand(m=2, t=t, a=a, b=b, g_eval=np.cos)
+
+
+# t + (n/2) delta rounds onto b (the node wraps), below b (it stays) or
+# above b; a wrapped node rounds below a and is clipped; |t| = 1e3; t one
+# ulp from a (no node wraps) or from b (every node wraps).
+@pytest.mark.parametrize(
+    "integ, n, level",
+    [
+        (singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=2.8189476143269747), 100, 0),
+        (singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.23966150518651785), 300, 0),
+        (singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.07427745862364432), 302, 0),
+        (singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.3), 7, 1),
+        (singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=-1.2536126935942606), 100, 0),
+        (singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=1e3), 10, 2),
+        (singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=-1e3), 11, 3),
+        (_edge_integrand(math.nextafter(0.0, 1.0), 0.0, TWO_PI), 9, 0),
+        (_edge_integrand(math.nextafter(1.0, 2.0), 1.0, 1.0 + TWO_PI), 12, 1),
+        (_edge_integrand(math.nextafter(TWO_PI, 0.0), 0.0, TWO_PI), 9, 2),
+    ],
+)
+def test_family_nodes_edges(integ, n, level):
+    _check_family_nodes(integ, n, level)
+
+
+def test_family_nodes_edge_cases_hit_their_edges():
+    # t + (n/2) delta lands on, below and above b in the first three cases
+    landed = []
+    for t, n in ((2.8189476143269747, 100), (0.23966150518651785, 300), (0.07427745862364432, 302)):
+        integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=t)
+        landed.append(np.sign(t + (n // 2) * (integ.period / n) - integ.b))
+    assert landed == [0.0, -1.0, 1.0]
+    integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=-1.2536126935942606)
+    y, x_hat = _family_nodes(integ, 100, 0)
+    assert np.any(integ.t + y < integ.a) and x_hat.min() == integ.a
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hfpquad import integrands
 from hfpquad.integrands import (
     PoissonKernelU,
     TrigPolynomial,
@@ -220,3 +221,39 @@ class TestIntegrandFactory:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="singular point must satisfy a < t < b"):
                 singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=1.0, period=period)
+
+
+# g_eval runs the evaluators on slices of _G_BLOCK nodes.  Each node's
+# double must not depend on the slicing: the result equals the unblocked
+# product psi_m(x - t) u(x) and g_eval on small pieces, bit for bit.
+_BLOCK = integrands._G_BLOCK
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("u", [PoissonKernelU(0.7), random_trig_polynomial(np.random.default_rng(5))])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_blocked_g_eval_is_bit_for_bit(m, u, size):
+    t = 0.4
+    integ = singular_periodic_integrand(u, m=m, t=t)
+    x = np.random.default_rng(size).uniform(integ.a, integ.b, size)
+    g = integ.g_eval(x)
+    np.testing.assert_array_equal(g, numerator_factor(m, x - t) * np.asarray(u(x)))
+    pieces = [integ.g_eval(x[i : i + 1000]) for i in range(0, size, 1000)]
+    np.testing.assert_array_equal(g, np.concatenate(pieces))
+    # a 2-D node array keeps its shape and each node its double
+    even = 2 * (size // 2)
+    np.testing.assert_array_equal(integ.g_eval(x[:even].reshape(2, -1)), g[:even].reshape(2, -1))
+
+
+@pytest.mark.parametrize("u", [PoissonKernelU(0.7), TrigPolynomial((0.5, 1.0), (0.3,))])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_blocked_g_eval_on_a_scalar_and_on_no_nodes(m, u):
+    integ = singular_periodic_integrand(u, m=m, t=0.4)
+    x = 1.3
+    g = integ.g_eval(np.float64(x))
+    assert type(g) is np.float64
+    assert g == numerator_factor(m, x - 0.4) * u(x)
+    assert g == integ.g_eval(np.array([x]))[0]
+    for empty in (np.empty(0), np.empty((0, 3))):
+        g_empty = integ.g_eval(empty)
+        assert isinstance(g_empty, np.ndarray) and g_empty.shape == empty.shape
