@@ -28,7 +28,9 @@ from .errors import (
     SingularSystemError,
 )
 from .integrands import _series_mul, kernel_factor_series, numerator_factor, numerator_factor_derivs
-from .quadrature import CompactRule, PeriodicIntegrand, RuleSpec, _wrap, compact_rule, roundoff_floor, t_hat
+from .quadrature import (
+    CompactRule, PeriodicIntegrand, RuleSpec, _check_finite, _wrap, compact_rule, roundoff_floor, t_hat
+)
 
 __all__ = [
     "PeriodicKernel",
@@ -254,9 +256,7 @@ def _system(kernel, w_eval, grid, rule, n, lam) -> CollocationSystem:
     rhs = np.asarray(w_eval(grid), dtype=float)
     if rhs.shape != grid.shape:
         raise EvaluationError(f"rhs has shape {rhs.shape}, the grid has shape {grid.shape}")
-    if not np.isfinite(rhs).all():
-        i = int(np.flatnonzero(~np.isfinite(rhs))[0])
-        raise EvaluationError(f"rhs is not finite at grid point {i} (x={float(grid[i])!r})")
+    _check_finite(rhs, grid, "rhs is not finite at grid point {index} (x={x!r})")
     return CollocationSystem(grid=grid, rhs=rhs, **_assemble(kernel, grid, rule, n, lam))
 
 
@@ -607,9 +607,7 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
     noise_per_norm = 50.0 * roundoff_floor(1.0, 0.0, 0.0, T, 8 * _RHS_N_HIGH)
 
     def check(ts, v1, v2, g_norm):
-        bad = np.flatnonzero(~np.isfinite(g_norm))
-        if bad.size:
-            raise EvaluationError(f"kernel slice at t={float(ts[bad[0]])!r} is not finite")
+        _check_finite(g_norm, ts, "kernel slice at t={x!r} is not finite")
         # written so that a NaN on either side fails the check
         allowed = _RHS_TOL * (1.0 + np.abs(v2)) + noise_per_norm * g_norm
         bad = np.flatnonzero(~(np.abs(v1 - v2) <= allowed))
@@ -631,9 +629,7 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
         N = ts.size
         x = kernel.a + np.arange(L) * (T / L)
         samples = np.asarray(phi(x), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(samples))
-        if bad.size:
-            raise EvaluationError(f"phi is not finite at lattice point x={float(x[bad[0]])!r}")
+        _check_finite(samples, x, "phi is not finite at lattice point x={x!r}")
         spectrum = np.fft.rfft(samples)
         i = k % N
         v1 = _rule_on_lattice(kernel, _RHS_N_HIGH, spectrum, L)[i * (L // N)]

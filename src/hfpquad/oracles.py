@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DerivativesRequiredError, ReferenceConvergenceError
 from .integrands import PoissonKernelU, TrigPolynomial, _eulerian_row, singular_periodic_integrand
-from .quadrature import PeriodicIntegrand
+from .quadrature import PeriodicIntegrand, _eval_g
 
 __all__ = [
     "GeometricKernelCase",
@@ -109,8 +109,10 @@ def exact_hfp(u, m: int, t: float) -> float:
     Re sum_p 2*pi i^m r_p S_p(q) with q = eta e^(it), r_p the coefficients
     of R_m and S_p(q) = sum_(k>=1) k^p q^k = q E_p(q)/(1 - q)^(p+1), E_p
     the Eulerian numerator in Horner form; Re(i^m s) is picked by m mod 4.
-    Any other u raises TypeError.
+    Any other u raises TypeError, a non-finite t ValueError.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite (got {t!r})")
     coefs, den = _symbol_poly(m)
     if isinstance(u, TrigPolynomial):
         n_modes = max(len(u.cos_coeffs) - 1, len(u.sin_coeffs))
@@ -183,7 +185,10 @@ def hfp_reference(
     hfp_power_integral.  Inside |x - t| < rho the remainder is its leading
     term g^(m+K)(t)/(m+K)! (x-t)^K, free of the cancellation next to t, so
     ``g_derivs_at_t`` must cover orders 0..m+K; with fewer,
-    DerivativesRequiredError is raised before g is called.
+    DerivativesRequiredError is raised before g is called.  Otherwise it
+    raises as ``t_hat`` does: PeriodicIntegrand checks m, t and the
+    derivatives, and a g that fails raises EvaluationError naming the node
+    on the first panel pass.
 
     The stopping test bounds the change between two doublings, not the
     error, and above m = 5 the two part ways: for PoissonKernelU(0.3) at
@@ -192,22 +197,17 @@ def hfp_reference(
     """
     if smoothing < 2:
         raise ValueError("smoothing order K must be >= 2")
-    if not a < t < b:
-        raise ValueError("require a < t < b")
+    integrand = PeriodicIntegrand(m, t, a, b, g_eval, tuple(g_derivs_at_t))
     n_sub = m + smoothing
     if len(g_derivs_at_t) <= n_sub:
         raise DerivativesRequiredError(
             f"reference needs g derivatives at t through order {n_sub} "
             f"(got {len(g_derivs_at_t)} values)"
         )
-    d = np.array(
-        [float(g_derivs_at_t[i]) / math.factorial(i) for i in range(n_sub)]
-    )
+    d = np.array([float(g_derivs_at_t[i]) / math.factorial(i) for i in range(n_sub)])
     lead = float(g_derivs_at_t[n_sub]) / math.factorial(n_sub)
 
-    closed = math.fsum(
-        d[i] * hfp_power_integral(i - m, a, b, t) for i in range(n_sub)
-    )
+    closed = math.fsum(d[i] * hfp_power_integral(i - m, a, b, t) for i in range(n_sub))
 
     rho = min((b - a) / 200.0, 0.2 * min(t - a, b - t))
 
@@ -218,7 +218,7 @@ def hfp_reference(
         poly = np.zeros_like(y)
         for c in d[::-1]:
             poly = poly * y + c
-        out = (g_eval(x) - poly) / y_safe**m
+        out = (_eval_g(integrand, x) - poly) / y_safe**m
         return np.where(near, lead * y**smoothing, out)
 
     breakpoints = [a, t - rho, t, t + rho, b]

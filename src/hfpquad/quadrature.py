@@ -141,18 +141,18 @@ def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
     return _check_finite(vals, x)
 
 
-def _check_finite(vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """vals, or EvaluationError naming the first node of x whose value is
-    not finite (for a vector g, of any row)."""
+def _check_finite(
+    vals: np.ndarray,
+    x: np.ndarray,
+    message: str = "integrand evaluator returned a non-finite value at node {index} (x={x!r})",
+) -> np.ndarray:
+    """vals, or EvaluationError naming the first node of x whose value is not
+    finite (for a vector g, of any row) by ``message``'s {index} and {x}."""
     if not np.all(np.isfinite(vals)):
         # flat index into (P, *x.shape) modulo the node count is the node
         idx = int(np.flatnonzero(~np.isfinite(vals))[0]) % x.size
         xi = float(x.ravel()[idx])
-        raise EvaluationError(
-            f"integrand evaluator returned a non-finite value at node {idx} (x={xi!r})",
-            node_index=idx,
-            node_x=xi,
-        )
+        raise EvaluationError(message.format(index=idx, x=xi), node_index=idx, node_x=xi)
     return vals
 
 

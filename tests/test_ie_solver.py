@@ -295,8 +295,9 @@ class TestBadRhs:
 
         kern = supersingular_cotangent_kernel()
         x3 = float(build(kern, np.cos, 1.0, n).grid[3])
-        with pytest.raises(EvaluationError, match=re.escape(f"grid point 3 (x={x3!r})")):
+        with pytest.raises(EvaluationError, match=re.escape(f"grid point 3 (x={x3!r})")) as info:
             build(kern, w, 1.0, n)
+        assert (info.value.node_index, info.value.node_x) == (3, x3)
 
     @pytest.mark.parametrize("build, n", BUILDS)
     @pytest.mark.parametrize("w", [lambda x: 1.0, lambda x: np.cos(x)[:-1]], ids=["scalar", "short"])
@@ -538,8 +539,9 @@ class TestBatchedRhs:
         kern = PeriodicKernel(-math.pi, math.pi, centered=centered)
         w = manufactured_rhs(kern, PoissonKernelU(0.3), 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(EvaluationError, match=re.escape(f"t={0.5!r} is not finite")):
+            with pytest.raises(EvaluationError, match=re.escape(f"t={0.5!r} is not finite")) as info:
                 w(np.array([0.5, math.pi]))
+        assert (info.value.node_index, info.value.node_x) == (0, 0.5)
 
     @pytest.mark.parametrize("t", [547.6843192758206, 10000.3, -3000.7])
     def test_points_many_periods_out(self, t):
@@ -655,9 +657,17 @@ class TestGridRhs:
             x = np.asarray(x, float)
             return np.where(np.abs(x - 1.0) < 0.05, np.nan, poisson(x))
 
-        w = manufactured_rhs(supersingular_cotangent_kernel(), phi, 1.0)
-        with pytest.raises(EvaluationError, match="not finite at lattice point"):
-            w(builder_grid("advanced", 16))
+        kern = supersingular_cotangent_kernel()
+        w = manufactured_rhs(kern, phi, 1.0)
+        grid = builder_grid("advanced", 16)
+        with pytest.raises(EvaluationError, match="not finite at lattice point") as info:
+            w(grid)
+        # the error names the first lattice point within 0.05 of x = 1
+        L = math.lcm(grid.size, 8 * _RHS_N_HIGH, _RHS_NORM_INTERVALS)
+        x = kern.a + np.arange(L) * (kern.period / L)
+        i = int(np.flatnonzero(np.abs(x - 1.0) < 0.05)[0])
+        assert (info.value.node_index, info.value.node_x) == (i, float(x[i]))
+        assert f"x={float(x[i])!r}" in str(info.value)
 
     def test_grid_detection(self):
         kern = supersingular_cotangent_kernel()

@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hfpquad import oracles
-from hfpquad.errors import DerivativesRequiredError, ReferenceConvergenceError
+from hfpquad.errors import DerivativesRequiredError, EvaluationError, ReferenceConvergenceError
 from hfpquad.integrands import (
     PoissonKernelU,
     TrigPolynomial,
@@ -144,6 +145,19 @@ class TestExactHfp:
     def test_m_below_one_raises(self, u):
         with pytest.raises(ValueError, match="m must be >= 1"):
             exact_hfp(u, 0, 1.0)
+
+    @pytest.mark.parametrize("u", [TrigPolynomial((0.0, 1.0), (0.5,)), PoissonKernelU(0.5)])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_raises(self, u, t):
+        with pytest.raises(ValueError, match=re.escape(f"t must be finite (got {t!r})")):
+            exact_hfp(u, 4, t)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t_raises_at_m3(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            exact_supersingular(0.5, t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            GeometricKernelCase(0.5, t).exact()
 
 
 class TestPowerIntegral:
@@ -283,3 +297,55 @@ class TestReference:
         derivs = [1.0] * 8
         with pytest.raises(ReferenceConvergenceError, match="tol=1e-16 with 8 panels"):
             hfp_reference(g, derivs, 3, -1.0, 1.0, 0.0, smoothing=4)
+
+
+def _nan_near_two(x):
+    return np.where(np.abs(x - 2.0) < 0.1, np.nan, np.cos(x))
+
+
+def _fails(x):
+    raise RuntimeError("g failed")
+
+
+class TestReferenceEvaluationErrors:
+    """hfp_reference checks g as the rules do: the first panel pass raises
+    EvaluationError naming the node, and a bad derivative raises before g runs."""
+
+    M, A, B, T = 3, -math.pi, math.pi, 0.3
+    DERIVS = [1.0] * 8  # orders 0..m+K at the default K = 4
+
+    @pytest.mark.parametrize(
+        "g, bad",
+        [
+            (_nan_near_two, lambda x: abs(x - 2.0) < 0.1),
+            (lambda x: np.full_like(x, math.inf), lambda x: True),
+            (_fails, None),
+        ],
+        ids=["nan-near-2", "inf", "raises"],
+    )
+    def test_bad_g_raises_on_the_first_pass(self, g, bad):
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return g(x)
+
+        with pytest.raises(EvaluationError) as info:
+            hfp_reference(counted, self.DERIVS, self.M, self.A, self.B, self.T)
+        assert len(calls) == 1  # no panel doubling ran
+        err = info.value
+        if bad is None:
+            assert "g failed" in str(err) and err.node_index is None
+        else:
+            assert err.node_x == float(calls[0][err.node_index])
+            assert bad(err.node_x)
+            assert not any(bad(x) for x in calls[0][: err.node_index])  # the first bad node
+            assert f"(x={err.node_x!r})" in str(err)
+
+    def test_non_finite_derivative_raises_before_g(self):
+        calls = []
+        derivs = list(self.DERIVS)
+        derivs[2] = math.nan
+        with pytest.raises(EvaluationError, match="order 2 at t is not finite"):
+            hfp_reference(lambda x: calls.append(x) or np.cos(x), derivs, self.M, self.A, self.B, self.T)
+        assert calls == []
