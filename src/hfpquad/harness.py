@@ -22,7 +22,7 @@ from .quadrature import (
     RuleSpec,
     _call_g,
     _check_finite,
-    _prefetch_g,
+    _memoize_rules,
     max_compact_level,
     roundoff_floor,
     t_hat,
@@ -128,20 +128,19 @@ def convergence_table_for(
 ) -> ConvergenceReport:
     """Table of rule values and errors against a precomputed oracle value.
 
-    g is evaluated once, on the nodes of every row; each row is then
-    ``t_hat`` of the integrand with g served from those values, equal to a
-    direct ``t_hat`` call bit for bit for an elementwise g.
+    g is evaluated once, on the nodes of every row that the integrand's
+    memo lacks (see PeriodicIntegrand); each row is then ``t_hat`` of the
+    integrand, which reads g from the memo.
     """
     ns = sorted(set(int(n) for n in n_list))
     if not ns:
         raise ValueError("n_list is empty")
     rule_path = path or _preferred_path(integrand.m, s)
     specs = [RuleSpec(integrand.m, s, n, path=rule_path) for n in ns]
-    # every row's g values from one evaluation; t_hat reads them by node bytes
-    served = _prefetch_g(integrand, specs)
+    _memoize_rules(integrand, specs)
     rows = []
     for spec in specs:
-        val = t_hat(spec, served)
+        val = t_hat(spec, integrand)
         rows.append(ReportRow(n=spec.n, value=val, error=abs(val - oracle_value)))
 
     norms = integrand_norms(integrand)

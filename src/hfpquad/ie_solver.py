@@ -251,9 +251,13 @@ def _require_finite_lam(lam) -> None:
 
 def _system(kernel, w_eval, grid, rule, n, lam) -> CollocationSystem:
     """The system of ``rule`` at n on ``grid``; w_eval(grid) must be one finite
-    value per point.  A non-finite lam raises ValueError before w_eval runs."""
+    value per point, and a w_eval that raises gives EvaluationError chained
+    to its exception.  A non-finite lam raises ValueError before w_eval runs."""
     _require_finite_lam(lam)
-    rhs = np.asarray(w_eval(grid), dtype=float)
+    try:
+        rhs = np.asarray(w_eval(grid), dtype=float)
+    except Exception as exc:
+        raise EvaluationError(f"rhs evaluator failed on {grid.size} grid points: {exc}") from exc
     if rhs.shape != grid.shape:
         raise EvaluationError(f"rhs has shape {rhs.shape}, the grid has shape {grid.shape}")
     _check_finite(rhs, grid, "rhs is not finite at grid point {index} (x={x!r})")

@@ -11,9 +11,8 @@ extra function evaluations, down to fully derivative-free forms.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .em_constants import zeta_at, zeta_even_rational
-from .errors import DerivativesRequiredError, EvaluationError, HfpquadError
+from .errors import DerivativesRequiredError, EvaluationError
 
 __all__ = [
     "PeriodicIntegrand",
@@ -60,6 +59,16 @@ class PeriodicIntegrand:
     ``g_derivs_at_t`` holds [g(t), g'(t), ...] of a scalar g; rules that
     need derivative corrections refuse to run without enough entries
     rather than finite-differencing silently.  Instances are immutable.
+
+    The rules' nodes lie on nested lattices (see ``_primitives``), and each
+    instance memoizes g on the lattices its rules have evaluated: ``t_hat``
+    calls g at most once per node of an integrand, so g must give a node the
+    same value whatever other nodes share the call.  For a sequence of
+    rules of growing n, such as a doubling sweep, the memo holds one double
+    (one per row of a vector g) per distinct node evaluated, the finest
+    rule's node count; a rule after a larger one on the same lattices can
+    leave a node's value in more than one array.  ``dataclasses.replace``
+    starts a new instance with an empty memo.
     """
 
     m: int
@@ -68,6 +77,8 @@ class PeriodicIntegrand:
     b: float
     g_eval: Callable
     g_derivs_at_t: Optional[tuple[float, ...]] = None
+    # lattice size N -> g on the primitive lattice P(N)
+    _g_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -127,18 +138,23 @@ def _call_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
-    """g at the nodes x: an array of x's shape, or (P, *x.shape) for a vector g.
-
-    Besides ``_call_g``'s checks, a non-finite value gives EvaluationError
-    carrying the index of the first offending node.  A vector g with
-    ``g_derivs_at_t`` raises ValueError: the derivative corrections are
-    scalars and would be applied to every row alike.
-    """
+def _rule_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
+    """``_call_g`` for a rule: a vector g with ``g_derivs_at_t`` raises
+    ValueError, as the derivative corrections are scalars and would be
+    applied to every row alike."""
     vals = _call_g(integrand, x)
     if vals.ndim > x.ndim and integrand.g_derivs_at_t is not None:
         raise ValueError("a vector-valued g carries no g derivatives")
-    return _check_finite(vals, x)
+    return vals
+
+
+def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
+    """g at the nodes x: an array of x's shape, or (P, *x.shape) for a vector g.
+
+    Besides ``_rule_g``'s checks, a non-finite value gives EvaluationError
+    carrying the index of the first offending node.
+    """
+    return _check_finite(_rule_g(integrand, x), x)
 
 
 def _check_finite(
@@ -274,15 +290,106 @@ def _family_nodes(integrand: PeriodicIntegrand, n: int, level: int):
     y = np.arange(ks.start, ks.stop, ks.step, dtype=float)
     y[inside:] -= total
     y *= delta
-    x_hat = t + y
-    np.clip(x_hat, integrand.a, b, out=x_hat)
-    return y, x_hat
+    return y, _wrapped_nodes(integrand, y)
+
+
+def _wrapped_nodes(integrand: PeriodicIntegrand, y: np.ndarray) -> np.ndarray:
+    """The nodes t + y of the offsets y, clipped into [a, b]."""
+    x_hat = float(integrand.t) + y
+    np.clip(x_hat, integrand.a, float(integrand.b), out=x_hat)
+    return x_hat
+
+
+def _primitives(n: int, level: int) -> list[tuple[int, slice]]:
+    """(N, indices) of each primitive lattice P(N) of the node family (n, level).
+
+    P(N) is the nodes t + kT/N, 1 <= k < N, with k odd for an even N and any
+    k for an odd N; its offsets are the same doubles in every family that
+    holds it.  A level l >= 1 family is P(2^l n).  Level 0 at N is P(N),
+    P(N/2), ... at the indices 2^e - 1 :: 2^(e+1), down to the odd part
+    r = N/2^v of N at 2^v - 1 :: 2^v (P(1) has no nodes and is left out).
+    """
+    N = 2**level * n
+    if level:
+        return [(N, slice(None))]
+    out, e = [], 0
+    while N % 2 == 0:
+        out.append((N, slice(2**e - 1, None, 2 ** (e + 1))))
+        N, e = N // 2, e + 1
+    if N > 1:
+        out.append((N, slice(2**e - 1, None, 2**e)))
+    return out
+
+
+def _memoize(integrand: PeriodicIntegrand, lattices: dict) -> None:
+    """Store g on the lattices {N: nodes of P(N)} in the memo, from one g call.
+
+    Values are stored unchecked: the rules check each family's assembled g,
+    so a non-finite value is reported against the family that uses it.
+    """
+    if not lattices:
+        return
+    vals = _rule_g(integrand, np.concatenate(list(lattices.values())))
+    lo = 0
+    for N, x in lattices.items():
+        integrand._g_memo[N] = vals[..., lo : lo + x.size]
+        lo += x.size
+
+
+def _memoize_rules(integrand: PeriodicIntegrand, specs) -> None:
+    """Evaluate g in one call on every lattice of the specs' rules that the
+    memo lacks, so that ``t_hat`` of each spec calls no g.
+
+    The families are visited largest first, and one is built only for a
+    lattice no larger family holds: a level-0 family holds its halvings.
+    """
+    memo = integrand._g_memo
+    families = sorted({f for spec in specs for f in _families(spec)}, key=lambda f: -(2 ** f[1]) * f[0])
+    lattices = {}
+    for n, level in families:
+        parts = [(N, idx) for N, idx in _primitives(n, level) if N not in memo and N not in lattices]
+        if parts:
+            x = _family_nodes(integrand, n, level)[1]
+            lattices.update((N, x[idx]) for N, idx in parts)
+    _memoize(integrand, lattices)
+
+
+def _family_g(integrand: PeriodicIntegrand, families) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(y, g) of each node family (n, level), in order, with g from the memo.
+
+    The lattices the memo lacks are evaluated in one g call, on strided
+    views of the families' own nodes, which are then dropped.  A family
+    that is one lattice gets the memo's array itself, which nobody writes;
+    a level-0 family of more is assembled by strided copies.  Each family's
+    g is checked in turn, and a non-finite value is named by its index and
+    node in the family, as in a call of g on that family alone.
+    """
+    memo = integrand._g_memo
+    parts = [_primitives(n, level) for n, level in families]
+    nodes = [_family_nodes(integrand, n, level) for n, level in families]
+    _memoize(integrand, {N: x[idx] for ps, (_, x) in zip(parts, nodes) for N, idx in ps if N not in memo})
+    ys = [y for y, _ in nodes]
+    del nodes
+    out = []
+    for ps, y in zip(parts, ys):
+        if len(ps) == 1:
+            g = memo[ps[0][0]]
+        else:
+            g = np.empty(memo[ps[0][0]].shape[:-1] + y.shape)
+            for N, idx in ps:
+                g[..., idx] = memo[N]
+                # the memo keeps a view of g, so a lattice's values are held once
+                memo[N] = g[..., idx]
+        if not np.isfinite(g).all():
+            # the nodes are rebuilt from y only to name the value
+            _check_finite(g, _wrapped_nodes(integrand, y))
+        out.append((y, g))
+    return out
 
 
 def _family_sum(integrand: PeriodicIntegrand, n: int, level: int, weight: Fraction):
     """weight * h * sum of f over one node family (per row of a vector g)."""
-    y, x_hat = _family_nodes(integrand, n, level)
-    g_vals = _eval_g(integrand, x_hat)
+    [(y, g_vals)] = _family_g(integrand, [(n, level)])
     return float(weight) * (integrand.period / n) * _kernels.singular_sum(g_vals, y, integrand.m)
 
 
@@ -382,6 +489,13 @@ def _fsum(terms: list):
     return np.array([math.fsum(row) for row in np.stack(terms, axis=-1).tolist()])
 
 
+def _families(spec: RuleSpec) -> list[tuple[int, int]]:
+    """The node families (n, level) that ``t_hat(spec, ...)`` sums over, in order."""
+    if spec.path == "compact":
+        return [(spec.n, level) for level, _ in compact_rule(spec.m, spec.s).families]
+    return [(2**spec.s * spec.n, 0)]
+
+
 def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
     h, m = integrand.period / n, rule.m
     # corrections first: a missing derivative raises before g is evaluated
@@ -389,7 +503,12 @@ def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
         float(coef) * math.pi ** (m - order) * integrand.deriv_at_t(order) * h ** (1 - m + order)
         for order, coef in rule.deriv_corrections
     )
-    return _fsum([_family_sum(integrand, n, level, w) for level, w in rule.families]) + corrections
+    family_g = _family_g(integrand, [(n, level) for level, _ in rule.families])
+    sums = [
+        float(w) * h * _kernels.singular_sum(g_vals, y, m)
+        for (y, g_vals), (_, w) in zip(family_g, rule.families)
+    ]
+    return _fsum(sums) + corrections
 
 
 def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
@@ -402,8 +521,7 @@ def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
     """
     # corrections first: a missing derivative raises before g is evaluated
     corrections = [correction_sum(integrand, 2**k * n) for k in range(s + 1)]
-    y, x_hat = _family_nodes(integrand, 2**s * n, 0)
-    g_vals = _eval_g(integrand, x_hat)
+    [(y, g_vals)] = _family_g(integrand, [(2**s * n, 0)])
     vals = []
     for k, w in enumerate(extrapolation_weights(s).alpha):
         stride = 2 ** (s - k)
@@ -413,43 +531,6 @@ def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
         )
         vals.append(float(w) * (plain - corrections[k]))
     return math.fsum(vals)
-
-
-def _rule_nodes(spec: RuleSpec, integrand: PeriodicIntegrand) -> list[np.ndarray]:
-    """The wrapped node arrays on which ``t_hat(spec, integrand)`` evaluates g."""
-    if spec.path == "compact":
-        families = compact_rule(spec.m, spec.s).families
-        return [_family_nodes(integrand, spec.n, level)[1] for level, _ in families]
-    return [_family_nodes(integrand, 2**spec.s * spec.n, 0)[1]]
-
-
-def _prefetch_g(integrand: PeriodicIntegrand, specs) -> PeriodicIntegrand:
-    """``integrand`` with g served from one evaluation on every node array of ``specs``.
-
-    g is called once, on the concatenation of the distinct arrays
-    ``_rule_nodes`` gives for the specs, and the served g_eval returns the
-    slice of an array with the same bytes.  So t_hat(spec, served) equals
-    t_hat(spec, integrand) bit for bit when g is elementwise (a node's value
-    does not depend on the other nodes of the call), as the evaluators of
-    ``integrands`` are.  Nodes that were not prefetched raise HfpquadError.
-    The non-finite check is left to each rule's own ``_eval_g``, so an error
-    names the node and index a direct t_hat call would name.
-    """
-    arrays = {}
-    for spec in specs:
-        for x in _rule_nodes(spec, integrand):
-            arrays.setdefault(x.tobytes(), x)
-    vals = _call_g(integrand, np.concatenate(list(arrays.values())))
-    bounds = np.cumsum([0] + [x.size for x in arrays.values()]).tolist()
-    served = {key: vals[..., lo:hi] for key, lo, hi in zip(arrays, bounds, bounds[1:])}
-
-    def g_eval(x):
-        try:
-            return served[np.asarray(x, dtype=float).tobytes()]
-        except KeyError:
-            raise HfpquadError(f"g was not prefetched at these {np.size(x)} nodes") from None
-
-    return dataclasses.replace(integrand, g_eval=g_eval)
 
 
 def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):

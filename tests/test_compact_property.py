@@ -28,6 +28,7 @@ from hfpquad.quadrature import (  # noqa: E402
     PeriodicIntegrand,
     RuleSpec,
     _family_nodes,
+    _primitives,
     extrapolation_weights,
     max_compact_level,
     roundoff_floor,
@@ -211,7 +212,55 @@ def test_table_rows_equal_t_hat(rule, u, t, ns, vector):
     rows = convergence_table_for(integ, 0.0, "zero", s, n_list, path=path).rows
     assert [r.n for r in rows] == sorted(set(n_list))
     for row in rows:
-        assert np.array_equal(row.value, t_hat(RuleSpec(m, s, row.n, path=path), integ))
+        # replace gives an integrand with an empty memo: t_hat evaluates g itself
+        fresh = dataclasses.replace(integ)
+        assert np.array_equal(row.value, t_hat(RuleSpec(m, s, row.n, path=path), fresh))
+
+
+# ---------------------------------------------------------------------------
+# g memoized on the primitive lattices
+# ---------------------------------------------------------------------------
+
+# base counts on doubling chains and on 3·2^k and 5·2^k, whose level-0
+# families end in P(3) and P(5)
+_memo_n = st.sampled_from([c * 2**k for c in (1, 3, 5) for k in range(7)][1:])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    m=st.integers(1, 6),
+    u=_trig_polynomial,
+    t=st.floats(-math.pi, math.pi),
+    vector=st.lists(_trig_polynomial, min_size=1, max_size=2) | st.none(),
+    data=st.data(),
+)
+def test_memoized_rules_equal_rules_on_a_fresh_integrand(m, u, t, vector, data):
+    integ = singular_periodic_integrand(u, m=m, t=t, n_derivs=m)
+    rules = [(s, "compact") for s in range(m // 2 + 2)] + [(s, "generic") for s in range(4)]
+    if vector is not None:
+        # a vector g carries no derivatives: only the derivative-free rule runs
+        rules = [(max_compact_level(m), "compact")]
+        integ = _vector_integrand(integ, [u, *vector])
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(rules), _memo_n), min_size=1, max_size=12))
+    calls = data.draw(st.permutations(calls + calls[::2]))  # shuffled, with repeats
+    for (s, path), n in calls:
+        spec = RuleSpec(m, s, n, path=path)
+        assert np.array_equal(t_hat(spec, integ), t_hat(spec, dataclasses.replace(integ)))
+
+
+@pytest.mark.parametrize("t", [-3.1, 0.3, 2.9])
+def test_primitive_lattices_partition_a_family(t):
+    integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=t)
+    for n in range(1, 257):
+        for level in range(4):
+            _, x_hat = _family_nodes(integ, n, level)
+            seen = np.zeros(x_hat.size, dtype=int)
+            for N, idx in _primitives(n, level):
+                # the same doubles as the family that is P(N) alone
+                alone = _family_nodes(integ, N // 2, 1) if N % 2 == 0 else _family_nodes(integ, N, 0)
+                assert x_hat[idx].tobytes() == alone[1].tobytes()
+                seen[idx] += 1
+            assert np.all(seen == 1), (n, level)
 
 
 # What the table relies on: an evaluator of ``integrands`` gives a node the

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hfpquad.errors import EvaluationError, HfpquadError, InsufficientPreFloorDataError
+from hfpquad.errors import EvaluationError, InsufficientPreFloorDataError
 from hfpquad.harness import (
     NORM_SAMPLES,
     ConvergenceReport,
@@ -19,7 +19,7 @@ from hfpquad.harness import (
 )
 from hfpquad.integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
 from hfpquad.oracles import GeometricKernelCase
-from hfpquad.quadrature import PeriodicIntegrand, RuleSpec, _family_nodes, _prefetch_g, t_hat
+from hfpquad.quadrature import PeriodicIntegrand, RuleSpec, _family_nodes, t_hat
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,17 +107,6 @@ class TestTableEvaluatesGOnce:
         assert table.value.node_index == direct.value.node_index
         # the rows before it are fine
         convergence_table_for(broken, 0.0, "zero", 3, [10, 20])
-
-    def test_nodes_not_prefetched_raise(self):
-        integ = singular_periodic_integrand(self.U, m=3, t=0.4)
-        served = _prefetch_g(integ, [RuleSpec(3, 2, 10, path="compact")])
-        assert t_hat(RuleSpec(3, 2, 10, path="compact"), served) == t_hat(
-            RuleSpec(3, 2, 10, path="compact"), integ
-        )
-        with pytest.raises(HfpquadError, match="not prefetched"):
-            served.g_eval(np.array([0.4, 1.0]))
-        with pytest.raises(HfpquadError, match="not prefetched"):
-            t_hat(RuleSpec(3, 2, 12, path="compact"), served)
 
     def test_empty_n_list(self):
         integ = singular_periodic_integrand(self.U, m=3, t=0.4)

@@ -308,6 +308,15 @@ class TestBadRhs:
         with pytest.raises(EvaluationError, match=re.escape(shapes)):
             build(kern, w, 1.0, n)
 
+    @pytest.mark.parametrize("build, n", BUILDS)
+    def test_raising_w_is_an_evaluation_error(self, build, n):
+        def w(x):
+            raise RuntimeError("w failed")
+
+        with pytest.raises(EvaluationError, match="rhs evaluator failed.*w failed") as info:
+            build(supersingular_cotangent_kernel(), w, 1.0, n)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
 
 class TestNonFiniteLambda:
     """A non-finite lam is an input error, raised before phi or w is evaluated."""

@@ -557,19 +557,23 @@ class TestVectorG:
     )
     def test_wrong_shape_raises(self, g):
         integ = dataclasses.replace(self.vector(), g_eval=g)
-        with pytest.raises(EvaluationError, match=r"shape .* for nodes of shape \(40,\)"):
+        # the rule's one g call covers its lattices P(80) and P(160): 40 + 80 nodes
+        with pytest.raises(EvaluationError, match=r"shape .* for nodes of shape \(120,\)"):
             t_hat(RuleSpec(3, 2, 40, path="compact"), integ)
 
     def test_non_finite_row_names_node(self):
+        bad = float(quadrature._family_nodes(self.vector(), 16, 0)[1][7])
+
         def g(x):
             vals = np.cos(np.add.outer(self.SHIFTS, x))
-            vals[3, 7] = np.nan
+            vals[3, x == bad] = np.nan
             return vals
 
         integ = dataclasses.replace(self.vector(), g_eval=g)
         with pytest.raises(EvaluationError, match="non-finite") as info:
             plain_trap_sum(integ, 16)
         assert info.value.node_index == 7
+        assert info.value.node_x == bad
 
 
 class TestNestedGrids:
@@ -599,6 +603,65 @@ class TestNestedGrids:
         counted = dataclasses.replace(integ, g_eval=lambda x: sizes.append(np.size(x)) or g(x))
         t_hat(RuleSpec(3, s, 1024), counted)
         assert sizes == [2**s * 1024 - 1]
+
+
+class TestGMemo:
+    """An integrand evaluates g at most once per node across t_hat calls."""
+
+    SWEEP = [2**k for k in range(6, 17)]
+
+    @staticmethod
+    def counted(integ):
+        sizes = []
+        g = integ.g_eval
+        return dataclasses.replace(integ, g_eval=lambda x: sizes.append(np.size(x)) or g(x)), sizes
+
+    # g points of one doubling sweep n = 2^6..2^16: every node of the finest
+    # rule once
+    @pytest.mark.parametrize(
+        "s, path, points",
+        [(0, "compact", 65_535), (0, "generic", 65_535), (2, "compact", 262_080), (2, "generic", 262_143)],
+    )
+    def test_doubling_sweep_points(self, s, path, points):
+        integ, sizes = self.counted(GeometricKernelCase(eta=0.7, t=1.0).integrand())
+        for n in self.SWEEP:
+            t_hat(RuleSpec(3, s, n, path=path), integ)
+        assert sum(sizes) == points
+        assert len(sizes) == len(self.SWEEP)  # one g call per rule
+
+    def test_repeated_rule_calls_no_g(self):
+        integ, sizes = self.counted(GeometricKernelCase(eta=0.7, t=1.0).integrand())
+        spec = RuleSpec(3, 1, 40)
+        first = t_hat(spec, integ)
+        assert t_hat(spec, integ) == first and len(sizes) == 1
+        # the level-0 family at 40 holds every lattice of the one at 20
+        t_hat(RuleSpec(3, 0, 20), integ)
+        assert len(sizes) == 1
+
+    def test_replace_starts_an_empty_memo(self):
+        integ = GeometricKernelCase(eta=0.7, t=1.0).integrand()
+        other = singular_periodic_integrand(PoissonKernelU(0.3), m=3, t=1.0)
+        specs = [RuleSpec(3, s, n, path=path) for s in (0, 2) for n in (8, 16) for path in ("compact", "generic")]
+        for spec in specs:
+            t_hat(spec, integ)
+        swapped = dataclasses.replace(integ, g_eval=other.g_eval, g_derivs_at_t=other.g_derivs_at_t)
+        for spec in specs:
+            assert t_hat(spec, swapped) == t_hat(spec, other) != t_hat(spec, integ)
+
+    def test_non_finite_memo_value_named_in_the_later_family(self):
+        integ = GeometricKernelCase(eta=0.7, t=1.0).integrand()
+        # node 5 of the grid at 16 is node 11 of the grid at 32
+        bad = float(quadrature._family_nodes(integ, 16, 0)[1][5])
+        g = integ.g_eval
+        broken = dataclasses.replace(integ, g_eval=lambda x: np.where(x == bad, np.nan, g(x)))
+        with pytest.raises(EvaluationError) as coarse:
+            plain_trap_sum(broken, 16)
+        with pytest.raises(EvaluationError) as fine:
+            plain_trap_sum(broken, 32)
+        with pytest.raises(EvaluationError) as fresh:
+            plain_trap_sum(dataclasses.replace(broken), 32)
+        assert (coarse.value.node_index, coarse.value.node_x) == (5, bad)
+        assert (fine.value.node_index, fine.value.node_x) == (fresh.value.node_index, bad) == (11, bad)
 
 
 class TestLargeNFloor:
