@@ -1,18 +1,21 @@
 """Hot numeric loops of the rules and the collocation solvers, in numpy.
 
-``singular_sum`` forms the node sum sum_j g_j / y_j^m of every rule with
-numpy's pairwise summation, whose error grows like u*log(n) (Higham,
+The rules form each quotient f_j = g_j / y_j^m once per node of an
+integrand, into the memo of ``quadrature.PeriodicIntegrand``, and add f
+with numpy's pairwise summation, whose error grows like u*log(n) (Higham,
 Accuracy and Stability of Numerical Algorithms, section 4.2); the rule's
 roundoff is dominated by the u*n^2 term of the singular denominators, so
 the order of the sum does not move the floor model.  The power y^m is
 ``int_power``, not ``y**m``: numpy's ``pow`` takes a slow libm path for
 negative bases (every rule has half its offsets negative) and rounds them
-differently from positive ones.  ``dirichlet_dz``
-evaluates the cardinal kernel and its derivatives for the collocation
-matrices.
+differently from positive ones.  ``singular_sum`` is the same node sum in
+one call, which the tests use as the rules' unmemoized reference.
+``dirichlet_dz`` evaluates the cardinal kernel and its derivatives for the
+collocation matrices.
 
-Callers look both names up through the module at call time
-(``_kernels.singular_sum``), so a tracer can rebind them.
+Callers look the names up through the module at call time
+(``_kernels.int_power``), so a tracer can rebind them; hfpbench's tracer
+rebinds ``singular_sum`` by name.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ def int_power(y, m: int):
 
 
 def singular_sum(g_vals: np.ndarray, y_vals: np.ndarray, m: int):
-    """Pairwise sum of g_j / y_j^m over the last axis.
+    """Pairwise sum of g_j / y_j^m over the last axis, the rules' node sum
+    in one call (the tests' reference for ``quadrature.t_hat``).
 
     ``y_vals`` holds the 1-D offsets.  A 1-D ``g_vals`` gives a float; a
     (rows, nodes) one, a vector-valued g, gives one sum per row, each the

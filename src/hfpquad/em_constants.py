@@ -55,6 +55,7 @@ def zeta_even_rational(k: int) -> Fraction:
     return sign * Fraction(bernoulli_even(k), 2 * math.factorial(2 * k))
 
 
+@lru_cache(maxsize=None)
 def zeta_at(j: int) -> float:
     """zeta(j) for j in {0} + {even} + {3}.
 

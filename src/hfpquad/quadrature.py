@@ -61,14 +61,15 @@ class PeriodicIntegrand:
     rather than finite-differencing silently.  Instances are immutable.
 
     The rules' nodes lie on nested lattices (see ``_primitives``), and each
-    instance memoizes g on the lattices its rules have evaluated: ``t_hat``
-    calls g at most once per node of an integrand, so g must give a node the
-    same value whatever other nodes share the call.  For a sequence of
-    rules of growing n, such as a doubling sweep, the memo holds one double
-    (one per row of a vector g) per distinct node evaluated, the finest
-    rule's node count; a rule after a larger one on the same lattices can
-    leave a node's value in more than one array.  ``dataclasses.replace``
-    starts a new instance with an empty memo.
+    instance memoizes the quotient f = g/(x - t)^m on the lattices its rules
+    have evaluated: ``t_hat`` calls g, builds nodes and divides at most once
+    per node of an integrand, and a rule is a set of sums over the memo, so
+    g must give a node the same value whatever other nodes share the call.
+    For a sequence of rules of growing n, such as a doubling sweep, the memo
+    holds one double (one per row of a vector g) per distinct node
+    evaluated, the finest rule's node count; a rule after a larger one on
+    the same lattices can leave a node's value in more than one array.
+    ``dataclasses.replace`` starts a new instance with an empty memo.
     """
 
     m: int
@@ -77,8 +78,8 @@ class PeriodicIntegrand:
     b: float
     g_eval: Callable
     g_derivs_at_t: Optional[tuple[float, ...]] = None
-    # lattice size N -> g on the primitive lattice P(N)
-    _g_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # lattice size N -> f on the primitive lattice P(N)
+    _f_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -290,14 +291,9 @@ def _family_nodes(integrand: PeriodicIntegrand, n: int, level: int):
     y = np.arange(ks.start, ks.stop, ks.step, dtype=float)
     y[inside:] -= total
     y *= delta
-    return y, _wrapped_nodes(integrand, y)
-
-
-def _wrapped_nodes(integrand: PeriodicIntegrand, y: np.ndarray) -> np.ndarray:
-    """The nodes t + y of the offsets y, clipped into [a, b]."""
-    x_hat = float(integrand.t) + y
-    np.clip(x_hat, integrand.a, float(integrand.b), out=x_hat)
-    return x_hat
+    x_hat = t + y
+    np.clip(x_hat, integrand.a, b, out=x_hat)
+    return y, x_hat
 
 
 def _primitives(n: int, level: int) -> list[tuple[int, slice]]:
@@ -321,76 +317,86 @@ def _primitives(n: int, level: int) -> list[tuple[int, slice]]:
     return out
 
 
-def _memoize(integrand: PeriodicIntegrand, lattices: dict) -> None:
-    """Store g on the lattices {N: nodes of P(N)} in the memo, from one g call.
+def _memoize(integrand: PeriodicIntegrand, lattices) -> None:
+    """Store f = g/y^m on each primitive lattice P(N), N in ``lattices``,
+    that the memo lacks, from one g call.
 
-    Values are stored unchecked: the rules check each family's assembled g,
-    so a non-finite value is reported against the family that uses it.
+    P(N) is built alone, as the level-1 family at N/2 (even N) or the
+    level-0 family at N (odd N): the same doubles as in any family holding
+    it.  f is stored unchecked (``_family_sums`` checks it), and is NaN
+    where g is not finite, so an infinite f is a quotient that overflowed.
     """
-    if not lattices:
+    memo = integrand._f_memo
+    nodes = {
+        N: _family_nodes(integrand, N // 2, 1) if N % 2 == 0 else _family_nodes(integrand, N, 0)
+        for N in dict.fromkeys(lattices)
+        if N not in memo
+    }
+    if not nodes:
         return
-    vals = _rule_g(integrand, np.concatenate(list(lattices.values())))
-    lo = 0
-    for N, x in lattices.items():
-        integrand._g_memo[N] = vals[..., lo : lo + x.size]
-        lo += x.size
+    g = _rule_g(integrand, np.concatenate([x for _, x in nodes.values()]))
+    g_finite, lo = np.isfinite(g).all(), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for N, (y, _) in nodes.items():
+            g_N, lo = g[..., lo : lo + y.size], lo + y.size
+            # dividing into the power's fresh array saves a node-sized allocation
+            power = _kernels.int_power(y, integrand.m)
+            memo[N] = np.divide(g_N, power, out=power if g_N.shape == power.shape else None)
+            if not g_finite:
+                memo[N][~np.isfinite(g_N)] = np.nan
 
 
 def _memoize_rules(integrand: PeriodicIntegrand, specs) -> None:
-    """Evaluate g in one call on every lattice of the specs' rules that the
-    memo lacks, so that ``t_hat`` of each spec calls no g.
+    """Fill the memo on every lattice of the specs' rules in one g call, so
+    that ``t_hat`` of each spec calls no g and builds no nodes."""
+    _memoize(integrand, [N for spec in specs for fam in _families(spec) for N, _ in _primitives(*fam)])
 
-    The families are visited largest first, and one is built only for a
-    lattice no larger family holds: a level-0 family holds its halvings.
+
+def _family_sums(integrand: PeriodicIntegrand, families) -> list[tuple[np.ndarray, object]]:
+    """(f, sum of f) of each node family (n, level), in order, f from the memo.
+
+    The lattices the memo lacks are filled first.  A family that is one
+    lattice gets the memo's array itself, which nobody writes; a level-0
+    family of more is assembled by strided copies, and the memo re-pointed
+    at views of it, so a lattice's values are held once.  Each family's sum
+    is checked in turn; only a non-finite one rebuilds the family's nodes,
+    to name its first non-finite term by index and node in the family.
     """
-    memo = integrand._g_memo
-    families = sorted({f for spec in specs for f in _families(spec)}, key=lambda f: -(2 ** f[1]) * f[0])
-    lattices = {}
-    for n, level in families:
-        parts = [(N, idx) for N, idx in _primitives(n, level) if N not in memo and N not in lattices]
-        if parts:
-            x = _family_nodes(integrand, n, level)[1]
-            lattices.update((N, x[idx]) for N, idx in parts)
-    _memoize(integrand, lattices)
-
-
-def _family_g(integrand: PeriodicIntegrand, families) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(y, g) of each node family (n, level), in order, with g from the memo.
-
-    The lattices the memo lacks are evaluated in one g call, on strided
-    views of the families' own nodes, which are then dropped.  A family
-    that is one lattice gets the memo's array itself, which nobody writes;
-    a level-0 family of more is assembled by strided copies.  Each family's
-    g is checked in turn, and a non-finite value is named by its index and
-    node in the family, as in a call of g on that family alone.
-    """
-    memo = integrand._g_memo
+    memo = integrand._f_memo
     parts = [_primitives(n, level) for n, level in families]
-    nodes = [_family_nodes(integrand, n, level) for n, level in families]
-    _memoize(integrand, {N: x[idx] for ps, (_, x) in zip(parts, nodes) for N, idx in ps if N not in memo})
-    ys = [y for y, _ in nodes]
-    del nodes
+    _memoize(integrand, [N for ps in parts for N, _ in ps])
     out = []
-    for ps, y in zip(parts, ys):
-        if len(ps) == 1:
-            g = memo[ps[0][0]]
-        else:
-            g = np.empty(memo[ps[0][0]].shape[:-1] + y.shape)
-            for N, idx in ps:
-                g[..., idx] = memo[N]
-                # the memo keeps a view of g, so a lattice's values are held once
-                memo[N] = g[..., idx]
-        if not np.isfinite(g).all():
-            # the nodes are rebuilt from y only to name the value
-            _check_finite(g, _wrapped_nodes(integrand, y))
-        out.append((y, g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (n, level), ps in zip(families, parts):
+            if len(ps) == 1:
+                f = memo[ps[0][0]]
+            else:
+                # a level-0 family at n: n - 1 nodes, the first lattice P(n)
+                f = np.empty(memo[n].shape[:-1] + (n - 1,))
+                for N, idx in ps:
+                    f[..., idx] = memo[N]
+                    memo[N] = f[..., idx]
+            total = _sum(f)
+            if not np.isfinite(total).all():
+                x = _family_nodes(integrand, n, level)[1]
+                if np.isinf(f[~np.isfinite(f)][:1]).any():
+                    _check_finite(f, x, "g/(x - t)^m overflowed at node {index} (x={x!r}) where g is finite")
+                _check_finite(f, x)
+                raise EvaluationError(f"the sum of g/(x - t)^m over {x.size} nodes overflowed")
+            out.append((f, total))
     return out
+
+
+def _sum(f: np.ndarray):
+    """Pairwise sum of f over its last axis: a float, or one per row of a vector g."""
+    sums = f.sum(axis=-1)
+    return sums if sums.ndim else float(sums)
 
 
 def _family_sum(integrand: PeriodicIntegrand, n: int, level: int, weight: Fraction):
     """weight * h * sum of f over one node family (per row of a vector g)."""
-    [(y, g_vals)] = _family_g(integrand, [(n, level)])
-    return float(weight) * (integrand.period / n) * _kernels.singular_sum(g_vals, y, integrand.m)
+    [(_, total)] = _family_sums(integrand, [(n, level)])
+    return float(weight) * (integrand.period / n) * total
 
 
 def plain_trap_sum(integrand: PeriodicIntegrand, n: int) -> float:
@@ -453,6 +459,7 @@ class ExtrapolationWeights:
     alpha: tuple[Fraction, ...]
 
 
+@lru_cache(maxsize=None)
 def extrapolation_weights(s: int) -> ExtrapolationWeights:
     """Weights from eliminating the powers h^1, h^-1, h^-3, ... in turn.
 
@@ -503,12 +510,8 @@ def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
         float(coef) * math.pi ** (m - order) * integrand.deriv_at_t(order) * h ** (1 - m + order)
         for order, coef in rule.deriv_corrections
     )
-    family_g = _family_g(integrand, [(n, level) for level, _ in rule.families])
-    sums = [
-        float(w) * h * _kernels.singular_sum(g_vals, y, m)
-        for (y, g_vals), (_, w) in zip(family_g, rule.families)
-    ]
-    return _fsum(sums) + corrections
+    sums = _family_sums(integrand, [(n, level) for level, _ in rule.families])
+    return _fsum([float(w) * h * total for (_, total), (_, w) in zip(sums, rule.families)]) + corrections
 
 
 def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
@@ -516,21 +519,18 @@ def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
 
     The plain grids at n, 2n, ..., 2^s n nest: node j of the grid at 2^k n
     is node j*2^(s-k) of the finest grid, with the same offset double.  So
-    g is evaluated once, on the finest grid, and each plain sum is the node
-    sum over a strided view of it, equal to the per-grid sum bit for bit.
+    each plain sum sums a strided view of f on the finest grid; numpy sums
+    a strided view bit for bit as its contiguous copy, the per-grid array.
     """
     # corrections first: a missing derivative raises before g is evaluated
     corrections = [correction_sum(integrand, 2**k * n) for k in range(s + 1)]
-    [(y, g_vals)] = _family_g(integrand, [(2**s * n, 0)])
-    vals = []
-    for k, w in enumerate(extrapolation_weights(s).alpha):
-        stride = 2 ** (s - k)
-        nodes = slice(stride - 1, None, stride)
-        plain = (integrand.period / (2**k * n)) * _kernels.singular_sum(
-            g_vals[nodes], y[nodes], integrand.m
-        )
-        vals.append(float(w) * (plain - corrections[k]))
-    return math.fsum(vals)
+    [(f, total)] = _family_sums(integrand, [(2**s * n, 0)])
+    # k = s is the finest grid itself
+    plains = [_sum(f[..., 2 ** (s - k) - 1 :: 2 ** (s - k)]) for k in range(s)] + [total]
+    return math.fsum(
+        float(w) * ((integrand.period / (2**k * n)) * plain - corrections[k])
+        for k, (w, plain) in enumerate(zip(extrapolation_weights(s).alpha, plains))
+    )
 
 
 def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):

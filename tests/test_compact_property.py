@@ -17,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from hfpquad import _kernels  # noqa: E402
 from hfpquad.harness import convergence_table_for, integrand_norms  # noqa: E402
 from hfpquad.integrands import (  # noqa: E402
     PoissonKernelU,
@@ -29,6 +30,8 @@ from hfpquad.quadrature import (  # noqa: E402
     RuleSpec,
     _family_nodes,
     _primitives,
+    compact_rule,
+    correction_sum,
     extrapolation_weights,
     max_compact_level,
     roundoff_floor,
@@ -218,12 +221,38 @@ def test_table_rows_equal_t_hat(rule, u, t, ns, vector):
 
 
 # ---------------------------------------------------------------------------
-# g memoized on the primitive lattices
+# f = g/y^m memoized on the primitive lattices
 # ---------------------------------------------------------------------------
 
 # base counts on doubling chains and on 3·2^k and 5·2^k, whose level-0
 # families end in P(3) and P(5)
 _memo_n = st.sampled_from([c * 2**k for c in (1, 3, 5) for k in range(7)][1:])
+
+
+def _t_hat_reference(spec, integ):
+    """t_hat unmemoized: each family's nodes built and g evaluated on them,
+    the node sums by ``_kernels.singular_sum``, the generic path one plain
+    sum per grid 2^k n, as the rules read."""
+    m, n, s = spec.m, spec.n, spec.s
+
+    def node_sum(n, level):
+        y, x_hat = _family_nodes(integ, n, level)
+        return _kernels.singular_sum(integ.g_eval(x_hat), y, m)
+
+    if spec.path == "generic":
+        return math.fsum(
+            float(w) * ((integ.period / N) * node_sum(N, 0) - correction_sum(integ, N))
+            for N, w in ((2**k * n, w) for k, w in enumerate(extrapolation_weights(s).alpha))
+        )
+    rule, h = compact_rule(m, s), integ.period / n
+    corrections = math.fsum(
+        float(coef) * math.pi ** (m - order) * integ.deriv_at_t(order) * h ** (1 - m + order)
+        for order, coef in rule.deriv_corrections
+    )
+    sums = [float(w) * h * node_sum(n, level) for level, w in rule.families]
+    if np.ndim(sums[0]):  # a vector g: math.fsum per row
+        return np.array([math.fsum(row) for row in zip(*sums)]) + corrections
+    return math.fsum(sums) + corrections
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -245,7 +274,26 @@ def test_memoized_rules_equal_rules_on_a_fresh_integrand(m, u, t, vector, data):
     calls = data.draw(st.permutations(calls + calls[::2]))  # shuffled, with repeats
     for (s, path), n in calls:
         spec = RuleSpec(m, s, n, path=path)
-        assert np.array_equal(t_hat(spec, integ), t_hat(spec, dataclasses.replace(integ)))
+        value = t_hat(spec, integ)
+        assert np.array_equal(value, t_hat(spec, dataclasses.replace(integ)))
+        assert np.array_equal(value, _t_hat_reference(spec, integ))
+
+
+# What the generic path and a memo view of a larger family rely on: numpy's
+# pairwise sum of a strided view equals the sum of its contiguous copy.
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    size=st.integers(1, 2**18),
+    stride=st.sampled_from([2, 3, 4, 8]),
+    rows=st.sampled_from([(), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strided_sum_equals_contiguous_sum(size, stride, rows, seed):
+    rng = np.random.default_rng(seed)
+    # magnitudes spread over decades, as f's are next to t
+    base = rng.standard_normal(rows + (size * stride,)) * 10.0 ** rng.uniform(-8, 8, size * stride)
+    view = base[..., stride - 1 :: stride]
+    assert np.array_equal(view.sum(axis=-1), np.ascontiguousarray(view).sum(axis=-1))
 
 
 @pytest.mark.parametrize("t", [-3.1, 0.3, 2.9])

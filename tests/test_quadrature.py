@@ -3,6 +3,7 @@ weights, the compact/generic identity, and the floor model."""
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,42 @@ class TestNodeSums:
         derivs[1] = bad
         with pytest.raises(EvaluationError, match="order 1"):
             PeriodicIntegrand(3, integ.t, integ.a, integ.b, integ.g_eval, tuple(derivs))
+
+    # g is finite, but 1e300/y^3 overflows where |y| < 1.8e-3: from n = 3,600
+    # on, the nodes next to t (the first node of each rule's first family)
+    @pytest.mark.parametrize(
+        "spec, level",
+        [(RuleSpec(3, 0, 2**12), 0), (RuleSpec(3, 2, 2**12, path="compact"), 1)],
+        ids=["generic", "compact"],
+    )
+    def test_overflowing_quotient_is_named(self, spec, level):
+        integ = PeriodicIntegrand(
+            3, 0.0, -math.pi, math.pi, lambda x: np.full_like(x, 1e300), (1e300, 0.0, 0.0, 0.0)
+        )
+        # the error is the report, not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="overflowed .* where g is finite") as info:
+                t_hat(spec, integ)
+        x = quadrature._family_nodes(integ, spec.n, level)[1]
+        assert (info.value.node_index, info.value.node_x) == (0, x[0])
+
+    def test_overflowing_sum_of_finite_terms_raises(self):
+        # m = 2: every term 1e307/y^2 is positive and finite, their sum is not
+        integ = PeriodicIntegrand(2, 0.0, -math.pi, math.pi, lambda x: np.full_like(x, 1e307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="sum of g/.* over 15 nodes overflowed"):
+                plain_trap_sum(integ, 16)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_g_is_not_an_overflow(self, bad):
+        integ = supersingular_one()
+        x = float(quadrature._family_nodes(integ, 16, 0)[1][3])
+        broken = dataclasses.replace(integ, g_eval=lambda xs: np.where(xs == x, bad, integ.g_eval(xs)))
+        with pytest.raises(EvaluationError, match="evaluator returned a non-finite value") as info:
+            plain_trap_sum(broken, 16)
+        assert (info.value.node_index, info.value.node_x) == (3, x)
 
 
 class TestCorrectionSum:
