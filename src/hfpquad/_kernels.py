@@ -6,42 +6,27 @@ with numpy's pairwise summation, whose error grows like u*log(n) (Higham,
 Accuracy and Stability of Numerical Algorithms, section 4.2); the rule's
 roundoff is dominated by the u*n^2 term of the singular denominators, so
 the order of the sum does not move the floor model.  The power y^m is
-``int_power``, not ``y**m``: numpy's ``pow`` takes a slow libm path for
-negative bases (every rule has half its offsets negative) and rounds them
-differently from positive ones.  ``singular_sum`` is the same node sum in
-one call, which the tests use as the rules' unmemoized reference.
-``dirichlet_dz`` evaluates the cardinal kernel and its derivatives for the
-collocation matrices.
+``quadrature.int_power``, not ``y**m``: numpy's ``pow`` takes a slow libm
+path for negative bases (every rule has half its offsets negative) and
+rounds them differently from positive ones.  ``singular_sum`` is the same
+node sum in one call, which the tests use as the rules' unmemoized
+reference.  ``dirichlet_dz`` evaluates the cardinal kernel and its
+derivatives for the collocation matrices.
 
-Callers look the names up through the module at call time
-(``_kernels.int_power``), so a tracer can rebind them; hfpbench's tracer
-rebinds ``singular_sum`` by name.
+Callers look ``singular_sum`` and ``dirichlet_dz`` up through the module
+at call time, so a tracer such as hfpbench's can rebind them by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .quadrature import int_power
+
 
 def active_backend() -> str:
     """Name of the node-sum implementation; numpy is the only one."""
     return "numpy"
-
-
-def int_power(y, m: int):
-    """y^m for an integer m >= 1, exactly even or odd in y.
-
-    numpy's ``pow`` is fast for positive bases only, so the power is taken
-    of |y| and y's sign put back for odd m.  A multiplication chain would be
-    faster, but it rounds to up to (m-1)/2 ulp against pow's half ulp, which
-    the largest terms of an m = 4 rule carry into its value.  The result is
-    a new float array of y's shape.
-    """
-    power = np.abs(y, out=np.empty(np.shape(y)))
-    power **= m
-    if m % 2:
-        np.copysign(power, y, out=power)
-    return power
 
 
 def singular_sum(g_vals: np.ndarray, y_vals: np.ndarray, m: int):

@@ -19,7 +19,7 @@ class DerivativesRequiredError(HfpquadError):
 
 
 class EvaluationError(HfpquadError):
-    """An integrand evaluator failed or returned a non-finite value.
+    """A user function failed, or returned another shape or a non-finite value.
 
     Carries the index of the offending node when known.
     """

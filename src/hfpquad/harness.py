@@ -20,7 +20,7 @@ from .quadrature import (
     DOUBLE_UNIT,
     PeriodicIntegrand,
     RuleSpec,
-    _call_g,
+    _call,
     _check_finite,
     _memoize_rules,
     max_compact_level,
@@ -105,7 +105,7 @@ def integrand_norms(integrand: PeriodicIntegrand) -> tuple[float, float, float]:
     a non-finite sample raises EvaluationError naming its x.
     """
     xs = np.linspace(integrand.a, integrand.b, NORM_SAMPLES)
-    g = _check_finite(_call_g(integrand, xs), xs)
+    g = _check_finite(_call("integrand evaluator", "nodes", integrand.g_eval, xs, rows=True), xs)
     dx = xs[1] - xs[0]
     g1 = np.gradient(g, dx, axis=-1)
     g2 = np.gradient(g1, dx, axis=-1)

@@ -21,15 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    DerivativesRequiredError,
-    EvaluationError,
-    ReferenceConvergenceError,
-    SingularSystemError,
-)
+from .errors import DerivativesRequiredError, ReferenceConvergenceError, SingularSystemError
 from .integrands import _series_mul, kernel_factor_series, numerator_factor, numerator_factor_derivs
 from .quadrature import (
-    CompactRule, PeriodicIntegrand, RuleSpec, _check_finite, _wrap, compact_rule, roundoff_floor, t_hat
+    CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _require_integers, _wrap, compact_rule,
+    roundoff_floor, t_hat,
 )
 
 __all__ = [
@@ -66,7 +62,7 @@ class PeriodicKernel:
       a column against a row of offsets, and ``manufactured_rhs`` points
       against nodes.
     * ``psi(y)``, which declares the kernel translation invariant:
-      K_per(t, t+y) * y^3 = psi(y) for every t, elementwise in y.  Every
+      K_per(t, t+y) * y^3 = psi(y) for every t, of y's shape.  Every
       collocation matrix of such a kernel is circulant, so the builders
       store its first column only, and ``solve_collocation`` solves it with
       the FFT.  ``manufactured_rhs`` applies its rule on a uniform periodic
@@ -79,7 +75,9 @@ class PeriodicKernel:
     y-derivative of the numerator K_per(t, t+y) * y^3 at y = 0, k = 0..3;
     the advanced discretization requires them.  For a ``psi`` kernel they
     are the constants psi^(k)(0), and the advanced builder reads them at
-    t = a, its first grid point.
+    t = a, its first grid point; each returns one value.  A ``centered``
+    (of t and y's broadcast shape, or y's), ``psi`` or U_k that raises or
+    returns another shape gives EvaluationError naming it (``_call``).
     """
 
     a: float
@@ -101,17 +99,17 @@ class PeriodicKernel:
 
         A ``psi`` kernel's values are read-only arrays from ``_psi_table``.
         """
+        y = np.asarray(y, dtype=float)
         if self.psi is not None:
-            y = np.asarray(y, dtype=float)
             return _psi_table(self, y.shape, y.tobytes())
-        return np.asarray(self.centered(t, y), dtype=float)
+        return _call("centered", "offsets", self.centered, t, y)
 
     def diag_derivs(self, t: float) -> tuple[float, float, float, float]:
         if self.u_xderivs_diag is None or len(self.u_xderivs_diag) < 4:
             raise DerivativesRequiredError(
                 "advanced approach requires U_k(t,t) for k = 0..3"
             )
-        return tuple(float(fn(t)) for fn in self.u_xderivs_diag)
+        return tuple(float(_call(f"U_{k}", "point", fn, t)) for k, fn in enumerate(self.u_xderivs_diag))
 
 
 @lru_cache(maxsize=64)
@@ -126,7 +124,7 @@ def _psi_table(kernel: PeriodicKernel, shape: tuple, data: bytes) -> np.ndarray:
     array of an rhs at _RHS_N_HIGH or of a build with N <= 1024 unknowns.
     """
     y = np.frombuffer(data).reshape(shape)
-    vals = np.asarray(kernel.psi(y), dtype=float)
+    vals = _call("psi", "offsets", kernel.psi, y)
     vals.flags.writeable = False
     return vals
 
@@ -250,16 +248,10 @@ def _require_finite_lam(lam) -> None:
 
 
 def _system(kernel, w_eval, grid, rule, n, lam) -> CollocationSystem:
-    """The system of ``rule`` at n on ``grid``; w_eval(grid) must be one finite
-    value per point, and a w_eval that raises gives EvaluationError chained
-    to its exception.  A non-finite lam raises ValueError before w_eval runs."""
+    """The system of ``rule`` at n on ``grid``, w_eval(grid) one finite value
+    per point (``_call``).  A non-finite lam raises ValueError before w_eval runs."""
     _require_finite_lam(lam)
-    try:
-        rhs = np.asarray(w_eval(grid), dtype=float)
-    except Exception as exc:
-        raise EvaluationError(f"rhs evaluator failed on {grid.size} grid points: {exc}") from exc
-    if rhs.shape != grid.shape:
-        raise EvaluationError(f"rhs has shape {rhs.shape}, the grid has shape {grid.shape}")
+    rhs = _call("rhs evaluator", "grid points", w_eval, grid)
     _check_finite(rhs, grid, "rhs is not finite at grid point {index} (x={x!r})")
     return CollocationSystem(grid=grid, rhs=rhs, **_assemble(kernel, grid, rule, n, lam))
 
@@ -272,8 +264,9 @@ def build_simple_system(
     Grid x_j = a + j*hhat, hhat = T/(4n), j = 1..4n; entries
     eps_ij * hhat * K(x_i, x_j) + lam on the diagonal pattern.  A ``psi``
     kernel gives a circulant system stored as its first column.  A
-    non-finite lam raises ValueError before w_eval is called.
+    non-integral n or non-finite lam raises ValueError before w_eval runs.
     """
+    _require_integers(n=n)
     if n < 2:
         raise ValueError("simple approach needs n >= 2")
     hh = (kernel.period / n) / 4.0
@@ -381,9 +374,10 @@ def build_advanced_system(
     Grid x_j = a + j T/n, j = 0..n-1; matrix
     [lam + A_0(x_i)] delta_ij + h K(x_i,x_j)(1-delta_ij)
     + sum_k A_k(x_i) D_n^(k)(x_i - x_j).  For a ``psi`` kernel the A_k are
-    constants and the system is stored as its first column.  A non-finite
-    lam raises ValueError before w_eval is called.
+    constants and the system is stored as its first column.  A
+    non-integral n or non-finite lam raises ValueError before w_eval runs.
     """
+    _require_integers(n=n)
     if n < 4 or n % 2:
         raise ValueError(f"advanced approach needs even n >= 4 (got n={n})")
     h = kernel.period / n
@@ -461,9 +455,8 @@ def _kernel_slice_integrand(kernel: PeriodicKernel, phi: Callable, t) -> Periodi
     t_col = t_ab[:, None] if t_ab.ndim else float(t_ab)
 
     def g_eval(y):
-        y = np.asarray(y, dtype=float)
         u = kernel.numerator_centered(t_col, y)
-        return u * np.asarray(phi(_wrap(t_col + y, a, b)), dtype=float)
+        return u * _call("phi", "nodes", phi, _wrap(t_col + y, a, b))
 
     return PeriodicIntegrand(m=3, t=0.0, a=-T / 2.0, b=T / 2.0, g_eval=g_eval)
 
@@ -597,7 +590,10 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
       evaluated once per kernel and offsets, not once per batch.  Each
       value is bit for bit the one the rule gives for its point alone.
 
-    A non-finite lam raises ValueError here, before anything is evaluated.
+    On both paths phi takes an array and returns one of its shape; a phi
+    that raises or returns another shape (a scalar too) gives
+    EvaluationError naming it, as a failing psi or ``centered`` does.  A
+    non-finite lam raises ValueError here, before anything is evaluated.
     A non-finite value at a rule node, at a lattice point or in the norm
     sample raises EvaluationError; the first point failing the doubling
     check raises ReferenceConvergenceError naming it.
@@ -627,12 +623,12 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
         v1 = t_hat(coarse, integrand)
         v2 = t_hat(fine, integrand)
         check(ts, v1, v2, np.max(np.abs(integrand.g_eval(ys)), axis=-1))
-        return lam * np.asarray(phi(ts), dtype=float) + v2
+        return lam * _call("phi", "points", phi, ts) + v2
 
     def on_grid(ts, k, L):
         N = ts.size
         x = kernel.a + np.arange(L) * (T / L)
-        samples = np.asarray(phi(x), dtype=float)
+        samples = _call("phi", "lattice points", phi, x)
         _check_finite(samples, x, "phi is not finite at lattice point x={x!r}")
         spectrum = np.fft.rfft(samples)
         i = k % N
@@ -640,7 +636,7 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
         v2 = _rule_on_lattice(kernel, 2 * _RHS_N_HIGH, spectrum, L)[i * (L // N)]
         g_norm = _lattice_norms(kernel.numerator_centered(None, ys), samples, N)[i]
         check(ts, v1, v2, g_norm)
-        out = lam * np.asarray(phi(ts), dtype=float) + v2
+        out = lam * _call("phi", "points", phi, ts) + v2
         anchor = batch(ts[:1])[0]
         if not abs(out[0] - anchor) <= noise_per_norm * g_norm[0]:
             raise ReferenceConvergenceError(

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quadrature import PeriodicIntegrand
+from .quadrature import PeriodicIntegrand, _call
 
 __all__ = [
     "TrigPolynomial",
@@ -266,9 +266,9 @@ def singular_periodic_integrand(
     ``u`` is a callable with a ``deriv(order, x)`` method (TrigPolynomial,
     PoissonKernelU).  g(x) = psi_m(x - t) u(x); derivative values of g at t
     are assembled by Leibniz from the series derivatives of psi_m and the
-    analytic derivatives of u, up to order ``n_derivs`` (default m).  A
-    non-finite t, or a period that is not finite and > 0, is rejected
-    before anything is evaluated.
+    analytic derivatives of u, up to order ``n_derivs`` (default m); a
+    ``u.deriv(k, t)`` that raises or is not one value gives EvaluationError.
+    A non-finite t, or a period not finite and > 0, is rejected before u runs.
 
     ``g_eval`` evaluates g in blocks of ``_G_BLOCK`` consecutive nodes of
     the flattened node array, so that a large rule's temporaries stay in
@@ -293,7 +293,7 @@ def singular_periodic_integrand(
         # [()] turns a 0-d result into a scalar and leaves arrays as they are
         return out.reshape(x.shape)[()]
 
-    u0 = [float(u.deriv(k, t)) for k in range(n_derivs + 1)]
+    u0 = [float(_call("u.deriv", "point", u.deriv, k, t)) for k in range(n_derivs + 1)]
     derivs = []
     for i in range(n_derivs + 1):
         acc = 0.0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DerivativesRequiredError, ReferenceConvergenceError
 from .integrands import PoissonKernelU, TrigPolynomial, _eulerian_row, singular_periodic_integrand
-from .quadrature import PeriodicIntegrand, _eval_g
+from .quadrature import PeriodicIntegrand, _check_finite, _rule_g
 
 __all__ = [
     "GeometricKernelCase",
@@ -218,7 +218,7 @@ def hfp_reference(
         poly = np.zeros_like(y)
         for c in d[::-1]:
             poly = poly * y + c
-        out = (_eval_g(integrand, x) - poly) / y_safe**m
+        out = (_check_finite(_rule_g(integrand, x), x) - poly) / y_safe**m
         return np.where(near, lead * y**smoothing, out)
 
     breakpoints = [a, t - rho, t, t + rho, b]

@@ -19,9 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels
 from .em_constants import zeta_at, zeta_even_rational
-from .errors import DerivativesRequiredError, EvaluationError
+from .errors import DerivativesRequiredError, EvaluationError, HfpquadError
 
 __all__ = [
     "PeriodicIntegrand",
@@ -98,9 +97,8 @@ class PeriodicIntegrand:
 
     def f_eval(self, x):
         """Evaluate f at x (scalar or array), wrapping into [a, b) first."""
-        # wrap_to_fundamental gives a float for a 0-d x; keep it an array
-        xw = np.asarray(wrap_to_fundamental(x, self))
-        vals = _eval_g(self, xw) / _kernels.int_power(xw - self.t, self.m)
+        xw = _wrap(np.asarray(x, dtype=float), self.a, self.b)
+        vals = _check_finite(_rule_g(self, xw), xw) / int_power(xw - self.t, self.m)
         return vals if vals.shape else float(vals)
 
     def deriv_at_t(self, order: int) -> float:
@@ -125,37 +123,31 @@ def _wrap(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.where(out >= b, out - T, out)
 
 
-def _call_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
-    """g_eval(x) as floats of shape x.shape or (P, *x.shape); an evaluator
-    that raises or returns another shape gives EvaluationError."""
+def _call(what: str, points: str, fn: Callable, *args, rows: bool = False) -> np.ndarray:
+    """fn(*args) as floats, the one call into user code (g, w, phi, psi,
+    ``centered``, U_k, ``u.deriv``), shaped as its last argument x, as the
+    args broadcast, or (P, *x.shape) for a vector g (``rows``).  Another
+    shape, or an exception other than HfpquadError, gives EvaluationError
+    naming ``what``, chained to the exception; ``_check_finite`` checks values."""
+    shape = np.shape(args[-1])
     try:
-        vals = np.asarray(integrand.g_eval(x), dtype=float)
+        vals = np.asarray(fn(*args), dtype=float)
+    except HfpquadError:
+        raise
     except Exception as exc:
-        raise EvaluationError(f"integrand evaluator failed on {x.size} nodes: {exc}") from exc
-    if vals.shape not in (x.shape, vals.shape[:1] + x.shape):
-        raise EvaluationError(
-            f"integrand evaluator returned shape {vals.shape} for nodes of shape {x.shape}"
-        )
+        raise EvaluationError(f"{what} failed on {math.prod(shape)} {points}: {exc}") from exc
+    if vals.shape != shape and vals.shape != np.broadcast(*args).shape and not (rows and vals.shape[1:] == shape):
+        raise EvaluationError(f"{what} returned shape {vals.shape} for {points} of shape {shape}")
     return vals
 
 
 def _rule_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
-    """``_call_g`` for a rule: a vector g with ``g_derivs_at_t`` raises
-    ValueError, as the derivative corrections are scalars and would be
-    applied to every row alike."""
-    vals = _call_g(integrand, x)
+    """g_eval(x) through ``_call``; a vector g with ``g_derivs_at_t`` raises
+    ValueError, as the scalar derivative corrections would hit every row alike."""
+    vals = _call("integrand evaluator", "nodes", integrand.g_eval, x, rows=True)
     if vals.ndim > x.ndim and integrand.g_derivs_at_t is not None:
         raise ValueError("a vector-valued g carries no g derivatives")
     return vals
-
-
-def _eval_g(integrand: PeriodicIntegrand, x: np.ndarray) -> np.ndarray:
-    """g at the nodes x: an array of x's shape, or (P, *x.shape) for a vector g.
-
-    Besides ``_rule_g``'s checks, a non-finite value gives EvaluationError
-    carrying the index of the first offending node.
-    """
-    return _check_finite(_rule_g(integrand, x), x)
 
 
 def _check_finite(
@@ -243,6 +235,14 @@ def compact_rule(m: int, s: int) -> CompactRule:
     return CompactRule(m, s, families, tuple(corrections))
 
 
+def _require_integers(**values) -> None:
+    """ValueError naming the first value that is not an integer: one whose type has no
+    ``__index__``, which int and numpy's integers have and 3.0 has not."""
+    for name, value in values.items():
+        if not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer (got {value!r})")
+
+
 @dataclass(frozen=True)
 class RuleSpec:
     """Which rule to apply: order m, extrapolation level s, base count n."""
@@ -253,6 +253,7 @@ class RuleSpec:
     path: str = "generic"
 
     def __post_init__(self):
+        _require_integers(m=self.m, s=self.s, n=self.n)
         if self.path not in ("compact", "generic"):
             raise ValueError(f"unknown rule path: {self.path!r}")
         if self.m < 1 or self.s < 0 or self.n < 1:
@@ -317,6 +318,22 @@ def _primitives(n: int, level: int) -> list[tuple[int, slice]]:
     return out
 
 
+def int_power(y, m: int):
+    """y^m for an integer m >= 1, exactly even or odd in y.
+
+    numpy's ``pow`` is fast for positive bases only, so the power is taken
+    of |y| and y's sign put back for odd m.  A multiplication chain would be
+    faster, but it rounds to up to (m-1)/2 ulp against pow's half ulp, which
+    the largest terms of an m = 4 rule carry into its value.  The result is
+    a new float array of y's shape.
+    """
+    power = np.abs(y, out=np.empty(np.shape(y)))
+    power **= m
+    if m % 2:
+        np.copysign(power, y, out=power)
+    return power
+
+
 def _memoize(integrand: PeriodicIntegrand, lattices) -> None:
     """Store f = g/y^m on each primitive lattice P(N), N in ``lattices``,
     that the memo lacks, from one g call.
@@ -340,7 +357,7 @@ def _memoize(integrand: PeriodicIntegrand, lattices) -> None:
         for N, (y, _) in nodes.items():
             g_N, lo = g[..., lo : lo + y.size], lo + y.size
             # dividing into the power's fresh array saves a node-sized allocation
-            power = _kernels.int_power(y, integrand.m)
+            power = int_power(y, integrand.m)
             memo[N] = np.divide(g_N, power, out=power if g_N.shape == power.shape else None)
             if not g_finite:
                 memo[N][~np.isfinite(g_N)] = np.nan

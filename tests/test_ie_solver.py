@@ -3,6 +3,7 @@ and the manufactured problem."""
 
 import cmath
 import dataclasses
+import functools
 import math
 import re
 import warnings
@@ -280,6 +281,22 @@ class TestAdvancedSystem:
                 build_advanced_system(kern, lambda x: np.zeros_like(x), 1.0, n)
 
 
+class TestBuilderN:
+    @pytest.mark.parametrize("build", [build_simple_system, build_advanced_system])
+    @pytest.mark.parametrize("n", [8.0, 8.5])
+    def test_non_integral_n_is_rejected_before_w(self, build, n):
+        calls = []
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer (got {n!r})")):
+            build(supersingular_cotangent_kernel(), lambda x: calls.append(x) or np.cos(x), 1.0, n)
+        assert calls == []
+
+    @pytest.mark.parametrize("build", [build_simple_system, build_advanced_system])
+    def test_numpy_integer_n(self, build):
+        kern = supersingular_cotangent_kernel()
+        expected = build(kern, np.cos, 1.0, 8).matrix
+        np.testing.assert_array_equal(build(kern, np.cos, 1.0, np.int64(8)).matrix, expected)
+
+
 class TestBadRhs:
     """Both builders take one finite right-hand side value per grid point."""
 
@@ -304,7 +321,7 @@ class TestBadRhs:
     def test_wrong_shape_names_both_shapes(self, build, n, w):
         kern = supersingular_cotangent_kernel()
         N = build(kern, np.cos, 1.0, n).grid.size
-        shapes = f"shape {np.shape(w(np.zeros(N)))}, the grid has shape {(N,)}"
+        shapes = f"rhs evaluator returned shape {np.shape(w(np.zeros(N)))} for grid points of shape {(N,)}"
         with pytest.raises(EvaluationError, match=re.escape(shapes)):
             build(kern, w, 1.0, n)
 
@@ -316,6 +333,66 @@ class TestBadRhs:
         with pytest.raises(EvaluationError, match="rhs evaluator failed.*w failed") as info:
             build(supersingular_cotangent_kernel(), w, 1.0, n)
         assert isinstance(info.value.__cause__, RuntimeError)
+
+
+def _raising(*args):
+    raise RuntimeError("user code failed")
+
+
+def _cotangent_with(**functions) -> PeriodicKernel:
+    """The cotangent kernel with some of its functions replaced."""
+    kern = supersingular_cotangent_kernel()
+    declared = {"psi": kern.psi, "u_xderivs_diag": kern.u_xderivs_diag, **functions}
+    if "centered" in functions:
+        declared["psi"] = None
+    return PeriodicKernel(kern.a, kern.b, **declared)
+
+
+def _advanced_build_with_u(k, fn):
+    """The advanced build of the cotangent kernel with U_k replaced by fn."""
+    diag = list(supersingular_cotangent_kernel().u_xderivs_diag)
+    diag[k] = fn
+    return build_advanced_system(_cotangent_with(u_xderivs_diag=tuple(diag)), np.cos, 1.0, 8)
+
+
+#: 64 points forming one period, so a psi kernel's rhs takes the grid path
+_GRID = -math.pi + np.arange(1, 65) * (TWO_PI / 64)
+_POINTS = np.array([0.5, 1.0])
+
+#: (name the error gives, where the collocation code calls it) -> a run with fn in its place
+USER_FUNCTIONS = {
+    ("phi", "grid rhs"): lambda fn: manufactured_rhs(supersingular_cotangent_kernel(), fn, 1.0)(_GRID),
+    ("phi", "batched rhs"): lambda fn: manufactured_rhs(supersingular_cotangent_kernel(), fn, 1.0)(_POINTS),
+    ("psi", "simple build"): lambda fn: build_simple_system(_cotangent_with(psi=fn), np.cos, 1.0, 4),
+    ("psi", "advanced build"): lambda fn: build_advanced_system(_cotangent_with(psi=fn), np.cos, 1.0, 8),
+    ("psi", "grid rhs"): lambda fn: manufactured_rhs(_cotangent_with(psi=fn), np.cos, 1.0)(_GRID),
+    ("centered", "simple build"): lambda fn: build_simple_system(_cotangent_with(centered=fn), np.cos, 1.0, 4),
+    ("centered", "batched rhs"): lambda fn: manufactured_rhs(_cotangent_with(centered=fn), np.cos, 1.0)(_POINTS),
+    **{(f"U_{k}", "advanced build"): functools.partial(_advanced_build_with_u, k) for k in range(4)},
+}
+
+BAD_FUNCTIONS = {"raises": _raising, "scalar": lambda *args: 1.0, "three values": lambda *args: np.ones(3)}
+
+
+class TestUserFunctionErrors:
+    """Every user function the collocation code calls goes through one checked
+    call: one that raises, or returns another shape than its input's, gives
+    EvaluationError naming it, chained to what it raised.  A U_k returns one
+    value, so a scalar is its right shape."""
+
+    @pytest.mark.parametrize(
+        "function, site, kind",
+        [
+            (*key, kind)
+            for key in USER_FUNCTIONS
+            for kind in BAD_FUNCTIONS
+            if not (key[0].startswith("U_") and kind == "scalar")
+        ],
+    )
+    def test_failure_names_the_function(self, function, site, kind):
+        with pytest.raises(EvaluationError, match=rf"^{function} (failed|returned shape)") as info:
+            USER_FUNCTIONS[function, site](BAD_FUNCTIONS[kind])
+        assert isinstance(info.value.__cause__, RuntimeError) == (kind == "raises")
 
 
 class TestNonFiniteLambda:

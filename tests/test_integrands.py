@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hfpquad import integrands
+from hfpquad.errors import EvaluationError
 from hfpquad.integrands import (
     PoissonKernelU,
     TrigPolynomial,
@@ -199,6 +200,24 @@ class TestIntegrandFactory:
             for j in range(0, i + 1, 2):
                 ref += math.comb(i, j) * psi0[j] * float(u.deriv(i - j, t))
             assert d == ref
+
+    @pytest.mark.parametrize("kind", ["raises", "two values"])
+    def test_failing_u_deriv_is_an_evaluation_error(self, kind):
+        u = TrigPolynomial((1.0, 0.5))
+
+        class Broken:
+            __call__ = u.__call__
+
+            def deriv(self, order, x):
+                if order == 0:
+                    return u.deriv(order, x)
+                if kind == "raises":
+                    raise RuntimeError("no derivative")
+                return np.ones(2)
+
+        with pytest.raises(EvaluationError, match=r"^u\.deriv (failed|returned shape)") as info:
+            singular_periodic_integrand(Broken(), m=3, t=0.5)
+        assert isinstance(info.value.__cause__, RuntimeError) == (kind == "raises")
 
     def test_interval_centered(self):
         u = PoissonKernelU(0.2)

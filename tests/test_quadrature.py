@@ -431,6 +431,14 @@ class TestTHat:
             RuleSpec(3, 3, 8, path="compact")
         with pytest.raises(ValueError):
             RuleSpec(3, 0, 8, path="nope")
+        for name, args in [("n", (3, 2, 10.0)), ("n", (3, 1, 10.5)), ("m", (3.0, 2, 10)), ("s", (3, 2.0, 10))]:
+            for path in ("compact", "generic"):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                    RuleSpec(*args, path=path)
+        # numpy integers are integers
+        integ = supersingular_one()
+        spec = RuleSpec(np.int64(3), np.int32(2), np.int64(10), path="compact")
+        assert t_hat(spec, integ) == t_hat(RuleSpec(3, 2, 10, path="compact"), integ)
 
     def test_compact_equals_generic_combination(self):
         # algebraic identity: the closed forms are the weighted combinations
