@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .quadrature import PeriodicIntegrand, _call
+from .quadrature import PeriodicIntegrand, SplitNumerator, _call
 
 __all__ = [
     "TrigPolynomial",
@@ -36,10 +36,6 @@ TWO_PI = 2.0 * math.pi
 # truncation is below the rounding unit (convergence ratio (z/pi)^2)
 _N_SERIES = 12
 _Z_SWITCH = 0.5
-
-# g is evaluated on slices of this many nodes, so that the evaluators'
-# temporaries stay in cache; each node's double does not depend on the slice
-_G_BLOCK = 8192
 
 
 def _series_mul(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
@@ -100,7 +96,12 @@ def numerator_factor(m: int, y, period: float = TWO_PI):
     Three branches over z = pi*y/T: a series for |z| <= 0.5, the closed
     form for 0.5 < |z| <= pi/2, and a reflected form for |z| > pi/2 that
     reduces the angle through T - |y| (exact for |y| >= T/2), keeping full
-    relative accuracy up to the poles at |y| -> T.
+    relative accuracy up to the poles at |y| -> T.  Every branch reads |y|
+    or an even power of z, so psi_m(-y) == psi_m(y) bit for bit.
+
+    Its callers: the psi of ``singular_periodic_integrand``, which the rules
+    evaluate once per lattice into their offset table and ``g_eval`` at
+    x - t, and the cotangent kernel of ``ie_solver``.
     """
     y = np.asarray(y, dtype=float)
     shape = y.shape
@@ -254,6 +255,13 @@ class PoissonKernelU:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _kernel_factor(m: int, period: float):
+    """psi_m = numerator_factor(m, ., period) as one object per (m, period),
+    so that the rules' offset table serves every integrand built with it."""
+    return partial(numerator_factor, m, period=period)
+
+
 def singular_periodic_integrand(
     u,
     m: int,
@@ -270,10 +278,13 @@ def singular_periodic_integrand(
     ``u.deriv(k, t)`` that raises or is not one value gives EvaluationError.
     A non-finite t, or a period not finite and > 0, is rejected before u runs.
 
-    ``g_eval`` evaluates g in blocks of ``_G_BLOCK`` consecutive nodes of
-    the flattened node array, so that a large rule's temporaries stay in
-    cache; psi_m and u are elementwise, so every node gets the same double
-    as in one unblocked call.
+    ``g_eval`` is a ``SplitNumerator`` with psi = psi_m (even, one shared
+    object per (m, period)): the rules evaluate psi_m at the exact offsets
+    y of their nodes, from a table shared by every integrand of the same m
+    and period and bounded by ``quadrature._OFFSET_TABLE_BYTES`` (8 MiB),
+    and u once per block of nodes, while ``g_eval(x)`` evaluates
+    psi_m(x - t) u(x) as written.  ``dataclasses.replace(integ, g_eval=...)``
+    drops the split.
     """
     if n_derivs is None:
         n_derivs = m
@@ -282,17 +293,6 @@ def singular_periodic_integrand(
     if not (math.isfinite(a) and math.isfinite(b) and a < t < b):
         raise ValueError("singular point must satisfy a < t < b")
     psi0 = numerator_factor_derivs(m, n_derivs, period)
-
-    def g_eval(x):
-        x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        out = np.empty(flat.size)
-        for i in range(0, flat.size, _G_BLOCK):
-            xs = flat[i : i + _G_BLOCK]
-            out[i : i + _G_BLOCK] = numerator_factor(m, xs - t, period) * np.asarray(u(xs), dtype=float)
-        # [()] turns a 0-d result into a scalar and leaves arrays as they are
-        return out.reshape(x.shape)[()]
-
     u0 = [float(_call("u.deriv", "point", u.deriv, k, t)) for k in range(n_derivs + 1)]
     derivs = []
     for i in range(n_derivs + 1):
@@ -301,6 +301,7 @@ def singular_periodic_integrand(
             acc += math.comb(i, j) * psi0[j] * u0[i - j]
         derivs.append(acc)
 
+    g_eval = SplitNumerator(_kernel_factor(m, period), u, t)
     return PeriodicIntegrand(
         m=m, t=t, a=a, b=b, g_eval=g_eval, g_derivs_at_t=tuple(derivs)
     )

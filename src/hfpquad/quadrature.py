@@ -24,6 +24,7 @@ from .errors import DerivativesRequiredError, EvaluationError, HfpquadError
 
 __all__ = [
     "PeriodicIntegrand",
+    "SplitNumerator",
     "RuleSpec",
     "CompactRule",
     "ExtrapolationWeights",
@@ -69,6 +70,15 @@ class PeriodicIntegrand:
     evaluated, the finest rule's node count; a rule after a larger one on
     the same lattices can leave a node's value in more than one array.
     ``dataclasses.replace`` starts a new instance with an empty memo.
+
+    A ``g_eval`` that is a ``SplitNumerator`` about this t declares
+    g(x) = psi(x - t) u(x).  The rules then form f = psi(y) u(x)/y^m on the
+    exact offsets y of their nodes, with psi(|y|) and |y|^m read from a
+    table shared by every integrand with the same psi, m and period, and
+    call u once per block of nodes; ``g_eval(x)`` itself evaluates
+    psi(x - t), so the two can differ in the last bits.  Replacing
+    ``g_eval`` (``dataclasses.replace(integ, g_eval=other)``) drops the
+    split: the rules then call the new g.
     """
 
     m: int
@@ -107,6 +117,37 @@ class PeriodicIntegrand:
                 f"g derivative of order {order} at t required but not supplied"
             )
         return float(self.g_derivs_at_t[order])
+
+
+@dataclass(frozen=True)
+class SplitNumerator:
+    """g(x) = psi(x - t) * u(x): a numerator g that declares its split.
+
+    ``psi`` must be even and deterministic, a node's double not depending on
+    the other offsets of the call, and ``u`` deterministic likewise; both
+    take and return float arrays of one shape.  Calling the object evaluates
+    g as written, psi at x - t, in blocks of ``_G_BLOCK`` nodes of the
+    flattened array so that the temporaries stay in cache; each node gets
+    the double of an unblocked call.  The rules of a ``PeriodicIntegrand``
+    whose ``g_eval`` this is, about the integrand's own t, instead evaluate
+    psi at the exact offsets y of their nodes: psi(|y|) and |y|^m come from
+    one table per (psi, m, period, lattice), shared by every such integrand
+    and holding at most ``_OFFSET_TABLE_BYTES`` bytes, and u runs once per
+    block of at most ``_G_BLOCK`` nodes.
+    """
+
+    psi: Callable
+    u: Callable
+    t: float
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        flat, out = x.ravel(), np.empty(x.size)
+        for [(_, lo, hi)] in _blocks([flat.size]):
+            xs = flat[lo:hi]
+            out[lo:hi] = self.psi(xs - self.t) * np.asarray(self.u(xs), dtype=float)
+        # [()] turns a 0-d result into a scalar and leaves arrays as they are
+        return out.reshape(x.shape)[()]
 
 
 def wrap_to_fundamental(x, integrand: PeriodicIntegrand):
@@ -269,12 +310,27 @@ class RuleSpec:
 # ---------------------------------------------------------------------------
 
 
-def _family_nodes(integrand: PeriodicIntegrand, n: int, level: int):
-    """(y, x_hat): offsets y_j = x_j - t of a node family and wrapped nodes.
+#: blocks of a split g: psi and u run on at most this many nodes per call,
+#: so that their temporaries stay in cache; a node's double does not depend
+#: on the block
+_G_BLOCK = 8192
+
+#: bound on the bytes of the offset table's arrays
+_OFFSET_TABLE_BYTES = 8 * 2**20
+
+# (id(psi), m, period, N) -> (psi, psi(|y|), |y|^m) on the first positive
+# offsets of P(N), least recently used first; holding psi keeps its id unique
+_OFFSET_TABLE: dict = {}
+
+
+def _family(integrand: PeriodicIntegrand, n: int, level: int):
+    """(ks, inside, delta) of a node family: node i has the offset
+    ks[i]*delta for i < inside and (ks[i] - total)*delta after, with
+    total = 2^level n = ks.stop.
 
     Level 0 is the nodes jh, j = 1..n-1, and level l >= 1 the odd multiples
     of h/2^l.  Offsets are kept as integers times the spacing for as long
-    as possible: the wrapped offset is (k - q*2^l n)*delta rather than a
+    as possible: the wrapped offset is (k - total)*delta rather than a
     wrapped coordinate difference, which keeps the relative error of the
     singular denominator at the rounding unit instead of growing with n.
     For a power-of-two multiple of n the offsets of every coarser grid are
@@ -284,17 +340,36 @@ def _family_nodes(integrand: PeriodicIntegrand, n: int, level: int):
     # arrays do whatever numeric types the integrand holds
     t, b = float(integrand.t), float(integrand.b)
     delta = float((integrand.period / n) / 2**level)
-    total = 2**level * n
-    ks = range(1, total, 2 if level else 1)
+    ks = range(1, 2**level * n, 2 if level else 1)
     # t + k*delta rounds monotonically in k, so the k with t + k*delta < b
     # are a leading run; the rest wrap to k - total
     inside = bisect.bisect_left(ks, True, key=lambda k: not t + k * delta < b)
-    y = np.arange(ks.start, ks.stop, ks.step, dtype=float)
-    y[inside:] -= total
+    return ks, inside, delta
+
+
+def _offsets(family, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """The offsets of the nodes lo:hi of a ``_family``."""
+    ks, inside, delta = family
+    r = ks[lo:hi]
+    y = np.arange(r.start, r.stop, r.step, dtype=float)
+    y[max(inside - lo, 0) :] -= ks.stop
     y *= delta
-    x_hat = t + y
-    np.clip(x_hat, integrand.a, b, out=x_hat)
-    return y, x_hat
+    return y
+
+
+def _nodes(integrand: PeriodicIntegrand, y: np.ndarray) -> np.ndarray:
+    """The wrapped nodes t + y, clipped into [a, b] against rounding."""
+    x_hat = float(integrand.t) + y
+    # np.clip's value, without its Python wrapper's cost per call
+    np.minimum(np.maximum(x_hat, integrand.a, out=x_hat), float(integrand.b), out=x_hat)
+    return x_hat
+
+
+def _family_nodes(integrand: PeriodicIntegrand, n: int, level: int):
+    """(y, x_hat): offsets y_j = x_j - t of a node family (see ``_family``)
+    and its wrapped nodes."""
+    y = _offsets(_family(integrand, n, level))
+    return y, _nodes(integrand, y)
 
 
 def _primitives(n: int, level: int) -> list[tuple[int, slice]]:
@@ -334,65 +409,209 @@ def int_power(y, m: int):
     return power
 
 
-def _memoize(integrand: PeriodicIntegrand, lattices) -> None:
-    """Store f = g/y^m on each primitive lattice P(N), N in ``lattices``,
-    that the memo lacks, from one g call.
+def _lattice(integrand: PeriodicIntegrand, N: int):
+    """The ``_family`` that is P(N) alone, the level-1 family at N/2 (even N)
+    or the level-0 family at N (odd N): the same doubles as in any family
+    holding it."""
+    return _family(integrand, N // 2, 1) if N % 2 == 0 else _family(integrand, N, 0)
 
-    P(N) is built alone, as the level-1 family at N/2 (even N) or the
-    level-0 family at N (odd N): the same doubles as in any family holding
-    it.  f is stored unchecked (``_family_sums`` checks it), and is NaN
-    where g is not finite, so an infinite f is a quotient that overflowed.
+
+def _split(integrand: PeriodicIntegrand) -> Optional[SplitNumerator]:
+    """The integrand's g if it is split about the integrand's own t."""
+    g = integrand.g_eval
+    return g if isinstance(g, SplitNumerator) and g.t == integrand.t else None
+
+
+def _blocks(sizes):
+    """The concatenation of arrays of these sizes in blocks of at most
+    ``_G_BLOCK`` elements: per block, its (array index, lo, hi) pieces."""
+    block, room = [], _G_BLOCK
+    for i, size in enumerate(sizes):
+        lo = 0
+        while lo < size:
+            hi = min(size, lo + room)
+            block.append((i, lo, hi))
+            room -= hi - lo
+            lo = hi
+            if not room:
+                yield block
+                block, room = [], _G_BLOCK
+    if block:
+        yield block
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays concatenated; a single array as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _offset_table(psi: Callable, m: int, period: float, N: int, family, need: int):
+    """(psi(|y|), |y|^m) on at least the first ``need`` offsets ks[i]*delta
+    of the lattice P(N) (``family``), from the table shared by integrands.
+
+    A new entry covers at least half the lattice, the offsets up to T/2,
+    which is what a period centered at t reads; psi runs in blocks.
+    Entries are evicted least recently used first to keep the table's
+    arrays within ``_OFFSET_TABLE_BYTES``; an entry larger than that is not
+    kept.
     """
-    memo = integrand._f_memo
-    nodes = {
-        N: _family_nodes(integrand, N // 2, 1) if N % 2 == 0 else _family_nodes(integrand, N, 0)
-        for N in dict.fromkeys(lattices)
-        if N not in memo
-    }
-    if not nodes:
+    key = (id(psi), m, period, N)
+    entry = _OFFSET_TABLE.pop(key, None)
+    if entry is None or entry[1].size < need:
+        ks, _, delta = family
+        size = max(need, (len(ks) + 1) // 2)
+        entry = (psi, np.empty(size), np.empty(size))
+        for [(_, lo, hi)] in _blocks([size]):
+            y = _offsets((ks, size, delta), lo, hi)
+            entry[1][lo:hi] = _call("psi", "offsets", psi, y)
+            entry[2][lo:hi] = int_power(y, m)
+        held = sum(a.nbytes + p.nbytes for _, a, p in _OFFSET_TABLE.values())
+        while 16 * size <= _OFFSET_TABLE_BYTES < held + 16 * size:
+            _, a, p = _OFFSET_TABLE.pop(next(iter(_OFFSET_TABLE)))
+            held -= a.nbytes + p.nbytes
+    if 16 * entry[1].size <= _OFFSET_TABLE_BYTES:
+        _OFFSET_TABLE[key] = entry
+    return entry[1:]
+
+
+def _memoize(integrand: PeriodicIntegrand, lattices, out: Optional[dict] = None) -> None:
+    """Store f = g/y^m on each primitive lattice P(N), N in ``lattices``,
+    that the memo lacks: into ``out[N]`` where given, else a fresh array.
+
+    A split g goes to ``_memoize_split``; any other g is called once, on the
+    nodes of every missing lattice built alone (``_lattice``).  f is stored
+    unchecked (``_family_sums`` checks it), and is NaN where g is not
+    finite, so an infinite f is a quotient that overflowed.
+    """
+    memo, out = integrand._f_memo, out or {}
+    missing = [N for N in dict.fromkeys(lattices) if N not in memo]
+    if not missing:
         return
-    g = _rule_g(integrand, np.concatenate([x for _, x in nodes.values()]))
+    families = [_lattice(integrand, N) for N in missing]
+    split = _split(integrand)
+    if split is not None:
+        _memoize_split(integrand, split, missing, families, out)
+        return
+    ys = [_offsets(family) for family in families]
+    g = _rule_g(integrand, _joined([_nodes(integrand, y) for y in ys]))
     g_finite, lo = np.isfinite(g).all(), 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for N, (y, _) in nodes.items():
+        for N, y in zip(missing, ys):
             g_N, lo = g[..., lo : lo + y.size], lo + y.size
             # dividing into the power's fresh array saves a node-sized allocation
             power = int_power(y, integrand.m)
-            memo[N] = np.divide(g_N, power, out=power if g_N.shape == power.shape else None)
+            memo[N] = np.divide(g_N, power, out=out[N] if N in out else power if g_N.shape == power.shape else None)
             if not g_finite:
                 memo[N][~np.isfinite(g_N)] = np.nan
 
 
+def _memoize_split(integrand: PeriodicIntegrand, split: SplitNumerator, missing, families, out) -> None:
+    """``_memoize`` for g = psi(x - t) u(x): f = (psi(y) u(x_hat))/y^m on the
+    exact offsets y, NaN where psi(y) u(x_hat) is not finite.
+
+    psi(|y|) and |y|^m come from ``_offset_table``.  The run of positive
+    offsets reads it in order and the wrapped run, whose magnitudes are the
+    same doubles, reversed; for odd m the wrapped quotient is negated, which
+    is exact as IEEE division is sign-symmetric.  As psi is even, each f is
+    bit for bit psi(y) u(x_hat)/y^m with y^m = ``int_power(y, m)``.  u runs
+    once per block of the concatenated missing lattices, and no node-sized
+    array is made but the memo entries (the rest are block-sized).
+    """
+    m = integrand.m
+    tables = [
+        _offset_table(split.psi, m, integrand.period, N, family, max(family[1], len(family[0]) - family[1]))
+        for N, family in zip(missing, families)
+    ]
+    fs = [out[N] if N in out else np.empty(len(ks)) for N, (ks, _, _) in zip(missing, families)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _blocks([len(ks) for ks, _, _ in families]):
+            x = _joined([_nodes(integrand, _offsets(families[i], lo, hi)) for i, lo, hi in block])
+            u = _call("u", "nodes", split.u, x)
+            # g = psi(y) u(x_hat) of the block, then (g run, y^m run, f run, wrapped)
+            g, runs, start = np.empty(u.size), [], 0
+            for i, lo, hi in block:
+                (ks, inside, _), (psi_abs, power), f = families[i], tables[i], fs[i]
+                # nodes lo:c have positive offsets, table rows lo:c; the
+                # wrapped nodes c:hi have table rows L-1-c down to L-hi
+                size, c = len(ks), min(max(inside, lo), hi)
+                mid, end = start + c - lo, start + hi - lo
+                np.multiply(psi_abs[lo:c], u[start:mid], out=g[start:mid])
+                np.multiply(psi_abs[size - hi : size - c][::-1], u[mid:end], out=g[mid:end])
+                runs.append((g[start:mid], power[lo:c], f[lo:c], False))
+                runs.append((g[mid:end], power[size - hi : size - c][::-1], f[c:hi], True))
+                start = end
+            if not np.isfinite(g).all():
+                g[~np.isfinite(g)] = np.nan
+            for g_run, power_run, f_run, wrapped in runs:
+                np.divide(g_run, power_run, out=f_run)
+                if wrapped and m % 2:
+                    # not np.negative(.., out=..): numpy 2.4 misreads a view
+                    # of stride 8 there, and f can be one
+                    f_run *= -1.0
+    # only now, so that a psi or u that raises leaves the memo as it was
+    integrand._f_memo.update(zip(missing, fs))
+
+
 def _memoize_rules(integrand: PeriodicIntegrand, specs) -> None:
-    """Fill the memo on every lattice of the specs' rules in one g call, so
-    that ``t_hat`` of each spec calls no g and builds no nodes."""
+    """Fill the memo on every lattice of the specs' rules in one g call (one
+    pass of blocks for a split g), so that ``t_hat`` of each spec calls no g
+    and builds no nodes."""
     _memoize(integrand, [N for spec in specs for fam in _families(spec) for N, _ in _primitives(*fam)])
+
+
+def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.ndarray]:
+    """The array of the level-0 family at n with primitives ``ps``, of which
+    the memo holds views.
+
+    If the memo's views already form one such array, that array is returned
+    as it is.  Otherwise a new one is made: the lattices the memo holds are
+    copied in and the memo re-pointed at views of it, so a lattice's values
+    are held once, and ``out`` gets the views that ``_memoize`` is to fill
+    the missing lattices into.  None while the row count is unknown (a g
+    that is not split, no lattice yet in the memo) or a missing lattice is
+    already bound for another family's array.
+    """
+    memo = integrand._f_memo
+    held = next((memo[N] for N, _ in ps if N in memo), None)
+    base = None if held is None else held.base
+    if base is not None and base.shape[-1] == n - 1 and all(
+        N in memo and memo[N].__array_interface__ == base[..., idx].__array_interface__ for N, idx in ps
+    ):
+        return base
+    if (out and any(N in out for N, _ in ps)) or (held is None and _split(integrand) is None):
+        return None
+    f = np.empty((() if held is None else held.shape[:-1]) + (n - 1,))
+    for N, idx in ps:
+        if N in memo:
+            f[..., idx] = memo[N]
+            memo[N] = f[..., idx]
+        else:
+            out[N] = f[..., idx]
+    return f
 
 
 def _family_sums(integrand: PeriodicIntegrand, families) -> list[tuple[np.ndarray, object]]:
     """(f, sum of f) of each node family (n, level), in order, f from the memo.
 
-    The lattices the memo lacks are filled first.  A family that is one
-    lattice gets the memo's array itself, which nobody writes; a level-0
-    family of more is assembled by strided copies, and the memo re-pointed
-    at views of it, so a lattice's values are held once.  Each family's sum
-    is checked in turn; only a non-finite one rebuilds the family's nodes,
-    to name its first non-finite term by index and node in the family.
+    A family that is one lattice gets the memo's array itself, which nobody
+    writes; a level-0 family of more gets its ``_level0`` array, made before
+    the missing lattices are filled so that they are filled into it.  Each
+    family's sum is checked in turn; only a non-finite one rebuilds the
+    family's nodes, to name its first non-finite term by index and node in
+    the family.
     """
     memo = integrand._f_memo
     parts = [_primitives(n, level) for n, level in families]
-    _memoize(integrand, [N for ps in parts for N, _ in ps])
-    out = []
+    out: dict = {}
+    arrays = [_level0(integrand, n, ps, out) if len(ps) > 1 else None for (n, _), ps in zip(families, parts)]
+    _memoize(integrand, [N for ps in parts for N, _ in ps], out)
+    sums = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for (n, level), ps in zip(families, parts):
+        for (n, level), ps, f in zip(families, parts, arrays):
             if len(ps) == 1:
                 f = memo[ps[0][0]]
-            else:
-                # a level-0 family at n: n - 1 nodes, the first lattice P(n)
-                f = np.empty(memo[n].shape[:-1] + (n - 1,))
-                for N, idx in ps:
-                    f[..., idx] = memo[N]
-                    memo[N] = f[..., idx]
+            elif f is None:
+                f = _level0(integrand, n, ps, {})
             total = _sum(f)
             if not np.isfinite(total).all():
                 x = _family_nodes(integrand, n, level)[1]
@@ -400,8 +619,8 @@ def _family_sums(integrand: PeriodicIntegrand, families) -> list[tuple[np.ndarra
                     _check_finite(f, x, "g/(x - t)^m overflowed at node {index} (x={x!r}) where g is finite")
                 _check_finite(f, x)
                 raise EvaluationError(f"the sum of g/(x - t)^m over {x.size} nodes overflowed")
-            out.append((f, total))
-    return out
+            sums.append((f, total))
+    return sums
 
 
 def _sum(f: np.ndarray):

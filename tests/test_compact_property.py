@@ -28,6 +28,7 @@ from hfpquad.integrands import (  # noqa: E402
 from hfpquad.quadrature import (  # noqa: E402
     PeriodicIntegrand,
     RuleSpec,
+    SplitNumerator,
     _family_nodes,
     _primitives,
     compact_rule,
@@ -232,12 +233,15 @@ _memo_n = st.sampled_from([c * 2**k for c in (1, 3, 5) for k in range(7)][1:])
 def _t_hat_reference(spec, integ):
     """t_hat unmemoized: each family's nodes built and g evaluated on them,
     the node sums by ``_kernels.singular_sum``, the generic path one plain
-    sum per grid 2^k n, as the rules read."""
+    sum per grid 2^k n, as the rules read.  A split g = psi(x - t) u(x) is
+    evaluated as the split defines it, psi at the exact offsets."""
     m, n, s = spec.m, spec.n, spec.s
+    g = integ.g_eval
 
     def node_sum(n, level):
         y, x_hat = _family_nodes(integ, n, level)
-        return _kernels.singular_sum(integ.g_eval(x_hat), y, m)
+        vals = g.psi(y) * g.u(x_hat) if isinstance(g, SplitNumerator) else g(x_hat)
+        return _kernels.singular_sum(vals, y, m)
 
     if spec.path == "generic":
         return math.fsum(

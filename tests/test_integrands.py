@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hfpquad import integrands
+from hfpquad import quadrature
 from hfpquad.errors import EvaluationError
 from hfpquad.integrands import (
     PoissonKernelU,
@@ -245,7 +245,7 @@ class TestIntegrandFactory:
 # g_eval runs the evaluators on slices of _G_BLOCK nodes.  Each node's
 # double must not depend on the slicing: the result equals the unblocked
 # product psi_m(x - t) u(x) and g_eval on small pieces, bit for bit.
-_BLOCK = integrands._G_BLOCK
+_BLOCK = quadrature._G_BLOCK
 
 
 @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])

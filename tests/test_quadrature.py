@@ -15,6 +15,7 @@ from hfpquad.harness import integrand_norms
 from hfpquad.integrands import (
     PoissonKernelU,
     TrigPolynomial,
+    numerator_factor,
     random_trig_polynomial,
     singular_periodic_integrand,
 )
@@ -24,6 +25,7 @@ from hfpquad.quadrature import (
     CompactRule,
     PeriodicIntegrand,
     RuleSpec,
+    SplitNumerator,
     compact_rule,
     correction_sum,
     extrapolation_weights,
@@ -707,6 +709,165 @@ class TestGMemo:
             plain_trap_sum(dataclasses.replace(broken), 32)
         assert (coarse.value.node_index, coarse.value.node_x) == (5, bad)
         assert (fine.value.node_index, fine.value.node_x) == (fresh.value.node_index, bad) == (11, bad)
+
+
+class TestSplitFill:
+    """A split g = psi(x - t) u(x) fills the memo with psi(y) u(x_hat)/y^m on
+    the exact offsets, psi(|y|) and |y|^m read from the shared offset table."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def lattice_nodes(integ, N):
+        # P(N) alone, as the rules build it
+        return quadrature._family_nodes(integ, N // 2, 1) if N % 2 == 0 else quadrature._family_nodes(integ, N, 0)
+
+    @staticmethod
+    def integrand(m, t, centered, u=PoissonKernelU(0.6)):
+        integ = singular_periodic_integrand(u, m=m, t=t, n_derivs=m)
+        # a period [-pi, pi) that puts t next to where the nodes wrap
+        return integ if centered else dataclasses.replace(integ, a=-math.pi, b=math.pi)
+
+    @staticmethod
+    def fill(integ):
+        # level-0 families at 2^k >= 16 first, so the fill writes into their
+        # strided views (P(16) of the family at 64 has stride 8), then odd N
+        # and N = 2 mod 4 lattices, and level-2 families
+        for n in (64, 16, 2, 3, 6, 7, 10, 96):
+            plain_trap_sum(integ, n)
+        for n in (5, 9, 33):
+            midpoint_sum(integ, n, 2)
+
+    @pytest.mark.parametrize("t, centered", [(0.3, True), (-2.9, True), (3.1, False), (-3.1, False)])
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_fill_is_the_split_bit_for_bit(self, m, t, centered):
+        integ = self.integrand(m, t, centered)
+        self.fill(integ)
+        g = integ.g_eval
+        for N, f in integ._f_memo.items():
+            y, x_hat = self.lattice_nodes(integ, N)
+            assert np.array_equal(f, g.psi(y) * g.u(x_hat) / quadrature.int_power(y, m)), N
+        for n in (16, 64, 96):
+            [(f, _)] = quadrature._family_sums(integ, [(n, 0)])
+            y, x_hat = quadrature._family_nodes(integ, n, 0)
+            assert np.array_equal(f, g.psi(y) * g.u(x_hat) / quadrature.int_power(y, m)), n
+
+    @pytest.mark.parametrize("u", [PoissonKernelU(0.6), TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7))])
+    @pytest.mark.parametrize("t", [0.3, -2.9])
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_fill_is_close_to_the_g_quotient(self, m, t, u):
+        # psi at the exact offset y against g_eval's psi at fl(x_hat) - t
+        integ = self.integrand(m, t, True, u)
+        self.fill(integ)
+        for N, f in integ._f_memo.items():
+            y, x_hat = self.lattice_nodes(integ, N)
+            quotient = integ.g_eval(x_hat) / quadrature.int_power(y, m)
+            if N == 2 and m % 2:
+                # the lone node at T/2 is psi's zero: both are roundoff of 0
+                bound = 8 * self.EPS * np.abs(u(x_hat))
+                assert np.all(np.abs(f) <= bound) and np.all(np.abs(quotient) <= bound)
+            else:
+                assert np.all(np.abs(f - quotient) <= 8 * self.EPS * np.abs(f).sum()), N
+
+    def test_second_integrand_reads_the_table(self, monkeypatch):
+        psi_calls, u_sizes = [], []
+        u = PoissonKernelU(0.7)
+
+        def psi(y):
+            psi_calls.append(y.size)
+            return numerator_factor(3, y)
+
+        def counted_u(x):
+            u_sizes.append(x.size)
+            return u(x)
+
+        def integrand(t):
+            integ = singular_periodic_integrand(u, m=3, t=t)
+            return dataclasses.replace(integ, g_eval=SplitNumerator(psi, counted_u, t))
+
+        specs = [RuleSpec(3, 2, 4096, path="compact"), RuleSpec(3, 2, 4096, path="generic")]
+        first = integrand(0.3)
+        for spec in specs:
+            t_hat(spec, first)
+        assert psi_calls
+        psi_calls.clear(), u_sizes.clear()
+        second = integrand(-1.1)
+        t_hat(specs[0], second)
+        # P(8192) and P(16384): 12,288 nodes in two blocks
+        assert psi_calls == [] and u_sizes == [quadrature._G_BLOCK, 12288 - quadrature._G_BLOCK]
+        u_sizes.clear()
+        value = t_hat(specs[1], second)
+        # the level-0 family at 16384 lacks P(4096), ..., P(2): 4095 nodes
+        assert psi_calls == [] and u_sizes == [4095]
+        # the table changes no value: an empty one gives the same doubles
+        monkeypatch.setattr(quadrature, "_OFFSET_TABLE", {})
+        assert t_hat(specs[1], integrand(-1.1)) == value and psi_calls
+
+    def test_offset_table_stays_within_its_bound(self, monkeypatch):
+        integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
+        specs = [RuleSpec(3, 2, 2**k, path="compact") for k in range(3, 14)]
+        values = [t_hat(spec, dataclasses.replace(integ)) for spec in specs]
+        bound = 2**16
+        monkeypatch.setattr(quadrature, "_OFFSET_TABLE", {})
+        monkeypatch.setattr(quadrature, "_OFFSET_TABLE_BYTES", bound)
+        for spec, value in zip(specs, values):
+            # each integrand starts with an empty memo, so every rule reads the table
+            assert t_hat(spec, dataclasses.replace(integ)) == value
+            held = sum(a.nbytes + p.nbytes for _, a, p in quadrature._OFFSET_TABLE.values())
+            assert 0 < held <= bound
+        # P(2^15) needs 128 KiB: it was used but not kept
+        assert max(len(a) for _, a, _ in quadrature._OFFSET_TABLE.values()) <= bound // 16
+
+    def test_replace_drops_the_split(self):
+        integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
+        assert quadrature._split(dataclasses.replace(integ)) is integ.g_eval
+        assert quadrature._split(dataclasses.replace(integ, g_eval=lambda x: integ.g_eval(x))) is None
+        # a split about another point is a plain g of this integrand
+        assert quadrature._split(dataclasses.replace(integ, t=0.5)) is None
+
+    def test_failures_name_psi_u_and_the_node(self):
+        integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
+        g = integ.g_eval
+
+        def split(psi=g.psi, u=g.u):
+            return dataclasses.replace(integ, g_eval=SplitNumerator(psi, u, integ.t))
+
+        def fails(y):
+            raise RuntimeError("boom")
+
+        with pytest.raises(EvaluationError, match=r"^u failed on 7 nodes: boom"):
+            plain_trap_sum(split(u=fails), 8)
+        with pytest.raises(EvaluationError, match=r"^psi failed on \d+ offsets: boom"):
+            plain_trap_sum(split(psi=lambda y: fails(y) if y.size else y), 1024 + 1)
+        bad = float(quadrature._family_nodes(integ, 32, 0)[1][11])
+        with pytest.raises(EvaluationError) as info:
+            plain_trap_sum(split(u=lambda x: np.where(x == bad, np.nan, g.u(x))), 32)
+        assert (info.value.node_index, info.value.node_x) == (11, bad)
+        # a u that fails on its second block leaves nothing in the memo
+        calls = []
+
+        def flaky_u(x):
+            calls.append(x.size)
+            return fails(x) if len(calls) == 2 else g.u(x)
+
+        flaky = split(u=flaky_u)
+        with pytest.raises(EvaluationError, match="^u failed"):
+            plain_trap_sum(flaky, 2**14)
+        assert flaky._f_memo == {}
+        assert plain_trap_sum(flaky, 2**14) == plain_trap_sum(integ, 2**14)
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_repeated_generic_rule_reuses_the_family(self, split):
+        integ = GeometricKernelCase(eta=0.7, t=1.0).integrand()
+        if not split:
+            g = integ.g_eval
+            integ = dataclasses.replace(integ, g_eval=lambda x: g(x))
+        spec = RuleSpec(3, 2, 1024)
+        first = t_hat(spec, integ)
+        memo = dict(integ._f_memo)
+        assert t_hat(spec, integ) == first
+        assert integ._f_memo.keys() == memo.keys()
+        assert all(integ._f_memo[N] is f for N, f in memo.items())
 
 
 class TestLargeNFloor:
