@@ -11,14 +11,16 @@ values of g at t via Leibniz from the series coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .quadrature import PeriodicIntegrand, SplitNumerator, _call
+from .quadrature import PeriodicIntegrand, SplitNumerator, _call, _require_integers
 
 __all__ = [
     "TrigPolynomial",
@@ -164,11 +166,29 @@ def numerator_factor_derivs(m: int, max_order: int, period: float = TWO_PI) -> l
 # ---------------------------------------------------------------------------
 
 
+def _derivative_order(order) -> int:
+    """``order`` as an int; ValueError naming it when it is negative or not an
+    integer (numpy's integers pass, 1.5 does not)."""
+    _require_integers(order=order)
+    if order < 0:
+        raise ValueError(f"order must be >= 0 (got {order!r})")
+    return operator.index(order)
+
+
 @dataclass(frozen=True)
 class TrigPolynomial:
     """u(x) = sum_k a_k cos(kx) + sum_k b_k sin(kx), period 2*pi.
 
     cos_coeffs is (a_0, a_1, ..., a_d); sin_coeffs is (b_1, ..., b_d).
+
+    ``deriv(order, x)`` is Re sum_k gamma_k z^k with z = cos x + i sin x and
+    gamma_k = (ik)^order (a_k - i b_k), summed by Horner's rule in real
+    arithmetic: one cos and one sin per point, and no k x + order pi/2 to
+    round.  Against a 40-digit sum at the double x its error stays below
+    6 u sum_k k^order (|a_k| + |b_k|), u = 2^-53, on random degree-6
+    polynomials at orders 0, 1, 3, 7 and 11 (tested).  The steps are
+    elementwise real operations, so a point's double does not depend on the
+    shape of x.
     """
 
     cos_coeffs: tuple[float, ...]
@@ -178,16 +198,19 @@ class TrigPolynomial:
         return self.deriv(0, x)
 
     def deriv(self, order: int, x):
+        order = _derivative_order(order)
+        turn = 1j ** (order % 4)  # i^order, exactly
+        pairs = zip_longest(self.cos_coeffs, (0.0, *self.sin_coeffs), fillvalue=0.0)
+        gammas = [turn * complex(a, -b) * k**order for k, (a, b) in enumerate(pairs)]
         x = np.asarray(x, dtype=float)
-        shift = order * math.pi / 2.0
-        acc = np.zeros_like(x)
-        for k, a in enumerate(self.cos_coeffs):
-            if a != 0.0:
-                acc = acc + a * float(k) ** order * np.cos(k * x + shift)
-        for k1, b in enumerate(self.sin_coeffs, start=1):
-            if b != 0.0:
-                acc = acc + b * float(k1) ** order * np.sin(k1 * x + shift)
-        return acc if acc.shape else float(acc)
+        c, s = np.cos(x), np.sin(x)
+        # (re, im) times z in real operations: numpy's complex multiply uses
+        # fused multiply-adds on arrays and not on scalars
+        re = im = 0.0
+        for g in reversed(gammas[1:]):
+            re, im = re * c - im * s + g.real, re * s + im * c + g.imag
+        out = re * c - im * s + gammas[0].real
+        return out if out.shape else float(out)
 
 
 def random_trig_polynomial(rng: np.random.Generator, degree: int = 6) -> TrigPolynomial:
@@ -233,6 +256,7 @@ class PoissonKernelU:
         return self.deriv(0, x)
 
     def deriv(self, order: int, x):
+        order = _derivative_order(order)
         x = np.asarray(x, dtype=float)
         if order == 0:
             # np.square, not ** 2: a numpy scalar's ** 2 goes through libm

@@ -120,14 +120,85 @@ class TestTrigPolynomial:
         assert u.deriv(2, x) == pytest.approx(fd2, rel=1e-5)
 
     def test_vectorized(self):
-        u = TrigPolynomial((1.0, 0.5), (0.25,))
-        xs = np.linspace(0, TWO_PI, 5)
-        np.testing.assert_allclose(u(xs), [u(float(x)) for x in xs], rtol=1e-15)
+        # a scalar x is a Python float equal, bit for bit, to its element of
+        # an array call; a 2-D x keeps its shape
+        u = random_trig_polynomial(np.random.default_rng(3))
+        xs = np.random.default_rng(4).uniform(-TWO_PI, TWO_PI, 37)
+        for order in (0, 1, 5):
+            values = u.deriv(order, xs)
+            for x, value in zip(xs, values):
+                scalar = u.deriv(order, float(x))
+                assert type(scalar) is float and scalar == value
+            grid = u.deriv(order, xs[:36].reshape(4, 9))
+            assert grid.shape == (4, 9)
+            np.testing.assert_array_equal(grid, values[:36].reshape(4, 9))
 
     def test_periodicity(self):
         u = TrigPolynomial((0.3, 0.1, 0.2), (0.4, -0.5))
         xs = np.linspace(-3, 3, 7)
         np.testing.assert_allclose(u(xs), u(xs + TWO_PI), rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [0, 1, 3, 7, 11])
+    def test_accuracy_against_a_40_digit_sum(self, order):
+        # Horner in e^(ix): within 6 u sum_k k^order (|a_k| + |b_k|) of the
+        # exact sum at the double x
+        rng = np.random.default_rng(order)
+        for _ in range(40):
+            u = random_trig_polynomial(rng)
+            xs = rng.uniform(-TWO_PI, TWO_PI, 5)
+            for x, value in zip(xs, u.deriv(order, xs)):
+                assert abs(value - _mp_trig_sum(u, order, x)) <= _trig_bound(u, order)
+
+    @pytest.mark.parametrize(
+        "cos, sin",
+        [
+            ((), ()),
+            ((0.7,), ()),
+            ((), (0.3, -0.8, 0.5)),
+            ((0.2, -0.4, 0.0, 0.0), (0.9, 0.0, 0.0)),
+        ],
+        ids=["empty", "constant", "sin-only", "trailing-zeros"],
+    )
+    @pytest.mark.parametrize("order", [0, 1, 2, 5])
+    def test_edge_polynomials_match_the_direct_sum(self, cos, sin, order):
+        u = TrigPolynomial(cos, sin)
+        xs = np.linspace(-TWO_PI, TWO_PI, 11)
+        for x, value in zip(xs, u.deriv(order, xs)):
+            assert abs(value - _mp_trig_sum(u, order, x)) <= _trig_bound(u, order)
+
+
+def _mp_trig_sum(u, order, x):
+    """sum_k k^order (a_k cos(kx + order pi/2) + b_k sin(kx + order pi/2)) in
+    40-digit arithmetic at the double x."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x, shift = mpmath.mpf(float(x)), order * mpmath.pi / 2
+        terms = [
+            a * mpmath.mpf(k) ** order * mpmath.cos(k * x + shift)
+            for k, a in enumerate(u.cos_coeffs)
+        ]
+        terms += [
+            b * mpmath.mpf(k) ** order * mpmath.sin(k * x + shift)
+            for k, b in enumerate(u.sin_coeffs, start=1)
+        ]
+        return float(mpmath.fsum(terms))
+
+
+def _trig_bound(u, order):
+    """6 u sum_k k^order (|a_k| + |b_k|), u = 2^-53."""
+    terms = [k**order * abs(a) for k, a in enumerate(u.cos_coeffs)]
+    terms += [k**order * abs(b) for k, b in enumerate(u.sin_coeffs, start=1)]
+    return 6 * 2.0**-53 * math.fsum(terms)
+
+
+@pytest.mark.parametrize("u", [PoissonKernelU(0.5), TrigPolynomial((1.0, 0.5), (0.2,))])
+def test_a_bad_derivative_order_is_named(u):
+    for order in (-1, 1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match=rf"^order must be .*\(got {order!r}\)$"):
+            u.deriv(order, 0.3)
+    # numpy's integers are orders too
+    assert u.deriv(np.int64(3), 0.3) == u.deriv(3, 0.3)
+    np.testing.assert_array_equal(u.deriv(np.uint8(2), [0.3, 1.0]), u.deriv(2, [0.3, 1.0]))
 
 
 class TestPoissonKernelU:
