@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,26 +48,28 @@ def format_float(x: float) -> str:
     return "%.16e" % float(x)
 
 
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats as %.16e, LF-terminated."""
-
-    def emit(o) -> str:
-        if isinstance(o, dict):
-            items = ",".join(
-                f"{json.dumps(str(k))}:{emit(v)}" for k, v in sorted(o.items())
-            )
-            return "{" + items + "}"
-        if isinstance(o, (list, tuple)):
-            return "[" + ",".join(emit(v) for v in o) + "]"
-        if isinstance(o, bool) or o is None:
-            return json.dumps(o)
-        if isinstance(o, (int, np.integer)):
-            return str(int(o))
-        if isinstance(o, (float, np.floating)):
-            return format_float(o)
+def _emit(o) -> str:
+    """The canonical JSON of o; floats are tested first, as a table payload
+    is mostly floats, and keys are quoted as ``json.dumps(str(k))`` does."""
+    if isinstance(o, (float, np.floating)):
+        if not math.isfinite(o):
+            raise ValueError(f"JSON cannot hold the non-finite float {float(o)!r}")
+        return "%.16e" % o
+    if isinstance(o, dict):
+        return "{" + ",".join([encode_basestring_ascii(str(k)) + ":" + _emit(v) for k, v in sorted(o.items())]) + "}"
+    if isinstance(o, (list, tuple)):
+        return "[" + ",".join([_emit(v) for v in o]) + "]"
+    if isinstance(o, bool) or o is None:
         return json.dumps(o)
+    if isinstance(o, (int, np.integer)):
+        return str(int(o))
+    return json.dumps(o)
 
-    return emit(obj) + "\n"
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, floats as %.16e, LF-terminated.
+    A NaN or infinite float, which JSON cannot hold, raises ValueError."""
+    return _emit(obj) + "\n"
 
 
 def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:

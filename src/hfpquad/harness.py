@@ -95,6 +95,17 @@ class FloorCheck:
     passed: bool
 
 
+def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
+    """np.gradient(f, dx, axis=-1) for a uniform spacing dx, bit for bit and
+    without its per-call cost: central differences inside, one-sided
+    differences at the two ends.  f needs at least 2 points."""
+    out = np.empty_like(f)
+    np.divide(f[..., 2:] - f[..., :-2], 2.0 * dx, out=out[..., 1:-1])
+    out[..., 0] = (f[..., 1] - f[..., 0]) / dx
+    out[..., -1] = (f[..., -1] - f[..., -2]) / dx
+    return out
+
+
 def integrand_norms(integrand: PeriodicIntegrand) -> tuple[float, float, float]:
     """Crude max-norms of g, g', g''' by differencing g on NORM_SAMPLES
     equispaced points.
@@ -107,9 +118,8 @@ def integrand_norms(integrand: PeriodicIntegrand) -> tuple[float, float, float]:
     xs = np.linspace(integrand.a, integrand.b, NORM_SAMPLES)
     g = _check_finite(_call("integrand evaluator", "nodes", integrand.g_eval, xs, rows=True), xs)
     dx = xs[1] - xs[0]
-    g1 = np.gradient(g, dx, axis=-1)
-    g2 = np.gradient(g1, dx, axis=-1)
-    g3 = np.gradient(g2, dx, axis=-1)
+    g1 = _gradient(g, dx)
+    g3 = _gradient(_gradient(g1, dx), dx)
     return float(np.max(np.abs(g))), float(np.max(np.abs(g1))), float(np.max(np.abs(g3)))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import zip_longest
@@ -143,8 +143,10 @@ def numerator_factor(m: int, y, period: float = TWO_PI):
     return out if shape else float(out)
 
 
-def numerator_factor_derivs(m: int, max_order: int, period: float = TWO_PI) -> list[float]:
-    """[psi_m(0), psi_m'(0), ..., psi_m^(max_order)(0)].
+@lru_cache(maxsize=64)
+def numerator_factor_derivs(m: int, max_order: int, period: float = TWO_PI) -> tuple[float, ...]:
+    """(psi_m(0), psi_m'(0), ..., psi_m^(max_order)(0)), computed once per
+    (m, max_order, period).
 
     Odd-order values vanish (psi_m is even); even orders come from the
     series coefficients.
@@ -158,7 +160,7 @@ def numerator_factor_derivs(m: int, max_order: int, period: float = TWO_PI) -> l
         else:
             c = coeffs[j // 2]
             out.append(float(c) * math.factorial(j) * scale ** (m - j))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,29 +190,43 @@ class TrigPolynomial:
     6 u sum_k k^order (|a_k| + |b_k|), u = 2^-53, on random degree-6
     polynomials at orders 0, 1, 3, 7 and 11 (tested).  The steps are
     elementwise real operations, so a point's double does not depend on the
-    shape of x.
+    shape of x: a scalar x runs them on Python floats, the same IEEE
+    operations.  The gamma_k of an order are formed on its first call and
+    kept with the instance.
     """
 
     cos_coeffs: tuple[float, ...]
     sin_coeffs: tuple[float, ...] = ()
+    # order -> its ``_horner_coefficients``
+    _gammas: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, x):
         return self.deriv(0, x)
 
-    def deriv(self, order: int, x):
+    def _horner_coefficients(self, order: int):
+        """((Re, Im) of gamma_d, ..., gamma_1) and Re gamma_0, formed on the
+        order's first call."""
         order = _derivative_order(order)
-        turn = 1j ** (order % 4)  # i^order, exactly
-        pairs = zip_longest(self.cos_coeffs, (0.0, *self.sin_coeffs), fillvalue=0.0)
-        gammas = [turn * complex(a, -b) * k**order for k, (a, b) in enumerate(pairs)]
+        if order not in self._gammas:
+            turn = 1j ** (order % 4)  # i^order, exactly
+            pairs = zip_longest(self.cos_coeffs, (0.0, *self.sin_coeffs), fillvalue=0.0)
+            gammas = [turn * complex(a, -b) * k**order for k, (a, b) in enumerate(pairs)]
+            self._gammas[order] = (tuple((g.real, g.imag) for g in reversed(gammas[1:])), gammas[0].real)
+        return self._gammas[order]
+
+    def deriv(self, order: int, x):
+        tail, head = self._horner_coefficients(order)
         x = np.asarray(x, dtype=float)
-        c, s = np.cos(x), np.sin(x)
+        if x.shape:
+            c, s = np.cos(x), np.sin(x)
+        else:
+            c, s = float(np.cos(x)), float(np.sin(x))
         # (re, im) times z in real operations: numpy's complex multiply uses
         # fused multiply-adds on arrays and not on scalars
         re = im = 0.0
-        for g in reversed(gammas[1:]):
-            re, im = re * c - im * s + g.real, re * s + im * c + g.imag
-        out = re * c - im * s + gammas[0].real
-        return out if out.shape else float(out)
+        for g_re, g_im in tail:
+            re, im = re * c - im * s + g_re, re * s + im * c + g_im
+        return re * c - im * s + head
 
 
 def random_trig_polynomial(rng: np.random.Generator, degree: int = 6) -> TrigPolynomial:

@@ -150,21 +150,31 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_integrate(fn, breakpoints, panels_per_seg):
-    """_GAUSS_ORDER-node Gauss panels on every segment, one fn call on all.
+def _panel_integrate(fn, breakpoints, panel_counts) -> list[float]:
+    """The _GAUSS_ORDER-node Gauss panel sum on every segment, at each count
+    of panels per segment, from one fn call on the nodes of all counts.
 
-    ``fn`` must be elementwise; math.fsum is exactly rounded, so the sum
-    does not depend on the order of the terms.
+    The nodes of each count follow those of the counts before it, so a node
+    of the first count has the same index in the call as in a call of its
+    own.  ``fn`` must be elementwise; math.fsum is exactly rounded, so each
+    sum does not depend on the order of its terms.
     """
     xs, ws = _gauss_nodes(_GAUSS_ORDER)
+    lo, hi = np.asarray(breakpoints[:-1]), np.asarray(breakpoints[1:])
     nodes, weights = [], []
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        edges = np.linspace(lo, hi, panels_per_seg + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes.append((mid[:, None] + half[:, None] * xs[None, :]).ravel())
-        weights.append((half[:, None] * ws[None, :]).ravel())
-    return math.fsum(np.concatenate(weights) * fn(np.concatenate(nodes)))
+    for panels in panel_counts:
+        # row i is np.linspace(lo[i], hi[i], panels + 1), bit for bit
+        edges = np.linspace(lo, hi, panels + 1, axis=-1)
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        nodes.append((mid[..., None] + half[..., None] * xs).ravel())
+        weights.append((half[..., None] * ws).ravel())
+    terms = (np.concatenate(weights) * fn(np.concatenate(nodes))).tolist()
+    sums, start = [], 0
+    for w in weights:
+        sums.append(math.fsum(terms[start : start + w.size]))
+        start += w.size
+    return sums
 
 
 def hfp_reference(
@@ -188,7 +198,9 @@ def hfp_reference(
     DerivativesRequiredError is raised before g is called.  Otherwise it
     raises as ``t_hat`` does: PeriodicIntegrand checks m, t and the
     derivatives, and a g that fails raises EvaluationError naming the node
-    on the first panel pass.
+    on its first call.  g is called once for the first two doublings
+    (4 and 8 panels per segment, the 4-panel nodes first) and once for
+    each further doubling.
 
     The stopping test bounds the change between two doublings, not the
     error, and above m = 5 the two part ways: for PoissonKernelU(0.3) at
@@ -222,14 +234,14 @@ def hfp_reference(
         return np.where(near, lead * y**smoothing, out)
 
     breakpoints = [a, t - rho, t, t + rho, b]
-    prev = None
-    panels = 4
-    while panels <= _REF_MAX_PANELS:
-        val = _panel_integrate(remainder, breakpoints, panels)
-        if prev is not None and abs(val - prev) <= _REF_TOL * (1.0 + abs(val)):
-            return closed + val
-        prev = val
+    # 4 and 8 panels always run, as the first pass has nothing to compare with
+    prev, val = _panel_integrate(remainder, breakpoints, (4, 8))
+    panels = 8
+    while not abs(val - prev) <= _REF_TOL * (1.0 + abs(val)):
         panels *= 2
-    raise ReferenceConvergenceError(
-        f"reference did not converge below tol={_REF_TOL} with {_REF_MAX_PANELS} panels per segment"
-    )
+        if panels > _REF_MAX_PANELS:
+            raise ReferenceConvergenceError(
+                f"reference did not converge below tol={_REF_TOL} with {_REF_MAX_PANELS} panels per segment"
+            )
+        prev, [val] = val, _panel_integrate(remainder, breakpoints, (panels,))
+    return closed + val

@@ -10,7 +10,6 @@ extra function evaluations, down to fully derivative-free forms.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -342,8 +341,13 @@ def _family(integrand: PeriodicIntegrand, n: int, level: int):
     delta = float((integrand.period / n) / 2**level)
     ks = range(1, 2**level * n, 2 if level else 1)
     # t + k*delta rounds monotonically in k, so the k with t + k*delta < b
-    # are a leading run; the rest wrap to k - total
-    inside = bisect.bisect_left(ks, True, key=lambda k: not t + k * delta < b)
+    # are a leading run; the rest wrap to k - total.  The run's length is
+    # estimated from (b - t)/delta and moved to its end by the same test.
+    inside = min(max(int((b - t) / delta / ks.step), 0), len(ks))
+    while inside < len(ks) and t + ks[inside] * delta < b:
+        inside += 1
+    while inside and not t + ks[inside - 1] * delta < b:
+        inside -= 1
     return ks, inside, delta
 
 
@@ -372,7 +376,8 @@ def _family_nodes(integrand: PeriodicIntegrand, n: int, level: int):
     return y, _nodes(integrand, y)
 
 
-def _primitives(n: int, level: int) -> list[tuple[int, slice]]:
+@lru_cache(maxsize=1024)
+def _primitives(n: int, level: int) -> tuple[tuple[int, slice], ...]:
     """(N, indices) of each primitive lattice P(N) of the node family (n, level).
 
     P(N) is the nodes t + kT/N, 1 <= k < N, with k odd for an even N and any
@@ -380,17 +385,18 @@ def _primitives(n: int, level: int) -> list[tuple[int, slice]]:
     holds it.  A level l >= 1 family is P(2^l n).  Level 0 at N is P(N),
     P(N/2), ... at the indices 2^e - 1 :: 2^(e+1), down to the odd part
     r = N/2^v of N at 2^v - 1 :: 2^v (P(1) has no nodes and is left out).
+    Computed once per (n, level).
     """
     N = 2**level * n
     if level:
-        return [(N, slice(None))]
+        return ((N, slice(None)),)
     out, e = [], 0
     while N % 2 == 0:
         out.append((N, slice(2**e - 1, None, 2 ** (e + 1))))
         N, e = N // 2, e + 1
     if N > 1:
         out.append((N, slice(2**e - 1, None, 2**e)))
-    return out
+    return tuple(out)
 
 
 def int_power(y, m: int):
@@ -739,15 +745,26 @@ def _families(spec: RuleSpec) -> list[tuple[int, int]]:
     return [(2**spec.s * spec.n, 0)]
 
 
+@lru_cache(maxsize=None)
+def _compact_floats(m: int, s: int):
+    """``compact_rule(m, s)`` in floats, formed once per rule: its (level,
+    weight) families and its corrections as (order, coef pi^(m-order))."""
+    rule = compact_rule(m, s)
+    return (
+        tuple((level, float(w)) for level, w in rule.families),
+        tuple((order, float(coef) * math.pi ** (m - order)) for order, coef in rule.deriv_corrections),
+    )
+
+
 def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
     h, m = integrand.period / n, rule.m
+    families, corrections = _compact_floats(m, rule.s)
     # corrections first: a missing derivative raises before g is evaluated
-    corrections = math.fsum(
-        float(coef) * math.pi ** (m - order) * integrand.deriv_at_t(order) * h ** (1 - m + order)
-        for order, coef in rule.deriv_corrections
+    correction = math.fsum(
+        c * integrand.deriv_at_t(order) * h ** (1 - m + order) for order, c in corrections
     )
-    sums = _family_sums(integrand, [(n, level) for level, _ in rule.families])
-    return _fsum([float(w) * h * total for (_, total), (_, w) in zip(sums, rule.families)]) + corrections
+    sums = _family_sums(integrand, [(n, level) for level, _ in families])
+    return _fsum([w * h * total for (_, total), (_, w) in zip(sums, families)]) + correction
 
 
 def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:

@@ -443,6 +443,38 @@ class TestFloor:
         assert err.startswith("error: ") and message in err
 
 
+def _recursive_canonical_json(obj) -> str:
+    """The recursive emitter canonical_json replaced: the reference it must
+    equal byte for byte on every finite payload."""
+
+    def emit(o) -> str:
+        if isinstance(o, dict):
+            items = ",".join(f"{json.dumps(str(k))}:{emit(v)}" for k, v in sorted(o.items()))
+            return "{" + items + "}"
+        if isinstance(o, (list, tuple)):
+            return "[" + ",".join(emit(v) for v in o) + "]"
+        if isinstance(o, bool) or o is None:
+            return json.dumps(o)
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            return "%.16e" % float(o)
+        return json.dumps(o)
+
+    return emit(obj) + "\n"
+
+
+_NESTED_PAYLOAD = {
+    "floats": [0.1, -0.0, 1e-300, 5e-324, -1.7976931348623157e308, np.float64(math.pi), np.float32(0.1)],
+    "ints": [0, -7, 2**70, np.int64(-3), np.uint8(200), True, False],
+    "nothing": None,
+    "tuple": (1, (2.5, [None, {}]), []),
+    'quote"key': {"back\\slash": "tab\there", "\u00e9t\u00e9": ["\u03b7 = 0.5", "\U0001d4af"]},
+    "rows": [{"n": n, "value": n / 7, "error": 1e-3 / n} for n in range(10, 101, 10)],
+    "int keys": {10: "ten", 7: [7.0]},
+}
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_formats(self):
         text = canonical_json({"b": 1.5, "a": 2, "c": [True, None, "x"]})
@@ -453,3 +485,21 @@ class TestCanonicalJson:
         once = canonical_json(vals)
         again = canonical_json(json.loads(once))
         assert once == again
+
+    @pytest.mark.parametrize(
+        "payload",
+        [_NESTED_PAYLOAD, [_NESTED_PAYLOAD, (_NESTED_PAYLOAD,)], {}, [], "", 0.0, np.float32(-2.5)],
+        ids=["nested", "listed", "empty-dict", "empty-list", "empty-str", "zero", "float32"],
+    )
+    def test_equals_the_recursive_emitter(self, payload):
+        text = canonical_json(payload)
+        assert text == _recursive_canonical_json(payload)
+        json.loads(text)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(-math.inf)], ids=repr
+    )
+    def test_non_finite_float_is_refused(self, value):
+        # "nan" and "inf" are not JSON, so json.loads would reject the document
+        with pytest.raises(ValueError, match=f"non-finite float {float(value)!r}$"):
+            canonical_json({"rows": [{"n": 10, "value": 1.0, "error": value}]})

@@ -7,6 +7,7 @@ and an integrand odd about t gives rule values of zero within the floor.
 Needs hypothesis (the ``test`` extra); the module is skipped without it.
 """
 
+import bisect
 import dataclasses
 import math
 
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hfpquad import _kernels  # noqa: E402
-from hfpquad.harness import convergence_table_for, integrand_norms  # noqa: E402
+from hfpquad.harness import _gradient, convergence_table_for, integrand_norms  # noqa: E402
 from hfpquad.integrands import (  # noqa: E402
     PoissonKernelU,
     TrigPolynomial,
@@ -29,6 +30,7 @@ from hfpquad.quadrature import (  # noqa: E402
     PeriodicIntegrand,
     RuleSpec,
     SplitNumerator,
+    _family,
     _family_nodes,
     _primitives,
     compact_rule,
@@ -298,6 +300,52 @@ def test_strided_sum_equals_contiguous_sum(size, stride, rows, seed):
     base = rng.standard_normal(rows + (size * stride,)) * 10.0 ** rng.uniform(-8, 8, size * stride)
     view = base[..., stride - 1 :: stride]
     assert np.array_equal(view.sum(axis=-1), np.ascontiguousarray(view).sum(axis=-1))
+
+
+# integrand_norms differences g by _gradient in place of np.gradient
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    size=st.integers(3, 5000),
+    rows=st.sampled_from([(), (3,)]),
+    decades=st.integers(0, 300),
+    dx=st.floats(1e-6, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_equals_np_gradient(size, rows, decades, dx, seed):
+    rng = np.random.default_rng(seed)
+    # magnitudes spread over up to 600 decades, both signs
+    g = rng.standard_normal(rows + (size,)) * 10.0 ** rng.uniform(-decades, decades, rows + (size,))
+    for step in (dx, np.float64(dx)):
+        got, expected = _gradient(g, step), np.gradient(g, step, axis=-1)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+# _family's wrap index: the estimate from (b - t)/delta moved by the wrap
+# test, against the bisection it replaced, for t next to b, next to a and
+# inside, over periods from 1e-3 to 1e3
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    a=st.floats(-1e3, 1e3),
+    period=st.floats(1e-3, 1e3),
+    where=st.sampled_from(["next to b", "next to a", "inside"]),
+    ulps=st.integers(1, 8),
+    frac=st.floats(0.0, 1.0),
+    n=st.integers(1, 300),
+    level=st.integers(0, 3),
+)
+def test_family_wrap_index_equals_bisection(a, period, where, ulps, frac, n, level):
+    b = a + period
+    t = a + frac * period
+    if where != "inside":
+        t, toward = (b, a) if where == "next to b" else (a, b)
+        for _ in range(ulps):
+            t = np.nextafter(t, toward)
+    if not a < t < b:
+        return
+    integ = PeriodicIntegrand(m=1, t=float(t), a=a, b=b, g_eval=np.cos)
+    ks, inside, delta = _family(integ, n, level)
+    t, b = float(integ.t), float(integ.b)
+    assert inside == bisect.bisect_left(ks, True, key=lambda k: not t + k * delta < b)
 
 
 @pytest.mark.parametrize("t", [-3.1, 0.3, 2.9])

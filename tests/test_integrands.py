@@ -133,6 +133,33 @@ class TestTrigPolynomial:
             assert grid.shape == (4, 9)
             np.testing.assert_array_equal(grid, values[:36].reshape(4, 9))
 
+    @pytest.mark.parametrize("order", range(13))
+    def test_scalar_equals_its_array_element_at_every_order(self, order):
+        # a scalar runs Horner's rule on Python floats, an array on numpy's
+        # arrays: the same IEEE operations, so the same double
+        rng = np.random.default_rng(100 + order)
+        for degree in range(9):
+            u = random_trig_polynomial(rng, degree=degree)
+            xs = rng.uniform(-TWO_PI, TWO_PI, 6)
+            for x, value in zip(xs, u.deriv(order, xs)):
+                for scalar in (float(x), np.float64(x), np.array(x)):
+                    got = u.deriv(order, scalar)
+                    assert type(got) is float and got == value
+
+    def test_list_coefficients_equal_tuples(self):
+        u = random_trig_polynomial(np.random.default_rng(11))
+        listed = TrigPolynomial(list(u.cos_coeffs), list(u.sin_coeffs))
+        xs = np.random.default_rng(12).uniform(-TWO_PI, TWO_PI, 9)
+        for order in (0, 1, 4, 4):  # 4 twice: formed, then kept
+            np.testing.assert_array_equal(listed.deriv(order, xs), u.deriv(order, xs))
+            assert listed.deriv(order, 0.3) == u.deriv(order, 0.3)
+
+    def test_kept_coefficients_do_not_admit_a_bad_order(self):
+        u = TrigPolynomial((0.3, 0.1, 0.2), (0.4, -0.5))
+        u.deriv(2, 0.3)
+        with pytest.raises(ValueError, match=r"got 2\.0"):
+            u.deriv(2.0, 0.3)
+
     def test_periodicity(self):
         u = TrigPolynomial((0.3, 0.1, 0.2), (0.4, -0.5))
         xs = np.linspace(-3, 3, 7)
