@@ -259,7 +259,16 @@ class PoissonKernelU:
     The value itself is evaluated in the half-angle form
     ((1 - eta) + 2 eta s)/((1 - eta)^2 + 4 eta s), s = sin^2(x/2): the
     denominator as written cancels near x = 0, where its relative error
-    grows to about u/(1 - eta)^2.
+    grows to about u/(1 - eta)^2.  ``from_half_sine(S)`` is that form on
+    S = sin(x/2), which the rules' split fill forms for the nodes x = t + y
+    by a half-angle sum, with no node coordinate; ``deriv(0, x)`` runs it on
+    np.sin(0.5 x).  An order >= 1 is Re(i^order q E(q)/(1 - q)^(order+1)),
+    E the Eulerian numerator by Horner's rule, in real arithmetic, with
+    1/(1 - q) = conj(1 - q)/|1 - q|^2 in the same half-angle form; a scalar
+    x runs it on Python floats, so it gives its element of an array call bit
+    for bit.  For 0 <= eta < 1 its error against a 40-digit sum stays within
+    16 u sum_k k^order eta^k at orders 1-5 (tested); for eta < 0 the
+    half-angle form cancels near x = pi.
     """
 
     eta: float
@@ -271,23 +280,41 @@ class PoissonKernelU:
     def __call__(self, x):
         return self.deriv(0, x)
 
+    def from_half_sine(self, S):
+        """u(x) from S = sin(x/2), elementwise: the half-angle form above."""
+        # np.square, not ** 2: a numpy scalar's ** 2 goes through libm
+        # pow, which can differ from an array's x*x by an ulp
+        s = np.square(S)
+        eta = self.eta
+        return ((1.0 - eta) + 2.0 * eta * s) / ((1.0 - eta) ** 2 + 4.0 * eta * s)
+
     def deriv(self, order: int, x):
         order = _derivative_order(order)
         x = np.asarray(x, dtype=float)
         if order == 0:
-            # np.square, not ** 2: a numpy scalar's ** 2 goes through libm
-            # pow, which can differ from an array's x*x by an ulp
-            s = np.square(np.sin(0.5 * x))
-            eta = self.eta
-            out = ((1.0 - eta) + 2.0 * eta * s) / ((1.0 - eta) ** 2 + 4.0 * eta * s)
+            out = self.from_half_sine(np.sin(0.5 * x))
             return out if out.shape else float(out)
-        q = self.eta * np.exp(1j * x)
-        num = np.zeros_like(q)
-        for j, e in enumerate(_eulerian_row(order)):
-            num = num + e * q ** (j + 1)
-        s = num / (1.0 - q) ** (order + 1)
-        out = np.real(1j**order * s)
-        return out if out.shape else float(out)
+        if x.shape:
+            half, c, s = np.sin(0.5 * x), np.cos(x), np.sin(x)
+        else:
+            half, c, s = float(np.sin(0.5 * x)), float(np.cos(x)), float(np.sin(x))
+        eta = self.eta
+        # q = eta e^(ix), and 1/(1 - q) = conj(1 - q)/|1 - q|^2 with 1 - q in
+        # the half-angle form ((1 - eta) + 2 eta sin^2(x/2)) - i eta sin x
+        q_re, q_im = eta * c, eta * s
+        sq = half * half
+        den = (1.0 - eta) ** 2 + 4.0 * eta * sq
+        w_re, w_im = ((1.0 - eta) + 2.0 * eta * sq) / den, q_im / den
+        # sum_k k^order q^k = q E(q)/(1 - q)^(order + 1), E by Horner's rule
+        row = _eulerian_row(order)
+        re, im = float(row[-1]), 0.0
+        for e in row[-2::-1]:
+            re, im = re * q_re - im * q_im + e, re * q_im + im * q_re
+        re, im = re * q_re - im * q_im, re * q_im + im * q_re
+        for _ in range(order + 1):
+            re, im = re * w_re - im * w_im, re * w_im + im * w_re
+        # Re(i^order (re + i im))
+        return (re, -im, -re, im)[order % 4]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +350,9 @@ def singular_periodic_integrand(
     y of their nodes, from a table shared by every integrand of the same m
     and period and bounded by ``quadrature._OFFSET_TABLE_BYTES`` (8 MiB),
     and u once per block of nodes, while ``g_eval(x)`` evaluates
-    psi_m(x - t) u(x) as written.  ``dataclasses.replace(integ, g_eval=...)``
+    psi_m(x - t) u(x) as written.  A ``PoissonKernelU`` is evaluated by the
+    rules at t + y through its ``from_half_sine``, any other u at the
+    wrapped nodes fl(t + y).  ``dataclasses.replace(integ, g_eval=...)``
     drops the split.
     """
     if n_derivs is None:

@@ -108,7 +108,8 @@ def exact_hfp(u, m: int, t: float) -> float:
     PoissonKernelU(eta), whose modes are eta^|k|/2, the sum is
     Re sum_p 2*pi i^m r_p S_p(q) with q = eta e^(it), r_p the coefficients
     of R_m and S_p(q) = sum_(k>=1) k^p q^k = q E_p(q)/(1 - q)^(p+1), E_p
-    the Eulerian numerator in Horner form; Re(i^m s) is picked by m mod 4.
+    the Eulerian numerator in Horner form, and 1 - q formed as
+    (1 - eta) + 2 eta sin^2(t/2) - i eta sin t; Re(i^m s) is picked by m mod 4.
     Any other u raises TypeError, a non-finite t ValueError.
     """
     if not math.isfinite(t):
@@ -121,12 +122,17 @@ def exact_hfp(u, m: int, t: float) -> float:
         return math.fsum([a * z.real for a, z in zip(cos, modes)] + [b * z.imag for b, z in zip(sin, modes)])
     if not isinstance(u, PoissonKernelU):
         raise TypeError(f"exact_hfp takes a TrigPolynomial or a PoissonKernelU (got {type(u).__name__})")
-    q = u.eta * cmath.exp(1j * t)
+    eta = u.eta
+    q = eta * cmath.exp(1j * t)
+    # 1 - eta cos t as (1 - eta) + 2 eta sin^2(t/2): as written it cancels
+    # when eta -> 1 and t -> 0
+    half = math.sin(0.5 * t)
+    one_minus_q = complex((1.0 - eta) + 2.0 * eta * (half * half), -q.imag)
     terms = []
     for p, c in enumerate(coefs):
         if c:
             row = _eulerian_row(p)
-            s = q * reduce(lambda acc, e: acc * q + e, row[-2::-1], row[-1]) / (1.0 - q) ** (p + 1)
+            s = q * reduce(lambda acc, e: acc * q + e, row[-2::-1], row[-1]) / one_minus_q ** (p + 1)
             terms.append(TWO_PI * (c / den) * (s.real, -s.imag, -s.real, s.imag)[m % 4])
     return math.fsum(terms)
 

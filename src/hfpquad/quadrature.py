@@ -132,7 +132,11 @@ class SplitNumerator:
     psi at the exact offsets y of their nodes: psi(|y|) and |y|^m come from
     one table per (psi, m, period, lattice), shared by every such integrand
     and holding at most ``_OFFSET_TABLE_BYTES`` bytes, and u runs once per
-    block of at most ``_G_BLOCK`` nodes.
+    block of at most ``_G_BLOCK`` nodes.  u runs on the wrapped nodes
+    x_hat = fl(t + y), unless it has a ``from_half_sine(S)`` method giving
+    u(x) from S = sin(x/2) elementwise (``PoissonKernelU``): that method
+    then runs on sin((t + y)/2), formed from sines and cosines of per-lattice
+    tables without rounding x, so u is evaluated at t + y, not at x_hat.
     """
 
     psi: Callable
@@ -311,7 +315,8 @@ class RuleSpec:
 
 #: blocks of a split g: psi and u run on at most this many nodes per call,
 #: so that their temporaries stay in cache; a node's double does not depend
-#: on the block
+#: on the block, as u at x_hat is elementwise and the half-angle sum of a
+#: u with ``from_half_sine`` is anchored on the node's own k
 _G_BLOCK = 8192
 
 #: bound on the bytes of the offset table's arrays
@@ -480,6 +485,78 @@ def _offset_table(psi: Callable, m: int, period: float, N: int, family, need: in
     return entry[1:]
 
 
+@lru_cache(maxsize=256)
+def _half_angle_table(N: int, delta: float):
+    """(B, cos r theta, sin r theta, qB theta, (qB - N) theta) of the lattice
+    P(N) with spacing delta, theta = delta/2, read-only.
+
+    Node k of P(N) is x = t + j delta, j = k or, where it wraps, k - N, so
+    x/2 = t/2 + j theta.  With k = qB + r, 0 <= r < B, and the row angle
+    phi = t/2 + (qB - N) theta where the node wraps and t/2 + qB theta
+    where it does not, sin(x/2) = sin(phi) cos(r theta) + cos(phi) sin(r theta).
+    B is a power of two near sqrt(N), so the table holds O(sqrt N) values:
+    the r of the lattice's parity (odd for an even N, whose k are odd) and
+    q = 0 .. (N - 1)//B.
+    """
+    step = 2 - N % 2
+    B = 2 ** max(1, N.bit_length() // 2)
+    theta = 0.5 * delta
+    r_theta = np.arange(step - 1, B, step) * theta
+    qB = np.arange(0, N, B)
+    table = (np.cos(r_theta), np.sin(r_theta), qB * theta, (qB - N) * theta)
+    for array in table:
+        array.flags.writeable = False
+    return (B, *table)
+
+
+def _half_angle_rows(integrand: PeriodicIntegrand, families):
+    """sin phi and cos phi of the rows of every lattice (``_family``), and
+    per lattice (start, shift, B, cos r theta, sin r theta) (see
+    ``_half_angle_table``).  A lattice's rows start at ``start``: the rows q
+    of its positive nodes, then those of its wrapped nodes, a row holding
+    both twice.  A node's row is start + q, or start + q + shift where it
+    wraps.  np.sin and np.cos run once on the rows of all the lattices."""
+    rows, angles, start = [], [], 0
+    for ks, inside, delta in families:
+        B, cos_r, sin_r, q_theta, wrapped_theta = _half_angle_table(ks.stop, delta)
+        positive = ks[inside - 1] // B + 1 if inside else 0
+        wrapped = ks[inside] // B if inside < len(ks) else len(q_theta)
+        angles += [q_theta[:positive], wrapped_theta[wrapped:]]
+        rows.append((start, positive - wrapped, B, cos_r, sin_r))
+        start += positive + len(q_theta) - wrapped
+    phi = 0.5 * float(integrand.t) + np.concatenate(angles)
+    return np.sin(phi), np.cos(phi), rows
+
+
+def _half_sines(families, half_angle_rows, block) -> np.ndarray:
+    """sin(x/2) at the nodes of a block of ``_blocks``, in its order, from
+    the ``_half_angle_rows`` of its lattices.
+
+    The nodes lo:hi of a lattice are a run of its row-major grid (row, r):
+    sin(phi) cos(r theta) + cos(phi) sin(r theta) is formed on the rows the
+    run spans and the run read from it, skipping the second copy of a row
+    that holds both positive and wrapped nodes.  Each value is that formula
+    at the node's own k, whatever block or piece holds it.
+    """
+    sin_phi, cos_phi, rows = half_angle_rows
+    S, start = np.empty(sum(hi - lo for _, lo, hi in block)), 0
+    for i, lo, hi in block:
+        (ks, inside, _), (row, shift, B, cos_r, sin_r) = families[i], rows[i]
+        first = row + ks[lo] // B + (shift if lo >= inside else 0)
+        last = row + ks[hi - 1] // B + (shift if hi > inside else 0) + 1
+        grid = sin_phi[first:last, None] * cos_r
+        grid += cos_phi[first:last, None] * sin_r
+        run, end = grid.ravel()[ks[lo] % B // ks.step :], start + hi - lo
+        if lo < inside < hi and shift:
+            # the run crosses the wrap inside a row held twice
+            c = inside - lo
+            S[start : start + c], S[start + c : end] = run[:c], run[c + cos_r.size : hi - lo + cos_r.size]
+        else:
+            S[start:end] = run[: hi - lo]
+        start = end
+    return S
+
+
 def _memoize(integrand: PeriodicIntegrand, lattices, out: Optional[dict] = None) -> None:
     """Store f = g/y^m on each primitive lattice P(N), N in ``lattices``,
     that the memo lacks: into ``out[N]`` where given, else a fresh array.
@@ -512,16 +589,20 @@ def _memoize(integrand: PeriodicIntegrand, lattices, out: Optional[dict] = None)
 
 
 def _memoize_split(integrand: PeriodicIntegrand, split: SplitNumerator, missing, families, out) -> None:
-    """``_memoize`` for g = psi(x - t) u(x): f = (psi(y) u(x_hat))/y^m on the
-    exact offsets y, NaN where psi(y) u(x_hat) is not finite.
+    """``_memoize`` for g = psi(x - t) u(x): f = (psi(y) u)/y^m on the exact
+    offsets y, NaN where psi(y) u is not finite.
 
-    psi(|y|) and |y|^m come from ``_offset_table``.  The run of positive
-    offsets reads it in order and the wrapped run, whose magnitudes are the
-    same doubles, reversed; for odd m the wrapped quotient is negated, which
-    is exact as IEEE division is sign-symmetric.  As psi is even, each f is
-    bit for bit psi(y) u(x_hat)/y^m with y^m = ``int_power(y, m)``.  u runs
-    once per block of the concatenated missing lattices, and no node-sized
-    array is made but the memo entries (the rest are block-sized).
+    u is u(x_hat) at the wrapped nodes, or, for a u with a
+    ``from_half_sine`` method, that method on sin((t + y)/2) formed by the
+    half-angle sum of ``_half_angle_table`` (``_half_sines``): no node
+    coordinate and no sine per node.  psi(|y|) and |y|^m come from
+    ``_offset_table``.  The run of positive offsets reads it in order and
+    the wrapped run, whose magnitudes are the same doubles, reversed; for
+    odd m the wrapped quotient is negated, which is exact as IEEE division
+    is sign-symmetric.  As psi is even, each f is bit for bit psi(y) u/y^m
+    with y^m = ``int_power(y, m)``.  u runs once per block of the
+    concatenated missing lattices, and no node-sized array is made but the
+    memo entries (the rest are block-sized).
     """
     m = integrand.m
     tables = [
@@ -529,11 +610,16 @@ def _memoize_split(integrand: PeriodicIntegrand, split: SplitNumerator, missing,
         for N, family in zip(missing, families)
     ]
     fs = [out[N] if N in out else np.empty(len(ks)) for N, (ks, _, _) in zip(missing, families)]
+    from_half_sine = getattr(split.u, "from_half_sine", None)
+    rows = None if from_half_sine is None else _half_angle_rows(integrand, families)
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks([len(ks) for ks, _, _ in families]):
-            x = _joined([_nodes(integrand, _offsets(families[i], lo, hi)) for i, lo, hi in block])
-            u = _call("u", "nodes", split.u, x)
-            # g = psi(y) u(x_hat) of the block, then (g run, y^m run, f run, wrapped)
+            if rows is None:
+                x = _joined([_nodes(integrand, _offsets(families[i], lo, hi)) for i, lo, hi in block])
+                u = _call("u", "nodes", split.u, x)
+            else:
+                u = _call("u", "nodes", from_half_sine, _half_sines(families, rows, block))
+            # g = psi(y) u of the block, then (g run, y^m run, f run, wrapped)
             g, runs, start = np.empty(u.size), [], 0
             for i, lo, hi in block:
                 (ks, inside, _), (psi_abs, power), f = families[i], tables[i], fs[i]

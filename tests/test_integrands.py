@@ -252,6 +252,37 @@ class TestPoissonKernelU:
         assert u.deriv(order, x) == pytest.approx(series, rel=1e-12, abs=1e-13)
 
 
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_scalar_equals_its_array_element(self, order):
+        # real arithmetic on Python floats or on numpy arrays: the same IEEE
+        # operations, so the same double
+        rng = np.random.default_rng(300 + order)
+        for eta in (0.3, 0.6, 0.9, -0.5):
+            u = PoissonKernelU(eta)
+            xs = rng.uniform(-TWO_PI, TWO_PI, 64)
+            for x, value in zip(xs, u.deriv(order, xs)):
+                for scalar in (float(x), np.float64(x), np.array(x)):
+                    got = u.deriv(order, scalar)
+                    assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_accuracy_against_a_40_digit_sum(self, order):
+        # within 16 u sum_k k^order eta^k of Re(i^order sum_k k^order q^k),
+        # q = eta e^(ix) at the double x (at most 11.8 u here); a negative eta
+        # is not covered: 1 - q's half-angle form cancels near x = pi there
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(400 + order)
+        for eta in (0.05, 0.3, 0.6, 0.9, 0.99):
+            u = PoissonKernelU(eta)
+            xs = rng.uniform(-TWO_PI, TWO_PI, 40)
+            with mpmath.workdps(40):
+                bound = 16 * 2.0**-53 * float(mpmath.polylog(-order, eta))
+                for x, value in zip(xs, u.deriv(order, xs)):
+                    q = eta * mpmath.expj(mpmath.mpf(float(x)))
+                    exact = mpmath.re(mpmath.mpc(0, 1) ** order * mpmath.polylog(-order, q))
+                    assert abs(value - exact) <= bound, (eta, x)
+
+
 class TestIntegrandFactory:
     def test_geometric_case_derivative_identity(self):
         # for m = 3 and T = 2 pi the first four derivative values of g at t

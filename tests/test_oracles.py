@@ -57,7 +57,10 @@ class TestExactSupersingular:
         for eta in (0.0, 0.3, -0.4, 0.9, 0.99):
             for t in (0.0, 1e-3, 1.0, -2.5, math.pi):
                 q = eta * cmath.exp(1j * t)
-                closed = 4.0 * math.pi * (q * (1.0 + q) / (1.0 - q) ** 3).imag
+                # 1 - q in the half-angle form (1 - eta) + 2 eta sin^2(t/2) - i eta sin t
+                half = math.sin(0.5 * t)
+                one_minus_q = complex((1.0 - eta) + 2.0 * eta * (half * half), -q.imag)
+                closed = 4.0 * math.pi * (q * (1.0 + q) / one_minus_q**3).imag
                 assert exact_supersingular(eta, t) == closed == exact_hfp(PoissonKernelU(eta), 3, t)
 
     def test_domain_error(self):
@@ -132,6 +135,22 @@ class TestExactHfp:
         closed = exact_hfp(PoissonKernelU(eta), m, t)
         size, tail = (math.fsum(abs(fourier_symbol(m, k)) * eta**k for k in ks) for ks in (range(1, K + 1), range(K + 1, 20 * K)))
         assert abs(closed - series) <= tail + 1e-14 * size
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("eta", [0.5, 0.9, 0.99, 0.999])
+    def test_poisson_against_40_digits(self, m, eta):
+        # 1 - q in the half-angle form keeps the error within 16 u of the
+        # sum of the terms' moduli sum_p |2 pi r_p S_p(q)| as eta -> 1 (at
+        # most 7.8 u here); 1.0 - q as written reached 2382 u at eta = 0.999
+        mpmath = pytest.importorskip("mpmath")
+        coefs, den = oracles._symbol_poly(m)
+        for t in (1e-5, 1e-3, 0.1, 0.5, 1.3, 2.9, -0.7, -3.0):
+            with mpmath.workdps(40):
+                q = eta * mpmath.expj(mpmath.mpf(t))
+                terms = [2 * mpmath.pi * mpmath.mpf(c) / den * mpmath.polylog(-p, q) for p, c in enumerate(coefs) if c]
+                exact = mpmath.re(mpmath.mpc(0, 1) ** m * mpmath.fsum(terms))
+                size = float(mpmath.fsum(abs(term) for term in terms))
+            assert abs(exact_hfp(PoissonKernelU(eta), m, t) - exact) <= 16 * 2.0**-53 * size, t
 
     def test_annihilated_modes_sum_to_zero(self):
         # c_6(1) = c_6(2) = 0 and c_m(0) = 0: the oracle is an exact 0

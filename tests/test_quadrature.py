@@ -712,8 +712,10 @@ class TestGMemo:
 
 
 class TestSplitFill:
-    """A split g = psi(x - t) u(x) fills the memo with psi(y) u(x_hat)/y^m on
-    the exact offsets, psi(|y|) and |y|^m read from the shared offset table."""
+    """A split g = psi(x - t) u(x) fills the memo with psi(y) u/y^m on the
+    exact offsets, psi(|y|) and |y|^m read from the shared offset table; u is
+    u(x_hat) at the wrapped nodes, or, for a u with ``from_half_sine``, u
+    from the half-angle sum for sin((t + y)/2)."""
 
     EPS = np.finfo(float).eps
 
@@ -721,6 +723,19 @@ class TestSplitFill:
     def lattice_nodes(integ, N):
         # P(N) alone, as the rules build it
         return quadrature._family_nodes(integ, N // 2, 1) if N % 2 == 0 else quadrature._family_nodes(integ, N, 0)
+
+    @staticmethod
+    def half_sines(integ, N):
+        # sin(x/2) at the nodes of P(N) by the half-angle sum: node k has
+        # k = qB + r, phi = t/2 + qB theta, or t/2 + (qB - N) theta where it
+        # wraps, theta = delta/2, and sin(x/2) = sin phi cos r theta + cos phi sin r theta
+        ks, inside, delta = quadrature._lattice(integ, N)
+        B = quadrature._half_angle_table(N, delta)[0]
+        k = np.arange(ks.start, ks.stop, ks.step)
+        qB, theta = k - k % B, 0.5 * delta
+        phi = 0.5 * integ.t + np.where(np.arange(k.size) < inside, qB, qB - N) * theta
+        r_theta = (k % B) * theta
+        return np.sin(phi) * np.cos(r_theta) + np.cos(phi) * np.sin(r_theta)
 
     @staticmethod
     def integrand(m, t, centered, u=PoissonKernelU(0.6)):
@@ -741,16 +756,79 @@ class TestSplitFill:
     @pytest.mark.parametrize("t, centered", [(0.3, True), (-2.9, True), (3.1, False), (-3.1, False)])
     @pytest.mark.parametrize("m", range(1, 6))
     def test_fill_is_the_split_bit_for_bit(self, m, t, centered):
+        # a u without from_half_sine, a TrigPolynomial or a plain callable, is
+        # called on the wrapped nodes x_hat
+        poisson = PoissonKernelU(0.6)
+        for u in (TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7)), lambda x: poisson(x)):
+            integ = self.integrand(m, t, centered)
+            integ = dataclasses.replace(integ, g_eval=SplitNumerator(integ.g_eval.psi, u, t))
+            self.fill(integ)
+            g = integ.g_eval
+            for N, f in integ._f_memo.items():
+                y, x_hat = self.lattice_nodes(integ, N)
+                assert np.array_equal(f, g.psi(y) * g.u(x_hat) / quadrature.int_power(y, m)), N
+            for n in (16, 64, 96):
+                [(f, _)] = quadrature._family_sums(integ, [(n, 0)])
+                y, x_hat = quadrature._family_nodes(integ, n, 0)
+                assert np.array_equal(f, g.psi(y) * g.u(x_hat) / quadrature.int_power(y, m)), n
+
+    @pytest.mark.parametrize("t, centered", [(0.3, True), (-2.9, True), (3.1, False), (-3.1, False)])
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_half_sine_fill_is_the_half_angle_sum_bit_for_bit(self, m, t, centered):
         integ = self.integrand(m, t, centered)
         self.fill(integ)
         g = integ.g_eval
+
+        def expected(N):
+            y = self.lattice_nodes(integ, N)[0]
+            return g.psi(y) * g.u.from_half_sine(self.half_sines(integ, N)) / quadrature.int_power(y, m)
+
         for N, f in integ._f_memo.items():
-            y, x_hat = self.lattice_nodes(integ, N)
-            assert np.array_equal(f, g.psi(y) * g.u(x_hat) / quadrature.int_power(y, m)), N
+            assert np.array_equal(f, expected(N)), N
         for n in (16, 64, 96):
             [(f, _)] = quadrature._family_sums(integ, [(n, 0)])
-            y, x_hat = quadrature._family_nodes(integ, n, 0)
-            assert np.array_equal(f, g.psi(y) * g.u(x_hat) / quadrature.int_power(y, m)), n
+            for N, idx in quadrature._primitives(n, 0):
+                assert np.array_equal(f[idx], expected(N)), (n, N)
+
+    @pytest.mark.parametrize("t, centered", [(0.3, True), (3.1, False), (-3.1, False)])
+    def test_a_nodes_double_depends_on_its_lattice_alone(self, monkeypatch, t, centered):
+        # P(N) filled alone, inside the level-0 family at 1536 that holds it,
+        # and in one fill of all of them cut into blocks of 7, 64 or 1000
+        # nodes, which splits lattices within a row and across their wrap
+        alone = {}
+        for N in (3, 96, 97, 192, 384, 1536):
+            integ = self.integrand(3, t, centered)
+            quadrature._memoize(integ, [N])
+            alone[N] = integ._f_memo[N]
+        family = self.integrand(3, t, centered)
+        plain_trap_sum(family, 1536)
+        for N in (3, 96, 192, 384, 1536):
+            assert np.array_equal(family._f_memo[N], alone[N]), N
+        for block in (7, 64, 1000):
+            monkeypatch.setattr(quadrature, "_G_BLOCK", block)
+            blocked = self.integrand(3, t, centered)
+            quadrature._memoize(blocked, list(alone))
+            for N, f in alone.items():
+                assert np.array_equal(blocked._f_memo[N], f), (block, N)
+
+    @pytest.mark.parametrize("eta, ulps", [(0.5, 8), (0.9, 40)])
+    def test_u_from_half_sines_is_close_to_u_at_t_plus_y(self, eta, ulps):
+        # against u(t + j delta) in 40 digits at the doubles t and delta;
+        # u at the wrapped nodes x_hat reads at most 4.6 and 26.5 ulp here
+        mpmath = pytest.importorskip("mpmath")
+        u = PoissonKernelU(eta)
+        for t, centered in ((0.3, True), (-2.9, True), (3.1, False)):
+            integ = self.integrand(3, t, centered, u)
+            for N in (6, 7, 96, 97, 768):
+                family = quadrature._lattice(integ, N)
+                ks, inside, delta = family
+                rows = quadrature._half_angle_rows(integ, [family])
+                values = u.from_half_sine(quadrature._half_sines([family], rows, [(0, 0, len(ks))]))
+                with mpmath.workdps(40):
+                    for i, (k, value) in enumerate(zip(ks, values)):
+                        x = mpmath.mpf(t) + (k - (N if i >= inside else 0)) * mpmath.mpf(delta)
+                        exact = (1 - eta * mpmath.cos(x)) / (1 - 2 * eta * mpmath.cos(x) + eta**2)
+                        assert abs(value - exact) <= ulps * np.spacing(float(exact)), (t, N, k)
 
     @pytest.mark.parametrize("u", [PoissonKernelU(0.6), TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7))])
     @pytest.mark.parametrize("t", [0.3, -2.9])
@@ -855,6 +933,23 @@ class TestSplitFill:
             plain_trap_sum(flaky, 2**14)
         assert flaky._f_memo == {}
         assert plain_trap_sum(flaky, 2**14) == plain_trap_sum(integ, 2**14)
+
+    def test_half_sine_failures_name_u(self):
+        # from_half_sine goes through the same checked call as u
+        class Raising(PoissonKernelU):
+            def from_half_sine(self, S):
+                raise RuntimeError("boom")
+
+        class Short(PoissonKernelU):
+            def from_half_sine(self, S):
+                return super().from_half_sine(S)[1:]
+
+        integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
+        for u, message in ((Raising(0.5), r"^u failed on 7 nodes: boom"), (Short(0.5), r"^u returned shape \(6,\) for nodes of shape \(7,\)")):
+            split = dataclasses.replace(integ, g_eval=SplitNumerator(integ.g_eval.psi, u, integ.t))
+            with pytest.raises(EvaluationError, match=message):
+                plain_trap_sum(split, 8)
+            assert split._f_memo == {}
 
     @pytest.mark.parametrize("split", [True, False])
     def test_repeated_generic_rule_reuses_the_family(self, split):
