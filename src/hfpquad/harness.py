@@ -62,7 +62,8 @@ class ReportRow:
 
 @dataclass
 class ConvergenceReport:
-    """Error table for one case: rows sorted by strictly increasing n."""
+    """Error table for one case: rows sorted by strictly increasing n;
+    ``floor_estimate`` is ``floor_at`` the largest n."""
 
     m: int
     s: int
@@ -77,8 +78,10 @@ class ConvergenceReport:
     fitted_rate: Optional[float] = None
 
     def floor_at(self, n: int) -> float:
+        """The floor of the row at n: the rule at level s sums nodes
+        T/(2^s n) apart, so the model is evaluated at 2^s n."""
         g, gp, gppp = self.g_norms
-        return roundoff_floor(g, gp, gppp, self.period, n)
+        return roundoff_floor(g, gp, gppp, self.period, 2**self.s * n)
 
 
 @dataclass
@@ -154,7 +157,7 @@ def convergence_table_for(
         rows.append(ReportRow(n=spec.n, value=val, error=abs(val - oracle_value)))
 
     norms = integrand_norms(integrand)
-    floor_est = roundoff_floor(*norms, integrand.period, max(ns))
+    floor_est = roundoff_floor(*norms, integrand.period, 2**s * max(ns))
     return ConvergenceReport(
         m=integrand.m,
         s=s,
@@ -219,11 +222,12 @@ def floor_check(
     unit: float = DOUBLE_UNIT,
     safety_factor: float = PRE_FLOOR_FACTOR,
 ) -> FloorCheck:
-    """Observed plateau vs the floor model: error_n <= safety * K(n) u n^2."""
+    """Observed plateau vs the floor model: error_n <= safety * K(N) u N^2
+    at the rule's node count N = 2^s n (see ``ConvergenceReport.floor_at``)."""
     rows = []
     ok = True
     for r in report.rows:
-        bound = safety_factor * roundoff_floor(*report.g_norms, report.period, r.n, unit)
+        bound = safety_factor * roundoff_floor(*report.g_norms, report.period, 2**report.s * r.n, unit)
         rows.append((r.n, r.error, bound))
         if not r.error <= bound:  # so a NaN error fails
             ok = False

@@ -74,8 +74,10 @@ class PeriodicIntegrand:
     g(x) = psi(x - t) u(x).  The rules then form f = psi(y) u(x)/y^m on the
     exact offsets y of their nodes, with psi(|y|) and |y|^m read from a
     table shared by every integrand with the same psi, m and period, and
-    call u once per block of nodes; ``g_eval(x)`` itself evaluates
-    psi(x - t), so the two can differ in the last bits.  Replacing
+    call u once per block of nodes, a block of one lattice by view runs and
+    a block of several small ones in one gathered pass, each node the same
+    double either way; ``g_eval(x)`` itself evaluates psi(x - t), so the
+    two can differ in the last bits.  Replacing
     ``g_eval`` (``dataclasses.replace(integ, g_eval=other)``) drops the
     split: the rules then call the new g.
     """
@@ -132,7 +134,11 @@ class SplitNumerator:
     psi at the exact offsets y of their nodes: psi(|y|) and |y|^m come from
     one table per (psi, m, period, lattice), shared by every such integrand
     and holding at most ``_OFFSET_TABLE_BYTES`` bytes, and u runs once per
-    block of at most ``_G_BLOCK`` nodes.  u runs on the wrapped nodes
+    block of at most ``_G_BLOCK`` nodes.  A block that is one piece of one
+    lattice is filled through views of the table and the memo entry; a
+    block of pieces of several lattices in one gathered pass, every index
+    from per-lattice scalars; the block's shape alone picks, and each node
+    gets the same double either way.  u runs on the wrapped nodes
     x_hat = fl(t + y), unless it has a ``from_half_sine(S)`` method giving
     u(x) from S = sin(x/2) elementwise (``PoissonKernelU``): that method
     then runs on sin((t + y)/2), formed from sines and cosines of per-lattice
@@ -436,6 +442,10 @@ def _split(integrand: PeriodicIntegrand) -> Optional[SplitNumerator]:
 def _blocks(sizes):
     """The concatenation of arrays of these sizes in blocks of at most
     ``_G_BLOCK`` elements: per block, its (array index, lo, hi) pieces."""
+    if 0 < sum(sizes) <= _G_BLOCK:
+        # one block, the common case of a table's small lattices
+        yield [(i, 0, size) for i, size in enumerate(sizes) if size]
+        return
     block, room = [], _G_BLOCK
     for i, size in enumerate(sizes):
         lo = 0
@@ -487,74 +497,135 @@ def _offset_table(psi: Callable, m: int, period: float, N: int, family, need: in
 
 @lru_cache(maxsize=256)
 def _half_angle_table(N: int, delta: float):
-    """(B, cos r theta, sin r theta, qB theta, (qB - N) theta) of the lattice
-    P(N) with spacing delta, theta = delta/2, read-only.
+    """(B, cos r theta, sin r theta, row angles) of the lattice P(N) with
+    spacing delta, theta = delta/2, read-only.
 
     Node k of P(N) is x = t + j delta, j = k or, where it wraps, k - N, so
     x/2 = t/2 + j theta.  With k = qB + r, 0 <= r < B, and the row angle
     phi = t/2 + (qB - N) theta where the node wraps and t/2 + qB theta
     where it does not, sin(x/2) = sin(phi) cos(r theta) + cos(phi) sin(r theta).
     B is a power of two near sqrt(N), so the table holds O(sqrt N) values:
-    the r of the lattice's parity (odd for an even N, whose k are odd) and
-    q = 0 .. (N - 1)//B.
+    the r of the lattice's parity (odd for an even N, whose k are odd), and
+    the row angles qB theta, then (qB - N) theta, of q = 0 .. Q - 1,
+    Q = ceil(N/B).
     """
     step = 2 - N % 2
     B = 2 ** max(1, N.bit_length() // 2)
     theta = 0.5 * delta
     r_theta = np.arange(step - 1, B, step) * theta
     qB = np.arange(0, N, B)
-    table = (np.cos(r_theta), np.sin(r_theta), qB * theta, (qB - N) * theta)
+    table = (np.cos(r_theta), np.sin(r_theta), np.concatenate((qB * theta, (qB - N) * theta)))
     for array in table:
         array.flags.writeable = False
     return (B, *table)
 
 
 def _half_angle_rows(integrand: PeriodicIntegrand, families):
-    """sin phi and cos phi of the rows of every lattice (``_family``), and
-    per lattice (start, shift, B, cos r theta, sin r theta) (see
-    ``_half_angle_table``).  A lattice's rows start at ``start``: the rows q
-    of its positive nodes, then those of its wrapped nodes, a row holding
-    both twice.  A node's row is start + q, or start + q + shift where it
-    wraps.  np.sin and np.cos run once on the rows of all the lattices."""
+    """sin phi and cos phi of the rows of every lattice (``_family``) of a
+    fill, and per lattice (row, Q, B, cos r theta, sin r theta) (see
+    ``_half_angle_table``): node k = qB + r is in row row + q, or
+    row + Q + q where it wraps.  np.sin and np.cos run once on the rows of
+    all the lattices."""
     rows, angles, start = [], [], 0
-    for ks, inside, delta in families:
-        B, cos_r, sin_r, q_theta, wrapped_theta = _half_angle_table(ks.stop, delta)
-        positive = ks[inside - 1] // B + 1 if inside else 0
-        wrapped = ks[inside] // B if inside < len(ks) else len(q_theta)
-        angles += [q_theta[:positive], wrapped_theta[wrapped:]]
-        rows.append((start, positive - wrapped, B, cos_r, sin_r))
-        start += positive + len(q_theta) - wrapped
+    for ks, _, delta in families:
+        B, cos_r, sin_r, angles_j = _half_angle_table(ks.stop, delta)
+        rows.append((start, angles_j.size // 2, B, cos_r, sin_r))
+        angles.append(angles_j)
+        start += angles_j.size
     phi = 0.5 * float(integrand.t) + np.concatenate(angles)
     return np.sin(phi), np.cos(phi), rows
 
 
-def _half_sines(families, half_angle_rows, block) -> np.ndarray:
-    """sin(x/2) at the nodes of a block of ``_blocks``, in its order, from
-    the ``_half_angle_rows`` of its lattices.
+def _half_sines(family, half_angle_rows, j: int, lo: int, hi: int) -> np.ndarray:
+    """sin(x/2) at the nodes lo:hi of the fill's lattice j (``family``),
+    from the fill's ``_half_angle_rows``: a block that is one piece.
 
-    The nodes lo:hi of a lattice are a run of its row-major grid (row, r):
-    sin(phi) cos(r theta) + cos(phi) sin(r theta) is formed on the rows the
-    run spans and the run read from it, skipping the second copy of a row
-    that holds both positive and wrapped nodes.  Each value is that formula
-    at the node's own k, whatever block or piece holds it.
+    The positive nodes of the piece, then its wrapped ones, are each a run
+    of the lattice's row-major grid (row, r): sin(phi) cos(r theta) +
+    cos(phi) sin(r theta) is formed on the rows the run spans and the run
+    read from it.  Each value is that formula at the node's own k, as
+    ``_gather`` forms it for a block of several pieces.
     """
+    ks, inside, _ = family
+    if lo < inside < hi:
+        runs = (_half_sines(family, half_angle_rows, j, lo, inside), _half_sines(family, half_angle_rows, j, inside, hi))
+        return np.concatenate(runs)
     sin_phi, cos_phi, rows = half_angle_rows
-    S, start = np.empty(sum(hi - lo for _, lo, hi in block)), 0
-    for i, lo, hi in block:
-        (ks, inside, _), (row, shift, B, cos_r, sin_r) = families[i], rows[i]
-        first = row + ks[lo] // B + (shift if lo >= inside else 0)
-        last = row + ks[hi - 1] // B + (shift if hi > inside else 0) + 1
-        grid = sin_phi[first:last, None] * cos_r
-        grid += cos_phi[first:last, None] * sin_r
-        run, end = grid.ravel()[ks[lo] % B // ks.step :], start + hi - lo
-        if lo < inside < hi and shift:
-            # the run crosses the wrap inside a row held twice
-            c = inside - lo
-            S[start : start + c], S[start + c : end] = run[:c], run[c + cos_r.size : hi - lo + cos_r.size]
+    row, Q, B, cos_r, sin_r = rows[j]
+    row += Q if lo >= inside else 0
+    first, last = row + ks[lo] // B, row + ks[hi - 1] // B + 1
+    grid = sin_phi[first:last, None] * cos_r
+    grid += cos_phi[first:last, None] * sin_r
+    return grid.ravel()[ks[lo] % B // ks.step :][: hi - lo]
+
+
+def _gather(integrand: PeriodicIntegrand, families, tables, half_angle_rows, block):
+    """(what u runs on, psi(|y|), y^m) at the nodes of a block of several
+    pieces, in its order, each node's doubles those of a one-piece block.
+
+    Node i of a lattice wraps for i >= inside; its table row is i, or
+    L-1-i where it wraps, in the block's ``_offset_table`` entries joined,
+    and for odd m a wrapped node's power is negated, so that g/y^m is its
+    negated quotient.  u runs on the wrapped nodes x_hat = t + (k - N) delta
+    or t + k delta, k = 1 + i*step, or, for a ``from_half_sine`` u
+    (``half_angle_rows`` not None), on the half-angle sum at the node's row
+    and column, k = qB + r (see ``_half_angle_rows``).  Every index comes
+    from the pieces' per-lattice scalars in whole-block operations.
+    """
+    half = half_angle_rows is not None
+    scalars, psi_abs, power, cos_r, sin_r, deltas = [], [], [], [], [], []
+    start = first = column = 0
+    for j, lo, hi in block:
+        (ks, inside, delta), (psi_j, power_j) = families[j], tables[j]
+        psi_abs.append(psi_j)
+        power.append(power_j)
+        # i = position + lo - start; table row first + i, or first + L-1-i
+        scalars += (lo - start, inside, first + len(ks) - 1, first)
+        if half:
+            row, Q, B, cos_j, sin_j = half_angle_rows[2][j]
+            cos_r.append(cos_j)
+            sin_r.append(sin_j)
+            # k = step*i + 1 = qB + r: for step 1, q and r from i + 1 and B;
+            # for step 2, from i and B/2, which cos_j's column r//2 spans
+            scalars += (2 - ks.step, B.bit_length() - ks.step, cos_j.size - 1, row, row + Q, column)
+            column += cos_j.size
         else:
-            S[start:end] = run[: hi - lo]
-        start = end
-    return S
+            deltas.append(delta)
+            scalars += (ks.step, ks.stop)
+        start += hi - lo
+        first += psi_j.size
+    runs = [hi - lo for _, lo, hi in block]
+    c = np.array(scalars).reshape(len(block), -1).T.repeat(runs, axis=1)
+    i = np.arange(start)
+    i += c[0]
+    wrapped = i >= c[1]
+    row = np.where(wrapped, c[2] - i, i + c[3])
+    psi_abs = np.concatenate(psi_abs).take(row)
+    power = np.concatenate(power).take(row)
+    if integrand.m % 2:
+        # power is a fresh contiguous array, not a strided view of f
+        np.negative(power, out=power, where=wrapped)
+    if not half:
+        # y = (k - N) delta where the node wraps, else k delta, in floats
+        # from exact integers, as ``_offsets`` forms them
+        k = i * c[4]
+        k += 1
+        k -= wrapped * c[5]
+        y = k.astype(float)
+        y *= np.array(deltas).repeat(runs)
+        return _nodes(integrand, y), psi_abs, power
+    sin_phi, cos_phi, _ = half_angle_rows
+    k = i + c[4]
+    q = np.where(wrapped, c[8], c[7])
+    q += k >> c[5]
+    k &= c[6]
+    k += c[9]
+    S = sin_phi.take(q)
+    S *= np.concatenate(cos_r).take(k)
+    cos_sin = cos_phi.take(q)
+    cos_sin *= np.concatenate(sin_r).take(k)
+    S += cos_sin
+    return S, psi_abs, power
 
 
 def _memoize(integrand: PeriodicIntegrand, lattices, out: Optional[dict] = None) -> None:
@@ -594,52 +665,79 @@ def _memoize_split(integrand: PeriodicIntegrand, split: SplitNumerator, missing,
 
     u is u(x_hat) at the wrapped nodes, or, for a u with a
     ``from_half_sine`` method, that method on sin((t + y)/2) formed by the
-    half-angle sum of ``_half_angle_table`` (``_half_sines``): no node
-    coordinate and no sine per node.  psi(|y|) and |y|^m come from
-    ``_offset_table``.  The run of positive offsets reads it in order and
-    the wrapped run, whose magnitudes are the same doubles, reversed; for
-    odd m the wrapped quotient is negated, which is exact as IEEE division
-    is sign-symmetric.  As psi is even, each f is bit for bit psi(y) u/y^m
-    with y^m = ``int_power(y, m)``.  u runs once per block of the
-    concatenated missing lattices, and no node-sized array is made but the
+    half-angle sum of ``_half_angle_table``: no node coordinate and no sine
+    per node.  psi(|y|) and |y|^m come from ``_offset_table``, the positive
+    offsets at their own rows and the wrapped ones, whose magnitudes are
+    the same doubles, reversed; for odd m the wrapped quotient is negated,
+    which is exact as IEEE division is sign-symmetric.  As psi is even, each
+    f is bit for bit psi(y) u/y^m with y^m = ``int_power(y, m)``.
+
+    u runs once per block of the concatenated missing lattices, and the
+    block's shape picks how it is filled.  A block that is one piece of one
+    lattice (every block of a lattice of ``_G_BLOCK`` nodes or more but the
+    last) reads the table as two view runs, positive and wrapped, and writes
+    f into the memo entry through them (``_half_sines``).  A block of
+    several pieces, the small lattices of a table, is one gathered pass
+    (``_gather``): one multiply, one finite check and one divide over the
+    block, into one run of the array whose views are the new memo entries,
+    or, for a block bound in part for ``_level0``'s ``out`` views, in place
+    and then copied piece by piece.  No node-sized array is made but the
     memo entries (the rest are block-sized).
     """
-    m = integrand.m
-    tables = [
-        _offset_table(split.psi, m, integrand.period, N, family, max(family[1], len(family[0]) - family[1]))
-        for N, family in zip(missing, families)
-    ]
-    fs = [out[N] if N in out else np.empty(len(ks)) for N, (ks, _, _) in zip(missing, families)]
+    m, period = integrand.m, integrand.period
+    # the lattices without an out view are runs of one array, in order, so
+    # that a gathered block of them divides into one run of it
+    tables, sizes, places, total = [], [], [], 0
+    for N, family in zip(missing, families):
+        size, inside = len(family[0]), family[1]
+        tables.append(_offset_table(split.psi, m, period, N, family, max(inside, size - inside)))
+        sizes.append(size)
+        places.append(None if N in out else total)
+        total += 0 if N in out else size
+    filled = np.empty(total)
+    fs = [out[N] if at is None else filled[at : at + size] for N, at, size in zip(missing, places, sizes)]
     from_half_sine = getattr(split.u, "from_half_sine", None)
+    u_of = split.u if from_half_sine is None else from_half_sine
     rows = None if from_half_sine is None else _half_angle_rows(integrand, families)
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in _blocks([len(ks) for ks, _, _ in families]):
+        for block in _blocks(sizes):
+            if len(block) > 1:
+                arg, g, power = _gather(integrand, families, tables, rows, block)
+                g *= _call("u", "nodes", u_of, arg)
+                if not np.isfinite(g).all():
+                    g[~np.isfinite(g)] = np.nan
+                j, lo, _ = block[0]
+                if all(places[i] is not None for i, _, _ in block):
+                    # the block's lattices are consecutive runs of filled
+                    np.divide(g, power, out=filled[places[j] + lo : places[j] + lo + g.size])
+                else:
+                    np.divide(g, power, out=g)
+                    start = 0
+                    for j, lo, hi in block:
+                        fs[j][lo:hi] = g[start : start + hi - lo]
+                        start += hi - lo
+                continue
+            [(j, lo, hi)] = block
+            (ks, inside, _), (psi_abs, power), f = families[j], tables[j], fs[j]
             if rows is None:
-                x = _joined([_nodes(integrand, _offsets(families[i], lo, hi)) for i, lo, hi in block])
-                u = _call("u", "nodes", split.u, x)
+                arg = _nodes(integrand, _offsets(families[j], lo, hi))
             else:
-                u = _call("u", "nodes", from_half_sine, _half_sines(families, rows, block))
-            # g = psi(y) u of the block, then (g run, y^m run, f run, wrapped)
-            g, runs, start = np.empty(u.size), [], 0
-            for i, lo, hi in block:
-                (ks, inside, _), (psi_abs, power), f = families[i], tables[i], fs[i]
-                # nodes lo:c have positive offsets, table rows lo:c; the
-                # wrapped nodes c:hi have table rows L-1-c down to L-hi
-                size, c = len(ks), min(max(inside, lo), hi)
-                mid, end = start + c - lo, start + hi - lo
-                np.multiply(psi_abs[lo:c], u[start:mid], out=g[start:mid])
-                np.multiply(psi_abs[size - hi : size - c][::-1], u[mid:end], out=g[mid:end])
-                runs.append((g[start:mid], power[lo:c], f[lo:c], False))
-                runs.append((g[mid:end], power[size - hi : size - c][::-1], f[c:hi], True))
-                start = end
+                arg = _half_sines(families[j], rows, j, lo, hi)
+            u = _call("u", "nodes", u_of, arg)
+            # nodes lo:c have positive offsets, table rows lo:c; the wrapped
+            # nodes c:hi have table rows L-1-c down to L-hi
+            L, c = len(ks), min(max(inside, lo), hi)
+            g, mid = np.empty(u.size), c - lo
+            np.multiply(psi_abs[lo:c], u[:mid], out=g[:mid])
+            np.multiply(psi_abs[L - hi : L - c][::-1], u[mid:], out=g[mid:])
             if not np.isfinite(g).all():
                 g[~np.isfinite(g)] = np.nan
-            for g_run, power_run, f_run, wrapped in runs:
-                np.divide(g_run, power_run, out=f_run)
-                if wrapped and m % 2:
-                    # not np.negative(.., out=..): numpy 2.4 misreads a view
-                    # of stride 8 there, and f can be one
-                    f_run *= -1.0
+            np.divide(g[:mid], power[lo:c], out=f[lo:c])
+            np.divide(g[mid:], power[L - hi : L - c][::-1], out=f[c:hi])
+            if m % 2:
+                # not np.negative(.., out=..): numpy 2.4 misreads a view of
+                # stride 8 there, and f can be one
+                f[c:hi] *= -1.0
     # only now, so that a psi or u that raises leaves the memo as it was
     integrand._f_memo.update(zip(missing, fs))
 
@@ -651,6 +749,21 @@ def _memoize_rules(integrand: PeriodicIntegrand, specs) -> None:
     _memoize(integrand, [N for spec in specs for fam in _families(spec) for N, _ in _primitives(*fam)])
 
 
+def _is_level0(memo: dict, base, n: int, ps) -> bool:
+    """Whether ``base`` is the array of the level-0 family at n with
+    primitives ``ps`` and the memo holds each primitive as its view.
+
+    A memo entry that is a view is a contiguous run of a fill's array or
+    ``_level0``'s view of its family's array at the lattice's indices, so a
+    view of an array of n - 1 entries with the primitive's stride is that
+    primitive's view of it."""
+    return (
+        base is not None
+        and base.shape[-1] == n - 1
+        and all(N in memo and memo[N].base is base and memo[N].strides[-1] == idx.step * base.strides[-1] for N, idx in ps)
+    )
+
+
 def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.ndarray]:
     """The array of the level-0 family at n with primitives ``ps``, of which
     the memo holds views.
@@ -659,20 +772,28 @@ def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.
     as it is.  Otherwise a new one is made: the lattices the memo holds are
     copied in and the memo re-pointed at views of it, so a lattice's values
     are held once, and ``out`` gets the views that ``_memoize`` is to fill
-    the missing lattices into.  None while the row count is unknown (a g
-    that is not split, no lattice yet in the memo) or a missing lattice is
+    the missing lattices into.  Where P(n) is new and the memo holds the
+    family at n/2 as one array, as the rung before leaves it in a doubling
+    ladder, that array is f's odd entries and one strided copy; each other
+    lattice is copied alone.  None while the row count is unknown (a g that
+    is not split, no lattice yet in the memo) or a missing lattice is
     already bound for another family's array.
     """
     memo = integrand._f_memo
     held = next((memo[N] for N, _ in ps if N in memo), None)
-    base = None if held is None else held.base
-    if base is not None and base.shape[-1] == n - 1 and all(
-        N in memo and memo[N].__array_interface__ == base[..., idx].__array_interface__ for N, idx in ps
-    ):
-        return base
+    if held is not None and _is_level0(memo, held.base, n, ps):
+        return held.base
     if (out and any(N in out for N, _ in ps)) or (held is None and _split(integrand) is None):
         return None
     f = np.empty((() if held is None else held.shape[:-1]) + (n - 1,))
+    # a doubling rung: ps[1:] are the primitives of the family at n/2, at
+    # f's odd entries
+    half = memo.get(ps[1][0]) if n % 2 == 0 and ps[0][0] not in memo else None
+    if half is not None and _is_level0(memo, half.base, n // 2, _primitives(n // 2, 0)):
+        f[..., 1::2] = half.base
+        for N, idx in ps[1:]:
+            memo[N] = f[..., idx]
+        ps = ps[:1]
     for N, idx in ps:
         if N in memo:
             f[..., idx] = memo[N]

@@ -19,7 +19,7 @@ from hfpquad.harness import (
 )
 from hfpquad.integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
 from hfpquad.oracles import GeometricKernelCase
-from hfpquad.quadrature import PeriodicIntegrand, RuleSpec, _family_nodes, t_hat
+from hfpquad.quadrature import PeriodicIntegrand, RuleSpec, _family_nodes, roundoff_floor, t_hat
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,6 +140,24 @@ class TestEmpiricalRate:
         fit = empirical_rate(rep)
         assert fit.floor_dominated
         assert fit.slope == pytest.approx(0.0, abs=0.05)
+
+
+class TestFloorAtNodeCount:
+    def test_floor_is_evaluated_at_the_rules_node_count(self):
+        # the rule at level s = 2 sums nodes T/(4n) apart, so the row at
+        # n = 100 has the floor of N = 400 nodes, 15 times the model at n
+        rep = convergence_table(GeometricKernelCase(eta=0.5, t=1.0), 2, list(range(10, 101, 10)))
+        assert rep.floor_estimate == rep.floor_at(100) == roundoff_floor(*rep.g_norms, TWO_PI, 400)
+        assert rep.floor_estimate > 10 * roundoff_floor(*rep.g_norms, TWO_PI, 100)
+        # the plateau rows sit within a few floors at N; at n they reach 25
+        plateau = [r for r in rep.rows if r.n >= 50]
+        assert all(r.error <= 5 * rep.floor_at(r.n) for r in plateau)
+        assert max(r.error / roundoff_floor(*rep.g_norms, TWO_PI, r.n) for r in plateau) > 20
+        assert [bound for _, _, bound in floor_check(rep).rows] == [100 * rep.floor_at(r.n) for r in rep.rows]
+
+    def test_level_zero_floor_is_at_n(self):
+        rep = convergence_table(GeometricKernelCase(eta=0.5, t=1.0), 0, [40, 80])
+        assert rep.floor_estimate == rep.floor_at(80) == roundoff_floor(*rep.g_norms, TWO_PI, 80)
 
 
 class TestFloorCheck:

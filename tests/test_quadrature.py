@@ -811,6 +811,89 @@ class TestSplitFill:
             for N, f in alone.items():
                 assert np.array_equal(blocked._f_memo[N], f), (block, N)
 
+    # lattices of both parities, N = 2 mod 4, and a level-0 family at 96
+    # whose primitives 96, 48, ..., 3 are filled into _level0's views
+    PACKED = (2, 3, 6, 7, 10, 97, 192, 1536)
+
+    @pytest.mark.parametrize("u", [PoissonKernelU(0.6), TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7))])
+    @pytest.mark.parametrize("t, centered", [(0.3, True), (-2.9, True), (3.1, False), (-3.1, False)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_packed_blocks_give_each_lattice_its_lone_doubles(self, monkeypatch, m, t, centered, u):
+        # each lattice alone is one block of one piece (the view runs); in
+        # blocks of 7, 64 or 1000 nodes most blocks hold pieces of several
+        # lattices (the gathered pass), split within a row and across the
+        # wrap, into fresh memo entries and into a level-0 family's views
+        base = self.integrand(m, t, centered, u)
+        alone = {}
+        for N in self.PACKED + tuple(N for N, _ in quadrature._primitives(96, 0)):
+            integ = dataclasses.replace(base)
+            quadrature._memoize(integ, [N])
+            alone[N] = integ._f_memo[N]
+        for block in (7, 64, 1000):
+            monkeypatch.setattr(quadrature, "_G_BLOCK", block)
+            packed = dataclasses.replace(base)
+            quadrature._memoize(packed, list(self.PACKED))
+            for N in self.PACKED:
+                assert np.array_equal(packed._f_memo[N], alone[N]), (block, N)
+            family = dataclasses.replace(base)
+            [(f, _)] = quadrature._family_sums(family, [(96, 0)])
+            for N, idx in quadrature._primitives(96, 0):
+                assert np.array_equal(f[idx], alone[N]), (block, N)
+
+    @pytest.mark.parametrize("half_sine", [True, False])
+    def test_packed_block_names_a_non_finite_node_and_keeps_the_memo(self, monkeypatch, half_sine):
+        integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
+        g = integ.g_eval
+        # node 11 of the family at 32 is node 1 of P(8)
+        bad = float(quadrature._family_nodes(integ, 32, 0)[1][11])
+        S_bad = self.half_sines(integ, 8)[1]
+
+        class Poles(PoissonKernelU):
+            def from_half_sine(self, S):
+                return np.where(S == S_bad, np.inf, super().from_half_sine(S))
+
+        u = Poles(0.5) if half_sine else (lambda x: np.where(x == bad, np.inf, g.u(x)))
+        split = dataclasses.replace(integ, g_eval=SplitNumerator(g.psi, u, integ.t))
+        monkeypatch.setattr(quadrature, "_G_BLOCK", 7)
+        with pytest.raises(EvaluationError) as info:
+            plain_trap_sum(split, 32)
+        assert (info.value.node_index, info.value.node_x) == (11, bad)
+        # a u that raises on a packed block leaves the memo as it was
+        held = dict(split._f_memo)
+        calls = []
+
+        def flaky(x):
+            # the second block, P(7)'s nodes 1:6 and P(64)'s 0:1, raises
+            calls.append(x.size)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return x * 0.0 + 1.0
+
+        broken = dataclasses.replace(split, g_eval=SplitNumerator(g.psi, flaky, integ.t))
+        broken._f_memo.update(held)
+        with pytest.raises(EvaluationError, match="^u failed on 7 nodes: boom"):
+            quadrature._memoize(broken, [3, 5, 7, 64])
+        assert calls == [7, 7]
+        assert broken._f_memo.keys() == held.keys()
+        assert all(broken._f_memo[N] is f for N, f in held.items())
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_doubling_rung_copies_the_half_family(self, vector):
+        # after the level-0 family at n/2, the family at n holds it as its
+        # odd entries: the memo's lattices become views of one new array,
+        # bit for bit what a fresh integrand fills
+        integ = GeometricKernelCase(eta=0.6, t=1.0).integrand()
+        if vector:
+            g = integ.g_eval
+            integ = dataclasses.replace(integ, g_eval=lambda x: np.stack([g(x), -2.0 * g(x)]), g_derivs_at_t=None)
+        for n in (24, 48, 96):
+            [(f, _)] = quadrature._family_sums(integ, [(n, 0)])
+            [(fresh, _)] = quadrature._family_sums(dataclasses.replace(integ), [(n, 0)])
+            assert np.array_equal(f, fresh), n
+            assert quadrature._is_level0(integ._f_memo, f, n, quadrature._primitives(n, 0))
+        # the family at 48 is still held as the odd entries of the one at 96
+        assert np.array_equal(f[..., 1::2], quadrature._family_sums(dataclasses.replace(integ), [(48, 0)])[0][0])
+
     @pytest.mark.parametrize("eta, ulps", [(0.5, 8), (0.9, 40)])
     def test_u_from_half_sines_is_close_to_u_at_t_plus_y(self, eta, ulps):
         # against u(t + j delta) in 40 digits at the doubles t and delta;
@@ -823,7 +906,7 @@ class TestSplitFill:
                 family = quadrature._lattice(integ, N)
                 ks, inside, delta = family
                 rows = quadrature._half_angle_rows(integ, [family])
-                values = u.from_half_sine(quadrature._half_sines([family], rows, [(0, 0, len(ks))]))
+                values = u.from_half_sine(quadrature._half_sines(family, rows, 0, 0, len(ks)))
                 with mpmath.workdps(40):
                     for i, (k, value) in enumerate(zip(ks, values)):
                         x = mpmath.mpf(t) + (k - (N if i >= inside else 0)) * mpmath.mpf(delta)
