@@ -77,11 +77,11 @@ class ConvergenceReport:
     floor_estimate: float
     fitted_rate: Optional[float] = None
 
-    def floor_at(self, n: int) -> float:
+    def floor_at(self, n: int, unit: float = DOUBLE_UNIT) -> float:
         """The floor of the row at n: the rule at level s sums nodes
         T/(2^s n) apart, so the model is evaluated at 2^s n."""
         g, gp, gppp = self.g_norms
-        return roundoff_floor(g, gp, gppp, self.period, 2**self.s * n)
+        return roundoff_floor(g, gp, gppp, self.period, 2**self.s * n, unit)
 
 
 @dataclass
@@ -156,9 +156,7 @@ def convergence_table_for(
         val = t_hat(spec, integrand)
         rows.append(ReportRow(n=spec.n, value=val, error=abs(val - oracle_value)))
 
-    norms = integrand_norms(integrand)
-    floor_est = roundoff_floor(*norms, integrand.period, 2**s * max(ns))
-    return ConvergenceReport(
+    report = ConvergenceReport(
         m=integrand.m,
         s=s,
         t=integrand.t,
@@ -167,9 +165,11 @@ def convergence_table_for(
         oracle_name=oracle_name,
         oracle_value=oracle_value,
         rows=rows,
-        g_norms=norms,
-        floor_estimate=floor_est,
+        g_norms=integrand_norms(integrand),
+        floor_estimate=0.0,
     )
+    report.floor_estimate = report.floor_at(ns[-1])
+    return report
 
 
 def convergence_table(
@@ -227,7 +227,7 @@ def floor_check(
     rows = []
     ok = True
     for r in report.rows:
-        bound = safety_factor * roundoff_floor(*report.g_norms, report.period, 2**report.s * r.n, unit)
+        bound = safety_factor * report.floor_at(r.n, unit)
         rows.append((r.n, r.error, bound))
         if not r.error <= bound:  # so a NaN error fails
             ok = False

@@ -442,10 +442,6 @@ def _split(integrand: PeriodicIntegrand) -> Optional[SplitNumerator]:
 def _blocks(sizes):
     """The concatenation of arrays of these sizes in blocks of at most
     ``_G_BLOCK`` elements: per block, its (array index, lo, hi) pieces."""
-    if 0 < sum(sizes) <= _G_BLOCK:
-        # one block, the common case of a table's small lattices
-        yield [(i, 0, size) for i, size in enumerate(sizes) if size]
-        return
     block, room = [], _G_BLOCK
     for i, size in enumerate(sizes):
         lo = 0
@@ -679,23 +675,18 @@ def _memoize_split(integrand: PeriodicIntegrand, split: SplitNumerator, missing,
     f into the memo entry through them (``_half_sines``).  A block of
     several pieces, the small lattices of a table, is one gathered pass
     (``_gather``): one multiply, one finite check and one divide over the
-    block, into one run of the array whose views are the new memo entries,
-    or, for a block bound in part for ``_level0``'s ``out`` views, in place
-    and then copied piece by piece.  No node-sized array is made but the
-    memo entries (the rest are block-sized).
+    block, in place, then copied piece by piece into the memo entries or
+    ``_level0``'s ``out`` views.  Each lattice gets its own array, so that
+    ``_level0`` re-pointing it frees its old values.  No node-sized array
+    is made but the memo entries (the rest are block-sized).
     """
     m, period = integrand.m, integrand.period
-    # the lattices without an out view are runs of one array, in order, so
-    # that a gathered block of them divides into one run of it
-    tables, sizes, places, total = [], [], [], 0
-    for N, family in zip(missing, families):
-        size, inside = len(family[0]), family[1]
-        tables.append(_offset_table(split.psi, m, period, N, family, max(inside, size - inside)))
-        sizes.append(size)
-        places.append(None if N in out else total)
-        total += 0 if N in out else size
-    filled = np.empty(total)
-    fs = [out[N] if at is None else filled[at : at + size] for N, at, size in zip(missing, places, sizes)]
+    sizes = [len(ks) for ks, _, _ in families]
+    tables = [
+        _offset_table(split.psi, m, period, N, family, max(family[1], size - family[1]))
+        for N, family, size in zip(missing, families, sizes)
+    ]
+    fs = [out[N] if N in out else np.empty(size) for N, size in zip(missing, sizes)]
     from_half_sine = getattr(split.u, "from_half_sine", None)
     u_of = split.u if from_half_sine is None else from_half_sine
     rows = None if from_half_sine is None else _half_angle_rows(integrand, families)
@@ -706,16 +697,11 @@ def _memoize_split(integrand: PeriodicIntegrand, split: SplitNumerator, missing,
                 g *= _call("u", "nodes", u_of, arg)
                 if not np.isfinite(g).all():
                     g[~np.isfinite(g)] = np.nan
-                j, lo, _ = block[0]
-                if all(places[i] is not None for i, _, _ in block):
-                    # the block's lattices are consecutive runs of filled
-                    np.divide(g, power, out=filled[places[j] + lo : places[j] + lo + g.size])
-                else:
-                    np.divide(g, power, out=g)
-                    start = 0
-                    for j, lo, hi in block:
-                        fs[j][lo:hi] = g[start : start + hi - lo]
-                        start += hi - lo
+                np.divide(g, power, out=g)
+                start = 0
+                for j, lo, hi in block:
+                    fs[j][lo:hi] = g[start : start + hi - lo]
+                    start += hi - lo
                 continue
             [(j, lo, hi)] = block
             (ks, inside, _), (psi_abs, power), f = families[j], tables[j], fs[j]
@@ -749,21 +735,6 @@ def _memoize_rules(integrand: PeriodicIntegrand, specs) -> None:
     _memoize(integrand, [N for spec in specs for fam in _families(spec) for N, _ in _primitives(*fam)])
 
 
-def _is_level0(memo: dict, base, n: int, ps) -> bool:
-    """Whether ``base`` is the array of the level-0 family at n with
-    primitives ``ps`` and the memo holds each primitive as its view.
-
-    A memo entry that is a view is a contiguous run of a fill's array or
-    ``_level0``'s view of its family's array at the lattice's indices, so a
-    view of an array of n - 1 entries with the primitive's stride is that
-    primitive's view of it."""
-    return (
-        base is not None
-        and base.shape[-1] == n - 1
-        and all(N in memo and memo[N].base is base and memo[N].strides[-1] == idx.step * base.strides[-1] for N, idx in ps)
-    )
-
-
 def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.ndarray]:
     """The array of the level-0 family at n with primitives ``ps``, of which
     the memo holds views.
@@ -772,28 +743,20 @@ def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.
     as it is.  Otherwise a new one is made: the lattices the memo holds are
     copied in and the memo re-pointed at views of it, so a lattice's values
     are held once, and ``out`` gets the views that ``_memoize`` is to fill
-    the missing lattices into.  Where P(n) is new and the memo holds the
-    family at n/2 as one array, as the rung before leaves it in a doubling
-    ladder, that array is f's odd entries and one strided copy; each other
-    lattice is copied alone.  None while the row count is unknown (a g that
-    is not split, no lattice yet in the memo) or a missing lattice is
+    the missing lattices into.  None while the row count is unknown (a g
+    that is not split, no lattice yet in the memo) or a missing lattice is
     already bound for another family's array.
     """
     memo = integrand._f_memo
     held = next((memo[N] for N, _ in ps if N in memo), None)
-    if held is not None and _is_level0(memo, held.base, n, ps):
-        return held.base
+    base = None if held is None else held.base
+    if base is not None and base.shape[-1] == n - 1 and all(
+        N in memo and memo[N].__array_interface__ == base[..., idx].__array_interface__ for N, idx in ps
+    ):
+        return base
     if (out and any(N in out for N, _ in ps)) or (held is None and _split(integrand) is None):
         return None
     f = np.empty((() if held is None else held.shape[:-1]) + (n - 1,))
-    # a doubling rung: ps[1:] are the primitives of the family at n/2, at
-    # f's odd entries
-    half = memo.get(ps[1][0]) if n % 2 == 0 and ps[0][0] not in memo else None
-    if half is not None and _is_level0(memo, half.base, n // 2, _primitives(n // 2, 0)):
-        f[..., 1::2] = half.base
-        for N, idx in ps[1:]:
-            memo[N] = f[..., idx]
-        ps = ps[:1]
     for N, idx in ps:
         if N in memo:
             f[..., idx] = memo[N]

@@ -878,21 +878,23 @@ class TestSplitFill:
         assert all(broken._f_memo[N] is f for N, f in held.items())
 
     @pytest.mark.parametrize("vector", [False, True])
-    def test_doubling_rung_copies_the_half_family(self, vector):
-        # after the level-0 family at n/2, the family at n holds it as its
-        # odd entries: the memo's lattices become views of one new array,
-        # bit for bit what a fresh integrand fills
+    def test_level0_ladder_holds_each_lattice_once(self, vector):
+        # a doubling ladder of level-0 families after one fill of their
+        # lattices packed with others: each rung is bit for bit what a fresh
+        # integrand fills, and each memo entry is an array of its own or a
+        # view of the last rung's array, so a lattice re-pointed at a family
+        # keeps no old values alive
         integ = GeometricKernelCase(eta=0.6, t=1.0).integrand()
         if vector:
             g = integ.g_eval
             integ = dataclasses.replace(integ, g_eval=lambda x: np.stack([g(x), -2.0 * g(x)]), g_derivs_at_t=None)
+        quadrature._memoize(integ, [5, 7, 64] + [N for N, _ in quadrature._primitives(24, 0)])
         for n in (24, 48, 96):
             [(f, _)] = quadrature._family_sums(integ, [(n, 0)])
             [(fresh, _)] = quadrature._family_sums(dataclasses.replace(integ), [(n, 0)])
             assert np.array_equal(f, fresh), n
-            assert quadrature._is_level0(integ._f_memo, f, n, quadrature._primitives(n, 0))
-        # the family at 48 is still held as the odd entries of the one at 96
-        assert np.array_equal(f[..., 1::2], quadrature._family_sums(dataclasses.replace(integ), [(48, 0)])[0][0])
+            family = {N for N, _ in quadrature._primitives(n, 0)}
+            assert all(integ._f_memo[N].base is (f if N in family else None) for N in integ._f_memo), n
 
     @pytest.mark.parametrize("eta, ulps", [(0.5, 8), (0.9, 40)])
     def test_u_from_half_sines_is_close_to_u_at_t_plus_y(self, eta, ulps):
