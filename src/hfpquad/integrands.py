@@ -99,7 +99,12 @@ def numerator_factor(m: int, y, period: float = TWO_PI):
     form for 0.5 < |z| <= pi/2, and a reflected form for |z| > pi/2 that
     reduces the angle through T - |y| (exact for |y| >= T/2), keeping full
     relative accuracy up to the poles at |y| -> T.  Every branch reads |y|
-    or an even power of z, so psi_m(-y) == psi_m(y) bit for bit.
+    or an even power of z, so psi_m(-y) == psi_m(y) bit for bit.  The
+    steps run in place (the series by Horner's rule from its last
+    coefficient, which the step from 0 gives exactly as z^2 >= 0): an
+    in-place IEEE operation rounds as the same operation written out, so
+    each double is that of the formulas as written, and a point's double
+    does not depend on the other points of the call.
 
     Its callers: the psi of ``singular_periodic_integrand``, which the rules
     evaluate once per lattice into their offset table and ``g_eval`` at
@@ -107,40 +112,50 @@ def numerator_factor(m: int, y, period: float = TWO_PI):
     """
     y = np.asarray(y, dtype=float)
     shape = y.shape
-    yf = np.atleast_1d(y).astype(float)
+    yf = np.atleast_1d(y)
     z = math.pi * yf / period
     coeffs = _series_floats(m)
     w = np.empty_like(z)
 
-    near = np.abs(z) <= _Z_SWITCH
-    mid = (~near) & (np.abs(z) <= 0.5 * math.pi)
+    az = np.abs(z)
+    near = az <= _Z_SWITCH
+    mid = (~near) & (az <= 0.5 * math.pi)
     far = (~near) & (~mid)
 
     if np.any(near):
-        zn2 = z[near] ** 2
-        acc = np.zeros_like(zn2)
-        for c in reversed(coeffs):
-            acc = acc * zn2 + c
+        # the step from acc = 0 gives coeffs[-1] exactly, as zn2 >= 0
+        zn2 = np.square(z[near])
+        acc = np.full_like(zn2, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= zn2
+            acc += c
         w[near] = acc
     if np.any(mid):
         zf = z[mid]
-        val = (zf / np.sin(zf)) ** m
+        val = np.sin(zf)
+        np.divide(zf, val, out=val)
+        val **= m
         if m % 2 == 1:
-            val = val * np.cos(zf)
+            val *= np.cos(zf, out=zf)
         w[mid] = val
     if np.any(far):
         # z = sign(y)(pi - wr), wr = pi(T - |y|)/T; sin z = sign(y) sin wr,
         # cos z = -cos wr; T - |y| is exact for |y| >= T/2
-        yr = period - np.abs(yf[far])
-        wr = math.pi * yr / period
-        zf = np.abs(z[far])
-        val = (zf / np.sin(wr)) ** m
+        wr = np.abs(yf[far])
+        np.subtract(period, wr, out=wr)
+        wr *= math.pi
+        wr /= period
+        zf = az[far]
+        val = np.divide(zf, np.sin(wr), out=zf)
+        val **= m
         if m % 2 == 1:
-            val = -val * np.cos(wr)
+            # -(val cos wr) is -val * cos wr bit for bit: negation is exact
+            val *= np.cos(wr, out=wr)
+            np.negative(val, out=val)
         w[far] = val
-    out = (period / math.pi) ** m * w
-    out = out.reshape(shape)
-    return out if shape else float(out)
+    w *= (period / math.pi) ** m
+    w = w.reshape(shape)
+    return w if shape else float(w)
 
 
 @lru_cache(maxsize=64)
@@ -191,8 +206,12 @@ class TrigPolynomial:
     polynomials at orders 0, 1, 3, 7 and 11 (tested).  The steps are
     elementwise real operations, so a point's double does not depend on the
     shape of x: a scalar x runs them on Python floats, the same IEEE
-    operations.  The gamma_k of an order are formed on its first call and
-    kept with the instance.
+    operations.  An array x runs them in place, in two scratch arrays, from
+    gamma_d, which the first step from 0 gives exactly but for the sign of a
+    zero component (a zero's sign reaches the result only where the result
+    is zero); an in-place IEEE operation rounds as the same operation out of
+    place, so every double is that of the written-out steps.  The gamma_k of
+    an order are formed on its first call and kept with the instance.
     """
 
     cos_coeffs: tuple[float, ...]
@@ -217,16 +236,33 @@ class TrigPolynomial:
     def deriv(self, order: int, x):
         tail, head = self._horner_coefficients(order)
         x = np.asarray(x, dtype=float)
-        if x.shape:
-            c, s = np.cos(x), np.sin(x)
-        else:
-            c, s = float(np.cos(x)), float(np.sin(x))
         # (re, im) times z in real operations: numpy's complex multiply uses
         # fused multiply-adds on arrays and not on scalars
-        re = im = 0.0
-        for g_re, g_im in tail:
-            re, im = re * c - im * s + g_re, re * s + im * c + g_im
-        return re * c - im * s + head
+        if not x.shape:
+            c, s = float(np.cos(x)), float(np.sin(x))
+            re = im = 0.0
+            for g_re, g_im in tail:
+                re, im = re * c - im * s + g_re, re * s + im * c + g_im
+            return re * c - im * s + head
+        c, s = np.cos(x), np.sin(x)
+        # the same steps in place, from gamma_d: the first step from 0 gives
+        # it but for the sign of a zero component
+        (re_d, im_d), *steps = tail or ((0.0, 0.0),)
+        re, im = np.full(x.shape, re_d), np.full(x.shape, im_d)
+        a, b = np.empty(x.shape), np.empty(x.shape)
+        for g_re, g_im in steps:
+            np.multiply(re, c, out=a)
+            a -= np.multiply(im, s, out=b)
+            a += g_re
+            np.multiply(re, s, out=b)
+            im *= c
+            b += im
+            b += g_im
+            re, im, a, b = a, b, re, im
+        re *= c
+        re -= np.multiply(im, s, out=im)
+        re += head
+        return re
 
 
 def random_trig_polynomial(rng: np.random.Generator, degree: int = 6) -> TrigPolynomial:

@@ -107,9 +107,20 @@ class PeriodicIntegrand:
         return self.b - self.a
 
     def f_eval(self, x):
-        """Evaluate f at x (scalar or array), wrapping into [a, b) first."""
-        xw = _wrap(np.asarray(x, dtype=float), self.a, self.b)
-        vals = _check_finite(_rule_g(self, xw), xw) / int_power(xw - self.t, self.m)
+        """Evaluate f at x (scalar or array), wrapping into [a, b) first.
+
+        A point that wraps onto t raises EvaluationError naming it and its
+        index, before g runs."""
+        x = np.asarray(x, dtype=float)
+        xw = _wrap(x, self.a, self.b)
+        y = xw - self.t
+        if not y.all():
+            idx = int(np.flatnonzero(y == 0)[0])
+            xi = float(x.ravel()[idx])
+            raise EvaluationError(
+                f"f is singular at point {idx} (x={xi!r}), which wraps onto t={self.t!r}", node_index=idx, node_x=xi
+            )
+        vals = _check_finite(_rule_g(self, xw), xw) / int_power(y, self.m)
         return vals if vals.shape else float(vals)
 
     def deriv_at_t(self, order: int) -> float:
@@ -751,7 +762,7 @@ def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.
     held = next((memo[N] for N, _ in ps if N in memo), None)
     base = None if held is None else held.base
     if base is not None and base.shape[-1] == n - 1 and all(
-        N in memo and memo[N].__array_interface__ == base[..., idx].__array_interface__ for N, idx in ps
+        N in memo and _same_view(memo[N], base[..., idx]) for N, idx in ps
     ):
         return base
     if (out and any(N in out for N, _ in ps)) or (held is None and _split(integrand) is None):
@@ -764,6 +775,17 @@ def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.
         else:
             out[N] = f[..., idx]
     return f
+
+
+def _same_view(v: np.ndarray, w: np.ndarray) -> bool:
+    """Whether the views v and w of one array hold the same elements: the
+    same base, data pointer, strides and shape."""
+    return (
+        v.base is w.base
+        and v.shape == w.shape
+        and v.strides == w.strides
+        and v.__array_interface__["data"][0] == w.__array_interface__["data"][0]
+    )
 
 
 def _family_sums(integrand: PeriodicIntegrand, families) -> list[tuple[np.ndarray, object]]:
@@ -789,7 +811,7 @@ def _family_sums(integrand: PeriodicIntegrand, families) -> list[tuple[np.ndarra
             elif f is None:
                 f = _level0(integrand, n, ps, {})
             total = _sum(f)
-            if not np.isfinite(total).all():
+            if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
                 x = _family_nodes(integrand, n, level)[1]
                 if np.isinf(f[~np.isfinite(f)][:1]).any():
                     _check_finite(f, x, "g/(x - t)^m overflowed at node {index} (x={x!r}) where g is finite")
@@ -903,7 +925,7 @@ def extrapolation_weights(s: int) -> ExtrapolationWeights:
 
 def _fsum(terms: list):
     """math.fsum of the terms; of each row's terms for a vector g's arrays."""
-    if np.ndim(terms[0]) == 0:
+    if isinstance(terms[0], float):
         return math.fsum(terms)
     return np.array([math.fsum(row) for row in np.stack(terms, axis=-1).tolist()])
 

@@ -91,6 +91,22 @@ class TestNumeratorFactor:
             )
             assert v == pytest.approx(ref, rel=1e-14)
 
+    @pytest.mark.parametrize("period", [TWO_PI, 1.0])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_array_call_is_elementwise(self, m, period):
+        # each y of an array call gets the double of a scalar call, whatever
+        # branch the other points take: series (|z| <= 0.5), closed form
+        # (|z| <= pi/2) and reflection mixed in a shuffled order
+        rng = np.random.default_rng(10 * m + int(period))
+        sign = rng.choice([-1.0, 1.0], 30)
+        z = np.concatenate(
+            [rng.uniform(0.0, 0.5, 10), rng.uniform(0.5, 0.5 * math.pi, 10), rng.uniform(0.5 * math.pi, 3.1, 10)]
+        )
+        y = rng.permutation(sign * z * period / math.pi)
+        for yi, value in zip(y, numerator_factor(m, y, period)):
+            got = numerator_factor(m, float(yi), period)
+            assert type(got) is float and got.hex() == float(value).hex()
+
     def test_derivs_at_zero(self):
         # psi_1''(0) = -1/3 for T = 2 pi; odd orders vanish
         d = numerator_factor_derivs(1, 4, TWO_PI)
@@ -183,15 +199,20 @@ class TestTrigPolynomial:
             ((0.7,), ()),
             ((), (0.3, -0.8, 0.5)),
             ((0.2, -0.4, 0.0, 0.0), (0.9, 0.0, 0.0)),
+            ((0.6, -0.9), ()),
+            ((0.3, 0.5, -0.7, -0.2), ()),
         ],
-        ids=["empty", "constant", "sin-only", "trailing-zeros"],
+        ids=["empty", "constant", "sin-only", "trailing-zeros", "degree-1", "cos-only"],
     )
     @pytest.mark.parametrize("order", [0, 1, 2, 5])
     def test_edge_polynomials_match_the_direct_sum(self, cos, sin, order):
+        # at degree 0 and 1 the array path's Horner loop runs no step; an
+        # empty sin_coeffs gives gamma_k with a zero component
         u = TrigPolynomial(cos, sin)
         xs = np.linspace(-TWO_PI, TWO_PI, 11)
         for x, value in zip(xs, u.deriv(order, xs)):
             assert abs(value - _mp_trig_sum(u, order, x)) <= _trig_bound(u, order)
+            assert u.deriv(order, float(x)).hex() == float(value).hex()
 
 
 def _mp_trig_sum(u, order, x):

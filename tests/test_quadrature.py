@@ -82,6 +82,17 @@ class TestWrap:
         assert type(got) is float
         assert got == integ.f_eval(np.array([x]))[0]
 
+    @pytest.mark.parametrize("x", [0.5, 0.5 + 6.0, np.array([1.0, -2.0, 0.5 - 12.0])])
+    def test_f_eval_at_t_is_an_evaluation_error(self, x):
+        # a point that wraps onto t names its index and x, before g runs
+        calls = []
+        integ = PeriodicIntegrand(3, 0.5, -3.0, 3.0, lambda x: calls.append(x) or np.cos(x))
+        idx = 2 if np.ndim(x) else 0
+        with pytest.raises(EvaluationError, match=r"f is singular at point \d+ .* wraps onto t=0\.5") as info:
+            integ.f_eval(x)
+        assert (info.value.node_index, info.value.node_x) == (idx, float(np.ravel(x)[idx]))
+        assert calls == []
+
 
 class TestNodeSums:
     def test_plain_odd_kernel_vanishes(self):
