@@ -3,7 +3,10 @@ inputs, as ``float.hex`` strings.
 
 A change meant to keep every double (a performance change) must pass these
 as they are.  A change that rounds differently on purpose updates them and
-says so in CHANGES.md.
+says so in CHANGES.md.  They were recorded with numpy 2.4.6 on x86-64
+Linux, and hold there with numpy's SIMD dispatch limited to its baseline
+(``NPY_DISABLE_CPU_FEATURES``) too; a libm or numpy whose sin, cos or pow
+rounds another last bit would move them.
 """
 
 import pytest

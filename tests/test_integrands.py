@@ -103,9 +103,12 @@ class TestNumeratorFactor:
             [rng.uniform(0.0, 0.5, 10), rng.uniform(0.5, 0.5 * math.pi, 10), rng.uniform(0.5 * math.pi, 3.1, 10)]
         )
         y = rng.permutation(sign * z * period / math.pi)
+        y_in = y.copy()
         for yi, value in zip(y, numerator_factor(m, y, period)):
             got = numerator_factor(m, float(yi), period)
             assert type(got) is float and got.hex() == float(value).hex()
+        # the in-place steps leave the caller's array alone
+        np.testing.assert_array_equal(y, y_in)
 
     def test_derivs_at_zero(self):
         # psi_1''(0) = -1/3 for T = 2 pi; odd orders vanish
