@@ -206,9 +206,7 @@ def hfp_reference(
     derivatives, and a g that fails raises EvaluationError naming the node
     on its first call.  g is called once for the first two doublings
     (4 and 8 panels per segment, the 4-panel nodes first) and once for
-    each further doubling.  The remainder's Taylor Horner, subtraction and
-    division run in place, which rounds as the same operations written
-    out, so the value is that of the formulas as written.
+    each further doubling.
 
     The stopping test bounds the change between two doublings, not the
     error, and above m = 5 the two part ways: for PoissonKernelU(0.3) at
@@ -237,12 +235,8 @@ def hfp_reference(
         y_safe = np.where(near, 1.0, y)
         poly = np.zeros_like(y)
         for c in d[::-1]:
-            poly *= y
-            poly += c
-        # g's array may be the evaluator's own, so the quotient goes into poly
-        out = np.subtract(_check_finite(_rule_g(integrand, x), x), poly, out=poly)
-        y_safe **= m
-        out /= y_safe
+            poly = poly * y + c
+        out = (_check_finite(_rule_g(integrand, x), x) - poly) / y_safe**m
         return np.where(near, lead * y**smoothing, out)
 
     breakpoints = [a, t - rho, t, t + rho, b]

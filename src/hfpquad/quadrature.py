@@ -762,7 +762,7 @@ def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.
     held = next((memo[N] for N, _ in ps if N in memo), None)
     base = None if held is None else held.base
     if base is not None and base.shape[-1] == n - 1 and all(
-        N in memo and _same_view(memo[N], base[..., idx]) for N, idx in ps
+        N in memo and memo[N].__array_interface__ == base[..., idx].__array_interface__ for N, idx in ps
     ):
         return base
     if (out and any(N in out for N, _ in ps)) or (held is None and _split(integrand) is None):
@@ -775,17 +775,6 @@ def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.
         else:
             out[N] = f[..., idx]
     return f
-
-
-def _same_view(v: np.ndarray, w: np.ndarray) -> bool:
-    """Whether the views v and w of one array hold the same elements: the
-    same base, data pointer, strides and shape."""
-    return (
-        v.base is w.base
-        and v.shape == w.shape
-        and v.strides == w.strides
-        and v.__array_interface__["data"][0] == w.__array_interface__["data"][0]
-    )
 
 
 def _family_sums(integrand: PeriodicIntegrand, families) -> list[tuple[np.ndarray, object]]:
@@ -925,7 +914,7 @@ def extrapolation_weights(s: int) -> ExtrapolationWeights:
 
 def _fsum(terms: list):
     """math.fsum of the terms; of each row's terms for a vector g's arrays."""
-    if isinstance(terms[0], float):
+    if not isinstance(terms[0], np.ndarray):
         return math.fsum(terms)
     return np.array([math.fsum(row) for row in np.stack(terms, axis=-1).tolist()])
 

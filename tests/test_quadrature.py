@@ -453,6 +453,20 @@ class TestTHat:
         spec = RuleSpec(np.int64(3), np.int32(2), np.int64(10), path="compact")
         assert t_hat(spec, integ) == t_hat(RuleSpec(3, 2, 10, path="compact"), integ)
 
+    def test_float32_endpoints_sum_as_scalars(self):
+        # float32 endpoints give a float32 period, so the compact rule's
+        # family terms are numpy float32 scalars, not arrays
+        derivs = (math.cos(1.0), -math.sin(1.0), -math.cos(1.0))
+        wide = PeriodicIntegrand(m=2, t=1.0, a=0.0, b=2 * math.pi, g_eval=np.cos, g_derivs_at_t=derivs)
+        narrow = PeriodicIntegrand(
+            m=2, t=1.0, a=np.float32(0.0), b=np.float32(2 * math.pi), g_eval=np.cos, g_derivs_at_t=derivs
+        )
+        for path in ("compact", "generic"):
+            spec = RuleSpec(2, 1, 16, path=path)
+            val = t_hat(spec, narrow)
+            assert np.ndim(val) == 0
+            assert val == pytest.approx(t_hat(spec, wide), rel=1e-6)
+
     def test_compact_equals_generic_combination(self):
         # algebraic identity: the closed forms are the weighted combinations
         # of the base rule at n, 2n, 4n, ...
