@@ -141,9 +141,9 @@ def convergence_table_for(
 ) -> ConvergenceReport:
     """Table of rule values and errors against a precomputed oracle value.
 
-    g is evaluated once, on the nodes of every row that the integrand's
-    memo lacks (see PeriodicIntegrand); each row is then ``t_hat`` of the
-    integrand, which reads g from the memo.
+    g is evaluated in one pass of blocks over the nodes of every row that
+    the integrand's memo lacks (see PeriodicIntegrand); each row is then
+    ``t_hat`` of the integrand, which reads g from the memo.
     """
     ns = sorted(set(int(n) for n in n_list))
     if not ns:

@@ -119,9 +119,12 @@ def _psi_table(kernel: PeriodicKernel, shape: tuple, data: bytes) -> np.ndarray:
     Every rhs, build and solve with one kernel evaluates psi on the same few
     offset arrays (the rule columns, the anchor's rule families, the norm
     sample), so each is evaluated once.  An entry holds its key's bytes and
-    the values, 16 bytes per offset, so the table holds at most 64 * 16 * M
-    bytes for arrays of at most M offsets: 1 MB at M = 1024, the largest
-    array of an rhs at _RHS_N_HIGH or of a build with N <= 1024 unknowns.
+    the values, 16 bytes per offset.  An rhs reads five arrays of at most
+    576 offsets (the 257-offset norm sample, the anchor's blocks of 288 and
+    384 and its two rules' columns of 288 and 576), and a build of N
+    unknowns one, its live residues: N - 1 for (3, 0), 3N/4 for (3, 2).
+    So 64 entries of builds with N <= 1024 hold at most 1 MiB; the
+    ``ie-solve`` mix reads 11 arrays of 3,134 offsets, about 49 KiB.
     """
     y = np.frombuffer(data).reshape(shape)
     vals = _call("psi", "offsets", kernel.psi, y)

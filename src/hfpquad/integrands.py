@@ -296,8 +296,9 @@ class PoissonKernelU:
     ((1 - eta) + 2 eta s)/((1 - eta)^2 + 4 eta s), s = sin^2(x/2): the
     denominator as written cancels near x = 0, where its relative error
     grows to about u/(1 - eta)^2.  ``from_half_sine(S)`` is that form on
-    S = sin(x/2), which the rules' split fill forms for the nodes x = t + y
-    by a half-angle sum, with no node coordinate; ``deriv(0, x)`` runs it on
+    S = sin(x/2), which the rules' memo fill forms for a split's u at the
+    nodes x = t + y by a half-angle sum, with no node coordinate (a plain g
+    never runs through it); ``deriv(0, x)`` runs it on
     np.sin(0.5 x).  An order >= 1 is Re(i^order q E(q)/(1 - q)^(order+1)),
     E the Eulerian numerator by Horner's rule, in real arithmetic, with
     1/(1 - q) = conj(1 - q)/|1 - q|^2 in the same half-angle form; a scalar

@@ -232,12 +232,15 @@ def hfp_reference(
     def remainder(x):
         y = x - t
         near = np.abs(y) < rho
-        y_safe = np.where(near, 1.0, y)
         poly = np.zeros_like(y)
         for c in d[::-1]:
             poly = poly * y + c
-        out = (_check_finite(_rule_g(integrand, x), x) - poly) / y_safe**m
-        return np.where(near, lead * y**smoothing, out)
+        out = _check_finite(_rule_g(integrand, x), x) - poly
+        # each power only where it is kept: pow on negative bases is slow
+        far = ~near
+        out[far] /= y[far] ** m
+        out[near] = lead * y[near] ** smoothing
+        return out
 
     breakpoints = [a, t - rho, t, t + rho, b]
     # 4 and 8 panels always run, as the first pass has nothing to compare with

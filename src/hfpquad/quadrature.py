@@ -11,9 +11,10 @@ extra function evaluations, down to fully derivative-free forms.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,24 +63,24 @@ class PeriodicIntegrand:
     The rules' nodes lie on nested lattices (see ``_primitives``), and each
     instance memoizes the quotient f = g/(x - t)^m on the lattices its rules
     have evaluated: ``t_hat`` calls g, builds nodes and divides at most once
-    per node of an integrand, and a rule is a set of sums over the memo, so
-    g must give a node the same value whatever other nodes share the call.
+    per node of an integrand, and a rule is a set of sums over the memo.  g
+    runs once per block of at most ``_G_BLOCK`` nodes, so it must give a
+    node the same value whatever other nodes share the call.
     For a sequence of rules of growing n, such as a doubling sweep, the memo
     holds one double (one per row of a vector g) per distinct node
     evaluated, the finest rule's node count; a rule after a larger one on
     the same lattices can leave a node's value in more than one array.
     ``dataclasses.replace`` starts a new instance with an empty memo.
 
-    A ``g_eval`` that is a ``SplitNumerator`` about this t declares
-    g(x) = psi(x - t) u(x).  The rules then form f = psi(y) u(x)/y^m on the
-    exact offsets y of their nodes, with psi(|y|) and |y|^m read from a
-    table shared by every integrand with the same psi, m and period, and
-    call u once per block of nodes, a block of one lattice by view runs and
-    a block of several small ones in one gathered pass, each node the same
-    double either way; ``g_eval(x)`` itself evaluates psi(x - t), so the
-    two can differ in the last bits.  Replacing
-    ``g_eval`` (``dataclasses.replace(integ, g_eval=other)``) drops the
-    split: the rules then call the new g.
+    Every g is filled as a split g(x) = psi(x - t) u(x): f = psi(y) u/y^m
+    on the exact offsets y of the nodes, with |y|^m and psi(|y|) read from a
+    table shared by every integrand with the same psi, m and period.  A
+    plain g is psi = 1 and u = g at the wrapped nodes x_hat, so f is bit for
+    bit g(x_hat)/y^m.  A ``g_eval`` that is a ``SplitNumerator`` about this
+    t declares its psi and u; ``g_eval(x)`` itself evaluates psi(x - t), so
+    the two can differ in the last bits.  Replacing ``g_eval``
+    (``dataclasses.replace(integ, g_eval=other)``) drops the split: the
+    rules then fill the new g as a plain one.
     """
 
     m: int
@@ -142,14 +143,11 @@ class SplitNumerator:
     flattened array so that the temporaries stay in cache; each node gets
     the double of an unblocked call.  The rules of a ``PeriodicIntegrand``
     whose ``g_eval`` this is, about the integrand's own t, instead evaluate
-    psi at the exact offsets y of their nodes: psi(|y|) and |y|^m come from
-    one table per (psi, m, period, lattice), shared by every such integrand
+    psi at the exact offsets y of their nodes, in the memo fill every g goes
+    through (``_memoize``; a plain g is psi = 1): psi(|y|) and |y|^m come
+    from one table per (psi, m, period, lattice), shared by every integrand
     and holding at most ``_OFFSET_TABLE_BYTES`` bytes, and u runs once per
-    block of at most ``_G_BLOCK`` nodes.  A block that is one piece of one
-    lattice is filled through views of the table and the memo entry; a
-    block of pieces of several lattices in one gathered pass, every index
-    from per-lattice scalars; the block's shape alone picks, and each node
-    gets the same double either way.  u runs on the wrapped nodes
+    block of at most ``_G_BLOCK`` nodes.  u runs on the wrapped nodes
     x_hat = fl(t + y), unless it has a ``from_half_sine(S)`` method giving
     u(x) from S = sin(x/2) elementwise (``PoissonKernelU``): that method
     then runs on sin((t + y)/2), formed from sines and cosines of per-lattice
@@ -330,18 +328,22 @@ class RuleSpec:
 # ---------------------------------------------------------------------------
 
 
-#: blocks of a split g: psi and u run on at most this many nodes per call,
-#: so that their temporaries stay in cache; a node's double does not depend
-#: on the block, as u at x_hat is elementwise and the half-angle sum of a
-#: u with ``from_half_sine`` is anchored on the node's own k
+#: blocks of the memo fill: g (psi and u of a split g) runs on at most this
+#: many nodes per call, so that the temporaries stay in cache; a node's
+#: double does not depend on the block, as g and u at x_hat are elementwise
+#: and the half-angle sum of a u with ``from_half_sine`` is anchored on the
+#: node's own k
 _G_BLOCK = 8192
 
 #: bound on the bytes of the offset table's arrays
 _OFFSET_TABLE_BYTES = 8 * 2**20
 
 # (id(psi), m, period, N) -> (psi, psi(|y|), |y|^m) on the first positive
-# offsets of P(N), least recently used first; holding psi keeps its id unique
+# offsets of P(N), least recently used first; holding psi keeps its id
+# unique.  psi is None, and psi(|y|) with it, for a g that is not split.
 _OFFSET_TABLE: dict = {}
+# held for every read and write of the table, which threads share
+_OFFSET_TABLE_LOCK = threading.Lock()
 
 
 def _family(integrand: PeriodicIntegrand, n: int, level: int):
@@ -468,38 +470,45 @@ def _blocks(sizes):
         yield block
 
 
-def _joined(arrays: list) -> np.ndarray:
-    """The arrays concatenated; a single array as it is, not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _offset_table(psi: Callable, m: int, period: float, N: int, family, need: int):
+def _offset_table(psi: Optional[Callable], m: int, period: float, N: int, family, need: int):
     """(psi(|y|), |y|^m) on at least the first ``need`` offsets ks[i]*delta
-    of the lattice P(N) (``family``), from the table shared by integrands.
+    of the lattice P(N) (``family``), from the table shared by integrands;
+    psi(|y|) is None for psi None, a g that is not split.
 
     A new entry covers at least half the lattice, the offsets up to T/2,
-    which is what a period centered at t reads; psi runs in blocks.
-    Entries are evicted least recently used first to keep the table's
-    arrays within ``_OFFSET_TABLE_BYTES``; an entry larger than that is not
-    kept.
+    which is what a period centered at t reads; psi runs in blocks, outside
+    the table's lock.  Entries are evicted least recently used first to
+    keep the table's arrays within ``_OFFSET_TABLE_BYTES``; an entry larger
+    than that is not kept.
     """
     key = (id(psi), m, period, N)
-    entry = _OFFSET_TABLE.pop(key, None)
-    if entry is None or entry[1].size < need:
-        ks, _, delta = family
-        size = max(need, (len(ks) + 1) // 2)
-        entry = (psi, np.empty(size), np.empty(size))
-        for [(_, lo, hi)] in _blocks([size]):
-            y = _offsets((ks, size, delta), lo, hi)
+    with _OFFSET_TABLE_LOCK:
+        entry = _OFFSET_TABLE.pop(key, None)
+        if entry is not None and entry[2].size >= need:
+            _OFFSET_TABLE[key] = entry
+            return entry[1:]
+    ks, _, delta = family
+    size = max(need, (len(ks) + 1) // 2)
+    entry = (psi, None if psi is None else np.empty(size), np.empty(size))
+    for [(_, lo, hi)] in _blocks([size]):
+        y = _offsets((ks, size, delta), lo, hi)
+        if psi is not None:
             entry[1][lo:hi] = _call("psi", "offsets", psi, y)
-            entry[2][lo:hi] = int_power(y, m)
-        held = sum(a.nbytes + p.nbytes for _, a, p in _OFFSET_TABLE.values())
-        while 16 * size <= _OFFSET_TABLE_BYTES < held + 16 * size:
-            _, a, p = _OFFSET_TABLE.pop(next(iter(_OFFSET_TABLE)))
-            held -= a.nbytes + p.nbytes
-    if 16 * entry[1].size <= _OFFSET_TABLE_BYTES:
-        _OFFSET_TABLE[key] = entry
+        entry[2][lo:hi] = int_power(y, m)
+    nbytes = _table_bytes(entry)
+    if nbytes <= _OFFSET_TABLE_BYTES:
+        with _OFFSET_TABLE_LOCK:
+            _OFFSET_TABLE.pop(key, None)
+            held = sum(map(_table_bytes, _OFFSET_TABLE.values()))
+            while held + nbytes > _OFFSET_TABLE_BYTES:
+                held -= _table_bytes(_OFFSET_TABLE.pop(next(iter(_OFFSET_TABLE))))
+            _OFFSET_TABLE[key] = entry
     return entry[1:]
+
+
+def _table_bytes(entry) -> int:
+    """The bytes of the arrays an ``_OFFSET_TABLE`` entry holds."""
+    return sum(a.nbytes for a in entry[1:] if a is not None)
 
 
 @lru_cache(maxsize=256)
@@ -567,7 +576,7 @@ def _half_sines(family, half_angle_rows, j: int, lo: int, hi: int) -> np.ndarray
 
 
 def _gather(integrand: PeriodicIntegrand, families, tables, half_angle_rows, block):
-    """(what u runs on, psi(|y|), y^m) at the nodes of a block of several
+    """(u's argument, psi(|y|) or None, y^m) at the nodes of a block of several
     pieces, in its order, each node's doubles those of a one-piece block.
 
     Node i of a lattice wraps for i >= inside; its table row is i, or
@@ -600,14 +609,14 @@ def _gather(integrand: PeriodicIntegrand, families, tables, half_angle_rows, blo
             deltas.append(delta)
             scalars += (ks.step, ks.stop)
         start += hi - lo
-        first += psi_j.size
+        first += power_j.size
     runs = [hi - lo for _, lo, hi in block]
     c = np.array(scalars).reshape(len(block), -1).T.repeat(runs, axis=1)
     i = np.arange(start)
     i += c[0]
     wrapped = i >= c[1]
     row = np.where(wrapped, c[2] - i, i + c[3])
-    psi_abs = np.concatenate(psi_abs).take(row)
+    psi_abs = None if psi_abs[0] is None else np.concatenate(psi_abs).take(row)
     power = np.concatenate(power).take(row)
     if integrand.m % 2:
         # power is a fresh contiguous array, not a strided view of f
@@ -636,48 +645,22 @@ def _gather(integrand: PeriodicIntegrand, families, tables, half_angle_rows, blo
 
 
 def _memoize(integrand: PeriodicIntegrand, lattices, out: Optional[dict] = None) -> None:
-    """Store f = g/y^m on each primitive lattice P(N), N in ``lattices``,
-    that the memo lacks: into ``out[N]`` where given, else a fresh array.
+    """Store f = psi(y) u/y^m on each primitive lattice P(N), N in
+    ``lattices``, that the memo lacks: into ``out[N]`` where given, else a
+    fresh array, made once the first block shows g's row count.
 
-    A split g goes to ``_memoize_split``; any other g is called once, on the
-    nodes of every missing lattice built alone (``_lattice``).  f is stored
-    unchecked (``_family_sums`` checks it), and is NaN where g is not
-    finite, so an infinite f is a quotient that overflowed.
-    """
-    memo, out = integrand._f_memo, out or {}
-    missing = [N for N in dict.fromkeys(lattices) if N not in memo]
-    if not missing:
-        return
-    families = [_lattice(integrand, N) for N in missing]
-    split = _split(integrand)
-    if split is not None:
-        _memoize_split(integrand, split, missing, families, out)
-        return
-    ys = [_offsets(family) for family in families]
-    g = _rule_g(integrand, _joined([_nodes(integrand, y) for y in ys]))
-    g_finite, lo = np.isfinite(g).all(), 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for N, y in zip(missing, ys):
-            g_N, lo = g[..., lo : lo + y.size], lo + y.size
-            # dividing into the power's fresh array saves a node-sized allocation
-            power = int_power(y, integrand.m)
-            memo[N] = np.divide(g_N, power, out=out[N] if N in out else power if g_N.shape == power.shape else None)
-            if not g_finite:
-                memo[N][~np.isfinite(g_N)] = np.nan
-
-
-def _memoize_split(integrand: PeriodicIntegrand, split: SplitNumerator, missing, families, out) -> None:
-    """``_memoize`` for g = psi(x - t) u(x): f = (psi(y) u)/y^m on the exact
-    offsets y, NaN where psi(y) u is not finite.
-
-    u is u(x_hat) at the wrapped nodes, or, for a u with a
-    ``from_half_sine`` method, that method on sin((t + y)/2) formed by the
-    half-angle sum of ``_half_angle_table``: no node coordinate and no sine
-    per node.  psi(|y|) and |y|^m come from ``_offset_table``, the positive
-    offsets at their own rows and the wrapped ones, whose magnitudes are
-    the same doubles, reversed; for odd m the wrapped quotient is negated,
-    which is exact as IEEE division is sign-symmetric.  As psi is even, each
-    f is bit for bit psi(y) u/y^m with y^m = ``int_power(y, m)``.
+    A g split about the integrand's t gives its psi and u; any other g is
+    psi = 1, u = g through ``_rule_g``, never through a ``from_half_sine``
+    it may have.  u is u(x_hat) at the wrapped nodes, or, for a split u
+    with ``from_half_sine``, that method on sin((t + y)/2) from the
+    half-angle sum of ``_half_angle_table``.  psi(|y|) and |y|^m come from
+    ``_offset_table``, the positive offsets at their own rows and the
+    wrapped ones, whose magnitudes are the same doubles, reversed; for odd
+    m the wrapped quotient is negated, which is exact as IEEE division is
+    sign-symmetric.  As psi is even, each f is bit for bit psi(y) u/y^m (a
+    plain g's g(x_hat)/y^m), y^m = ``int_power(y, m)``.  f is stored
+    unchecked (``_family_sums`` checks it), NaN where psi u is not finite,
+    so an infinite f is a quotient that overflowed.
 
     u runs once per block of the concatenated missing lattices, and the
     block's shape picks how it is filled.  A block that is one piece of one
@@ -685,64 +668,76 @@ def _memoize_split(integrand: PeriodicIntegrand, split: SplitNumerator, missing,
     last) reads the table as two view runs, positive and wrapped, and writes
     f into the memo entry through them (``_half_sines``).  A block of
     several pieces, the small lattices of a table, is one gathered pass
-    (``_gather``): one multiply, one finite check and one divide over the
-    block, in place, then copied piece by piece into the memo entries or
+    (``_gather``): one multiply, one divide and one finite check over the
+    block, then copied piece by piece into the memo entries or
     ``_level0``'s ``out`` views.  Each lattice gets its own array, so that
     ``_level0`` re-pointing it frees its old values.  No node-sized array
     is made but the memo entries (the rest are block-sized).
     """
-    m, period = integrand.m, integrand.period
+    memo, out = integrand._f_memo, out or {}
+    missing = [N for N in dict.fromkeys(lattices) if N not in memo]
+    if not missing:
+        return
+    families = [_lattice(integrand, N) for N in missing]
+    m, split, rows = integrand.m, _split(integrand), None
+    if split is None:
+        psi, u_of = None, partial(_rule_g, integrand)
+    else:
+        from_half_sine = getattr(split.u, "from_half_sine", None)
+        psi, u_of = split.psi, partial(_call, "u", "nodes", split.u if from_half_sine is None else from_half_sine)
+        rows = None if from_half_sine is None else _half_angle_rows(integrand, families)
     sizes = [len(ks) for ks, _, _ in families]
     tables = [
-        _offset_table(split.psi, m, period, N, family, max(family[1], size - family[1]))
+        _offset_table(psi, m, integrand.period, N, family, max(family[1], size - family[1]))
         for N, family, size in zip(missing, families, sizes)
     ]
-    fs = [out[N] if N in out else np.empty(size) for N, size in zip(missing, sizes)]
-    from_half_sine = getattr(split.u, "from_half_sine", None)
-    u_of = split.u if from_half_sine is None else from_half_sine
-    rows = None if from_half_sine is None else _half_angle_rows(integrand, families)
+    fs = None
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(sizes):
+            j, lo, hi = block[0]
             if len(block) > 1:
-                arg, g, power = _gather(integrand, families, tables, rows, block)
-                g *= _call("u", "nodes", u_of, arg)
-                if not np.isfinite(g).all():
-                    g[~np.isfinite(g)] = np.nan
-                np.divide(g, power, out=g)
-                start = 0
-                for j, lo, hi in block:
-                    fs[j][lo:hi] = g[start : start + hi - lo]
-                    start += hi - lo
-                continue
-            [(j, lo, hi)] = block
-            (ks, inside, _), (psi_abs, power), f = families[j], tables[j], fs[j]
-            if rows is None:
+                arg, psi_abs, power = _gather(integrand, families, tables, rows, block)
+            elif rows is None:
                 arg = _nodes(integrand, _offsets(families[j], lo, hi))
             else:
                 arg = _half_sines(families[j], rows, j, lo, hi)
-            u = _call("u", "nodes", u_of, arg)
+            u = u_of(arg)
+            if fs is None:
+                fs = [out[N] if N in out else np.empty(u.shape[:-1] + (size,)) for N, size in zip(missing, sizes)]
+            if len(block) > 1:
+                g = u if psi_abs is None else np.multiply(psi_abs, u, out=psi_abs)
+                f = np.divide(g, power, out=power if g.shape == power.shape else None)
+                if not np.isfinite(g).all():
+                    f[~np.isfinite(g)] = np.nan
+                start = 0
+                for j, lo, hi in block:
+                    fs[j][..., lo:hi] = f[..., start : start + hi - lo]
+                    start += hi - lo
+                continue
+            (ks, inside, _), (psi_abs, power), f = families[j], tables[j], fs[j]
             # nodes lo:c have positive offsets, table rows lo:c; the wrapped
             # nodes c:hi have table rows L-1-c down to L-hi
             L, c = len(ks), min(max(inside, lo), hi)
-            g, mid = np.empty(u.size), c - lo
-            np.multiply(psi_abs[lo:c], u[:mid], out=g[:mid])
-            np.multiply(psi_abs[L - hi : L - c][::-1], u[mid:], out=g[mid:])
-            if not np.isfinite(g).all():
-                g[~np.isfinite(g)] = np.nan
-            np.divide(g[:mid], power[lo:c], out=f[lo:c])
-            np.divide(g[mid:], power[L - hi : L - c][::-1], out=f[c:hi])
+            g, mid = u, c - lo
+            if psi_abs is not None:
+                g = np.empty(u.shape)
+                np.multiply(psi_abs[lo:c], u[:mid], out=g[:mid])
+                np.multiply(psi_abs[L - hi : L - c][::-1], u[mid:], out=g[mid:])
+            np.divide(g[..., :mid], power[lo:c], out=f[..., lo:c])
+            np.divide(g[..., mid:], power[L - hi : L - c][::-1], out=f[..., c:hi])
             if m % 2:
                 # not np.negative(.., out=..): numpy 2.4 misreads a view of
                 # stride 8 there, and f can be one
-                f[c:hi] *= -1.0
+                f[..., c:hi] *= -1.0
+            if not np.isfinite(g).all():
+                f[..., lo:hi][~np.isfinite(g)] = np.nan
     # only now, so that a psi or u that raises leaves the memo as it was
-    integrand._f_memo.update(zip(missing, fs))
+    memo.update(zip(missing, fs))
 
 
 def _memoize_rules(integrand: PeriodicIntegrand, specs) -> None:
-    """Fill the memo on every lattice of the specs' rules in one g call (one
-    pass of blocks for a split g), so that ``t_hat`` of each spec calls no g
-    and builds no nodes."""
+    """Fill the memo on every lattice of the specs' rules in one pass of
+    blocks, so that ``t_hat`` of each spec calls no g and builds no nodes."""
     _memoize(integrand, [N for spec in specs for fam in _families(spec) for N, _ in _primitives(*fam)])
 
 

@@ -3,6 +3,8 @@ weights, the compact/generic identity, and the floor model."""
 
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -689,17 +691,20 @@ class TestGMemo:
         return dataclasses.replace(integ, g_eval=lambda x: sizes.append(np.size(x)) or g(x)), sizes
 
     # g points of one doubling sweep n = 2^6..2^16: every node of the finest
-    # rule once
+    # rule once, in one g call per block of at most _G_BLOCK new nodes.  At
+    # s = 0 the rules up to n = 16384 add at most 8192 nodes each (one call)
+    # and n = 32768 and 65536 add 16384 and 32768 (2 and 4 calls); at s = 2
+    # the finest grid is 4n, and n = 8192 ... 65536 take 2, 4, 8 and 16 calls
     @pytest.mark.parametrize(
-        "s, path, points",
-        [(0, "compact", 65_535), (0, "generic", 65_535), (2, "compact", 262_080), (2, "generic", 262_143)],
+        "s, path, points, calls",
+        [(0, "compact", 65_535, 15), (0, "generic", 65_535, 15), (2, "compact", 262_080, 37), (2, "generic", 262_143, 37)],
     )
-    def test_doubling_sweep_points(self, s, path, points):
+    def test_doubling_sweep_points(self, s, path, points, calls):
         integ, sizes = self.counted(GeometricKernelCase(eta=0.7, t=1.0).integrand())
         for n in self.SWEEP:
             t_hat(RuleSpec(3, s, n, path=path), integ)
         assert sum(sizes) == points
-        assert len(sizes) == len(self.SWEEP)  # one g call per rule
+        assert len(sizes) == calls and max(sizes) <= quadrature._G_BLOCK
 
     def test_repeated_rule_calls_no_g(self):
         integ, sizes = self.counted(GeometricKernelCase(eta=0.7, t=1.0).integrand())
@@ -740,9 +745,18 @@ class TestSplitFill:
     """A split g = psi(x - t) u(x) fills the memo with psi(y) u/y^m on the
     exact offsets, psi(|y|) and |y|^m read from the shared offset table; u is
     u(x_hat) at the wrapped nodes, or, for a u with ``from_half_sine``, u
-    from the half-angle sum for sin((t + y)/2)."""
+    from the half-angle sum for sin((t + y)/2).  A plain g is the split
+    psi = 1, u = g: its memo is g(x_hat)/y^m."""
 
     EPS = np.finfo(float).eps
+
+    # plain gs, each called at x_hat: PoissonKernelU's from_half_sine is
+    # for a split's u, not for a plain g
+    PLAIN = {
+        "plain-scalar": TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7)),
+        "plain-half-sine-attribute": PoissonKernelU(0.6),
+        "plain-vector": lambda x: np.stack([PoissonKernelU(0.6)(x), -3.0 * np.cos(x)]),
+    }
 
     @staticmethod
     def lattice_nodes(integ, N):
@@ -768,6 +782,10 @@ class TestSplitFill:
         # a period [-pi, pi) that puts t next to where the nodes wrap
         return integ if centered else dataclasses.replace(integ, a=-math.pi, b=math.pi)
 
+    @classmethod
+    def plain(cls, m, t, centered, g):
+        return dataclasses.replace(cls.integrand(m, t, centered), g_eval=g, g_derivs_at_t=None)
+
     @staticmethod
     def fill(integ):
         # level-0 families at 2^k >= 16 first, so the fill writes into their
@@ -782,20 +800,27 @@ class TestSplitFill:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_fill_is_the_split_bit_for_bit(self, m, t, centered):
         # a u without from_half_sine, a TrigPolynomial or a plain callable, is
-        # called on the wrapped nodes x_hat
+        # called on the wrapped nodes x_hat, and so is a plain g
         poisson = PoissonKernelU(0.6)
-        for u in (TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7)), lambda x: poisson(x)):
-            integ = self.integrand(m, t, centered)
-            integ = dataclasses.replace(integ, g_eval=SplitNumerator(integ.g_eval.psi, u, t))
+        base = self.integrand(m, t, centered)
+        integs = [
+            dataclasses.replace(base, g_eval=SplitNumerator(base.g_eval.psi, u, t))
+            for u in (TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7)), lambda x: poisson(x))
+        ]
+        integs += [self.plain(m, t, centered, g) for g in self.PLAIN.values()]
+        for integ in integs:
             self.fill(integ)
             g = integ.g_eval
+
+            def expected(y, x_hat):
+                numerator = g(x_hat) if quadrature._split(integ) is None else g.psi(y) * g.u(x_hat)
+                return numerator / quadrature.int_power(y, m)
+
             for N, f in integ._f_memo.items():
-                y, x_hat = self.lattice_nodes(integ, N)
-                assert np.array_equal(f, g.psi(y) * g.u(x_hat) / quadrature.int_power(y, m)), N
+                assert np.array_equal(f, expected(*self.lattice_nodes(integ, N))), N
             for n in (16, 64, 96):
                 [(f, _)] = quadrature._family_sums(integ, [(n, 0)])
-                y, x_hat = quadrature._family_nodes(integ, n, 0)
-                assert np.array_equal(f, g.psi(y) * g.u(x_hat) / quadrature.int_power(y, m)), n
+                assert np.array_equal(f, expected(*quadrature._family_nodes(integ, n, 0))), n
 
     @pytest.mark.parametrize("t, centered", [(0.3, True), (-2.9, True), (3.1, False), (-3.1, False)])
     @pytest.mark.parametrize("m", range(1, 6))
@@ -840,20 +865,27 @@ class TestSplitFill:
     # whose primitives 96, 48, ..., 3 are filled into _level0's views
     PACKED = (2, 3, 6, 7, 10, 97, 192, 1536)
 
-    @pytest.mark.parametrize("u", [PoissonKernelU(0.6), TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7))])
+    @pytest.mark.parametrize("numerator", ["split-poisson", "split-trig", *PLAIN])
     @pytest.mark.parametrize("t, centered", [(0.3, True), (-2.9, True), (3.1, False), (-3.1, False)])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_packed_blocks_give_each_lattice_its_lone_doubles(self, monkeypatch, m, t, centered, u):
+    def test_packed_blocks_give_each_lattice_its_lone_doubles(self, monkeypatch, m, t, centered, numerator):
         # each lattice alone is one block of one piece (the view runs); in
         # blocks of 7, 64 or 1000 nodes most blocks hold pieces of several
         # lattices (the gathered pass), split within a row and across the
         # wrap, into fresh memo entries and into a level-0 family's views
-        base = self.integrand(m, t, centered, u)
+        if numerator in self.PLAIN:
+            base = self.plain(m, t, centered, self.PLAIN[numerator])
+        else:
+            u = PoissonKernelU(0.6) if numerator == "split-poisson" else TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7))
+            base = self.integrand(m, t, centered, u)
         alone = {}
         for N in self.PACKED + tuple(N for N, _ in quadrature._primitives(96, 0)):
             integ = dataclasses.replace(base)
             quadrature._memoize(integ, [N])
             alone[N] = integ._f_memo[N]
+            if numerator in self.PLAIN:
+                y, x_hat = self.lattice_nodes(integ, N)
+                assert np.array_equal(alone[N], base.g_eval(x_hat) / quadrature.int_power(y, m)), N
         for block in (7, 64, 1000):
             monkeypatch.setattr(quadrature, "_G_BLOCK", block)
             packed = dataclasses.replace(base)
@@ -863,7 +895,7 @@ class TestSplitFill:
             family = dataclasses.replace(base)
             [(f, _)] = quadrature._family_sums(family, [(96, 0)])
             for N, idx in quadrature._primitives(96, 0):
-                assert np.array_equal(f[idx], alone[N]), (block, N)
+                assert np.array_equal(f[..., idx], alone[N]), (block, N)
 
     @pytest.mark.parametrize("half_sine", [True, False])
     def test_packed_block_names_a_non_finite_node_and_keeps_the_memo(self, monkeypatch, half_sine):
@@ -991,8 +1023,12 @@ class TestSplitFill:
         monkeypatch.setattr(quadrature, "_OFFSET_TABLE", {})
         assert t_hat(specs[1], integrand(-1.1)) == value and psi_calls
 
-    def test_offset_table_stays_within_its_bound(self, monkeypatch):
+    @pytest.mark.parametrize("split", [True, False])
+    def test_offset_table_stays_within_its_bound(self, monkeypatch, split):
         integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
+        if not split:
+            g = integ.g_eval
+            integ = dataclasses.replace(integ, g_eval=lambda x: g(x))
         specs = [RuleSpec(3, 2, 2**k, path="compact") for k in range(3, 14)]
         values = [t_hat(spec, dataclasses.replace(integ)) for spec in specs]
         bound = 2**16
@@ -1001,10 +1037,52 @@ class TestSplitFill:
         for spec, value in zip(specs, values):
             # each integrand starts with an empty memo, so every rule reads the table
             assert t_hat(spec, dataclasses.replace(integ)) == value
-            held = sum(a.nbytes + p.nbytes for _, a, p in quadrature._OFFSET_TABLE.values())
+            held = sum(map(quadrature._table_bytes, quadrature._OFFSET_TABLE.values()))
             assert 0 < held <= bound
-        # P(2^15) needs 128 KiB: it was used but not kept
-        assert max(len(a) for _, a, _ in quadrature._OFFSET_TABLE.values()) <= bound // 16
+        # an entry of P(2^15) has 8,192 offsets: a split's psi(|y|) and |y|^m
+        # need 128 KiB, used but not kept, and a plain g's |y|^m alone 64 KiB
+        entries = quadrature._OFFSET_TABLE.values()
+        assert all((psi_abs is None) != split for _, psi_abs, _ in entries)
+        assert max(power.size for _, _, power in entries) == (4096 if split else 8192)
+
+    def test_threads_share_the_offset_table(self, monkeypatch):
+        # four threads run compact rules on integrands of their own, all of
+        # them inserting into and evicting from the one table; a switch
+        # interval of 1 us interleaves them inside each other's table reads
+        monkeypatch.setattr(quadrature, "_OFFSET_TABLE", {})
+        monkeypatch.setattr(quadrature, "_OFFSET_TABLE_BYTES", 2**16)
+
+        def rules(k):
+            for i in range(300):
+                m = 1 + (i + k) % 4
+                integ = singular_periodic_integrand(PoissonKernelU(0.5), m=m, t=0.7 * k - 1.2)
+                yield RuleSpec(m, max_compact_level(m), 8 + i, path="compact"), integ
+
+        values, errors = {}, []
+
+        def work(k):
+            try:
+                values[k] = [t_hat(spec, integ) for spec, integ in rules(k)]
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        held = sum(map(quadrature._table_bytes, quadrature._OFFSET_TABLE.values()))
+        assert 0 < held <= 2**16
+        # each value is the one a thread alone gives
+        for k in range(4):
+            assert values[k] == [t_hat(spec, integ) for spec, integ in rules(k)], k
 
     def test_replace_drops_the_split(self):
         integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
@@ -1043,6 +1121,14 @@ class TestSplitFill:
             plain_trap_sum(flaky, 2**14)
         assert flaky._f_memo == {}
         assert plain_trap_sum(flaky, 2**14) == plain_trap_sum(integ, 2**14)
+        # a plain g is named as the integrand evaluator, and one that fails
+        # on its second block (8,191 nodes of P(8192) down to P(2)) leaves
+        # nothing in the memo either
+        calls.clear()
+        flaky = dataclasses.replace(integ, g_eval=lambda x: flaky_u(x) * g.psi(x - integ.t))
+        with pytest.raises(EvaluationError, match="^integrand evaluator failed on 8191 nodes: boom"):
+            plain_trap_sum(flaky, 2**14)
+        assert calls == [quadrature._G_BLOCK, 8191] and flaky._f_memo == {}
 
     def test_half_sine_failures_name_u(self):
         # from_half_sine goes through the same checked call as u
