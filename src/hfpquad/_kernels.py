@@ -1,9 +1,11 @@
 """Hot numeric loops of the rules and the collocation solvers, in numpy.
 
 The rules form each quotient f_j = g_j / y_j^m once per node of an
-integrand, into the memo of ``quadrature.PeriodicIntegrand``, and add f
-with numpy's pairwise summation, whose error grows like u*log(n) (Higham,
-Accuracy and Stability of Numerical Algorithms, section 4.2); the rule's
+integrand and add f over each primitive lattice with numpy's pairwise
+summation, whose error grows like u*log(n), into the memo of
+``quadrature.PeriodicIntegrand``; sums of several lattices, or of a
+lattice's pieces, are combined by ``math.fsum``, exactly rounded (Higham,
+Accuracy and Stability of Numerical Algorithms, section 4.2).  The rule's
 roundoff is dominated by the u*n^2 term of the singular denominators, so
 the order of the sum does not move the floor model.  The power y^m is
 ``quadrature.int_power``, not ``y**m``: numpy's ``pow`` takes a slow libm

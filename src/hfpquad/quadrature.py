@@ -61,16 +61,17 @@ class PeriodicIntegrand:
     rather than finite-differencing silently.  Instances are immutable.
 
     The rules' nodes lie on nested lattices (see ``_primitives``), and each
-    instance memoizes the quotient f = g/(x - t)^m on the lattices its rules
-    have evaluated: ``t_hat`` calls g, builds nodes and divides at most once
-    per node of an integrand, and a rule is a set of sums over the memo.  g
-    runs once per block of at most ``_G_BLOCK`` nodes, so it must give a
-    node the same value whatever other nodes share the call.
-    For a sequence of rules of growing n, such as a doubling sweep, the memo
-    holds one double (one per row of a vector g) per distinct node
-    evaluated, the finest rule's node count; a rule after a larger one on
-    the same lattices can leave a node's value in more than one array.
-    ``dataclasses.replace`` starts a new instance with an empty memo.
+    instance memoizes S_N, the sum of the quotient f = g/(x - t)^m over each
+    primitive lattice P(N) its rules have evaluated: ``t_hat`` calls g,
+    builds nodes and divides at most once per node of an integrand (a rule
+    that fails fills its lattices again to name the node), and a rule is a
+    weighted sum of the memo's lattice sums.  g runs once per block of at
+    most ``_G_BLOCK`` nodes, so it must give a node the same value whatever
+    other nodes share the call.  The memo holds one double per lattice (one
+    per row of a vector g), not one per node, and each S_N is a function of
+    its lattice alone: rules on one integrand from several threads give the
+    values they give serially.  ``dataclasses.replace`` starts a new
+    instance with an empty memo.
 
     Every g is filled as a split g(x) = psi(x - t) u(x): f = psi(y) u/y^m
     on the exact offsets y of the nodes, with |y|^m and psi(|y|) read from a
@@ -89,7 +90,7 @@ class PeriodicIntegrand:
     b: float
     g_eval: Callable
     g_derivs_at_t: Optional[tuple[float, ...]] = None
-    # lattice size N -> f on the primitive lattice P(N)
+    # lattice size N -> S_N, the sum of f over the primitive lattice P(N)
     _f_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -144,7 +145,7 @@ class SplitNumerator:
     the double of an unblocked call.  The rules of a ``PeriodicIntegrand``
     whose ``g_eval`` this is, about the integrand's own t, instead evaluate
     psi at the exact offsets y of their nodes, in the memo fill every g goes
-    through (``_memoize``; a plain g is psi = 1): psi(|y|) and |y|^m come
+    through (``_fill``; a plain g is psi = 1): psi(|y|) and |y|^m come
     from one table per (psi, m, period, lattice), shared by every integrand
     and holding at most ``_OFFSET_TABLE_BYTES`` bytes, and u runs once per
     block of at most ``_G_BLOCK`` nodes.  u runs on the wrapped nodes
@@ -332,7 +333,8 @@ class RuleSpec:
 #: many nodes per call, so that the temporaries stay in cache; a node's
 #: double does not depend on the block, as g and u at x_hat are elementwise
 #: and the half-angle sum of a u with ``from_half_sine`` is anchored on the
-#: node's own k
+#: node's own k, and a lattice's sum does not either, as a lattice is cut
+#: at multiples of this from its own start (``_blocks``)
 _G_BLOCK = 8192
 
 #: bound on the bytes of the offset table's arrays
@@ -453,19 +455,20 @@ def _split(integrand: PeriodicIntegrand) -> Optional[SplitNumerator]:
 
 
 def _blocks(sizes):
-    """The concatenation of arrays of these sizes in blocks of at most
-    ``_G_BLOCK`` elements: per block, its (array index, lo, hi) pieces."""
+    """Arrays of these sizes cut into pieces at multiples of ``_G_BLOCK``
+    from each array's own start, the pieces packed in order into blocks of
+    at most ``_G_BLOCK`` elements: per block, its (array index, lo, hi)
+    pieces.  An array of at most ``_G_BLOCK`` elements is one piece, so
+    where an array is cut does not depend on the arrays before it."""
     block, room = [], _G_BLOCK
     for i, size in enumerate(sizes):
-        lo = 0
-        while lo < size:
-            hi = min(size, lo + room)
-            block.append((i, lo, hi))
-            room -= hi - lo
-            lo = hi
-            if not room:
+        for lo in range(0, size, _G_BLOCK):
+            hi = min(size, lo + _G_BLOCK)
+            if hi - lo > room:
                 yield block
                 block, room = [], _G_BLOCK
+            block.append((i, lo, hi))
+            room -= hi - lo
     if block:
         yield block
 
@@ -619,7 +622,6 @@ def _gather(integrand: PeriodicIntegrand, families, tables, half_angle_rows, blo
     psi_abs = None if psi_abs[0] is None else np.concatenate(psi_abs).take(row)
     power = np.concatenate(power).take(row)
     if integrand.m % 2:
-        # power is a fresh contiguous array, not a strided view of f
         np.negative(power, out=power, where=wrapped)
     if not half:
         # y = (k - N) delta where the node wraps, else k delta, in floats
@@ -644,10 +646,10 @@ def _gather(integrand: PeriodicIntegrand, families, tables, half_angle_rows, blo
     return S, psi_abs, power
 
 
-def _memoize(integrand: PeriodicIntegrand, lattices, out: Optional[dict] = None) -> None:
-    """Store f = psi(y) u/y^m on each primitive lattice P(N), N in
-    ``lattices``, that the memo lacks: into ``out[N]`` where given, else a
-    fresh array, made once the first block shows g's row count.
+def _fill(integrand: PeriodicIntegrand, lattices: list, arrays: bool = False) -> list:
+    """S_N, the sum of f = psi(y) u/y^m over each primitive lattice P(N), N
+    in ``lattices``, in order: a float, or one per row of a vector g; with
+    ``arrays``, (g, f) on each lattice's nodes instead, g = psi u.
 
     A g split about the integrand's t gives its psi and u; any other g is
     psi = 1, u = g through ``_rule_g``, never through a ``from_half_sine``
@@ -658,27 +660,20 @@ def _memoize(integrand: PeriodicIntegrand, lattices, out: Optional[dict] = None)
     wrapped ones, whose magnitudes are the same doubles, reversed; for odd
     m the wrapped quotient is negated, which is exact as IEEE division is
     sign-symmetric.  As psi is even, each f is bit for bit psi(y) u/y^m (a
-    plain g's g(x_hat)/y^m), y^m = ``int_power(y, m)``.  f is stored
-    unchecked (``_family_sums`` checks it), NaN where psi u is not finite,
-    so an infinite f is a quotient that overflowed.
+    plain g's g(x_hat)/y^m), y^m = ``int_power(y, m)``.
 
-    u runs once per block of the concatenated missing lattices, and the
-    block's shape picks how it is filled.  A block that is one piece of one
-    lattice (every block of a lattice of ``_G_BLOCK`` nodes or more but the
-    last) reads the table as two view runs, positive and wrapped, and writes
-    f into the memo entry through them (``_half_sines``).  A block of
-    several pieces, the small lattices of a table, is one gathered pass
-    (``_gather``): one multiply, one divide and one finite check over the
-    block, then copied piece by piece into the memo entries or
-    ``_level0``'s ``out`` views.  Each lattice gets its own array, so that
-    ``_level0`` re-pointing it frees its old values.  No node-sized array
-    is made but the memo entries (the rest are block-sized).
+    The lattices are cut and packed into blocks by ``_blocks``, and u runs
+    once per block.  A block that is one piece reads the table as two view
+    runs, positive and wrapped (``_half_sines``); a block of several pieces,
+    the small lattices of a table, is one gathered pass (``_gather``).  f is
+    formed in a block-sized buffer and each piece summed there while it is
+    in cache, by numpy's pairwise sum.  S_N is the one piece's sum of a
+    lattice of at most ``_G_BLOCK`` nodes, else the ``_fsum`` of its
+    pieces' sums, so it depends on the lattice alone, not on the lattices
+    that share its fill.  f is not checked here: a sum is finite only if
+    every term is, which ``_family_sums`` tests.
     """
-    memo, out = integrand._f_memo, out or {}
-    missing = [N for N in dict.fromkeys(lattices) if N not in memo]
-    if not missing:
-        return
-    families = [_lattice(integrand, N) for N in missing]
+    families = [_lattice(integrand, N) for N in lattices]
     m, split, rows = integrand.m, _split(integrand), None
     if split is None:
         psi, u_of = None, partial(_rule_g, integrand)
@@ -689,50 +684,57 @@ def _memoize(integrand: PeriodicIntegrand, lattices, out: Optional[dict] = None)
     sizes = [len(ks) for ks, _, _ in families]
     tables = [
         _offset_table(psi, m, integrand.period, N, family, max(family[1], size - family[1]))
-        for N, family, size in zip(missing, families, sizes)
+        for N, family, size in zip(lattices, families, sizes)
     ]
-    fs = None
+    pieces: list = [[] for _ in lattices]
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(sizes):
             j, lo, hi = block[0]
             if len(block) > 1:
                 arg, psi_abs, power = _gather(integrand, families, tables, rows, block)
-            elif rows is None:
-                arg = _nodes(integrand, _offsets(families[j], lo, hi))
-            else:
-                arg = _half_sines(families[j], rows, j, lo, hi)
-            u = u_of(arg)
-            if fs is None:
-                fs = [out[N] if N in out else np.empty(u.shape[:-1] + (size,)) for N, size in zip(missing, sizes)]
-            if len(block) > 1:
+                u = u_of(arg)
                 g = u if psi_abs is None else np.multiply(psi_abs, u, out=psi_abs)
                 f = np.divide(g, power, out=power if g.shape == power.shape else None)
-                if not np.isfinite(g).all():
-                    f[~np.isfinite(g)] = np.nan
-                start = 0
-                for j, lo, hi in block:
-                    fs[j][..., lo:hi] = f[..., start : start + hi - lo]
-                    start += hi - lo
-                continue
-            (ks, inside, _), (psi_abs, power), f = families[j], tables[j], fs[j]
-            # nodes lo:c have positive offsets, table rows lo:c; the wrapped
-            # nodes c:hi have table rows L-1-c down to L-hi
-            L, c = len(ks), min(max(inside, lo), hi)
-            g, mid = u, c - lo
-            if psi_abs is not None:
-                g = np.empty(u.shape)
-                np.multiply(psi_abs[lo:c], u[:mid], out=g[:mid])
-                np.multiply(psi_abs[L - hi : L - c][::-1], u[mid:], out=g[mid:])
-            np.divide(g[..., :mid], power[lo:c], out=f[..., lo:c])
-            np.divide(g[..., mid:], power[L - hi : L - c][::-1], out=f[..., c:hi])
-            if m % 2:
-                # not np.negative(.., out=..): numpy 2.4 misreads a view of
-                # stride 8 there, and f can be one
-                f[..., c:hi] *= -1.0
-            if not np.isfinite(g).all():
-                f[..., lo:hi][~np.isfinite(g)] = np.nan
-    # only now, so that a psi or u that raises leaves the memo as it was
-    memo.update(zip(missing, fs))
+            else:
+                (ks, inside, _), (psi_abs, power) = families[j], tables[j]
+                if rows is None:
+                    u = u_of(_nodes(integrand, _offsets(families[j], lo, hi)))
+                else:
+                    u = u_of(_half_sines(families[j], rows, j, lo, hi))
+                # nodes lo:c have positive offsets, table rows lo:c; the
+                # wrapped nodes c:hi have table rows L-1-c down to L-hi
+                L, c = len(ks), min(max(inside, lo), hi)
+                g, f, mid = u, np.empty(u.shape), c - lo
+                if psi_abs is not None:
+                    g = np.empty(u.shape)
+                    np.multiply(psi_abs[lo:c], u[..., :mid], out=g[..., :mid])
+                    np.multiply(psi_abs[L - hi : L - c][::-1], u[..., mid:], out=g[..., mid:])
+                np.divide(g[..., :mid], power[lo:c], out=f[..., :mid])
+                np.divide(g[..., mid:], power[L - hi : L - c][::-1], out=f[..., mid:])
+                if m % 2:
+                    f[..., mid:] *= -1.0
+            start = 0
+            for j, lo, hi in block:
+                piece = slice(start, start + hi - lo)
+                pieces[j].append((g[..., piece].copy(), f[..., piece].copy()) if arrays else _sum(f[..., piece]))
+                start = piece.stop
+    if arrays:
+        return [tuple(np.concatenate(run, axis=-1) for run in zip(*p)) for p in pieces]
+    return [p[0] if len(p) == 1 else _fsum(p) for p in pieces]
+
+
+def _memoize(integrand: PeriodicIntegrand, lattices) -> None:
+    """Store S_N (``_fill``) of each primitive lattice P(N), N in
+    ``lattices``, that the memo lacks.
+
+    The memo is written once the fill is done, so that a psi or u that
+    raises leaves it as it was.  S_N is a function of the lattice alone, so
+    two threads that fill one lattice store equal values.
+    """
+    memo = integrand._f_memo
+    missing = [N for N in dict.fromkeys(lattices) if N not in memo]
+    if missing:
+        memo.update(zip(missing, _fill(integrand, missing)))
 
 
 def _memoize_rules(integrand: PeriodicIntegrand, specs) -> None:
@@ -741,68 +743,48 @@ def _memoize_rules(integrand: PeriodicIntegrand, specs) -> None:
     _memoize(integrand, [N for spec in specs for fam in _families(spec) for N, _ in _primitives(*fam)])
 
 
-def _level0(integrand: PeriodicIntegrand, n: int, ps, out: dict) -> Optional[np.ndarray]:
-    """The array of the level-0 family at n with primitives ``ps``, of which
-    the memo holds views.
+def _family_sums(integrand: PeriodicIntegrand, families) -> list:
+    """The sum of f over each node family (n, level), in order: a float, or
+    one per row of a vector g.
 
-    If the memo's views already form one such array, that array is returned
-    as it is.  Otherwise a new one is made: the lattices the memo holds are
-    copied in and the memo re-pointed at views of it, so a lattice's values
-    are held once, and ``out`` gets the views that ``_memoize`` is to fill
-    the missing lattices into.  None while the row count is unknown (a g
-    that is not split, no lattice yet in the memo) or a missing lattice is
-    already bound for another family's array.
+    A family's sum is the S_N of its one lattice, or the ``_fsum`` of the
+    S_N of its lattices (a level-0 family of several), read from the memo
+    once the lattices it lacks are filled.  In IEEE arithmetic a sum is
+    finite only if every term is, so a finite sum is a finite f at every
+    node; only a sum that is not finite has the family's lattices filled
+    again (``_raise_non_finite``), to name the failure.
     """
-    memo = integrand._f_memo
-    held = next((memo[N] for N, _ in ps if N in memo), None)
-    base = None if held is None else held.base
-    if base is not None and base.shape[-1] == n - 1 and all(
-        N in memo and memo[N].__array_interface__ == base[..., idx].__array_interface__ for N, idx in ps
-    ):
-        return base
-    if (out and any(N in out for N, _ in ps)) or (held is None and _split(integrand) is None):
-        return None
-    f = np.empty((() if held is None else held.shape[:-1]) + (n - 1,))
-    for N, idx in ps:
-        if N in memo:
-            f[..., idx] = memo[N]
-            memo[N] = f[..., idx]
-        else:
-            out[N] = f[..., idx]
-    return f
-
-
-def _family_sums(integrand: PeriodicIntegrand, families) -> list[tuple[np.ndarray, object]]:
-    """(f, sum of f) of each node family (n, level), in order, f from the memo.
-
-    A family that is one lattice gets the memo's array itself, which nobody
-    writes; a level-0 family of more gets its ``_level0`` array, made before
-    the missing lattices are filled so that they are filled into it.  Each
-    family's sum is checked in turn; only a non-finite one rebuilds the
-    family's nodes, to name its first non-finite term by index and node in
-    the family.
-    """
-    memo = integrand._f_memo
     parts = [_primitives(n, level) for n, level in families]
-    out: dict = {}
-    arrays = [_level0(integrand, n, ps, out) if len(ps) > 1 else None for (n, _), ps in zip(families, parts)]
-    _memoize(integrand, [N for ps in parts for N, _ in ps], out)
-    sums = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (n, level), ps, f in zip(families, parts, arrays):
-            if len(ps) == 1:
-                f = memo[ps[0][0]]
-            elif f is None:
-                f = _level0(integrand, n, ps, {})
-            total = _sum(f)
-            if not (math.isfinite(total) if isinstance(total, float) else np.isfinite(total).all()):
-                x = _family_nodes(integrand, n, level)[1]
-                if np.isinf(f[~np.isfinite(f)][:1]).any():
-                    _check_finite(f, x, "g/(x - t)^m overflowed at node {index} (x={x!r}) where g is finite")
-                _check_finite(f, x)
-                raise EvaluationError(f"the sum of g/(x - t)^m over {x.size} nodes overflowed")
-            sums.append((f, total))
+    _memoize(integrand, [N for ps in parts for N, _ in ps])
+    memo, sums = integrand._f_memo, []
+    for (n, level), ps in zip(families, parts):
+        total = memo[ps[0][0]] if len(ps) == 1 else _fsum([memo[N] for N, _ in ps])
+        if not _finite(total):
+            _raise_non_finite(integrand, n, level)
+        sums.append(total)
     return sums
+
+
+def _raise_non_finite(integrand: PeriodicIntegrand, n: int, level: int):
+    """EvaluationError for the node family (n, level), whose sum is not finite.
+
+    The family's lattices are filled again into arrays, with the memo
+    fill's own values, and put in node order.  The first term that is not
+    finite is named by its index and node in the family: as a non-finite
+    value of the evaluator, or, where g is finite there, as a quotient that
+    overflowed.  If every term is finite, their sum overflowed.
+    """
+    ps = _primitives(n, level)
+    filled = _fill(integrand, [N for N, _ in ps], arrays=True)
+    x = _family_nodes(integrand, n, level)[1]
+    g, f = (np.empty(filled[0][0].shape[:-1] + x.shape) for _ in range(2))
+    for (_, idx), (g_N, f_N) in zip(ps, filled):
+        g[..., idx], f[..., idx] = g_N, f_N
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size and np.isfinite(g.ravel()[bad[0]]):
+        _check_finite(f, x, "g/(x - t)^m overflowed at node {index} (x={x!r}) where g is finite")
+    _check_finite(f, x)
+    raise EvaluationError(f"the sum of g/(x - t)^m over {x.size} nodes overflowed")
 
 
 def _sum(f: np.ndarray):
@@ -811,10 +793,46 @@ def _sum(f: np.ndarray):
     return sums if sums.ndim else float(sums)
 
 
+def _fsum(terms: list):
+    """math.fsum of the terms; of each row's terms for a vector g's arrays.
+
+    The sum is exactly rounded, so it is finite exactly when every term is
+    and the exact sum does not overflow: it is NaN where ``math.fsum``
+    raises (inf - inf, or finite terms whose sum overflows)."""
+    if not terms or not isinstance(terms[0], np.ndarray):
+        return _fsum_row(terms)
+    return np.array([_fsum_row(row) for row in np.stack(terms, axis=-1).tolist()])
+
+
+def _fsum_row(terms) -> float:
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
+def _finite(value) -> bool:
+    """Whether a value, or each row's value of a vector g, is finite."""
+    return bool(np.isfinite(value).all()) if isinstance(value, np.ndarray) else math.isfinite(value)
+
+
+def _finite_value(value, terms: list, names, what: str):
+    """value, a sum of the finite inputs of a rule, if it is finite.  Else
+    EvaluationError naming the first of ``terms`` that is not finite by its
+    entry in ``names``, or, where every term is finite, ``what``: with
+    finite inputs, a term or sum that is not finite is one that overflowed."""
+    if _finite(value):
+        return value
+    for name, term in zip(names, terms):
+        if not _finite(term):
+            raise EvaluationError(f"{name} overflowed")
+    raise EvaluationError(f"{what} overflowed")
+
+
 def _family_sum(integrand: PeriodicIntegrand, n: int, level: int, weight: Fraction):
     """weight * h * sum of f over one node family (per row of a vector g)."""
-    [(_, total)] = _family_sums(integrand, [(n, level)])
-    return float(weight) * (integrand.period / n) * total
+    [total] = _family_sums(integrand, [(n, level)])
+    return _finite_value(float(weight) * (integrand.period / n) * total, [], [], "the weighted node sum")
 
 
 def plain_trap_sum(integrand: PeriodicIntegrand, n: int) -> float:
@@ -851,17 +869,13 @@ def correction_sum(integrand: PeriodicIntegrand, n: int) -> float:
         raise DerivativesRequiredError(
             f"derivatives of g at t up to order {m} required for the s=0 rule"
         )
-    terms = []
-    for i in range(r + 1):
-        order = 2 * i + parity
-        terms.append(
-            2.0
-            * integrand.deriv_at_t(order)
-            / math.factorial(order)
-            * zeta_at(2 * r - 2 * i)
-            * h ** (-2 * r + 2 * i + 1)
-        )
-    return math.fsum(terms)
+    orders = range(parity, m + 1, 2)
+    terms = [
+        2.0 * integrand.deriv_at_t(order) / math.factorial(order) * zeta_at(m - order) * h ** (1 - m + order)
+        for order in orders
+    ]
+    names = (f"the g^({order})(t) correction term at n={n}" for order in orders)
+    return _finite_value(_fsum(terms), terms, names, f"the derivative correction at n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -907,13 +921,6 @@ def extrapolation_weights(s: int) -> ExtrapolationWeights:
 # ---------------------------------------------------------------------------
 
 
-def _fsum(terms: list):
-    """math.fsum of the terms; of each row's terms for a vector g's arrays."""
-    if not isinstance(terms[0], np.ndarray):
-        return math.fsum(terms)
-    return np.array([math.fsum(row) for row in np.stack(terms, axis=-1).tolist()])
-
-
 def _families(spec: RuleSpec) -> list[tuple[int, int]]:
     """The node families (n, level) that ``t_hat(spec, ...)`` sums over, in order."""
     if spec.path == "compact":
@@ -924,42 +931,54 @@ def _families(spec: RuleSpec) -> list[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _compact_floats(m: int, s: int):
     """``compact_rule(m, s)`` in floats, formed once per rule: its (level,
-    weight) families and its corrections as (order, coef pi^(m-order))."""
+    weight) families, its corrections as (order, coef pi^(m-order)) and the
+    names of its terms, corrections first, for ``_finite_value``."""
     rule = compact_rule(m, s)
+    names = [f"the g^({order})(t) correction term" for order, _ in rule.deriv_corrections]
+    names += (f"the level-{level} node sum term" for level, _ in rule.families)
     return (
         tuple((level, float(w)) for level, w in rule.families),
         tuple((order, float(coef) * math.pi ** (m - order)) for order, coef in rule.deriv_corrections),
+        tuple(names),
     )
 
 
 def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
+    """fsum of the weighted family sums w h S, plus the fsum of the
+    derivative corrections.
+
+    ``_t_hat_generic`` is the same combination grouped by grid, but it
+    rounds otherwise: it subtracts each grid's correction inside one fsum.
+    Each form's doubles are pinned (the golden table rows, the per-grid
+    definition of ``TestNestedGrids``), so the two keep their own bodies
+    over the shared ``_family_sums``.
+    """
     h, m = integrand.period / n, rule.m
-    families, corrections = _compact_floats(m, rule.s)
+    families, corrections, names = _compact_floats(m, rule.s)
     # corrections first: a missing derivative raises before g is evaluated
-    correction = math.fsum(
-        c * integrand.deriv_at_t(order) * h ** (1 - m + order) for order, c in corrections
-    )
+    correction_terms = [c * integrand.deriv_at_t(order) * h ** (1 - m + order) for order, c in corrections]
     sums = _family_sums(integrand, [(n, level) for level, _ in families])
-    return _fsum([w * h * total for (_, total), (_, w) in zip(sums, families)]) + correction
+    sum_terms = [w * h * total for total, (_, w) in zip(sums, families)]
+    value = _fsum(sum_terms) + _fsum(correction_terms)
+    return _finite_value(value, correction_terms + sum_terms, names, "the rule value")
 
 
 def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
     """fsum of alpha_k * (plain_trap_sum(2^k n) - correction_sum(2^k n)).
 
-    The plain grids at n, 2n, ..., 2^s n nest: node j of the grid at 2^k n
-    is node j*2^(s-k) of the finest grid, with the same offset double.  So
-    each plain sum sums a strided view of f on the finest grid; numpy sums
-    a strided view bit for bit as its contiguous copy, the per-grid array.
+    The plain grids at n, 2n, ..., 2^s n nest: the level-0 family at 2^k n
+    is the primitive lattices P(2^k n), P(2^(k-1) n), ..., a tail of the
+    finest grid's, so the finest grid's fill serves every plain sum.
     """
     # corrections first: a missing derivative raises before g is evaluated
     corrections = [correction_sum(integrand, 2**k * n) for k in range(s + 1)]
-    [(f, total)] = _family_sums(integrand, [(2**s * n, 0)])
-    # k = s is the finest grid itself
-    plains = [_sum(f[..., 2 ** (s - k) - 1 :: 2 ** (s - k)]) for k in range(s)] + [total]
-    return math.fsum(
+    plains = _family_sums(integrand, [(2**k * n, 0) for k in range(s + 1)])
+    terms = [
         float(w) * ((integrand.period / (2**k * n)) * plain - corrections[k])
         for k, (w, plain) in enumerate(zip(extrapolation_weights(s).alpha, plains))
-    )
+    ]
+    names = (f"the base rule term at n={2**k * n}" for k in range(s + 1))
+    return _finite_value(_fsum(terms), terms, names, "the rule value")
 
 
 def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):

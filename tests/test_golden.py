@@ -32,10 +32,11 @@ ROWS = {
         "-0x1.45fd194980000p+4", "-0x1.45fd194998000p+4", "-0x1.45fd194970000p+4", "-0x1.45fd194938000p+4",
         "-0x1.45fd194a20000p+4", "-0x1.45fd1949f0000p+4",
     ],
+    # a level-0 family's sum is the fsum of its primitive lattices' sums
     (4, 0): [
-        "-0x1.45fd194987400p+4", "-0x1.45fd1949873c0p+4", "-0x1.45fd194987340p+4", "-0x1.45fd194987200p+4",
-        "-0x1.45fd194987100p+4", "-0x1.45fd194987000p+4", "-0x1.45fd194986400p+4", "-0x1.45fd194987000p+4",
-        "-0x1.45fd194985000p+4", "-0x1.45fd194986000p+4",
+        "-0x1.45fd194987404p+4", "-0x1.45fd1949873c0p+4", "-0x1.45fd1949873c0p+4", "-0x1.45fd194987300p+4",
+        "-0x1.45fd194987200p+4", "-0x1.45fd194987000p+4", "-0x1.45fd194986400p+4", "-0x1.45fd194986800p+4",
+        "-0x1.45fd194985800p+4", "-0x1.45fd194986800p+4",
     ],
     (1, 1): [
         "-0x1.bafdd2c4f0cf7p-2", "-0x1.bafdd2c4f0cedp-2", "-0x1.bafdd2c4f0cf3p-2", "-0x1.bafdd2c4f0cfcp-2",

@@ -245,6 +245,40 @@ class TestNodeSums:
             plain_trap_sum(broken, 16)
         assert (info.value.node_index, info.value.node_x) == (3, x)
 
+    # finite derivatives whose correction terms overflow: the g'(t) term
+    # of the rules at n = 4 is about -2.1e308 or more.  These rules once
+    # returned -inf or inf, or raised ValueError from math.fsum
+    @pytest.mark.parametrize(
+        "derivs", [(0.0, 1e308, 0.0, -1e308), (0.0, 1e308, 0.0, 1e308), (1e308,) * 4], ids=["opposite", "same", "all"]
+    )
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda integ: t_hat(RuleSpec(3, 0, 4), integ),
+            lambda integ: t_hat(RuleSpec(3, 0, 4, path="compact"), integ),
+            lambda integ: t_hat(RuleSpec(3, 1, 4, path="compact"), integ),
+            lambda integ: correction_sum(integ, 4),
+        ],
+        ids=["generic", "compact-s0", "compact-s1", "correction_sum"],
+    )
+    def test_overflowing_correction_term_is_named(self, derivs, rule):
+        integ = PeriodicIntegrand(3, 0.0, -math.pi, math.pi, lambda x: np.ones_like(x), derivs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=r"^the g\^\(1\)\(t\) correction term .*overflowed$"):
+                rule(integ)
+
+    def test_overflowing_rule_value_is_named(self):
+        # m = 1, n = 2: the node sum term is -g = -1e308 and the correction
+        # term g'(t) h = -1.005e308, both finite; the compact rule's value,
+        # their sum, overflows, and the generic rule's one term does
+        integ = PeriodicIntegrand(1, 0.0, -math.pi, math.pi, lambda x: np.full_like(x, 1e308), (1e308, -3.2e307))
+        assert plain_trap_sum(integ, 2) == -1e308 and math.isfinite(correction_sum(integ, 2))
+        with pytest.raises(EvaluationError, match="^the rule value overflowed$"):
+            t_hat(RuleSpec(1, 0, 2, path="compact"), integ)
+        with pytest.raises(EvaluationError, match="^the base rule term at n=2 overflowed$"):
+            t_hat(RuleSpec(1, 0, 2), integ)
+
 
 class TestCorrectionSum:
     def test_m1(self):
@@ -741,12 +775,22 @@ class TestGMemo:
         assert (fine.value.node_index, fine.value.node_x) == (fresh.value.node_index, bad) == (11, bad)
 
 
+def fsum_rows(sums):
+    """math.fsum of the sums, per row for a vector g's arrays."""
+    if np.ndim(sums[0]):
+        return np.array([math.fsum(row) for row in zip(*sums)])
+    return math.fsum(sums)
+
+
 class TestSplitFill:
-    """A split g = psi(x - t) u(x) fills the memo with psi(y) u/y^m on the
-    exact offsets, psi(|y|) and |y|^m read from the shared offset table; u is
-    u(x_hat) at the wrapped nodes, or, for a u with ``from_half_sine``, u
-    from the half-angle sum for sin((t + y)/2).  A plain g is the split
-    psi = 1, u = g: its memo is g(x_hat)/y^m."""
+    """A split g = psi(x - t) u(x) fills the memo with S_N, the sum of
+    f = psi(y) u/y^m on the exact offsets of each lattice P(N), psi(|y|) and
+    |y|^m read from the shared offset table; u is u(x_hat) at the wrapped
+    nodes, or, for a u with ``from_half_sine``, u from the half-angle sum for
+    sin((t + y)/2).  A plain g is the split psi = 1, u = g: its S_N sums
+    g(x_hat)/y^m.  Up to ``_G_BLOCK`` nodes S_N is one pairwise sum of f, so
+    it equals an independent f's ``.sum()`` bit for bit; a level-0 family's
+    sum is the fsum of its lattices' S_N."""
 
     EPS = np.finfo(float).eps
 
@@ -788,9 +832,8 @@ class TestSplitFill:
 
     @staticmethod
     def fill(integ):
-        # level-0 families at 2^k >= 16 first, so the fill writes into their
-        # strided views (P(16) of the family at 64 has stride 8), then odd N
-        # and N = 2 mod 4 lattices, and level-2 families
+        # level-0 families first, then odd N and N = 2 mod 4 lattices, and
+        # level-2 families
         for n in (64, 16, 2, 3, 6, 7, 10, 96):
             plain_trap_sum(integ, n)
         for n in (5, 9, 33):
@@ -816,11 +859,12 @@ class TestSplitFill:
                 numerator = g(x_hat) if quadrature._split(integ) is None else g.psi(y) * g.u(x_hat)
                 return numerator / quadrature.int_power(y, m)
 
-            for N, f in integ._f_memo.items():
-                assert np.array_equal(f, expected(*self.lattice_nodes(integ, N))), N
+            for N, S in integ._f_memo.items():
+                assert np.array_equal(S, expected(*self.lattice_nodes(integ, N)).sum(axis=-1)), N
             for n in (16, 64, 96):
-                [(f, _)] = quadrature._family_sums(integ, [(n, 0)])
-                assert np.array_equal(f, expected(*quadrature._family_nodes(integ, n, 0))), n
+                [total] = quadrature._family_sums(integ, [(n, 0)])
+                sums = [expected(*self.lattice_nodes(integ, N)).sum(axis=-1) for N, _ in quadrature._primitives(n, 0)]
+                assert np.array_equal(total, fsum_rows(sums)), n
 
     @pytest.mark.parametrize("t, centered", [(0.3, True), (-2.9, True), (3.1, False), (-3.1, False)])
     @pytest.mark.parametrize("m", range(1, 6))
@@ -833,69 +877,86 @@ class TestSplitFill:
             y = self.lattice_nodes(integ, N)[0]
             return g.psi(y) * g.u.from_half_sine(self.half_sines(integ, N)) / quadrature.int_power(y, m)
 
-        for N, f in integ._f_memo.items():
-            assert np.array_equal(f, expected(N)), N
+        for N, S in integ._f_memo.items():
+            assert S == expected(N).sum(), N
         for n in (16, 64, 96):
-            [(f, _)] = quadrature._family_sums(integ, [(n, 0)])
-            for N, idx in quadrature._primitives(n, 0):
-                assert np.array_equal(f[idx], expected(N)), (n, N)
+            [total] = quadrature._family_sums(integ, [(n, 0)])
+            assert total == math.fsum(expected(N).sum() for N, _ in quadrature._primitives(n, 0)), n
 
     @pytest.mark.parametrize("t, centered", [(0.3, True), (3.1, False), (-3.1, False)])
-    def test_a_nodes_double_depends_on_its_lattice_alone(self, monkeypatch, t, centered):
-        # P(N) filled alone, inside the level-0 family at 1536 that holds it,
-        # and in one fill of all of them cut into blocks of 7, 64 or 1000
-        # nodes, which splits lattices within a row and across their wrap
-        alone = {}
-        for N in (3, 96, 97, 192, 384, 1536):
-            integ = self.integrand(3, t, centered)
-            quadrature._memoize(integ, [N])
-            alone[N] = integ._f_memo[N]
-        family = self.integrand(3, t, centered)
-        plain_trap_sum(family, 1536)
-        for N in (3, 96, 192, 384, 1536):
-            assert np.array_equal(family._f_memo[N], alone[N]), N
-        for block in (7, 64, 1000):
+    def test_a_lattice_sum_depends_on_its_lattice_alone(self, monkeypatch, t, centered):
+        # S_N of P(N) filled alone, inside the level-0 family at 1536 that
+        # holds it, and in one fill of all of them, in blocks of the default
+        # size or of 7, 64 or 1000 nodes, which cut lattices into pieces
+        # within a row and across their wrap; a lattice of several pieces
+        # sums within (log2 N) u sum |f| of its exact sum
+        for block in (quadrature._G_BLOCK, 7, 64, 1000):
             monkeypatch.setattr(quadrature, "_G_BLOCK", block)
-            blocked = self.integrand(3, t, centered)
-            quadrature._memoize(blocked, list(alone))
-            for N, f in alone.items():
-                assert np.array_equal(blocked._f_memo[N], f), (block, N)
+            alone = {}
+            for N in (3, 96, 97, 192, 384, 1536):
+                integ = self.integrand(3, t, centered)
+                quadrature._memoize(integ, [N])
+                alone[N] = integ._f_memo[N]
+            family = self.integrand(3, t, centered)
+            plain_trap_sum(family, 1536)
+            for N in (3, 96, 192, 384, 1536):
+                assert family._f_memo[N] == alone[N], (block, N)
+            together = self.integrand(3, t, centered)
+            quadrature._memoize(together, list(alone))
+            for N, S in alone.items():
+                assert together._f_memo[N] == S, (block, N)
+                [(_, f)] = quadrature._fill(together, [N], arrays=True)
+                assert abs(S - math.fsum(f)) <= math.log2(N) * self.EPS / 2 * np.abs(f).sum(), (block, N)
+
+    @pytest.mark.parametrize("N", [2**15 + 1, 2**16, 3 * 2**14])
+    def test_a_lattice_above_a_block_sums_its_pieces(self, N):
+        # P(N) of more than _G_BLOCK nodes: the fsum of the pairwise sums of
+        # its pieces cut at multiples of _G_BLOCK from its start, within
+        # (log2 N) u sum |f| of its exact sum
+        integ = self.integrand(3, 0.3, True)
+        S = quadrature._family_sums(integ, [(N // 2, 1) if N % 2 == 0 else (N, 0)])[0]
+        [(_, f)] = quadrature._fill(integ, [N], arrays=True)
+        assert f.size > quadrature._G_BLOCK
+        pieces = [f[lo : lo + quadrature._G_BLOCK].sum() for lo in range(0, f.size, quadrature._G_BLOCK)]
+        assert S == integ._f_memo[N] == math.fsum(pieces)
+        assert abs(S - math.fsum(f)) <= math.log2(N) * self.EPS / 2 * np.abs(f).sum()
 
     # lattices of both parities, N = 2 mod 4, and a level-0 family at 96
-    # whose primitives 96, 48, ..., 3 are filled into _level0's views
+    # whose primitives are 96, 48, ..., 3
     PACKED = (2, 3, 6, 7, 10, 97, 192, 1536)
 
     @pytest.mark.parametrize("numerator", ["split-poisson", "split-trig", *PLAIN])
     @pytest.mark.parametrize("t, centered", [(0.3, True), (-2.9, True), (3.1, False), (-3.1, False)])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_packed_blocks_give_each_lattice_its_lone_doubles(self, monkeypatch, m, t, centered, numerator):
-        # each lattice alone is one block of one piece (the view runs); in
-        # blocks of 7, 64 or 1000 nodes most blocks hold pieces of several
-        # lattices (the gathered pass), split within a row and across the
-        # wrap, into fresh memo entries and into a level-0 family's views
+    def test_packed_blocks_give_each_lattice_its_lone_sum(self, monkeypatch, m, t, centered, numerator):
+        # each lattice alone is one block of one piece (the view runs) at
+        # the default block size; in blocks of 7, 64 or 1000 nodes most
+        # blocks hold pieces of several lattices (the gathered pass), cut
+        # within a row and across the wrap; each S_N, and a level-0
+        # family's fsum of them, is what the lattices filled alone give
         if numerator in self.PLAIN:
             base = self.plain(m, t, centered, self.PLAIN[numerator])
         else:
             u = PoissonKernelU(0.6) if numerator == "split-poisson" else TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7))
             base = self.integrand(m, t, centered, u)
-        alone = {}
-        for N in self.PACKED + tuple(N for N, _ in quadrature._primitives(96, 0)):
-            integ = dataclasses.replace(base)
-            quadrature._memoize(integ, [N])
-            alone[N] = integ._f_memo[N]
-            if numerator in self.PLAIN:
-                y, x_hat = self.lattice_nodes(integ, N)
-                assert np.array_equal(alone[N], base.g_eval(x_hat) / quadrature.int_power(y, m)), N
-        for block in (7, 64, 1000):
+        lattices = self.PACKED + tuple(N for N, _ in quadrature._primitives(96, 0))
+        for block in (quadrature._G_BLOCK, 7, 64, 1000):
             monkeypatch.setattr(quadrature, "_G_BLOCK", block)
+            alone = {}
+            for N in lattices:
+                integ = dataclasses.replace(base)
+                quadrature._memoize(integ, [N])
+                alone[N] = integ._f_memo[N]
+                if numerator in self.PLAIN and block > 1000:
+                    y, x_hat = self.lattice_nodes(integ, N)
+                    assert np.array_equal(alone[N], (base.g_eval(x_hat) / quadrature.int_power(y, m)).sum(axis=-1)), N
             packed = dataclasses.replace(base)
             quadrature._memoize(packed, list(self.PACKED))
             for N in self.PACKED:
                 assert np.array_equal(packed._f_memo[N], alone[N]), (block, N)
             family = dataclasses.replace(base)
-            [(f, _)] = quadrature._family_sums(family, [(96, 0)])
-            for N, idx in quadrature._primitives(96, 0):
-                assert np.array_equal(f[..., idx], alone[N]), (block, N)
+            [total] = quadrature._family_sums(family, [(96, 0)])
+            assert np.array_equal(total, fsum_rows([alone[N] for N, _ in quadrature._primitives(96, 0)])), block
 
     @pytest.mark.parametrize("half_sine", [True, False])
     def test_packed_block_names_a_non_finite_node_and_keeps_the_memo(self, monkeypatch, half_sine):
@@ -920,7 +981,8 @@ class TestSplitFill:
         calls = []
 
         def flaky(x):
-            # the second block, P(7)'s nodes 1:6 and P(64)'s 0:1, raises
+            # the second block, P(7)'s six nodes, raises: P(3) and P(5) fill
+            # the first block, and P(7) is not cut to fill its last node
             calls.append(x.size)
             if len(calls) == 2:
                 raise RuntimeError("boom")
@@ -928,30 +990,28 @@ class TestSplitFill:
 
         broken = dataclasses.replace(split, g_eval=SplitNumerator(g.psi, flaky, integ.t))
         broken._f_memo.update(held)
-        with pytest.raises(EvaluationError, match="^u failed on 7 nodes: boom"):
+        with pytest.raises(EvaluationError, match="^u failed on 6 nodes: boom"):
             quadrature._memoize(broken, [3, 5, 7, 64])
-        assert calls == [7, 7]
+        assert calls == [6, 6]
         assert broken._f_memo.keys() == held.keys()
         assert all(broken._f_memo[N] is f for N, f in held.items())
 
     @pytest.mark.parametrize("vector", [False, True])
-    def test_level0_ladder_holds_each_lattice_once(self, vector):
+    def test_level0_ladder_sums_equal_a_fresh_fill(self, vector):
         # a doubling ladder of level-0 families after one fill of their
-        # lattices packed with others: each rung is bit for bit what a fresh
-        # integrand fills, and each memo entry is an array of its own or a
-        # view of the last rung's array, so a lattice re-pointed at a family
-        # keeps no old values alive
+        # lattices packed with others: each rung's sum is bit for bit what a
+        # fresh integrand gives, and the memo holds one value per lattice, a
+        # float or one per row of a vector g
         integ = GeometricKernelCase(eta=0.6, t=1.0).integrand()
         if vector:
             g = integ.g_eval
             integ = dataclasses.replace(integ, g_eval=lambda x: np.stack([g(x), -2.0 * g(x)]), g_derivs_at_t=None)
         quadrature._memoize(integ, [5, 7, 64] + [N for N, _ in quadrature._primitives(24, 0)])
         for n in (24, 48, 96):
-            [(f, _)] = quadrature._family_sums(integ, [(n, 0)])
-            [(fresh, _)] = quadrature._family_sums(dataclasses.replace(integ), [(n, 0)])
-            assert np.array_equal(f, fresh), n
-            family = {N for N, _ in quadrature._primitives(n, 0)}
-            assert all(integ._f_memo[N].base is (f if N in family else None) for N in integ._f_memo), n
+            [total] = quadrature._family_sums(integ, [(n, 0)])
+            [fresh] = quadrature._family_sums(dataclasses.replace(integ), [(n, 0)])
+            assert np.array_equal(total, fresh), n
+        assert all(np.shape(S) == ((2,) if vector else ()) for S in integ._f_memo.values())
 
     @pytest.mark.parametrize("eta, ulps", [(0.5, 8), (0.9, 40)])
     def test_u_from_half_sines_is_close_to_u_at_t_plus_y(self, eta, ulps):
@@ -979,15 +1039,15 @@ class TestSplitFill:
         # psi at the exact offset y against g_eval's psi at fl(x_hat) - t
         integ = self.integrand(m, t, True, u)
         self.fill(integ)
-        for N, f in integ._f_memo.items():
+        for N, S in integ._f_memo.items():
             y, x_hat = self.lattice_nodes(integ, N)
             quotient = integ.g_eval(x_hat) / quadrature.int_power(y, m)
             if N == 2 and m % 2:
                 # the lone node at T/2 is psi's zero: both are roundoff of 0
                 bound = 8 * self.EPS * np.abs(u(x_hat))
-                assert np.all(np.abs(f) <= bound) and np.all(np.abs(quotient) <= bound)
+                assert np.all(np.abs(S) <= bound) and np.all(np.abs(quotient) <= bound)
             else:
-                assert np.all(np.abs(f - quotient) <= 8 * self.EPS * np.abs(f).sum()), N
+                assert abs(S - quotient.sum()) <= 8 * self.EPS * np.abs(quotient).sum(), N
 
     def test_second_integrand_reads_the_table(self, monkeypatch):
         psi_calls, u_sizes = [], []
@@ -1013,8 +1073,8 @@ class TestSplitFill:
         psi_calls.clear(), u_sizes.clear()
         second = integrand(-1.1)
         t_hat(specs[0], second)
-        # P(8192) and P(16384): 12,288 nodes in two blocks
-        assert psi_calls == [] and u_sizes == [quadrature._G_BLOCK, 12288 - quadrature._G_BLOCK]
+        # P(8192) and P(16384): 4,096 and 8,192 nodes, a block each
+        assert psi_calls == [] and u_sizes == [4096, quadrature._G_BLOCK]
         u_sizes.clear()
         value = t_hat(specs[1], second)
         # the level-0 family at 16384 lacks P(4096), ..., P(2): 4095 nodes
@@ -1083,6 +1143,47 @@ class TestSplitFill:
         # each value is the one a thread alone gives
         for k in range(4):
             assert values[k] == [t_hat(spec, integ) for spec, integ in rules(k)], k
+
+    def test_threads_on_one_integrand_give_the_serial_values(self):
+        # four threads run generic rules s = 0, 1 at n = 2^6 ... 2^14, each in
+        # its own order, on one integrand per trial, so they fill and read
+        # its memo at once; a switch interval of 1 us interleaves them inside
+        # each other's fills.  A memo of node arrays and views once returned
+        # wrong values here in most trials of 30; 40 trials failed in 10 of
+        # 10 runs, where each lattice sum is a function of its lattice alone
+        specs = [RuleSpec(3, s, 2**k) for s in (0, 1) for k in range(6, 15)]
+        orders = [specs, specs[::-1], specs[1::2] + specs[::2], specs[::2][::-1] + specs[1::2][::-1]]
+
+        def integrand():
+            return singular_periodic_integrand(PoissonKernelU(0.7), m=3, t=0.3, n_derivs=3)
+
+        serial_integ = integrand()
+        serial = {spec: t_hat(spec, serial_integ) for spec in specs}
+        wrong, errors = [], []
+
+        def work(integ, order):
+            try:
+                for spec in order:
+                    value = t_hat(spec, integ)
+                    if value != serial[spec]:
+                        wrong.append((spec, value))
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                integ = integrand()
+                threads = [threading.Thread(target=work, args=(integ, order)) for order in orders]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
 
     def test_replace_drops_the_split(self):
         integ = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
