@@ -116,13 +116,16 @@ def integrand_norms(integrand: PeriodicIntegrand) -> tuple[float, float, float]:
     Order-of-magnitude accuracy is all the floor model needs.  A
     vector-valued g is differenced along its nodes, so each norm is the
     largest over its rows.  g goes through the rule's evaluator checks, so
-    a non-finite sample raises EvaluationError naming its x.
+    a non-finite sample raises EvaluationError naming its x, and a
+    difference that overflows one naming its norm and x.
     """
     xs = np.linspace(integrand.a, integrand.b, NORM_SAMPLES)
     g = _check_finite(_call("integrand evaluator", "nodes", integrand.g_eval, xs, rows=True), xs)
     dx = xs[1] - xs[0]
-    g1 = _gradient(g, dx)
-    g3 = _gradient(_gradient(g1, dx), dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1 = _check_finite(_gradient(g, dx), xs, "the g' norm sample overflowed at node {index} (x={x!r})")
+        g3 = _gradient(_gradient(g1, dx), dx)
+    _check_finite(g3, xs, "the g''' norm sample overflowed at node {index} (x={x!r})")
     return float(np.max(np.abs(g))), float(np.max(np.abs(g1))), float(np.max(np.abs(g3)))
 
 

@@ -24,8 +24,8 @@ from . import _kernels
 from .errors import DerivativesRequiredError, ReferenceConvergenceError, SingularSystemError
 from .integrands import _series_mul, kernel_factor_series, numerator_factor, numerator_factor_derivs
 from .quadrature import (
-    CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _require_integers, _wrap, compact_rule,
-    roundoff_floor, t_hat,
+    CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _require_integers, _shared, _wrap,
+    compact_rule, roundoff_floor, t_hat,
 )
 
 __all__ = [
@@ -112,24 +112,15 @@ class PeriodicKernel:
         return tuple(float(_call(f"U_{k}", "point", fn, t)) for k, fn in enumerate(self.u_xderivs_diag))
 
 
-@lru_cache(maxsize=64)
+@_shared
 def _psi_table(kernel: PeriodicKernel, shape: tuple, data: bytes) -> np.ndarray:
-    """kernel.psi on the offsets with this shape and these float64 bytes, read-only.
+    """kernel.psi on the offsets with this shape and these float64 bytes.
 
     Every rhs, build and solve with one kernel evaluates psi on the same few
     offset arrays (the rule columns, the anchor's rule families, the norm
-    sample), so each is evaluated once.  An entry holds its key's bytes and
-    the values, 16 bytes per offset.  An rhs reads five arrays of at most
-    576 offsets (the 257-offset norm sample, the anchor's blocks of 288 and
-    384 and its two rules' columns of 288 and 576), and a build of N
-    unknowns one, its live residues: N - 1 for (3, 0), 3N/4 for (3, 2).
-    So 64 entries of builds with N <= 1024 hold at most 1 MiB; the
-    ``ie-solve`` mix reads 11 arrays of 3,134 offsets, about 49 KiB.
+    sample), so each is evaluated once.
     """
-    y = np.frombuffer(data).reshape(shape)
-    vals = _call("psi", "offsets", kernel.psi, y)
-    vals.flags.writeable = False
-    return vals
+    return _call("psi", "offsets", kernel.psi, np.frombuffer(data).reshape(shape))
 
 
 def _circulant(rows: np.ndarray) -> np.ndarray:
@@ -324,13 +315,11 @@ def dirichlet_kernel_deriv(k: int, n: int, y, period: float):
     return _dirichlet_eval(k, n, y, period)
 
 
-@lru_cache(maxsize=64)
+@_shared
 def _cardinal_row(k: int, n: int, period: float) -> np.ndarray:
-    """D_n^(k)(j T/n) for j = 0..n-1, read-only: every n-point build reads it."""
+    """D_n^(k)(j T/n) for j = 0..n-1: every n-point build reads it."""
     offs = np.arange(n, dtype=np.int64) * (period / n)
-    row = np.asarray(_dirichlet_eval(k, n, offs, period))
-    row.flags.writeable = False
-    return row
+    return np.asarray(_dirichlet_eval(k, n, offs, period))
 
 
 def cardinal_derivative_matrix(k: int, n: int, period: float) -> np.ndarray:
@@ -502,23 +491,20 @@ def _grid_indices(ts: np.ndarray, a: float, period: float) -> Optional[np.ndarra
     return k.astype(np.int64)
 
 
-@lru_cache(maxsize=8)
+@_shared
 def _lattice_spectrum(kernel: PeriodicKernel, n_rule: int, L: int) -> np.ndarray:
-    """The rfft of the (3, 2) rule's column at n_rule on an L-point lattice, read-only.
+    """The rfft of the (3, 2) rule's column at n_rule on an L-point lattice.
 
     The column is the kernel part of the simple system at n_rule, the
     circulant column ``_assemble`` gives with lam = 0, with its 4 n_rule
     residues spread at stride L/(4 n_rule).  It depends on neither phi nor
-    lam, so every rhs with one kernel and lattice reads it from this table.
-    An entry holds (L/2 + 1) * 16 bytes: the 4 keys of a kernel at n_rule
-    in {96, 192} and L in {768, 3072} hold 62 KB, and 8 entries at
-    L = _RHS_LATTICE_MAX hold at most 8 * (2^20 + 1) * 16 bytes, 134 MB.
+    lam, so every rhs with one kernel and lattice reads it from the store of
+    shared tables, which keeps a spectrum of (L/2 + 1) * 16 bytes up to its
+    bound.
     """
     column = np.zeros(L)
     column[:: L // (4 * n_rule)] = _assemble(kernel, None, compact_rule(3, 2), n_rule, 0.0)["column"]
-    spectrum = np.fft.rfft(column)
-    spectrum.flags.writeable = False
-    return spectrum
+    return np.fft.rfft(column)
 
 
 def _rule_on_lattice(kernel: PeriodicKernel, n_rule: int, spectrum: np.ndarray, L: int):

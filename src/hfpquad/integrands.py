@@ -385,8 +385,7 @@ def singular_periodic_integrand(
     ``g_eval`` is a ``SplitNumerator`` with psi = psi_m (even, one shared
     object per (m, period)): the rules evaluate psi_m at the exact offsets
     y of their nodes, from a table shared by every integrand of the same m
-    and period and bounded by ``quadrature._OFFSET_TABLE_BYTES`` (8 MiB),
-    and u once per block of nodes, while ``g_eval(x)`` evaluates
+    and period, and u once per block of nodes, while ``g_eval(x)`` evaluates
     psi_m(x - t) u(x) as written.  A ``PoissonKernelU`` is evaluated by the
     rules at t + y through its ``from_half_sine``, any other u at the
     wrapped nodes fl(t + y).  ``dataclasses.replace(integ, g_eval=...)``

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DerivativesRequiredError, ReferenceConvergenceError
 from .integrands import PoissonKernelU, TrigPolynomial, _eulerian_row, singular_periodic_integrand
-from .quadrature import PeriodicIntegrand, _check_finite, _rule_g
+from .quadrature import PeriodicIntegrand, _check_finite, _rule_g, _shared
 
 __all__ = [
     "GeometricKernelCase",
@@ -150,10 +150,9 @@ def hfp_power_integral(p: int, a: float, b: float, t: float) -> float:
     return ((b - t) ** (p + 1) - (a - t) ** (p + 1)) / (p + 1)
 
 
-@lru_cache(maxsize=None)
+@_shared
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_integrate(fn, breakpoints, panel_counts) -> list[float]:

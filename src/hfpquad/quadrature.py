@@ -14,7 +14,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from typing import Callable, Optional
 
 import numpy as np
@@ -146,9 +146,9 @@ class SplitNumerator:
     whose ``g_eval`` this is, about the integrand's own t, instead evaluate
     psi at the exact offsets y of their nodes, in the memo fill every g goes
     through (``_fill``; a plain g is psi = 1): psi(|y|) and |y|^m come
-    from one table per (psi, m, period, lattice), shared by every integrand
-    and holding at most ``_OFFSET_TABLE_BYTES`` bytes, and u runs once per
-    block of at most ``_G_BLOCK`` nodes.  u runs on the wrapped nodes
+    from one table per (psi, m, period, lattice) in the store of shared
+    tables (``_table``), and u runs once per block of at most ``_G_BLOCK``
+    nodes.  u runs on the wrapped nodes
     x_hat = fl(t + y), unless it has a ``from_half_sine(S)`` method giving
     u(x) from S = sin(x/2) elementwise (``PoissonKernelU``): that method
     then runs on sin((t + y)/2), formed from sines and cosines of per-lattice
@@ -337,15 +337,50 @@ class RuleSpec:
 #: at multiples of this from its own start (``_blocks``)
 _G_BLOCK = 8192
 
-#: bound on the bytes of the offset table's arrays
-_OFFSET_TABLE_BYTES = 8 * 2**20
+#: bound on the bytes the store of shared tables holds (``_table``)
+_TABLE_BYTES = 8 * 2**20
 
-# (id(psi), m, period, N) -> (psi, psi(|y|), |y|^m) on the first positive
-# offsets of P(N), least recently used first; holding psi keeps its id
-# unique.  psi is None, and psi(|y|) with it, for a g that is not split.
-_OFFSET_TABLE: dict = {}
-# held for every read and write of the table, which threads share
-_OFFSET_TABLE_LOCK = threading.Lock()
+# key -> (value, its bytes), least recently used first: the store of shared
+# tables, which threads share under the lock
+_TABLES: dict = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def _table(key, build: Callable):
+    """The value of ``key`` in the store of shared tables, ``build()`` if
+    the store lacks it.
+
+    The store is the one cache of arrays (offset, half-angle and psi
+    tables, lattice spectra, cardinal rows, Gauss nodes): a value is an
+    array or a tuple holding arrays, which it marks read-only.  It keeps
+    at most ``_TABLE_BYTES`` bytes of arrays and of bytes in keys, evicting
+    the least recently used entries first; a value larger than that is
+    returned but not kept.  ``build`` runs outside the lock, so two
+    threads may build one key, and must give equal values.
+    """
+    with _TABLES_LOCK:
+        if key in _TABLES:
+            _TABLES[key] = entry = _TABLES.pop(key)
+            return entry[0]
+    value = build()
+    arrays = [a for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray)]
+    for array in arrays:
+        array.flags.writeable = False
+    nbytes = sum(a.nbytes for a in arrays) + sum(len(k) for k in key if isinstance(k, bytes))
+    if nbytes <= _TABLE_BYTES:
+        with _TABLES_LOCK:
+            _TABLES.pop(key, None)
+            held = sum(b for _, b in _TABLES.values())
+            while held + nbytes > _TABLE_BYTES:
+                held -= _TABLES.pop(next(iter(_TABLES)))[1]
+            _TABLES[key] = (value, nbytes)
+    return value
+
+
+def _shared(fn: Callable) -> Callable:
+    """fn with its values kept in the store of shared tables, keyed by fn
+    and its positional arguments (``_table``)."""
+    return wraps(fn)(lambda *args: _table((fn, *args), partial(fn, *args)))
 
 
 def _family(integrand: PeriodicIntegrand, n: int, level: int):
@@ -474,50 +509,38 @@ def _blocks(sizes):
 
 
 def _offset_table(psi: Optional[Callable], m: int, period: float, N: int, family, need: int):
-    """(psi(|y|), |y|^m) on at least the first ``need`` offsets ks[i]*delta
-    of the lattice P(N) (``family``), from the table shared by integrands;
-    psi(|y|) is None for psi None, a g that is not split.
+    """(psi(|y|), |y|^m) on the first max(need, ceil(L/2)) offsets ks[i]*delta
+    of the lattice P(N) (``family``, L nodes), from the store of shared
+    tables (``_table``); psi(|y|) is None for psi None, a g that is not split.
 
-    A new entry covers at least half the lattice, the offsets up to T/2,
-    which is what a period centered at t reads; psi runs in blocks, outside
-    the table's lock.  Entries are evicted least recently used first to
-    keep the table's arrays within ``_OFFSET_TABLE_BYTES``; an entry larger
-    than that is not kept.
+    A period centered at t needs ceil(L/2) offsets, those up to T/2, so the
+    integrands of one psi, m and period share one entry per lattice.  The
+    key holds id(psi) and the value psi, which keeps the id unique while
+    the entry lives; psi runs in blocks.  A table that cannot be allocated
+    raises EvaluationError naming the lattice, chained to the MemoryError.
     """
-    key = (id(psi), m, period, N)
-    with _OFFSET_TABLE_LOCK:
-        entry = _OFFSET_TABLE.pop(key, None)
-        if entry is not None and entry[2].size >= need:
-            _OFFSET_TABLE[key] = entry
-            return entry[1:]
     ks, _, delta = family
     size = max(need, (len(ks) + 1) // 2)
-    entry = (psi, None if psi is None else np.empty(size), np.empty(size))
-    for [(_, lo, hi)] in _blocks([size]):
-        y = _offsets((ks, size, delta), lo, hi)
-        if psi is not None:
-            entry[1][lo:hi] = _call("psi", "offsets", psi, y)
-        entry[2][lo:hi] = int_power(y, m)
-    nbytes = _table_bytes(entry)
-    if nbytes <= _OFFSET_TABLE_BYTES:
-        with _OFFSET_TABLE_LOCK:
-            _OFFSET_TABLE.pop(key, None)
-            held = sum(map(_table_bytes, _OFFSET_TABLE.values()))
-            while held + nbytes > _OFFSET_TABLE_BYTES:
-                held -= _table_bytes(_OFFSET_TABLE.pop(next(iter(_OFFSET_TABLE))))
-            _OFFSET_TABLE[key] = entry
-    return entry[1:]
+
+    def build():
+        table = (psi, None if psi is None else np.empty(size), np.empty(size))
+        for [(_, lo, hi)] in _blocks([size]):
+            y = _offsets((ks, size, delta), lo, hi)
+            if psi is not None:
+                table[1][lo:hi] = _call("psi", "offsets", psi, y)
+            table[2][lo:hi] = int_power(y, m)
+        return table
+
+    try:
+        return _table((_offset_table, id(psi), m, period, N, size), build)[1:]
+    except MemoryError as exc:
+        raise EvaluationError(f"the offset table of the lattice P({N}), {size} offsets, cannot be allocated") from exc
 
 
-def _table_bytes(entry) -> int:
-    """The bytes of the arrays an ``_OFFSET_TABLE`` entry holds."""
-    return sum(a.nbytes for a in entry[1:] if a is not None)
-
-
-@lru_cache(maxsize=256)
+@_shared
 def _half_angle_table(N: int, delta: float):
     """(B, cos r theta, sin r theta, row angles) of the lattice P(N) with
-    spacing delta, theta = delta/2, read-only.
+    spacing delta, theta = delta/2.
 
     Node k of P(N) is x = t + j delta, j = k or, where it wraps, k - N, so
     x/2 = t/2 + j theta.  With k = qB + r, 0 <= r < B, and the row angle
@@ -533,10 +556,7 @@ def _half_angle_table(N: int, delta: float):
     theta = 0.5 * delta
     r_theta = np.arange(step - 1, B, step) * theta
     qB = np.arange(0, N, B)
-    table = (np.cos(r_theta), np.sin(r_theta), np.concatenate((qB * theta, (qB - N) * theta)))
-    for array in table:
-        array.flags.writeable = False
-    return (B, *table)
+    return B, np.cos(r_theta), np.sin(r_theta), np.concatenate((qB * theta, (qB - N) * theta))
 
 
 def _half_angle_rows(integrand: PeriodicIntegrand, families):

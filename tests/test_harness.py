@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,21 @@ class TestFloorCheck:
         assert info.value.node_x == a
         with pytest.raises(EvaluationError, match="x=-3.14159"):
             integrand_norms(integ)
+
+    def test_overflowing_norm_sample_raises(self):
+        # at 1e302 the third difference of g = A sin 200x overflows; it once
+        # gave a RuntimeWarning and then ValueError from roundoff_floor
+        def integrand(amplitude):
+            return PeriodicIntegrand(
+                m=3, t=0.3, a=0.3 - math.pi, b=0.3 + math.pi, g_eval=lambda x: amplitude * np.sin(200.0 * x)
+            )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="the g''' norm .* overflowed"):
+                convergence_table_for(integrand(1e302), 0.0, "zero", s=2, n_list=[10, 20], path="compact")
+            rep = convergence_table_for(integrand(1e301), 0.0, "zero", s=2, n_list=[10, 20], path="compact")
+        assert all(map(math.isfinite, rep.g_norms)) and math.isfinite(rep.floor_estimate)
 
     def test_zero_integrand(self):
         case = GeometricKernelCase(eta=0.0, t=1.0)

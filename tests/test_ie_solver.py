@@ -6,12 +6,14 @@ import dataclasses
 import functools
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from hfpquad import ie_solver
+from hfpquad import ie_solver, quadrature
 from hfpquad.errors import (
     DerivativesRequiredError,
     EvaluationError,
@@ -37,9 +39,16 @@ from hfpquad.ie_solver import (
     solve_collocation,
     supersingular_cotangent_kernel,
 )
-from hfpquad.integrands import PoissonKernelU, numerator_factor, numerator_factor_derivs
-from hfpquad.oracles import exact_supersingular, fourier_symbol
+from hfpquad.integrands import (
+    PoissonKernelU,
+    TrigPolynomial,
+    numerator_factor,
+    numerator_factor_derivs,
+    singular_periodic_integrand,
+)
+from hfpquad.oracles import exact_supersingular, fourier_symbol, hfp_reference
 from hfpquad.quadrature import RuleSpec, compact_rule, roundoff_floor, t_hat
+from test_quadrature import held_bytes
 
 TWO_PI = 2.0 * math.pi
 
@@ -853,14 +862,19 @@ class TestPsiTable:
         assert supersingular_cotangent_kernel(0, 1) is supersingular_cotangent_kernel(0.0, 1.0)
         assert supersingular_cotangent_kernel(0.0, 1.0) is not supersingular_cotangent_kernel()
 
-    def test_table_holds_at_most_its_cap(self):
-        table = ie_solver._psi_table
-        cap = table.cache_info().maxsize
-        assert cap == 64
+    def test_table_holds_at_most_its_cap(self, monkeypatch):
+        # an entry holds its key's offset bytes and psi's values, 16 bytes
+        # per offset; one above the store's bound is returned but not kept
+        bound = 2**14
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        monkeypatch.setattr(quadrature, "_TABLE_BYTES", bound)
         kern = supersingular_cotangent_kernel()
-        for size in range(1, 2 * cap + 2):
-            kern.numerator_centered(None, np.linspace(-1.0, 1.0, size))
-            assert table.cache_info().currsize <= cap
+        for size in range(1, 1100, 13):
+            y = np.linspace(-1.0, 1.0, size)
+            assert np.array_equal(kern.numerator_centered(None, y), numerator_factor(3, y, kern.period))
+            kept = (ie_solver._psi_table.__wrapped__, kern, y.shape, y.tobytes()) in quadrature._TABLES
+            assert kept == (16 * size <= bound)
+            assert 0 < held_bytes() <= bound
 
 
 def fresh_rule_on_lattice(kernel, n_rule, spectrum, L):
@@ -898,14 +912,19 @@ class TestLatticeSpectrum:
         with pytest.raises(ValueError, match="read-only"):
             spectrum[0] = 0.0
 
-    def test_table_holds_at_most_its_cap(self):
-        table = ie_solver._lattice_spectrum
-        cap = table.cache_info().maxsize
-        assert cap == 8
+    def test_table_holds_at_most_its_cap(self, monkeypatch):
+        # a spectrum on L points holds (L/2 + 1) * 16 bytes; from L = 8,448
+        # on it is above the store's bound, returned but not kept
+        bound = 2**16
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        monkeypatch.setattr(quadrature, "_TABLE_BYTES", bound)
         kern = supersingular_cotangent_kernel()
-        for k in range(1, 2 * cap + 2):
-            table(kern, _RHS_N_HIGH, 768 * k)
-            assert table.cache_info().currsize <= cap
+        for L in range(768, 768 * 18, 768):
+            spectrum = ie_solver._lattice_spectrum(kern, _RHS_N_HIGH, L)
+            assert spectrum.size == L // 2 + 1 and not spectrum.flags.writeable
+            kept = (ie_solver._lattice_spectrum.__wrapped__, kern, _RHS_N_HIGH, L) in quadrature._TABLES
+            assert kept == (L < 8448)
+            assert 0 < held_bytes() <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -1184,3 +1203,75 @@ class TestGridEnds:
         want = lam * phi(ts) + fp
         bound = tol * (1.0 + np.abs(want)) + noise_allowance(kern, phi, ts)
         assert np.all(np.abs(got - want) <= bound)
+
+
+class TestSharedTables:
+    """The solver's tables (psi columns, lattice spectra, cardinal rows) and
+    the rules' (offset and half-angle tables, Gauss nodes) share one store."""
+
+    RUNS = [("simple", 16, 0.3, 1.2), ("advanced", 16, 0.2, 0.7), ("simple", 64, 0.25, 1.5), ("advanced", 64, 0.35, 0.9)]
+
+    @staticmethod
+    def solve(approach, n, eta, lam):
+        kern, phi = supersingular_cotangent_kernel(), PoissonKernelU(eta)
+        build = build_simple_system if approach == "simple" else build_advanced_system
+        system = build(kern, manufactured_rhs(kern, phi, lam), lam, n)
+        sol = solve_collocation(system)
+        return system.rhs.tolist(), system.column.tolist(), sol.values.tolist(), sol.condition
+
+    def test_threads_share_the_store(self, monkeypatch):
+        # four threads run rhs, build and solve on the one cotangent kernel,
+        # each in its own order, inserting into and evicting from a store
+        # too small for all their tables; a switch interval of 1 us
+        # interleaves them inside each other's table reads
+        serial = [self.solve(*run) for run in self.RUNS]
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        monkeypatch.setattr(quadrature, "_TABLE_BYTES", 2**15)
+        values, errors = {}, []
+
+        def work(k):
+            try:
+                order = self.RUNS[k:] + self.RUNS[:k]
+                values[k] = [self.solve(*run) for run in order * 2]
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 0 < held_bytes() <= 2**15
+        for k in range(4):
+            assert values[k] == (serial[k:] + serial[:k]) * 2, k
+
+    def test_held_bytes_stay_within_the_bound(self, monkeypatch):
+        # rules, the reference oracle and solves, with the default store and
+        # then with one of 32 KiB: the same doubles, and never more bytes held
+        split = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
+        trig = singular_periodic_integrand(TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7)), m=2, t=-1.1, n_derivs=9)
+        steps = [
+            lambda: t_hat(RuleSpec(3, 2, 2**13, path="compact"), dataclasses.replace(split)),
+            lambda: t_hat(RuleSpec(2, 2, 40, path="compact"), dataclasses.replace(trig)),
+            lambda: hfp_reference(trig.g_eval, trig.g_derivs_at_t, 2, trig.a, trig.b, trig.t, smoothing=6),
+            lambda: self.solve("simple", 64, 0.3, 1.2),
+            lambda: self.solve("advanced", 16, 0.2, 0.7),
+            lambda: cardinal_derivative_matrix(2, 32, 2.0).tolist(),
+        ]
+        want = [step() for step in steps]
+        bound = 2**15
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        monkeypatch.setattr(quadrature, "_TABLE_BYTES", bound)
+        for step, value in zip(steps * 2, want * 2):
+            assert step() == value
+            assert 0 < held_bytes() <= bound
+        # P(2^15)'s offset table, psi(|y|) and |y|^3 on 8,192 offsets, is
+        # 128 KiB: the first rule used it, and the store did not keep it
+        assert not any(key[0] is quadrature._offset_table and key[4] == 2**15 for key in quadrature._TABLES)

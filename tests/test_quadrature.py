@@ -58,6 +58,18 @@ def supersingular_one(t=1.0):
     return singular_periodic_integrand(u, m=3, t=t, n_derivs=3)
 
 
+def held_bytes():
+    """The bytes the store of shared tables holds; each entry's count is
+    checked against its value's arrays and its key's bytes."""
+    held = 0
+    for key, (value, nbytes) in quadrature._TABLES.items():
+        arrays = [a for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        assert nbytes == sum(a.nbytes for a in arrays) + sum(len(k) for k in key if isinstance(k, bytes))
+        held += nbytes
+    return held
+
+
 class TestWrap:
     def test_examples(self):
         integ = PeriodicIntegrand(1, 1.0, 0.0, TWO_PI, lambda x: np.ones_like(x))
@@ -1079,8 +1091,8 @@ class TestSplitFill:
         value = t_hat(specs[1], second)
         # the level-0 family at 16384 lacks P(4096), ..., P(2): 4095 nodes
         assert psi_calls == [] and u_sizes == [4095]
-        # the table changes no value: an empty one gives the same doubles
-        monkeypatch.setattr(quadrature, "_OFFSET_TABLE", {})
+        # the table changes no value: an empty store gives the same doubles
+        monkeypatch.setattr(quadrature, "_TABLES", {})
         assert t_hat(specs[1], integrand(-1.1)) == value and psi_calls
 
     @pytest.mark.parametrize("split", [True, False])
@@ -1092,25 +1104,24 @@ class TestSplitFill:
         specs = [RuleSpec(3, 2, 2**k, path="compact") for k in range(3, 14)]
         values = [t_hat(spec, dataclasses.replace(integ)) for spec in specs]
         bound = 2**16
-        monkeypatch.setattr(quadrature, "_OFFSET_TABLE", {})
-        monkeypatch.setattr(quadrature, "_OFFSET_TABLE_BYTES", bound)
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        monkeypatch.setattr(quadrature, "_TABLE_BYTES", bound)
         for spec, value in zip(specs, values):
             # each integrand starts with an empty memo, so every rule reads the table
             assert t_hat(spec, dataclasses.replace(integ)) == value
-            held = sum(map(quadrature._table_bytes, quadrature._OFFSET_TABLE.values()))
-            assert 0 < held <= bound
+            assert 0 < held_bytes() <= bound
         # an entry of P(2^15) has 8,192 offsets: a split's psi(|y|) and |y|^m
         # need 128 KiB, used but not kept, and a plain g's |y|^m alone 64 KiB
-        entries = quadrature._OFFSET_TABLE.values()
+        entries = [value for key, (value, _) in quadrature._TABLES.items() if key[0] is quadrature._offset_table]
         assert all((psi_abs is None) != split for _, psi_abs, _ in entries)
         assert max(power.size for _, _, power in entries) == (4096 if split else 8192)
 
     def test_threads_share_the_offset_table(self, monkeypatch):
         # four threads run compact rules on integrands of their own, all of
-        # them inserting into and evicting from the one table; a switch
+        # them inserting into and evicting from the one store; a switch
         # interval of 1 us interleaves them inside each other's table reads
-        monkeypatch.setattr(quadrature, "_OFFSET_TABLE", {})
-        monkeypatch.setattr(quadrature, "_OFFSET_TABLE_BYTES", 2**16)
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        monkeypatch.setattr(quadrature, "_TABLE_BYTES", 2**16)
 
         def rules(k):
             for i in range(300):
@@ -1138,11 +1149,18 @@ class TestSplitFill:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        held = sum(map(quadrature._table_bytes, quadrature._OFFSET_TABLE.values()))
-        assert 0 < held <= 2**16
+        assert 0 < held_bytes() <= 2**16
         # each value is the one a thread alone gives
         for k in range(4):
             assert values[k] == [t_hat(spec, integ) for spec, integ in rules(k)], k
+
+    def test_unallocatable_lattice_raises(self):
+        # P(2^61)'s offset table needs about 2^59 doubles for psi(|y|) alone,
+        # 4 EiB, which no machine grants: np.empty raises before allocating
+        integ = singular_periodic_integrand(TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7)), m=3, t=0.3)
+        with pytest.raises(EvaluationError, match=rf"offset table of the lattice P\({2**61}\)") as info:
+            t_hat(RuleSpec(3, 2, 2**60, path="compact"), integ)
+        assert isinstance(info.value.__cause__, MemoryError)
 
     def test_threads_on_one_integrand_give_the_serial_values(self):
         # four threads run generic rules s = 0, 1 at n = 2^6 ... 2^14, each in
