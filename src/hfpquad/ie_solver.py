@@ -24,8 +24,8 @@ from . import _kernels
 from .errors import DerivativesRequiredError, ReferenceConvergenceError, SingularSystemError
 from .integrands import _series_mul, kernel_factor_series, numerator_factor, numerator_factor_derivs
 from .quadrature import (
-    CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _require_integers, _shared, _wrap,
-    compact_rule, roundoff_floor, t_hat,
+    CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _require_integers, _require_period, _shared,
+    _wrap, compact_rule, roundoff_floor, t_hat,
 )
 
 __all__ = [
@@ -87,6 +87,7 @@ class PeriodicKernel:
     u_xderivs_diag: Optional[tuple[Callable, ...]] = None
 
     def __post_init__(self):
+        _require_period(self.a, self.b)
         if (self.centered is None) == (self.psi is None):
             raise ValueError("a periodic kernel takes exactly one of centered and psi")
 

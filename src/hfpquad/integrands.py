@@ -107,7 +107,7 @@ def numerator_factor(m: int, y, period: float = TWO_PI):
     does not depend on the other points of the call.
 
     Its callers: the psi of ``singular_periodic_integrand``, which the rules
-    evaluate once per lattice into their offset table and ``g_eval`` at
+    evaluate once per lattice into their lattice table and ``g_eval`` at
     x - t, and the cotangent kernel of ``ie_solver``.
     """
     y = np.asarray(y, dtype=float)
@@ -164,7 +164,9 @@ def numerator_factor_derivs(m: int, max_order: int, period: float = TWO_PI) -> t
     (m, max_order, period).
 
     Odd-order values vanish (psi_m is even); even orders come from the
-    series coefficients.
+    series coefficients.  A power of T/pi that overflows makes its value
+    infinite (or NaN), which ``PeriodicIntegrand`` refuses as a g
+    derivative.
     """
     coeffs = kernel_factor_series(m, n_terms=max_order // 2 + 2)
     scale = period / math.pi
@@ -173,8 +175,11 @@ def numerator_factor_derivs(m: int, max_order: int, period: float = TWO_PI) -> t
         if j % 2 == 1:
             out.append(0.0)
         else:
-            c = coeffs[j // 2]
-            out.append(float(c) * math.factorial(j) * scale ** (m - j))
+            try:
+                power = scale ** (m - j)
+            except OverflowError:
+                power = math.inf
+            out.append(float(coeffs[j // 2]) * math.factorial(j) * power)
     return tuple(out)
 
 
@@ -362,7 +367,7 @@ class PoissonKernelU:
 @lru_cache(maxsize=64)
 def _kernel_factor(m: int, period: float):
     """psi_m = numerator_factor(m, ., period) as one object per (m, period),
-    so that the rules' offset table serves every integrand built with it."""
+    so that the rules' lattice tables serve every integrand built with it."""
     return partial(numerator_factor, m, period=period)
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DerivativesRequiredError, ReferenceConvergenceError
+from .errors import DerivativesRequiredError, EvaluationError, ReferenceConvergenceError
 from .integrands import PoissonKernelU, TrigPolynomial, _eulerian_row, singular_periodic_integrand
 from .quadrature import PeriodicIntegrand, _check_finite, _rule_g, _shared
 
@@ -93,10 +93,16 @@ def fourier_symbol(m: int, k: int) -> complex:
     2*pi i^m R_m(k) for k > 0, conj(c_m(-k)) for k < 0 and 0 at k = 0.
 
     R_m(|k|) is one correctly rounded integer division, so a mode the
-    kernel annihilates (c_4(1), c_6(2)) is an exact 0.
+    kernel annihilates (c_4(1), c_6(2)) is an exact 0.  A value that
+    overflows in doubles raises EvaluationError.
     """
     coefs, den = _symbol_poly(m)
-    x = TWO_PI * (sum(c * abs(k) ** p for p, c in enumerate(coefs)) / den) if k else 0.0
+    try:
+        x = TWO_PI * (sum(c * abs(k) ** p for p, c in enumerate(coefs)) / den) if k else 0.0
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise EvaluationError(f"the symbol c_{m}({k}) overflowed")
     re, im = ((x, 0.0), (0.0, x), (-x, 0.0), (0.0, -x))[m % 4]
     return complex(re, im if k > 0 else -im)
 
@@ -142,12 +148,19 @@ def hfp_power_integral(p: int, a: float, b: float, t: float) -> float:
 
     p != -1: [(b-t)^(p+1) - (a-t)^(p+1)]/(p+1), the divergent boundary
     contribution at x = t discarded symmetrically; p = -1: log((b-t)/(t-a)).
+    A value that overflows in doubles raises EvaluationError.
     """
     if not a < t < b:
         raise ValueError("require a < t < b")
     if p == -1:
         return math.log((b - t) / (t - a))
-    return ((b - t) ** (p + 1) - (a - t) ** (p + 1)) / (p + 1)
+    try:
+        value = ((b - t) ** (p + 1) - (a - t) ** (p + 1)) / (p + 1)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise EvaluationError(f"the finite part of (x - t)^{p} over [{a!r}, {b!r}] overflowed at t={t!r}")
+    return value
 
 
 @_shared

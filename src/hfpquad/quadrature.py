@@ -75,7 +75,7 @@ class PeriodicIntegrand:
 
     Every g is filled as a split g(x) = psi(x - t) u(x): f = psi(y) u/y^m
     on the exact offsets y of the nodes, with |y|^m and psi(|y|) read from a
-    table shared by every integrand with the same psi, m and period.  A
+    table shared by every integrand with the same psi, m and lattice.  A
     plain g is psi = 1 and u = g at the wrapped nodes x_hat, so f is bit for
     bit g(x_hat)/y^m.  A ``g_eval`` that is a ``SplitNumerator`` about this
     t declares its psi and u; ``g_eval(x)`` itself evaluates psi(x - t), so
@@ -96,6 +96,7 @@ class PeriodicIntegrand:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("singularity order m must be >= 1")
+        _require_period(self.a, self.b)
         if not self.a < self.t < self.b:
             raise ValueError("singular point must satisfy a < t < b")
         for order, d in enumerate(self.g_derivs_at_t or ()):
@@ -140,19 +141,17 @@ class SplitNumerator:
     ``psi`` must be even and deterministic, a node's double not depending on
     the other offsets of the call, and ``u`` deterministic likewise; both
     take and return float arrays of one shape.  Calling the object evaluates
-    g as written, psi at x - t, in blocks of ``_G_BLOCK`` nodes of the
-    flattened array so that the temporaries stay in cache; each node gets
-    the double of an unblocked call.  The rules of a ``PeriodicIntegrand``
-    whose ``g_eval`` this is, about the integrand's own t, instead evaluate
-    psi at the exact offsets y of their nodes, in the memo fill every g goes
-    through (``_fill``; a plain g is psi = 1): psi(|y|) and |y|^m come
-    from one table per (psi, m, period, lattice) in the store of shared
-    tables (``_table``), and u runs once per block of at most ``_G_BLOCK``
-    nodes.  u runs on the wrapped nodes
+    g as written, psi(x - t) u(x), in one call.  The rules of a
+    ``PeriodicIntegrand`` whose ``g_eval`` this is, about the integrand's
+    own t, instead evaluate psi at the exact offsets y of their nodes, in
+    the memo fill every g goes through (``_fill``; a plain g is psi = 1):
+    psi(|y|) and |y|^m come from one entry per (psi, m, lattice) in the
+    store of shared tables (``_lattice_table``), and u runs once per block
+    of at most ``_G_BLOCK`` nodes.  u runs on the wrapped nodes
     x_hat = fl(t + y), unless it has a ``from_half_sine(S)`` method giving
     u(x) from S = sin(x/2) elementwise (``PoissonKernelU``): that method
-    then runs on sin((t + y)/2), formed from sines and cosines of per-lattice
-    tables without rounding x, so u is evaluated at t + y, not at x_hat.
+    then runs on sin((t + y)/2), formed from the half-angle rows of the same
+    entry without rounding x, so u is evaluated at t + y, not at x_hat.
     """
 
     psi: Callable
@@ -161,12 +160,8 @@ class SplitNumerator:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        flat, out = x.ravel(), np.empty(x.size)
-        for [(_, lo, hi)] in _blocks([flat.size]):
-            xs = flat[lo:hi]
-            out[lo:hi] = self.psi(xs - self.t) * np.asarray(self.u(xs), dtype=float)
         # [()] turns a 0-d result into a scalar and leaves arrays as they are
-        return out.reshape(x.shape)[()]
+        return (self.psi(x - self.t) * np.asarray(self.u(x), dtype=float))[()]
 
 
 def wrap_to_fundamental(x, integrand: PeriodicIntegrand):
@@ -293,6 +288,13 @@ def compact_rule(m: int, s: int) -> CompactRule:
         if coef:
             corrections.append((order, coef))
     return CompactRule(m, s, families, tuple(corrections))
+
+
+def _require_period(a: float, b: float) -> None:
+    """ValueError naming the bounds unless [a, b) is a period: a < b, with
+    a, b and b - a finite."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
+        raise ValueError(f"the period [a, b) must be finite and non-empty (got a={a!r}, b={b!r})")
 
 
 def _require_integers(**values) -> None:
@@ -508,70 +510,63 @@ def _blocks(sizes):
         yield block
 
 
-def _offset_table(psi: Optional[Callable], m: int, period: float, N: int, family, need: int):
-    """(psi(|y|), |y|^m) on the first max(need, ceil(L/2)) offsets ks[i]*delta
-    of the lattice P(N) (``family``, L nodes), from the store of shared
-    tables (``_table``); psi(|y|) is None for psi None, a g that is not split.
+def _lattice_table(psi: Optional[Callable], m: int, family):
+    """(psi(|y|), |y|^m, B, cos r theta, sin r theta, row angles) of the
+    lattice P(N) (``family``), from the store of shared tables (``_table``):
+    the one entry per lattice that a fill reads.  psi(|y|) is None for psi
+    None, a g that is not split.
 
-    A period centered at t needs ceil(L/2) offsets, those up to T/2, so the
-    integrands of one psi, m and period share one entry per lattice.  The
-    key holds id(psi) and the value psi, which keeps the id unique while
-    the entry lives; psi runs in blocks.  A table that cannot be allocated
-    raises EvaluationError naming the lattice, chained to the MemoryError.
+    psi(|y|) and |y|^m are on the first size = max(inside, L - inside)
+    offsets ks[i]*delta of the lattice's L nodes: its positive offsets and
+    the magnitudes of its wrapped ones, which are the same doubles.  The
+    key holds exactly what the doubles depend on, (id(psi), m, N, delta,
+    size), and the value psi, which keeps the id unique while the entry
+    lives; psi runs in blocks.  A table that cannot be allocated raises
+    EvaluationError naming the lattice, chained to the MemoryError.
+
+    The half-angle rows give sin(x/2) at the nodes without forming x.  Node
+    k of P(N) is x = t + j delta, j = k or, where it wraps, k - N, so
+    x/2 = t/2 + j theta, theta = delta/2.  With k = qB + r, 0 <= r < B, and
+    the row angle phi = t/2 + (qB - N) theta where the node wraps and
+    t/2 + qB theta where it does not, sin(x/2) = sin(phi) cos(r theta) +
+    cos(phi) sin(r theta).  B is a power of two near sqrt(N), so the rows
+    hold O(sqrt N) values: the r of the lattice's parity (odd for an even
+    N, whose k are odd), and the row angles qB theta, then (qB - N) theta,
+    of q = 0 .. Q - 1, Q = ceil(N/B).
     """
-    ks, _, delta = family
-    size = max(need, (len(ks) + 1) // 2)
+    ks, inside, delta = family
+    N, size = ks.stop, max(inside, len(ks) - inside)
 
     def build():
-        table = (psi, None if psi is None else np.empty(size), np.empty(size))
+        psi_abs, power = None if psi is None else np.empty(size), np.empty(size)
         for [(_, lo, hi)] in _blocks([size]):
             y = _offsets((ks, size, delta), lo, hi)
             if psi is not None:
-                table[1][lo:hi] = _call("psi", "offsets", psi, y)
-            table[2][lo:hi] = int_power(y, m)
-        return table
+                psi_abs[lo:hi] = _call("psi", "offsets", psi, y)
+            power[lo:hi] = int_power(y, m)
+        B = 2 ** max(1, N.bit_length() // 2)
+        theta = 0.5 * delta
+        r_theta = np.arange(ks.step - 1, B, ks.step) * theta
+        qB = np.arange(0, N, B)
+        angles = np.concatenate((qB * theta, (qB - N) * theta))
+        return psi, psi_abs, power, B, np.cos(r_theta), np.sin(r_theta), angles
 
     try:
-        return _table((_offset_table, id(psi), m, period, N, size), build)[1:]
+        return _table((_lattice_table, id(psi), m, N, delta, size), build)[1:]
     except MemoryError as exc:
         raise EvaluationError(f"the offset table of the lattice P({N}), {size} offsets, cannot be allocated") from exc
 
 
-@_shared
-def _half_angle_table(N: int, delta: float):
-    """(B, cos r theta, sin r theta, row angles) of the lattice P(N) with
-    spacing delta, theta = delta/2.
-
-    Node k of P(N) is x = t + j delta, j = k or, where it wraps, k - N, so
-    x/2 = t/2 + j theta.  With k = qB + r, 0 <= r < B, and the row angle
-    phi = t/2 + (qB - N) theta where the node wraps and t/2 + qB theta
-    where it does not, sin(x/2) = sin(phi) cos(r theta) + cos(phi) sin(r theta).
-    B is a power of two near sqrt(N), so the table holds O(sqrt N) values:
-    the r of the lattice's parity (odd for an even N, whose k are odd), and
-    the row angles qB theta, then (qB - N) theta, of q = 0 .. Q - 1,
-    Q = ceil(N/B).
-    """
-    step = 2 - N % 2
-    B = 2 ** max(1, N.bit_length() // 2)
-    theta = 0.5 * delta
-    r_theta = np.arange(step - 1, B, step) * theta
-    qB = np.arange(0, N, B)
-    return B, np.cos(r_theta), np.sin(r_theta), np.concatenate((qB * theta, (qB - N) * theta))
-
-
-def _half_angle_rows(integrand: PeriodicIntegrand, families):
-    """sin phi and cos phi of the rows of every lattice (``_family``) of a
-    fill, and per lattice (row, Q, B, cos r theta, sin r theta) (see
-    ``_half_angle_table``): node k = qB + r is in row row + q, or
-    row + Q + q where it wraps.  np.sin and np.cos run once on the rows of
-    all the lattices."""
-    rows, angles, start = [], [], 0
-    for ks, _, delta in families:
-        B, cos_r, sin_r, angles_j = _half_angle_table(ks.stop, delta)
-        rows.append((start, angles_j.size // 2, B, cos_r, sin_r))
-        angles.append(angles_j)
-        start += angles_j.size
-    phi = 0.5 * float(integrand.t) + np.concatenate(angles)
+def _half_angle_rows(integrand: PeriodicIntegrand, tables):
+    """sin phi and cos phi of the rows of every lattice of a fill, from its
+    ``_lattice_table`` entries, and per lattice (row, Q, B, cos r theta,
+    sin r theta): node k = qB + r is in row row + q, or row + Q + q where
+    it wraps.  np.sin and np.cos run once on the rows of all the lattices."""
+    rows, start = [], 0
+    for _, _, B, cos_r, sin_r, angles in tables:
+        rows.append((start, angles.size // 2, B, cos_r, sin_r))
+        start += angles.size
+    phi = 0.5 * float(integrand.t) + np.concatenate([angles for *_, angles in tables])
     return np.sin(phi), np.cos(phi), rows
 
 
@@ -603,7 +598,7 @@ def _gather(integrand: PeriodicIntegrand, families, tables, half_angle_rows, blo
     pieces, in its order, each node's doubles those of a one-piece block.
 
     Node i of a lattice wraps for i >= inside; its table row is i, or
-    L-1-i where it wraps, in the block's ``_offset_table`` entries joined,
+    L-1-i where it wraps, in the block's ``_lattice_table`` entries joined,
     and for odd m a wrapped node's power is negated, so that g/y^m is its
     negated quotient.  u runs on the wrapped nodes x_hat = t + (k - N) delta
     or t + k delta, k = 1 + i*step, or, for a ``from_half_sine`` u
@@ -615,7 +610,7 @@ def _gather(integrand: PeriodicIntegrand, families, tables, half_angle_rows, blo
     scalars, psi_abs, power, cos_r, sin_r, deltas = [], [], [], [], [], []
     start = first = column = 0
     for j, lo, hi in block:
-        (ks, inside, delta), (psi_j, power_j) = families[j], tables[j]
+        (ks, inside, delta), (psi_j, power_j, *_) = families[j], tables[j]
         psi_abs.append(psi_j)
         power.append(power_j)
         # i = position + lo - start; table row first + i, or first + L-1-i
@@ -675,12 +670,12 @@ def _fill(integrand: PeriodicIntegrand, lattices: list, arrays: bool = False) ->
     psi = 1, u = g through ``_rule_g``, never through a ``from_half_sine``
     it may have.  u is u(x_hat) at the wrapped nodes, or, for a split u
     with ``from_half_sine``, that method on sin((t + y)/2) from the
-    half-angle sum of ``_half_angle_table``.  psi(|y|) and |y|^m come from
-    ``_offset_table``, the positive offsets at their own rows and the
-    wrapped ones, whose magnitudes are the same doubles, reversed; for odd
-    m the wrapped quotient is negated, which is exact as IEEE division is
-    sign-symmetric.  As psi is even, each f is bit for bit psi(y) u/y^m (a
-    plain g's g(x_hat)/y^m), y^m = ``int_power(y, m)``.
+    lattice's half-angle rows.  psi(|y|), |y|^m and those rows come from
+    one ``_lattice_table`` entry per lattice, the positive offsets at their
+    own rows and the wrapped ones, whose magnitudes are the same doubles,
+    reversed; for odd m the wrapped quotient is negated, which is exact as
+    IEEE division is sign-symmetric.  As psi is even, each f is bit for bit
+    psi(y) u/y^m (a plain g's g(x_hat)/y^m), y^m = ``int_power(y, m)``.
 
     The lattices are cut and packed into blocks by ``_blocks``, and u runs
     once per block.  A block that is one piece reads the table as two view
@@ -695,17 +690,14 @@ def _fill(integrand: PeriodicIntegrand, lattices: list, arrays: bool = False) ->
     """
     families = [_lattice(integrand, N) for N in lattices]
     m, split, rows = integrand.m, _split(integrand), None
+    tables = [_lattice_table(None if split is None else split.psi, m, family) for family in families]
     if split is None:
-        psi, u_of = None, partial(_rule_g, integrand)
+        u_of = partial(_rule_g, integrand)
     else:
         from_half_sine = getattr(split.u, "from_half_sine", None)
-        psi, u_of = split.psi, partial(_call, "u", "nodes", split.u if from_half_sine is None else from_half_sine)
-        rows = None if from_half_sine is None else _half_angle_rows(integrand, families)
+        u_of = partial(_call, "u", "nodes", split.u if from_half_sine is None else from_half_sine)
+        rows = None if from_half_sine is None else _half_angle_rows(integrand, tables)
     sizes = [len(ks) for ks, _, _ in families]
-    tables = [
-        _offset_table(psi, m, integrand.period, N, family, max(family[1], size - family[1]))
-        for N, family, size in zip(lattices, families, sizes)
-    ]
     pieces: list = [[] for _ in lattices]
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(sizes):
@@ -716,7 +708,7 @@ def _fill(integrand: PeriodicIntegrand, lattices: list, arrays: bool = False) ->
                 g = u if psi_abs is None else np.multiply(psi_abs, u, out=psi_abs)
                 f = np.divide(g, power, out=power if g.shape == power.shape else None)
             else:
-                (ks, inside, _), (psi_abs, power) = families[j], tables[j]
+                (ks, inside, _), (psi_abs, power, *_) = families[j], tables[j]
                 if rows is None:
                     u = u_of(_nodes(integrand, _offsets(families[j], lo, hi)))
                 else:
@@ -1039,7 +1031,9 @@ def roundoff_floor(
     """Upper envelope K(n) * u * n^2 for the computed-rule error at large n.
 
     K(n) = 2 zeta(3)/T^2 * ||g|| + pi^2/(3 T n) * ||g'|| + T/(6 n^3) * ||g'''||.
-    Needs n >= 1, a finite T > 0, finite norms >= 0 and a finite u > 0.
+    Needs n >= 1, a finite T > 0, finite norms >= 0 and a finite u > 0.  A
+    term, or the floor, that overflows in doubles (1/T^2 does where T^2
+    underflows) raises EvaluationError naming it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
@@ -1047,9 +1041,17 @@ def roundoff_floor(
         raise ValueError(f"period must be finite and > 0 (got {period})")
     if not all(0 <= v < math.inf for v in (g_norm, gp_norm, gppp_norm)) or not 0 < unit < math.inf:
         raise ValueError("norms must be finite and >= 0, and unit finite and > 0")
-    K = (
-        2.0 * zeta_at(3) / period**2 * g_norm
-        + math.pi**2 / (3.0 * period * n) * gp_norm
-        + period / (6.0 * n**3) * gppp_norm
-    )
-    return K * unit * n**2
+    terms: list = []
+    for name, term in (
+        ("term 2 zeta(3)/T^2 ||g||", lambda: 2.0 * zeta_at(3) / period**2 * g_norm),
+        ("term pi^2/(3 T n) ||g'||", lambda: math.pi**2 / (3.0 * period * n) * gp_norm),
+        ("term T/(6 n^3) ||g'''||", lambda: period / (6.0 * n**3) * gppp_norm),
+        ("value K(n) u n^2", lambda: (terms[0] + terms[1] + terms[2]) * unit * n**2),
+    ):
+        try:
+            terms.append(term())
+        except (ZeroDivisionError, OverflowError):
+            terms.append(math.inf)
+        if not math.isfinite(terms[-1]):
+            raise EvaluationError(f"the roundoff floor's {name} overflowed at n={n}, T={period!r}")
+    return terms[-1]

@@ -435,6 +435,9 @@ class TestFloor:
             (("--n", "10", "--gnorm", "1", "--T", "-1"), "period must be finite and > 0"),
             (("--n", "10", "--gnorm", "nan"), "norms must be finite"),
             (("--n", "10", "--gnorm", "1", "--u", "inf"), "unit finite and > 0"),
+            # a floor of inf, which every row passes against, and T^2 = 0
+            (("--n", "1", "--gnorm", "1e308", "--T", "1e-3"), "term 2 zeta(3)/T^2 ||g|| overflowed"),
+            (("--n", "10", "--gnorm", "1", "--T", "1e-300"), "term 2 zeta(3)/T^2 ||g|| overflowed"),
         ],
     )
     def test_invalid_input_is_an_error(self, capsys, argv, message):

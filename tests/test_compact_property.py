@@ -3,6 +3,7 @@ extrapolation combination (the identity of criterion 06, over drawn
 inputs), is unchanged by a shift of t, a and b by one period, and is
 linear in g.  A convergence table's rows equal t_hat per n bit for bit,
 and an integrand odd about t gives rule values of zero within the floor.
+The roundoff floor is finite, or an EvaluationError, on finite inputs.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it.
 """
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hfpquad import _kernels  # noqa: E402
+from hfpquad.errors import EvaluationError  # noqa: E402
 from hfpquad.harness import _gradient, convergence_table_for, integrand_norms  # noqa: E402
 from hfpquad.integrands import (  # noqa: E402
     PoissonKernelU,
@@ -498,3 +500,24 @@ def test_parity_zeros(rule, coeffs, t, n):
     integ = singular_periodic_integrand(u, m=m, t=t, n_derivs=m)
     value = t_hat(RuleSpec(m, s, n, path=path), integ)
     assert abs(value) <= 100 * _floor(integ, s, n)
+
+
+# norms, periods and n of every magnitude a double holds: the floor is a
+# finite double or EvaluationError, never inf nor ZeroDivisionError
+_magnitude = st.one_of(st.just(0.0), st.floats(5e-324, 1e308))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    norms=st.tuples(_magnitude, _magnitude, _magnitude),
+    period=st.floats(5e-324, 1e308),
+    n=st.one_of(st.integers(1, 2**20), st.integers(1, 10**308)),
+)
+@example(norms=(1e308, 1e308, 1e308), period=1e-3, n=1)
+@example(norms=(1.0, 0.0, 0.0), period=1e-300, n=10)
+def test_roundoff_floor_is_finite_or_an_evaluation_error(norms, period, n):
+    try:
+        floor = roundoff_floor(*norms, period, n)
+    except EvaluationError:
+        return
+    assert math.isfinite(floor) and floor >= 0.0

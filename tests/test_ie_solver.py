@@ -306,6 +306,26 @@ class TestBuilderN:
         np.testing.assert_array_equal(build(kern, np.cos, 1.0, np.int64(8)).matrix, expected)
 
 
+class TestPeriod:
+    """A kernel's period [a, b) is finite and non-empty, or the kernel is
+    refused before any system is built."""
+
+    MESSAGE = r"^the period \[a, b\) must be finite and non-empty \(got a="
+
+    @pytest.mark.parametrize("build", [build_simple_system, build_advanced_system])
+    def test_empty_period_is_rejected(self, build):
+        # the simple builder returned the column [1, 0, ..., 0], the
+        # advanced one raised ZeroDivisionError
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            build(supersingular_cotangent_kernel(1.0, 1.0), np.cos, 1.0, 4)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_reversed_or_infinite_period_is_rejected(self, a, b):
+        # (2, 1) built a system of period -1
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            PeriodicKernel(a, b, psi=np.ones_like)
+
+
 class TestBadRhs:
     """Both builders take one finite right-hand side value per grid point."""
 
@@ -1257,9 +1277,11 @@ class TestSharedTables:
         # then with one of 32 KiB: the same doubles, and never more bytes held
         split = singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.4)
         trig = singular_periodic_integrand(TrigPolynomial((0.5, 1.0, -0.3), (0.2, 0.7)), m=2, t=-1.1, n_derivs=9)
+        # the first step keeps entries: every lattice table of the 2^13 rule
+        # is over the bound, so a store that has seen only it holds nothing
         steps = [
-            lambda: t_hat(RuleSpec(3, 2, 2**13, path="compact"), dataclasses.replace(split)),
             lambda: t_hat(RuleSpec(2, 2, 40, path="compact"), dataclasses.replace(trig)),
+            lambda: t_hat(RuleSpec(3, 2, 2**13, path="compact"), dataclasses.replace(split)),
             lambda: hfp_reference(trig.g_eval, trig.g_derivs_at_t, 2, trig.a, trig.b, trig.t, smoothing=6),
             lambda: self.solve("simple", 64, 0.3, 1.2),
             lambda: self.solve("advanced", 16, 0.2, 0.7),
@@ -1272,6 +1294,7 @@ class TestSharedTables:
         for step, value in zip(steps * 2, want * 2):
             assert step() == value
             assert 0 < held_bytes() <= bound
-        # P(2^15)'s offset table, psi(|y|) and |y|^3 on 8,192 offsets, is
-        # 128 KiB: the first rule used it, and the store did not keep it
-        assert not any(key[0] is quadrature._offset_table and key[4] == 2**15 for key in quadrature._TABLES)
+        # P(2^15)'s lattice table, psi(|y|) and |y|^3 on 8,192 offsets and
+        # its half-angle rows, is 132 KiB: the first rule used it, and the
+        # store did not keep it
+        assert not any(key[0] is quadrature._lattice_table and key[3] == 2**15 for key in quadrature._TABLES)

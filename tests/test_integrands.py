@@ -394,6 +394,11 @@ class TestIntegrandFactory:
             with pytest.raises(ValueError, match="singular point must satisfy a < t < b"):
                 singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=1.0, period=period)
 
+    def test_period_whose_psi_derivatives_overflow_is_rejected(self):
+        # (T/pi)^3 is no double at T = 1e308: psi_3(0) was an OverflowError
+        with pytest.raises(EvaluationError, match=r"^g derivative of order 0 at t is not finite \(inf\)$"):
+            singular_periodic_integrand(TrigPolynomial((1.0,)), m=3, t=0.0, period=1e308)
+
 
 # g_eval runs the evaluators on slices of _G_BLOCK nodes.  Each node's
 # double must not depend on the slicing: the result equals the unblocked

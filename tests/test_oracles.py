@@ -105,6 +105,11 @@ class TestFourierMode:
         with pytest.raises(ValueError, match="m must be >= 1"):
             fourier_symbol(0, 1)
 
+    def test_overflowing_symbol_raises(self):
+        # R_6(10^80) once raised OverflowError from the integer division
+        with pytest.raises(EvaluationError, match=r"^the symbol c_6\(10{80}\) overflowed$"):
+            fourier_symbol(6, 10**80)
+
 
 def _reference(u, m, t):
     integ = singular_periodic_integrand(u, m=m, t=t, n_derivs=m + 6)
@@ -197,6 +202,11 @@ class TestPowerIntegral:
     def test_validation(self):
         with pytest.raises(ValueError):
             hfp_power_integral(-1, 0.0, 1.0, 2.0)
+
+    def test_overflowing_value_raises(self):
+        # 1000^401 is no double: once OverflowError from the power
+        with pytest.raises(EvaluationError, match=r"^the finite part of \(x - t\)\^400 over .* overflowed"):
+            hfp_power_integral(400, -1e3, 1e3, 0.0)
 
 
 def _const_one(x):

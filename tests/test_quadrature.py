@@ -3,6 +3,7 @@ weights, the compact/generic identity, and the floor model."""
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import warnings
@@ -106,6 +107,15 @@ class TestWrap:
             integ.f_eval(x)
         assert (info.value.node_index, info.value.node_x) == (idx, float(np.ravel(x)[idx]))
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "a, b", [(-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1e308, 1e308), (1.0, 1.0), (2.0, -2.0)]
+    )
+    def test_a_period_that_is_infinite_empty_or_reversed_is_rejected(self, a, b):
+        # [-1, inf) was accepted, and t_hat then raised from _family
+        # converting NaN to an integer
+        with pytest.raises(ValueError, match=r"^the period \[a, b\) must be finite and non-empty \(got a="):
+            PeriodicIntegrand(3, 0.0, a, b, np.cos)
 
 
 class TestNodeSums:
@@ -797,7 +807,7 @@ def fsum_rows(sums):
 class TestSplitFill:
     """A split g = psi(x - t) u(x) fills the memo with S_N, the sum of
     f = psi(y) u/y^m on the exact offsets of each lattice P(N), psi(|y|) and
-    |y|^m read from the shared offset table; u is u(x_hat) at the wrapped
+    |y|^m read from the shared lattice table; u is u(x_hat) at the wrapped
     nodes, or, for a u with ``from_half_sine``, u from the half-angle sum for
     sin((t + y)/2).  A plain g is the split psi = 1, u = g: its S_N sums
     g(x_hat)/y^m.  Up to ``_G_BLOCK`` nodes S_N is one pairwise sum of f, so
@@ -824,8 +834,9 @@ class TestSplitFill:
         # sin(x/2) at the nodes of P(N) by the half-angle sum: node k has
         # k = qB + r, phi = t/2 + qB theta, or t/2 + (qB - N) theta where it
         # wraps, theta = delta/2, and sin(x/2) = sin phi cos r theta + cos phi sin r theta
-        ks, inside, delta = quadrature._lattice(integ, N)
-        B = quadrature._half_angle_table(N, delta)[0]
+        family = quadrature._lattice(integ, N)
+        ks, inside, delta = family
+        B = quadrature._lattice_table(None, integ.m, family)[2]
         k = np.arange(ks.start, ks.stop, ks.step)
         qB, theta = k - k % B, 0.5 * delta
         phi = 0.5 * integ.t + np.where(np.arange(k.size) < inside, qB, qB - N) * theta
@@ -1036,7 +1047,7 @@ class TestSplitFill:
             for N in (6, 7, 96, 97, 768):
                 family = quadrature._lattice(integ, N)
                 ks, inside, delta = family
-                rows = quadrature._half_angle_rows(integ, [family])
+                rows = quadrature._half_angle_rows(integ, [quadrature._lattice_table(None, 3, family)])
                 values = u.from_half_sine(quadrature._half_sines(family, rows, 0, 0, len(ks)))
                 with mpmath.workdps(40):
                     for i, (k, value) in enumerate(zip(ks, values)):
@@ -1103,18 +1114,19 @@ class TestSplitFill:
             integ = dataclasses.replace(integ, g_eval=lambda x: g(x))
         specs = [RuleSpec(3, 2, 2**k, path="compact") for k in range(3, 14)]
         values = [t_hat(spec, dataclasses.replace(integ)) for spec in specs]
-        bound = 2**16
+        bound = 2**16 + 2**12
         monkeypatch.setattr(quadrature, "_TABLES", {})
         monkeypatch.setattr(quadrature, "_TABLE_BYTES", bound)
         for spec, value in zip(specs, values):
             # each integrand starts with an empty memo, so every rule reads the table
             assert t_hat(spec, dataclasses.replace(integ)) == value
             assert 0 < held_bytes() <= bound
-        # an entry of P(2^15) has 8,192 offsets: a split's psi(|y|) and |y|^m
-        # need 128 KiB, used but not kept, and a plain g's |y|^m alone 64 KiB
-        entries = [value for key, (value, _) in quadrature._TABLES.items() if key[0] is quadrature._offset_table]
-        assert all((psi_abs is None) != split for _, psi_abs, _ in entries)
-        assert max(power.size for _, _, power in entries) == (4096 if split else 8192)
+        # an entry of P(2^15) has 8,192 offsets and 4 KiB of half-angle
+        # rows: a split's psi(|y|) and |y|^m need 132 KiB, used but not
+        # kept, and a plain g's |y|^m alone 68 KiB
+        entries = [value for key, (value, _) in quadrature._TABLES.items() if key[0] is quadrature._lattice_table]
+        assert all((psi_abs is None) != split for _, psi_abs, *_ in entries)
+        assert max(power.size for _, _, power, *_ in entries) == (4096 if split else 8192)
 
     def test_threads_share_the_offset_table(self, monkeypatch):
         # four threads run compact rules on integrands of their own, all of
@@ -1153,6 +1165,17 @@ class TestSplitFill:
         # each value is the one a thread alone gives
         for k in range(4):
             assert values[k] == [t_hat(spec, integ) for spec, integ in rules(k)], k
+
+    def test_a_fill_reads_one_table_per_lattice(self, monkeypatch):
+        # psi(|y|), |y|^m and the half-angle rows of a lattice are one store
+        # entry: a half-sine fill of k lattices makes k lookups, not 2k
+        keys, table = [], quadrature._table
+        monkeypatch.setattr(quadrature, "_table", lambda key, build: keys.append(key) or table(key, build))
+        integ = self.integrand(3, 0.3, True)
+        assert hasattr(integ.g_eval.u, "from_half_sine")
+        lattices = [3, 5, 7, 64, 96]
+        quadrature._memoize(integ, lattices)
+        assert [(key[0], key[3]) for key in keys] == [(quadrature._lattice_table, N) for N in lattices]
 
     def test_unallocatable_lattice_raises(self):
         # P(2^61)'s offset table needs about 2^59 doubles for psi(|y|) alone,
@@ -1359,3 +1382,20 @@ class TestRoundoffFloor:
         # norm once returned a number
         with pytest.raises(ValueError):
             roundoff_floor(*norms, period, n, unit)
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            # once inf, which floor_check passes every row against
+            ((1e308, 1e308, 1e308, 1e-3, 1), "term 2 zeta(3)/T^2 ||g||"),
+            # T^2 underflows to 0: once ZeroDivisionError
+            ((1.0, 0.0, 0.0, 1e-300, 10), "term 2 zeta(3)/T^2 ||g||"),
+            # 6 n^3 is no double: once OverflowError
+            ((0.0, 0.0, 1.0, 1.0, 10**103), "term T/(6 n^3) ||g'''||"),
+            # each term finite, their K(n) u n^2 not
+            ((1e300, 0.0, 0.0, 1.0, 10**20), "value K(n) u n^2"),
+        ],
+    )
+    def test_overflowing_floor_raises(self, args, what):
+        with pytest.raises(EvaluationError, match=f"^the roundoff floor's {re.escape(what)} overflowed"):
+            roundoff_floor(*args)
