@@ -20,9 +20,10 @@ from .quadrature import (
     DOUBLE_UNIT,
     PeriodicIntegrand,
     RuleSpec,
-    _call,
     _check_finite,
     _memoize_rules,
+    _sample,
+    _shared,
     max_compact_level,
     roundoff_floor,
     t_hat,
@@ -49,7 +50,7 @@ MIN_RATE_ROWS = 3
 #: fitted slopes smaller than this in magnitude mark a floor-dominated table
 FLAT_SLOPE = 0.05
 
-#: equispaced points on [a, b] that integrand_norms samples g at
+#: equispaced offsets from a - t to b - t at which integrand_norms samples g
 NORM_SAMPLES = 4096
 
 
@@ -109,23 +110,34 @@ def _gradient(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+@_shared
+def _norm_offsets(lo: float, hi: float) -> np.ndarray:
+    """The NORM_SAMPLES equispaced offsets from lo to hi."""
+    return np.linspace(lo, hi, NORM_SAMPLES)
+
+
 def integrand_norms(integrand: PeriodicIntegrand) -> tuple[float, float, float]:
     """Crude max-norms of g, g', g''' by differencing g on NORM_SAMPLES
-    equispaced points.
+    equispaced nodes.
 
-    Order-of-magnitude accuracy is all the floor model needs.  A
-    vector-valued g is differenced along its nodes, so each norm is the
-    largest over its rows.  g goes through the rule's evaluator checks, so
-    a non-finite sample raises EvaluationError naming its x, and a
-    difference that overflows one naming its norm and x.
+    Order-of-magnitude accuracy is all the floor model needs.  g is sampled
+    as the memo fill samples it, at offsets y from t: the nodes are t + y
+    for the equispaced offsets y from a - t to b - t, which the store of
+    shared tables holds once per pair of ends, so the periods centred on
+    their t read a few entries between them.  A split g is psi(y) u(t + y),
+    psi read from its table on those offsets; any other g is called at
+    t + y (``quadrature._sample``).  A vector-valued g is differenced along
+    its nodes, so each norm is the largest over its rows.  A non-finite
+    sample raises EvaluationError naming its x, and a difference that
+    overflows one naming its norm and x.
     """
-    xs = np.linspace(integrand.a, integrand.b, NORM_SAMPLES)
-    g = _check_finite(_call("integrand evaluator", "nodes", integrand.g_eval, xs, rows=True), xs)
-    dx = xs[1] - xs[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        g1 = _check_finite(_gradient(g, dx), xs, "the g' norm sample overflowed at node {index} (x={x!r})")
-        g3 = _gradient(_gradient(g1, dx), dx)
-    _check_finite(g3, xs, "the g''' norm sample overflowed at node {index} (x={x!r})")
+    lo, hi = float(integrand.a) - float(integrand.t), float(integrand.b) - float(integrand.t)
+    y, x, g = _sample(integrand, _norm_offsets, lo, hi)
+    dy = y[1] - y[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g1 = _check_finite(_gradient(g, dy), x, "the g' norm sample overflowed at node {index} (x={x!r})")
+        g3 = _gradient(_gradient(g1, dy), dy)
+    _check_finite(g3, x, "the g''' norm sample overflowed at node {index} (x={x!r})")
     return float(np.max(np.abs(g))), float(np.max(np.abs(g1))), float(np.max(np.abs(g3)))
 
 

@@ -21,11 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .errors import DerivativesRequiredError, ReferenceConvergenceError, SingularSystemError
+from .errors import DerivativesRequiredError, EvaluationError, ReferenceConvergenceError, SingularSystemError
 from .integrands import _series_mul, kernel_factor_series, numerator_factor, numerator_factor_derivs
 from .quadrature import (
-    CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _require_integers, _require_period, _shared,
-    _wrap, compact_rule, roundoff_floor, t_hat,
+    CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _psi_table, _require_integers, _require_period,
+    _shared, _wrap, compact_rule, roundoff_floor, t_hat,
 )
 
 __all__ = [
@@ -68,8 +68,8 @@ class PeriodicKernel:
       the FFT.  ``manufactured_rhs`` applies its rule on a uniform periodic
       grid as one FFT convolution per rule, and elsewhere in batches.  psi
       must be deterministic: ``numerator_centered`` serves its values from
-      a table shared by every call with the same kernel and offsets
-      (``_psi_table``).
+      a table shared by every call with the same psi and offsets
+      (``quadrature._psi_table``).
 
     ``u_xderivs_diag``, when present, holds four callables t -> the k-th
     y-derivative of the numerator K_per(t, t+y) * y^3 at y = 0, k = 0..3;
@@ -98,11 +98,12 @@ class PeriodicKernel:
     def numerator_centered(self, t, y):
         """K_per(t, t+y) * y^3 for centered offsets, broadcast over t and y.
 
-        A ``psi`` kernel's values are read-only arrays from ``_psi_table``.
+        A ``psi`` kernel's values are read-only arrays from its
+        ``quadrature._psi_table``, keyed on the offsets' shape and bytes.
         """
         y = np.asarray(y, dtype=float)
         if self.psi is not None:
-            return _psi_table(self, y.shape, y.tobytes())
+            return _psi_table(self.psi, _frombuffer, y.shape, y.tobytes())
         return _call("centered", "offsets", self.centered, t, y)
 
     def diag_derivs(self, t: float) -> tuple[float, float, float, float]:
@@ -113,15 +114,10 @@ class PeriodicKernel:
         return tuple(float(_call(f"U_{k}", "point", fn, t)) for k, fn in enumerate(self.u_xderivs_diag))
 
 
-@_shared
-def _psi_table(kernel: PeriodicKernel, shape: tuple, data: bytes) -> np.ndarray:
-    """kernel.psi on the offsets with this shape and these float64 bytes.
-
-    Every rhs, build and solve with one kernel evaluates psi on the same few
-    offset arrays (the rule columns, the anchor's rule families, the norm
-    sample), so each is evaluated once.
-    """
-    return _call("psi", "offsets", kernel.psi, np.frombuffer(data).reshape(shape))
+def _frombuffer(shape: tuple, data: bytes) -> np.ndarray:
+    """The float64 offsets with this shape and these bytes: the key of a
+    ``psi`` kernel's table (``quadrature._psi_table``)."""
+    return np.frombuffer(data).reshape(shape)
 
 
 def _circulant(rows: np.ndarray) -> np.ndarray:
@@ -213,7 +209,9 @@ def _assemble(
 
     A ``psi`` kernel has one row, read at t = a and stored as the first
     ``column``; the grid is not read and may be None.  A ``centered`` kernel
-    has one row per grid point, laid out as the dense ``matrix``.
+    has one row per grid point, laid out as the dense ``matrix``.  An offset
+    whose cube underflows to 0 (a spacing below about 1e-108) raises
+    EvaluationError naming its residue, before any kernel value is read.
     """
     h = kernel.period / n
     N = 2**rule.s * n
@@ -222,7 +220,12 @@ def _assemble(
     dy = ((live + N // 2) % N - N // 2) * (h / 2**rule.s)
     circulant = kernel.psi is not None
     ts = np.array([kernel.a]) if circulant else grid
-    kmat = kernel.numerator_centered(ts[:, None], dy) / dy**3
+    cubes = dy**3
+    if not cubes.all():
+        i = int(np.flatnonzero(cubes == 0)[0])
+        dy_i = float(dy[i])
+        raise EvaluationError(f"the offset power dy**3 underflowed to 0 at residue {live[i]} of {N} (dy={dy_i!r})")
+    kmat = kernel.numerator_centered(ts[:, None], dy) / cubes
     kmat *= weights[live]
     # without corrections A_0 = 0 alone
     amat = _ak_rows(kernel, ts, rule, h) if rule.deriv_corrections else np.zeros((ts.size, 1))

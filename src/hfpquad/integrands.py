@@ -386,18 +386,22 @@ def singular_periodic_integrand(
     analytic derivatives of u, up to order ``n_derivs`` (default m); a
     ``u.deriv(k, t)`` that raises or is not one value gives EvaluationError.
     A non-finite t, or a period not finite and > 0, is rejected before u runs.
+    t and the period are taken as Python floats, so the ends and psi_m's
+    derivatives are formed in doubles, whatever scalar types they came in.
 
     ``g_eval`` is a ``SplitNumerator`` with psi = psi_m (even, one shared
     object per (m, period)): the rules evaluate psi_m at the exact offsets
     y of their nodes, from a table shared by every integrand of the same m
-    and period, and u once per block of nodes, while ``g_eval(x)`` evaluates
-    psi_m(x - t) u(x) as written.  A ``PoissonKernelU`` is evaluated by the
-    rules at t + y through its ``from_half_sine``, any other u at the
-    wrapped nodes fl(t + y).  ``dataclasses.replace(integ, g_eval=...)``
-    drops the split.
+    and period, and u once per block of nodes (``integrand_norms`` and
+    ``hfp_reference`` read psi_m on their offsets alike), while
+    ``g_eval(x)`` evaluates psi_m(x - t) u(x) as written.  A
+    ``PoissonKernelU`` is evaluated by the rules at t + y through its
+    ``from_half_sine``, any other u at the wrapped nodes fl(t + y).
+    ``dataclasses.replace(integ, g_eval=...)`` drops the split.
     """
     if n_derivs is None:
         n_derivs = m
+    t, period = float(t), float(period)
     a = t - 0.5 * period
     b = t + 0.5 * period
     if not (math.isfinite(a) and math.isfinite(b) and a < t < b):

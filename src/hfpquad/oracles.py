@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DerivativesRequiredError, EvaluationError, ReferenceConvergenceError
 from .integrands import PoissonKernelU, TrigPolynomial, _eulerian_row, singular_periodic_integrand
-from .quadrature import PeriodicIntegrand, _check_finite, _rule_g, _shared
+from .quadrature import PeriodicIntegrand, _check_finite, _fsum, _sample, _shared
 
 __all__ = [
     "GeometricKernelCase",
@@ -164,34 +164,51 @@ def hfp_power_integral(p: int, a: float, b: float, t: float) -> float:
 
 
 @_shared
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+def _panel_nodes(breaks: tuple, counts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, weights) of the _GAUSS_ORDER-node Gauss panels on every
+    segment between consecutive offsets of ``breaks``, at each count of
+    panels per segment in ``counts``, the nodes of each count after those
+    of the counts before it.
 
-
-def _panel_integrate(fn, breakpoints, panel_counts) -> list[float]:
-    """The _GAUSS_ORDER-node Gauss panel sum on every segment, at each count
-    of panels per segment, from one fn call on the nodes of all counts.
-
-    The nodes of each count follow those of the counts before it, so a node
-    of the first count has the same index in the call as in a call of its
-    own.  ``fn`` must be elementwise; math.fsum is exactly rounded, so each
-    sum does not depend on the order of its terms.
+    Segment i is cut at np.linspace(breaks[i], breaks[i + 1], panels + 1),
+    bit for bit, so a segment's nodes are the same doubles whichever
+    segments and counts share the entry, and a node of the first count has
+    the same index as in an entry of that count alone.
     """
-    xs, ws = _gauss_nodes(_GAUSS_ORDER)
-    lo, hi = np.asarray(breakpoints[:-1]), np.asarray(breakpoints[1:])
+    xs, ws = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    lo, hi = np.array(breaks[:-1]), np.array(breaks[1:])
     nodes, weights = [], []
-    for panels in panel_counts:
-        # row i is np.linspace(lo[i], hi[i], panels + 1), bit for bit
+    for panels in counts:
         edges = np.linspace(lo, hi, panels + 1, axis=-1)
         mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
         half = 0.5 * (edges[:, 1:] - edges[:, :-1])
         nodes.append((mid[..., None] + half[..., None] * xs).ravel())
         weights.append((half[..., None] * ws).ravel())
-    terms = (np.concatenate(weights) * fn(np.concatenate(nodes))).tolist()
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _panel_offsets(breaks: tuple, counts: tuple) -> np.ndarray:
+    """The offsets of ``_panel_nodes``: the reference samples g on them."""
+    return _panel_nodes(breaks, counts)[0]
+
+
+def _panel_integrate(fn, breaks: tuple, counts: tuple) -> list[float]:
+    """The Gauss panel sum over the segments between ``breaks`` at each count
+    of panels per segment, from one call fn(breaks, counts), which gives the
+    finite weighted terms on the nodes of ``_panel_nodes(breaks, counts)``.
+
+    math.fsum is exactly rounded, so each sum does not depend on the order
+    of its terms; a sum that overflows raises EvaluationError.
+    """
+    terms = fn(breaks, counts).tolist()
     sums, start = [], 0
-    for w in weights:
-        sums.append(math.fsum(terms[start : start + w.size]))
-        start += w.size
+    for panels in counts:
+        size = (len(breaks) - 1) * panels * _GAUSS_ORDER
+        total = _fsum(terms[start : start + size])
+        if not math.isfinite(total):
+            raise EvaluationError(f"the reference's sum over {panels} panels per segment overflowed")
+        sums.append(total)
+        start += size
     return sums
 
 
@@ -208,17 +225,27 @@ def hfp_reference(
 
     Subtracts the Taylor polynomial of g at t through order m+K-1
     (K = ``smoothing``), integrates the regular remainder by doubling Gauss
-    panels on [a, t-rho, t, t+rho, b] to _REF_TOL (at most _REF_MAX_PANELS
-    per segment), and adds the subtracted part back in closed form via
-    hfp_power_integral.  Inside |x - t| < rho the remainder is its leading
-    term g^(m+K)(t)/(m+K)! (x-t)^K, free of the cancellation next to t, so
+    panels to _REF_TOL (at most _REF_MAX_PANELS per segment), and adds the
+    subtracted part back in closed form via hfp_power_integral.  Inside
+    |x - t| < rho the remainder is its leading term
+    g^(m+K)(t)/(m+K)! (x-t)^K, free of the cancellation next to t, so
     ``g_derivs_at_t`` must cover orders 0..m+K; with fewer,
-    DerivativesRequiredError is raised before g is called.  Otherwise it
-    raises as ``t_hat`` does: PeriodicIntegrand checks m, t and the
-    derivatives, and a g that fails raises EvaluationError naming the node
-    on its first call.  g is called once for the first two doublings
-    (4 and 8 panels per segment, the 4-panel nodes first) and once for
-    each further doubling.
+    DerivativesRequiredError is raised before g is called.
+
+    The panels are laid on the offsets y = x - t, on the segments between
+    [a - t, -rho, 0, rho, b - t]: their nodes and weights, and psi on the
+    nodes for a split g, are read from the store of shared tables, one entry
+    per breakpoint offsets and panel counts (``_panel_nodes``), so the
+    periods centred on their t share a few entries.  g is sampled at
+    t + y as ``integrand_norms`` samples it (``quadrature._sample``): a
+    split g as psi(y) u(t + y), any other g at t + y.  g is called once for
+    the first two doublings (4 and 8 panels per segment, the 4-panel nodes
+    first) and once for each further doubling.
+
+    It raises as ``t_hat`` does: PeriodicIntegrand checks m, t and the
+    derivatives, and a g that fails, or a remainder term that is not
+    finite, raises EvaluationError naming its node on the first pass.  A
+    sum or closed-form part that overflows raises EvaluationError too.
 
     The stopping test bounds the change between two doublings, not the
     error, and above m = 5 the two part ways: for PoissonKernelU(0.3) at
@@ -234,29 +261,35 @@ def hfp_reference(
             f"reference needs g derivatives at t through order {n_sub} "
             f"(got {len(g_derivs_at_t)} values)"
         )
-    d = np.array([float(g_derivs_at_t[i]) / math.factorial(i) for i in range(n_sub)])
+    d = [float(g_derivs_at_t[i]) / math.factorial(i) for i in range(n_sub)]
     lead = float(g_derivs_at_t[n_sub]) / math.factorial(n_sub)
 
-    closed = math.fsum(d[i] * hfp_power_integral(i - m, a, b, t) for i in range(n_sub))
+    closed = _fsum([d[i] * hfp_power_integral(i - m, a, b, t) for i in range(n_sub)])
+    if not math.isfinite(closed):
+        raise EvaluationError("the closed-form part of the reference overflowed")
 
-    rho = min((b - a) / 200.0, 0.2 * min(t - a, b - t))
+    rho = float(min((b - a) / 200.0, 0.2 * min(t - a, b - t)))
+    breaks = (float(a) - float(t), -rho, 0.0, rho, float(b) - float(t))
 
-    def remainder(x):
-        y = x - t
+    def terms(breaks, counts):
+        y, x, g = _sample(integrand, _panel_offsets, breaks, counts)
+        if g.ndim > 1:
+            raise ValueError("a vector-valued g carries no g derivatives")
         near = np.abs(y) < rho
-        poly = np.zeros_like(y)
-        for c in d[::-1]:
-            poly = poly * y + c
-        out = _check_finite(_rule_g(integrand, x), x) - poly
-        # each power only where it is kept: pow on negative bases is slow
         far = ~near
-        out[far] /= y[far] ** m
-        out[near] = lead * y[near] ** smoothing
-        return out
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            poly = np.zeros_like(y)
+            for c in reversed(d):
+                poly = poly * y + c
+            out = g - poly
+            # each power only where it is kept: pow on negative bases is slow
+            out[far] /= y[far] ** m
+            out[near] = lead * y[near] ** smoothing
+            out *= _panel_nodes(breaks, counts)[1]
+        return _check_finite(out, x, "the reference's remainder term is not finite at node {index} (x={x!r})")
 
-    breakpoints = [a, t - rho, t, t + rho, b]
     # 4 and 8 panels always run, as the first pass has nothing to compare with
-    prev, val = _panel_integrate(remainder, breakpoints, (4, 8))
+    prev, val = _panel_integrate(terms, breaks, (4, 8))
     panels = 8
     while not abs(val - prev) <= _REF_TOL * (1.0 + abs(val)):
         panels *= 2
@@ -264,5 +297,8 @@ def hfp_reference(
             raise ReferenceConvergenceError(
                 f"reference did not converge below tol={_REF_TOL} with {_REF_MAX_PANELS} panels per segment"
             )
-        prev, [val] = val, _panel_integrate(remainder, breakpoints, (panels,))
-    return closed + val
+        prev, [val] = val, _panel_integrate(terms, breaks, (panels,))
+    value = closed + val
+    if not math.isfinite(value):
+        raise EvaluationError("the reference value overflowed")
+    return value

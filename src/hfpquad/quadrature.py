@@ -152,6 +152,8 @@ class SplitNumerator:
     u(x) from S = sin(x/2) elementwise (``PoissonKernelU``): that method
     then runs on sin((t + y)/2), formed from the half-angle rows of the same
     entry without rounding x, so u is evaluated at t + y, not at x_hat.
+    ``integrand_norms`` and ``hfp_reference`` sample it the same way, psi(y)
+    from a ``_psi_table`` on their offsets and u at x_hat (``_sample``).
     """
 
     psi: Callable
@@ -352,12 +354,12 @@ def _table(key, build: Callable):
     """The value of ``key`` in the store of shared tables, ``build()`` if
     the store lacks it.
 
-    The store is the one cache of arrays (offset, half-angle and psi
-    tables, lattice spectra, cardinal rows, Gauss nodes): a value is an
-    array or a tuple holding arrays, which it marks read-only.  It keeps
-    at most ``_TABLE_BYTES`` bytes of arrays and of bytes in keys, evicting
-    the least recently used entries first; a value larger than that is
-    returned but not kept.  ``build`` runs outside the lock, so two
+    The store is the one cache of arrays (lattice tables, psi tables, the
+    norm sample's and the reference's offsets, lattice spectra, cardinal
+    rows): a value is an array or a tuple holding arrays, which it marks
+    read-only.  It keeps at most ``_TABLE_BYTES`` bytes of arrays and of
+    bytes in keys, evicting the least recently used entries first; a value
+    larger than that is returned but not kept.  ``build`` runs outside the lock, so two
     threads may build one key, and must give equal values.
     """
     with _TABLES_LOCK:
@@ -383,6 +385,21 @@ def _shared(fn: Callable) -> Callable:
     """fn with its values kept in the store of shared tables, keyed by fn
     and its positional arguments (``_table``)."""
     return wraps(fn)(lambda *args: _table((fn, *args), partial(fn, *args)))
+
+
+@_shared
+def _psi_table(psi: Callable, offsets: Callable, *key) -> np.ndarray:
+    """psi on the offsets ``offsets(*key)``, one store entry per (psi,
+    offsets, key): the psi table of every caller but the memo fill, whose
+    lattice entries hold psi(|y|) (``_lattice_table``).
+
+    ``offsets`` is a function of the key alone, so the key is what the
+    offsets are made from: the ends of the norm sample, the breakpoints and
+    panel counts of the reference, or a kernel's offsets as bytes.  psi
+    must be deterministic, a node's double not depending on the other
+    offsets of the call.
+    """
+    return _call("psi", "offsets", psi, offsets(*key))
 
 
 def _family(integrand: PeriodicIntegrand, n: int, level: int):
@@ -489,6 +506,27 @@ def _split(integrand: PeriodicIntegrand) -> Optional[SplitNumerator]:
     """The integrand's g if it is split about the integrand's own t."""
     g = integrand.g_eval
     return g if isinstance(g, SplitNumerator) and g.t == integrand.t else None
+
+
+def _sample(integrand: PeriodicIntegrand, offsets: Callable, *key):
+    """(y, x, g): the offsets y = ``offsets(*key)``, the nodes x = t + y
+    clipped into [a, b] (``_nodes``) and g there, in one call of u or g.
+
+    ``offsets`` gives t-independent offsets from the store of shared tables
+    (``_shared``), keyed on the scalars they are made from.  A g split about
+    the integrand's t is psi(y) u(x), psi(y) read from its ``_psi_table``
+    under the same key; any other g is psi = 1, g(x), of shape (P, *x.shape)
+    for a vector g.  A non-finite value raises EvaluationError naming its
+    node and x.
+    """
+    y = offsets(*key)
+    x = _nodes(integrand, y)
+    split = _split(integrand)
+    if split is None:
+        return y, x, _check_finite(_call("integrand evaluator", "nodes", integrand.g_eval, x, rows=True), x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _psi_table(split.psi, offsets, *key) * _call("u", "nodes", split.u, x)
+    return y, x, _check_finite(g, x)
 
 
 def _blocks(sizes):

@@ -3,7 +3,8 @@ extrapolation combination (the identity of criterion 06, over drawn
 inputs), is unchanged by a shift of t, a and b by one period, and is
 linear in g.  A convergence table's rows equal t_hat per n bit for bit,
 and an integrand odd about t gives rule values of zero within the floor.
-The roundoff floor is finite, or an EvaluationError, on finite inputs.
+The roundoff floor, the norm sample and the reference oracle are finite, or
+an HfpquadError, on finite inputs.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it.
 """
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hfpquad import _kernels  # noqa: E402
-from hfpquad.errors import EvaluationError  # noqa: E402
+from hfpquad.errors import EvaluationError, HfpquadError  # noqa: E402
 from hfpquad.harness import _gradient, convergence_table_for, integrand_norms  # noqa: E402
 from hfpquad.integrands import (  # noqa: E402
     PoissonKernelU,
@@ -28,6 +29,7 @@ from hfpquad.integrands import (  # noqa: E402
     random_trig_polynomial,
     singular_periodic_integrand,
 )
+from hfpquad.oracles import hfp_reference  # noqa: E402
 from hfpquad.quadrature import (  # noqa: E402
     PeriodicIntegrand,
     RuleSpec,
@@ -521,3 +523,67 @@ def test_roundoff_floor_is_finite_or_an_evaluation_error(norms, period, n):
     except EvaluationError:
         return
     assert math.isfinite(floor) and floor >= 0.0
+
+
+# Numbers of every magnitude a double holds, as Python floats and ints and
+# as numpy float64, float32 and int64 scalars, each within its own type's
+# finite range: the inputs of the norm sample and the reference oracle.
+_positive = st.one_of(
+    st.floats(5e-324, 1e308),
+    st.floats(5e-324, 1e308).map(np.float64),
+    st.floats(0.0, float(np.finfo(np.float32).max), width=32, exclude_min=True).map(np.float32),
+    st.integers(1, 10**308),
+    st.integers(1, 2**62).map(np.int64),
+)
+_signed = st.one_of(st.just(0.0), _positive, _positive.map(lambda v: -v))
+
+
+def _drawn_integrand(cos, sin, m, t, period, plain, n_derivs):
+    """The split integrand of the drawn trigonometric polynomial, or with
+    ``plain`` its g as a plain callable; None where the arguments are
+    refused (ValueError) or a g derivative at t is not finite
+    (EvaluationError), before any g value is sampled."""
+    u = TrigPolynomial(tuple(cos), tuple(sin))
+    try:
+        integ = singular_periodic_integrand(u, m=m, t=t, period=period, n_derivs=n_derivs)
+    except (ValueError, HfpquadError):
+        return None
+    return dataclasses.replace(integ, g_eval=lambda x: integ.g_eval(x)) if plain else integ
+
+
+_drawn = dict(
+    cos=st.lists(_signed, min_size=1, max_size=4),
+    sin=st.lists(_signed, max_size=3),
+    m=st.integers(1, 4),
+    t=_signed,
+    period=_positive,
+    plain=st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(**_drawn)
+@example(cos=[0.0], sin=[1e302], m=3, t=1.0, period=TWO_PI, plain=False)
+def test_integrand_norms_are_finite_or_an_hfpquad_error(cos, sin, m, t, period, plain):
+    integ = _drawn_integrand(cos, sin, m, t, period, plain, n_derivs=m)
+    if integ is None:
+        return
+    try:
+        norms = integrand_norms(integ)
+    except HfpquadError:
+        return
+    assert all(map(math.isfinite, norms))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(**_drawn)
+@example(cos=[1.0], sin=[], m=2, t=0.0, period=2e-300, plain=True)
+def test_hfp_reference_is_finite_or_an_hfpquad_error(cos, sin, m, t, period, plain):
+    integ = _drawn_integrand(cos, sin, m, t, period, plain, n_derivs=m + 4)
+    if integ is None:
+        return
+    try:
+        value = hfp_reference(integ.g_eval, integ.g_derivs_at_t, m, integ.a, integ.b, integ.t)
+    except HfpquadError:
+        return
+    assert math.isfinite(value)

@@ -50,9 +50,10 @@ ROWS = {
     ],
 }
 
-# integrand_norms of the integrand of each m
+# integrand_norms of the integrand of each m, g sampled at t + y on the
+# offsets y from a - t to b - t
 NORMS = {
-    4: ["0x1.ad81e11cb5e39p+4", "0x1.f85911567d80bp+5", "0x1.0ba5af034bbd6p+15"],
+    4: ["0x1.ad81e11cb5e39p+4", "0x1.f85911567db39p+5", "0x1.0ba5af034bbd6p+15"],
     1: ["0x1.c580469f00a63p+0", "0x1.c9788def06444p+0", "0x1.8768eadac5618p+7"],
     3: ["0x1.fdb7b8bc27393p+3", "0x1.6b7283abc0be0p+3", "0x1.e66459894094ap+11"],
 }
@@ -72,6 +73,8 @@ def test_integrand_norms(m):
 
 
 def test_hfp_reference():
+    # panels on the offsets from t: 8.7e-12 from exact_hfp, where panels on
+    # x gave -0x1.45fd1949865a9p+4, 1.3e-11 from it
     integ = _integrand(4)
     value = oracles.hfp_reference(integ.g_eval, integ.g_derivs_at_t, 4, integ.a, integ.b, T, smoothing=6)
-    assert value.hex() == "-0x1.45fd1949865a9p+4"
+    assert value.hex() == "-0x1.45fd194986a6cp+4"

@@ -1,12 +1,16 @@
 """Convergence tables, rate fits, floor checks."""
 
+import collections
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from hfpquad import quadrature
 from hfpquad.errors import EvaluationError, InsufficientPreFloorDataError
 from hfpquad.harness import (
     NORM_SAMPLES,
@@ -19,8 +23,9 @@ from hfpquad.harness import (
     integrand_norms,
 )
 from hfpquad.integrands import PoissonKernelU, TrigPolynomial, singular_periodic_integrand
-from hfpquad.oracles import GeometricKernelCase
+from hfpquad.oracles import GeometricKernelCase, hfp_reference
 from hfpquad.quadrature import PeriodicIntegrand, RuleSpec, _family_nodes, roundoff_floor, t_hat
+from test_quadrature import held_bytes
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,14 +248,92 @@ class TestFloorCheck:
         assert integrand_norms(both) == tuple(map(max, zip(*rows)))
 
     def test_scalar_g_norms_difference_the_nodes(self):
-        # axis=-1 changes nothing for a scalar g
-        for integ in (
+        # g at the nodes t + y of the offsets y from a - t to b - t: psi(y)
+        # u(t + y) for a split g, g(t + y) for a plain one; axis=-1 changes
+        # nothing for a scalar g
+        for split in (
             singular_periodic_integrand(TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4)), m=3, t=1.0),
-            singular_periodic_integrand(PoissonKernelU(0.4), m=3, t=1.0),
+            singular_periodic_integrand(PoissonKernelU(0.4), m=3, t=-2.5),
         ):
-            xs = np.linspace(integ.a, integ.b, NORM_SAMPLES)
-            g = integ.g_eval(xs)
-            g1 = np.gradient(g, xs[1] - xs[0])
-            g3 = np.gradient(np.gradient(g1, xs[1] - xs[0]), xs[1] - xs[0])
-            want = tuple(float(np.max(np.abs(v))) for v in (g, g1, g3))
-            assert integrand_norms(integ) == want
+            y = np.linspace(split.a - split.t, split.b - split.t, NORM_SAMPLES)
+            x = np.clip(split.t + y, split.a, split.b)
+            dy = y[1] - y[0]
+            plain = dataclasses.replace(split, g_eval=lambda x, g=split.g_eval: g(x))
+            for integ, g in ((split, split.g_eval.psi(y) * split.g_eval.u(x)), (plain, split.g_eval(x))):
+                g1 = np.gradient(g, dy)
+                g3 = np.gradient(np.gradient(g1, dy), dy)
+                want = tuple(float(np.max(np.abs(v))) for v in (g, g1, g3))
+                assert integrand_norms(integ) == want
+
+
+class TestSampleTables:
+    """The norm sample's and the reference's offsets, and psi on them, are
+    store entries keyed on the scalars the offsets are made from."""
+
+    @staticmethod
+    def integrand(k, i):
+        m, t = 1 + (i + k) % 4, -3.0 + 0.37 * i
+        u = TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4)) if i % 2 else PoissonKernelU(0.4)
+        integ = singular_periodic_integrand(u, m=m, t=t, n_derivs=m + 6)
+        # every third one a plain g, which runs at t + y with psi = 1
+        return dataclasses.replace(integ, g_eval=lambda x, g=integ.g_eval: g(x)) if i % 3 == 0 else integ
+
+    @classmethod
+    def values(cls, k):
+        out = []
+        for i in range(16):
+            integ = cls.integrand(k, i)
+            out.append(integrand_norms(integ))
+            derivs = integ.g_derivs_at_t
+            out.append(hfp_reference(integ.g_eval, derivs, integ.m, integ.a, integ.b, integ.t, smoothing=6))
+        return out
+
+    def test_threads_share_the_sample_tables(self, monkeypatch):
+        # four threads sample integrands of their own, inserting into and
+        # evicting from a store that holds two norm-sample entries at most;
+        # a switch interval of 1 us interleaves them inside each other's
+        # table reads
+        serial = [self.values(k) for k in range(4)]
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        monkeypatch.setattr(quadrature, "_TABLE_BYTES", 2**16)
+        values, errors = {}, []
+
+        def work(k):
+            try:
+                values[k] = self.values(k)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 0 < held_bytes() <= 2**16
+        for k in range(4):
+            assert values[k] == serial[k], k
+
+    def test_periods_centred_on_t_share_a_few_entries(self, monkeypatch):
+        # the offsets a - t and b - t of a period centred on t take a few
+        # doubles between them, so 200 values of t read a few entries
+        monkeypatch.setattr(quadrature, "_TABLES", {})
+        monkeypatch.setattr(quadrature, "_TABLE_BYTES", 2**23)
+        for t in np.linspace(-3.0, 3.0, 200):
+            integ = singular_periodic_integrand(TrigPolynomial((0.5, 0.3), (0.2,)), m=2, t=float(t), n_derivs=8)
+            integrand_norms(integ)
+            hfp_reference(integ.g_eval, integ.g_derivs_at_t, 2, integ.a, integ.b, integ.t, smoothing=6)
+        # a psi table's key is (_psi_table, psi, offsets, *their key)
+        psi_table = quadrature._psi_table.__wrapped__
+        kinds = collections.Counter(
+            key[2].__name__ + " psi" if key[0] is psi_table else key[0].__name__ for key in quadrature._TABLES
+        )
+        assert set(kinds) == {"_norm_offsets", "_norm_offsets psi", "_panel_nodes", "_panel_offsets psi"}
+        assert kinds["_norm_offsets"] == kinds["_norm_offsets psi"] <= 5
+        assert kinds["_panel_nodes"] == kinds["_panel_offsets psi"] <= 10

@@ -319,6 +319,16 @@ class TestPeriod:
         with pytest.raises(ValueError, match=self.MESSAGE):
             build(supersingular_cotangent_kernel(1.0, 1.0), np.cos, 1.0, 4)
 
+    @pytest.mark.parametrize("build, residues", [(build_simple_system, 32), (build_advanced_system, 8)])
+    def test_offset_cube_that_underflows_raises(self, build, residues):
+        # the simple builder returned the column [1, nan, nan, nan, 0, ...]
+        # after "invalid value encountered in divide"
+        message = rf"^the offset power dy\*\*3 underflowed to 0 at residue 1 of {residues} \(dy="
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=message):
+                build(supersingular_cotangent_kernel(0.0, 1e-300), np.cos, 1.0, 8)
+
     @pytest.mark.parametrize("a, b", [(2.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
     def test_reversed_or_infinite_period_is_rejected(self, a, b):
         # (2, 1) built a system of period -1
@@ -892,7 +902,8 @@ class TestPsiTable:
         for size in range(1, 1100, 13):
             y = np.linspace(-1.0, 1.0, size)
             assert np.array_equal(kern.numerator_centered(None, y), numerator_factor(3, y, kern.period))
-            kept = (ie_solver._psi_table.__wrapped__, kern, y.shape, y.tobytes()) in quadrature._TABLES
+            key = (quadrature._psi_table.__wrapped__, kern.psi, ie_solver._frombuffer, y.shape, y.tobytes())
+            kept = key in quadrature._TABLES
             assert kept == (16 * size <= bound)
             assert 0 < held_bytes() <= bound
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -213,22 +214,34 @@ def _const_one(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-def per_segment_panel_integrate(fn, breakpoints, panel_counts):
-    """Gauss panels with one fn call per segment and panel count: the
-    reference for the single call on the nodes of all of them."""
-    xs, ws = oracles._gauss_nodes(oracles._GAUSS_ORDER)
+def per_segment_panel_integrate(fn, breaks, counts):
+    """Gauss panels with one fn call per segment and panel count, each on
+    the panel nodes of that segment alone: the reference for the single
+    call on the nodes of all of them."""
     sums = []
-    for panels in panel_counts:
-        pieces = []
-        for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+    for panels in counts:
+        pieces = [fn(segment, (panels,)) for segment in zip(breaks[:-1], breaks[1:])]
+        sums.append(math.fsum(np.concatenate(pieces)))
+    return sums
+
+
+def test_panel_nodes_are_each_segments_own():
+    # a segment's panel nodes and weights at one count are those of its
+    # own np.linspace cuts, whatever segments and counts share the entry
+    xs, ws = np.polynomial.legendre.leggauss(oracles._GAUSS_ORDER)
+    breaks = (-math.pi, -0.0314, 0.0, 0.0314, math.pi)
+    y, w = oracles._panel_nodes(breaks, (4, 8))
+    start = 0
+    for panels in (4, 8):
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
             edges = np.linspace(lo, hi, panels + 1)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
-            nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-            weights = (half[:, None] * ws[None, :]).ravel()
-            pieces.append(weights * fn(nodes))
-        sums.append(math.fsum(np.concatenate(pieces)))
-    return sums
+            size = panels * oracles._GAUSS_ORDER
+            assert np.array_equal(y[start : start + size], (mid[:, None] + half[:, None] * xs).ravel())
+            assert np.array_equal(w[start : start + size], (half[:, None] * ws).ravel())
+            start += size
+    assert start == y.size == w.size
 
 
 _REF_US = [("trig", TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4))), ("poisson", PoissonKernelU(0.6))]
@@ -379,6 +392,25 @@ class TestReferenceEvaluationErrors:
             assert bad(err.node_x)
             assert not any(bad(x) for x in calls[0][: err.node_index])  # the first bad node
             assert f"(x={err.node_x!r})" in str(err)
+
+    def test_remainder_that_is_not_finite_raises_on_the_first_pass(self):
+        # on the period [-1e-300, 1e-300] every far offset's y^2 underflows
+        # to 0, so (g - P)/y^2 is 0/0: the reference once warned "invalid
+        # value encountered in divide" 10 times and sampled g on 524,032
+        # nodes before ReferenceConvergenceError
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return np.cos(x)
+
+        message = r"^the reference's remainder term is not finite at node \d+ \(x="
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=message) as info:
+                hfp_reference(counted, [1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0], 2, -1e-300, 1e-300, 0.0)
+        assert len(calls) == 1  # no panel doubling ran
+        assert info.value.node_x == float(calls[0][info.value.node_index])
 
     def test_non_finite_derivative_raises_before_g(self):
         calls = []
