@@ -24,8 +24,8 @@ from . import _kernels
 from .errors import DerivativesRequiredError, EvaluationError, ReferenceConvergenceError, SingularSystemError
 from .integrands import _series_mul, kernel_factor_series, numerator_factor, numerator_factor_derivs
 from .quadrature import (
-    CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _psi_table, _require_integers, _require_period,
-    _shared, _wrap, compact_rule, roundoff_floor, t_hat,
+    CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _memoize_rules, _psi_table, _require_integers,
+    _require_period, _shared, _wrap, compact_rule, roundoff_floor, t_hat,
 )
 
 __all__ = [
@@ -210,8 +210,9 @@ def _assemble(
     A ``psi`` kernel has one row, read at t = a and stored as the first
     ``column``; the grid is not read and may be None.  A ``centered`` kernel
     has one row per grid point, laid out as the dense ``matrix``.  An offset
-    whose cube underflows to 0 (a spacing below about 1e-108) raises
-    EvaluationError naming its residue, before any kernel value is read.
+    whose cube underflows to 0 (a spacing below about 1e-108) or overflows
+    (above about 5.6e102) raises EvaluationError naming its residue, without
+    a warning and before any kernel value is read.
     """
     h = kernel.period / n
     N = 2**rule.s * n
@@ -220,11 +221,13 @@ def _assemble(
     dy = ((live + N // 2) % N - N // 2) * (h / 2**rule.s)
     circulant = kernel.psi is not None
     ts = np.array([kernel.a]) if circulant else grid
-    cubes = dy**3
-    if not cubes.all():
-        i = int(np.flatnonzero(cubes == 0)[0])
-        dy_i = float(dy[i])
-        raise EvaluationError(f"the offset power dy**3 underflowed to 0 at residue {live[i]} of {N} (dy={dy_i!r})")
+    with np.errstate(over="ignore"):
+        cubes = dy**3
+    bad = np.flatnonzero((cubes == 0) | ~np.isfinite(cubes))
+    if bad.size:
+        i = int(bad[0])
+        how = "underflowed to 0" if cubes[i] == 0 else "overflowed"
+        raise EvaluationError(f"the offset power dy**3 {how} at residue {live[i]} of {N} (dy={float(dy[i])!r})")
     kmat = kernel.numerator_centered(ts[:, None], dy) / cubes
     kmat *= weights[live]
     # without corrections A_0 = 0 alone
@@ -569,8 +572,11 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
       and each rule is one inverse FFT (``_rule_on_lattice``) of phi's
       spectrum times the rule's, which a table keyed by (kernel, n_rule, L)
       holds (``_lattice_spectrum``).  The checks run on whole arrays, with
-      the norm sample read from |phi| on the lattice (``_lattice_norms``).  The first point also goes
-      through the batched rule as an anchor; the two values must agree
+      the norm sample read from |phi| on the lattice (``_lattice_norms``).
+      The first point is the anchor: its kernel slice as a scalar
+      integrand, both rules from one fill of its memo through the
+      module-level ``t_hat``, their doubling check on the grid's norm
+      sample at that point; the grid value must agree with the anchor's
       within that point's noise allowance, else ReferenceConvergenceError
       names it.  A lattice above _RHS_LATTICE_MAX points takes the batched
       path instead.
@@ -603,18 +609,24 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
         _check_finite(g_norm, ts, "kernel slice at t={x!r} is not finite")
         # written so that a NaN on either side fails the check
         allowed = _RHS_TOL * (1.0 + np.abs(v2)) + noise_per_norm * g_norm
-        bad = np.flatnonzero(~(np.abs(v1 - v2) <= allowed))
+        diff = np.atleast_1d(v1 - v2)
+        bad = np.flatnonzero(~(np.abs(diff) <= allowed))
         if bad.size:
             i = bad[0]
             raise ReferenceConvergenceError(
                 f"inner quadrature doubling check failed at t={float(ts[i])!r}: "
-                f"|{v1[i] - v2[i]:.3e}| above tolerance"
+                f"|{diff[i]:.3e}| above tolerance"
             )
 
+    def rules(t):
+        # the kernel slice at t, a scalar or 1-D points, and both rules on
+        # it from one memo fill
+        integrand = _kernel_slice_integrand(kernel, phi, t)
+        _memoize_rules(integrand, (coarse, fine))
+        return integrand, t_hat(coarse, integrand), t_hat(fine, integrand)
+
     def batch(ts):
-        integrand = _kernel_slice_integrand(kernel, phi, ts)
-        v1 = t_hat(coarse, integrand)
-        v2 = t_hat(fine, integrand)
+        integrand, v1, v2 = rules(ts)
         check(ts, v1, v2, np.max(np.abs(integrand.g_eval(ys)), axis=-1))
         return lam * _call("phi", "points", phi, ts) + v2
 
@@ -629,8 +641,11 @@ def manufactured_rhs(kernel: PeriodicKernel, phi: Callable, lam: float) -> Calla
         v2 = _rule_on_lattice(kernel, 2 * _RHS_N_HIGH, spectrum, L)[i * (L // N)]
         g_norm = _lattice_norms(kernel.numerator_centered(None, ys), samples, N)[i]
         check(ts, v1, v2, g_norm)
-        out = lam * _call("phi", "points", phi, ts) + v2
-        anchor = batch(ts[:1])[0]
+        lam_phi = lam * _call("phi", "points", phi, ts)
+        out = lam_phi + v2
+        _, a1, a2 = rules(float(ts[0]))
+        check(ts[:1], a1, a2, g_norm[:1])
+        anchor = lam_phi[0] + a2
         if not abs(out[0] - anchor) <= noise_per_norm * g_norm[0]:
             raise ReferenceConvergenceError(
                 f"rhs on the grid disagrees with the per-point rule at t={float(ts[0])!r}: "

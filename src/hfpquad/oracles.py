@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DerivativesRequiredError, EvaluationError, ReferenceConvergenceError
 from .integrands import PoissonKernelU, TrigPolynomial, _eulerian_row, singular_periodic_integrand
-from .quadrature import PeriodicIntegrand, _check_finite, _fsum, _sample, _shared
+from .quadrature import PeriodicIntegrand, _check_finite, _finite_value, _fsum, _sample, _shared
 
 __all__ = [
     "GeometricKernelCase",
@@ -117,6 +117,12 @@ def exact_hfp(u, m: int, t: float) -> float:
     the Eulerian numerator in Horner form, and 1 - q formed as
     (1 - eta) + 2 eta sin^2(t/2) - i eta sin t; Re(i^m s) is picked by m mod 4.
     Any other u raises TypeError, a non-finite t ValueError.
+
+    The terms are summed by one guarded fsum (``quadrature._fsum``), and a
+    value that is not finite raises EvaluationError naming the first term
+    that overflowed (a mode of a TrigPolynomial, a power k^p of the Poisson
+    sum, whose (1 - q)^(p+1) may also underflow to 0), else the sum.  The
+    Poisson sum is tested once, on its value.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite (got {t!r})")
@@ -125,7 +131,9 @@ def exact_hfp(u, m: int, t: float) -> float:
         n_modes = max(len(u.cos_coeffs) - 1, len(u.sin_coeffs))
         modes = [fourier_symbol(m, k) * cmath.exp(1j * k * t) for k in range(1, n_modes + 1)]
         cos, sin = u.cos_coeffs[1:], u.sin_coeffs
-        return math.fsum([a * z.real for a, z in zip(cos, modes)] + [b * z.imag for b, z in zip(sin, modes)])
+        terms = [a * z.real for a, z in zip(cos, modes)] + [b * z.imag for b, z in zip(sin, modes)]
+        names = (f"the {kind} mode k={k}" for kind, cs in (("cos", cos), ("sin", sin)) for k in range(1, len(cs) + 1))
+        return _finite_value(_fsum(terms), terms, names, f"the sum of {len(terms)} modes at m={m}")
     if not isinstance(u, PoissonKernelU):
         raise TypeError(f"exact_hfp takes a TrigPolynomial or a PoissonKernelU (got {type(u).__name__})")
     eta = u.eta
@@ -135,12 +143,16 @@ def exact_hfp(u, m: int, t: float) -> float:
     half = math.sin(0.5 * t)
     one_minus_q = complex((1.0 - eta) + 2.0 * eta * (half * half), -q.imag)
     terms = []
-    for p, c in enumerate(coefs):
-        if c:
-            row = _eulerian_row(p)
-            s = q * reduce(lambda acc, e: acc * q + e, row[-2::-1], row[-1]) / one_minus_q ** (p + 1)
-            terms.append(TWO_PI * (c / den) * (s.real, -s.imag, -s.real, s.imag)[m % 4])
-    return math.fsum(terms)
+    try:
+        for p, c in enumerate(coefs):
+            if c:
+                row = _eulerian_row(p)
+                s = q * reduce(lambda acc, e: acc * q + e, row[-2::-1], row[-1]) / one_minus_q ** (p + 1)
+                terms.append(TWO_PI * (c / den) * (s.real, -s.imag, -s.real, s.imag)[m % 4])
+    except (ZeroDivisionError, OverflowError):
+        terms.append(math.inf)
+    names = (f"the k^{p} term" for p, c in enumerate(coefs) if c)
+    return _finite_value(_fsum(terms), terms, names, f"the Poisson sum at m={m}")
 
 
 def hfp_power_integral(p: int, a: float, b: float, t: float) -> float:

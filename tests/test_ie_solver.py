@@ -329,7 +329,22 @@ class TestPeriod:
             with pytest.raises(EvaluationError, match=message):
                 build(supersingular_cotangent_kernel(0.0, 1e-300), np.cos, 1.0, 8)
 
-    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("build, residues", [(build_simple_system, 32), (build_advanced_system, 8)])
+    def test_offset_cube_that_overflows_raises(self, build, residues):
+        # the cube once warned "overflow encountered in power" before psi
+        # raised on 24 offsets; psi is not read now
+        message = rf"^the offset power dy\*\*3 overflowed at residue 1 of {residues} \(dy="
+        calls = []
+        kern = supersingular_cotangent_kernel(0.0, 1e300)
+        recording = dataclasses.replace(kern, psi=lambda y: calls.append(y) or kern.psi(y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (kern, recording):
+                with pytest.raises(EvaluationError, match=message):
+                    build(k, np.cos, 1.0, 8)
+        assert calls == []
+
+    @pytest.mark.parametrize("a, b",[(2.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
     def test_reversed_or_infinite_period_is_rejected(self, a, b):
         # (2, 1) built a system of period -1
         with pytest.raises(ValueError, match=self.MESSAGE):
@@ -774,6 +789,26 @@ class TestGridRhs:
             ReferenceConvergenceError, match=re.escape(f"per-point rule at t={float(grid[0])!r}:")
         ):
             w(grid)
+
+    def test_one_grid_call_fills_the_memo_once(self, monkeypatch):
+        # the anchor fills both rules' lattices in one pass
+        grid, fills = builder_grid("simple", 16), []
+        real = quadrature._fill
+        monkeypatch.setattr(quadrature, "_fill", lambda *args, **kwargs: fills.append(args[1]) or real(*args, **kwargs))
+        manufactured_rhs(supersingular_cotangent_kernel(), PoissonKernelU(0.3), 1.0)(grid)
+        assert len(fills) == 1
+
+    def test_psi_that_is_not_even(self):
+        # K = K_3 + 0.5 cos(x - t): psi's second part 0.5 y^3 cos y is odd,
+        # and the anchor's plain g reads psi at the signed offsets
+        def psi(y):
+            return numerator_factor(3, y, TWO_PI) + 0.5 * y**3 * np.cos(y)
+
+        kern, phi = PeriodicKernel(-math.pi, math.pi, psi=psi), PoissonKernelU(0.3)
+        grid = builder_grid("simple", 16)
+        w = manufactured_rhs(kern, phi, 1.2)
+        got, batched = w(grid), w(grid[:, None])[:, 0]
+        assert np.all(np.abs(got - batched) <= noise_allowance(kern, phi, grid))
 
     def test_non_finite_phi_on_the_lattice_raises(self):
         poisson = PoissonKernelU(0.3)

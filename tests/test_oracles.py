@@ -162,6 +162,27 @@ class TestExactHfp:
         # c_6(1) = c_6(2) = 0 and c_m(0) = 0: the oracle is an exact 0
         assert exact_hfp(TrigPolynomial((0.5, 0.3, 0.1), (0.2, -0.4)), 6, 1.0) == 0.0
 
+    def test_modes_of_both_signs_that_overflow_raise(self):
+        # a +inf and a -inf term once raised ValueError from math.fsum
+        with pytest.raises(EvaluationError, match=r"^the cos mode k=1 overflowed$"):
+            exact_hfp(TrigPolynomial((1e308, 1e308), (1e308,)), 3, 0.3)
+
+    def test_one_mode_that_overflows_raises(self):
+        # mode k = 2000 at m = 6 once returned inf
+        with pytest.raises(EvaluationError, match=r"^the cos mode k=2000 overflowed$"):
+            exact_hfp(TrigPolynomial((0.0,) * 2000 + (1e300,)), 6, 0.3)
+
+    def test_finite_modes_whose_sum_overflows_raise(self):
+        # terms 1.46e308 and 1.06e308
+        with pytest.raises(EvaluationError, match=r"^the sum of 2 modes at m=1 overflowed$"):
+            exact_hfp(TrigPolynomial((0.0, 2.5e307, 2.5e307)), 1, 1.2)
+
+    def test_poisson_power_that_underflows_raises(self):
+        # (1 - q)^(p+1) underflows to 0 as eta -> 1 at t = 0, which once
+        # raised ZeroDivisionError from the complex division
+        with pytest.raises(EvaluationError, match=r"^the k\^19 term overflowed$"):
+            exact_hfp(PoissonKernelU(1.0 - 2.0**-53), 30, 0.0)
+
     def test_other_u_raises(self):
         with pytest.raises(TypeError, match="TrigPolynomial or a PoissonKernelU"):
             exact_hfp(math.cos, 3, 1.0)
