@@ -25,7 +25,7 @@ from .errors import DerivativesRequiredError, EvaluationError, ReferenceConverge
 from .integrands import _series_mul, kernel_factor_series, numerator_factor, numerator_factor_derivs
 from .quadrature import (
     CompactRule, PeriodicIntegrand, RuleSpec, _call, _check_finite, _memoize_rules, _psi_table, _require_integers,
-    _require_period, _shared, _wrap, compact_rule, roundoff_floor, t_hat,
+    _require_period, _rule_weights, _shared, _wrap, compact_rule, roundoff_floor, t_hat,
 )
 
 __all__ = [
@@ -187,9 +187,9 @@ def _residue_weights(rule: CompactRule, N: int, h: float) -> np.ndarray:
     """Weights on the residues d = 0..N-1, the offsets d h/2^s: level l >= 1 on
     the odd multiples of 2^(s-l), level 0 on the nonzero multiples of 2^s."""
     weights = np.zeros(N)
-    for level, weight in rule.families:
+    for _, level, w in _rule_weights(rule.m, rule.s, "compact")[0]:
         first = 2 ** (rule.s - level)
-        weights[first :: 2 * first if level else first] = float(weight) * h
+        weights[first :: 2 * first if level else first] = w * h
     return weights
 
 
@@ -348,11 +348,12 @@ def cardinal_derivative_matrix(k: int, n: int, period: float) -> np.ndarray:
 
 def _ak_rows(kernel: PeriodicKernel, ts, rule: CompactRule, h: float) -> np.ndarray:
     """Row i: A_0..A_3 at ts[i], m = 3.  By Leibniz the correction
-    coef pi^(m-order) (U phi)^(order)(t) h^(1-m+order) puts binom(order, k) of
-    itself on U_(order-k) phi^(k), A_k = sum_j C[k, j] U_j, summed in order of j."""
+    c (U phi)^(order)(t) h^(1-m+order) of the rule's float table
+    (``_rule_weights``) puts binom(order, k) of itself on U_(order-k) phi^(k),
+    A_k = sum_j C[k, j] U_j, summed in order of j."""
     table = np.zeros((4, 4))
-    for order, coef in rule.deriv_corrections:
-        scale = float(coef) * math.pi ** (rule.m - order) * h ** (1 - rule.m + order)
+    for order, c in _rule_weights(rule.m, rule.s, "compact")[1]:
+        scale = c * h ** (1 - rule.m + order)
         for k in range(order + 1):
             table[k, order - k] = math.comb(order, k) * scale
     u = np.array([kernel.diag_derivs(float(t)) for t in ts])

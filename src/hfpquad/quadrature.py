@@ -790,7 +790,10 @@ def _memoize(integrand: PeriodicIntegrand, lattices) -> None:
 def _memoize_rules(integrand: PeriodicIntegrand, specs) -> None:
     """Fill the memo on every lattice of the specs' rules in one pass of
     blocks, so that ``t_hat`` of each spec calls no g and builds no nodes."""
-    _memoize(integrand, [N for spec in specs for fam in _families(spec) for N, _ in _primitives(*fam)])
+    families = [
+        (2**k * spec.n, level) for spec in specs for k, level, _ in _rule_weights(spec.m, spec.s, spec.path)[0]
+    ]
+    _memoize(integrand, [N for family in families for N, _ in _primitives(*family)])
 
 
 def _family_sums(integrand: PeriodicIntegrand, families) -> list:
@@ -879,17 +882,12 @@ def _finite_value(value, terms: list, names, what: str):
     raise EvaluationError(f"{what} overflowed")
 
 
-def _family_sum(integrand: PeriodicIntegrand, n: int, level: int, weight: Fraction):
-    """weight * h * sum of f over one node family (per row of a vector g)."""
-    [total] = _family_sums(integrand, [(n, level)])
-    return _finite_value(float(weight) * (integrand.period / n) * total, [], [], "the weighted node sum")
-
-
 def plain_trap_sum(integrand: PeriodicIntegrand, n: int) -> float:
     """h * sum_{j=1}^{n-1} f(t + j h), h = T/n, nodes wrapped into [a, b)."""
+    _require_integers(n=n)
     if n < 2:
         raise ValueError("plain trapezoidal sum needs n >= 2")
-    return _family_sum(integrand, n, 0, Fraction(1))
+    return _rule_value(integrand, n, ((0, 0, 1.0),), (), ("the weighted node sum",))
 
 
 def midpoint_sum(integrand: PeriodicIntegrand, n: int, level: int = 1) -> float:
@@ -898,33 +896,42 @@ def midpoint_sum(integrand: PeriodicIntegrand, n: int, level: int = 1) -> float:
     level=1: h * sum_{j=1}^{n} f(t + jh - h/2)
     level=l: (h/2^(l-1)) * sum_{j=1}^{2^(l-1) n} f(t + jh/2^(l-1) - h/2^l)
     """
+    _require_integers(n=n, level=level)
     if n < 1:
         raise ValueError("midpoint sum needs n >= 1")
     if level < 1:
         raise ValueError("level must be >= 1")
-    return _family_sum(integrand, n, level, Fraction(1, 2 ** (level - 1)))
+    return _rule_value(integrand, n, ((0, level, 2.0 ** (1 - level)),), (), ("the weighted node sum",))
+
+
+def _zeta_coefs(m: int) -> tuple[tuple[int, float], ...]:
+    """(order, 2 zeta(m - order)/order!) for the orders of g the base rule's
+    correction reads, m % 2, m % 2 + 2, ..., m: the term of g^(order)(t) at
+    spacing h is that coefficient times g^(order)(t) h^(1-m+order).  The
+    floats come from ``zeta_at``, not from ``compact_rule``'s rationals."""
+    return tuple((order, 2.0 / math.factorial(order) * zeta_at(m - order)) for order in range(m % 2, m + 1, 2))
 
 
 def correction_sum(integrand: PeriodicIntegrand, n: int) -> float:
     """Finite derivative correction removed from the plain sum.
 
     For m = 2r the sum runs over even derivatives of g at t, for m = 2r+1
-    over odd ones; the plain trapezoidal sum minus this value is the base
-    (s = 0) rule.
+    over odd ones, each term ``_zeta_coefs(m)``'s coefficient times
+    g^(order)(t) h^(1-m+order), h = T/n; the plain trapezoidal sum minus
+    this value is the base (s = 0) rule.
     """
+    _require_integers(n=n)
+    if n < 1:
+        raise ValueError("correction sum needs n >= 1")
     m = integrand.m
     h = integrand.period / n
-    r, parity = m // 2, m % 2
     if integrand.g_derivs_at_t is None or len(integrand.g_derivs_at_t) <= m:
         raise DerivativesRequiredError(
             f"derivatives of g at t up to order {m} required for the s=0 rule"
         )
-    orders = range(parity, m + 1, 2)
-    terms = [
-        2.0 * integrand.deriv_at_t(order) / math.factorial(order) * zeta_at(m - order) * h ** (1 - m + order)
-        for order in orders
-    ]
-    names = (f"the g^({order})(t) correction term at n={n}" for order in orders)
+    coefs = _zeta_coefs(m)
+    terms = [c * integrand.deriv_at_t(order) * h ** (1 - m + order) for order, c in coefs]
+    names = (f"the g^({order})(t) correction term at n={n}" for order, _ in coefs)
     return _finite_value(_fsum(terms), terms, names, f"the derivative correction at n={n}")
 
 
@@ -971,64 +978,58 @@ def extrapolation_weights(s: int) -> ExtrapolationWeights:
 # ---------------------------------------------------------------------------
 
 
-def _families(spec: RuleSpec) -> list[tuple[int, int]]:
-    """The node families (n, level) that ``t_hat(spec, ...)`` sums over, in order."""
-    if spec.path == "compact":
-        return [(spec.n, level) for level, _ in compact_rule(spec.m, spec.s).families]
-    return [(2**spec.s * spec.n, 0)]
-
-
 @lru_cache(maxsize=None)
-def _compact_floats(m: int, s: int):
-    """``compact_rule(m, s)`` in floats, formed once per rule: its (level,
-    weight) families, its corrections as (order, coef pi^(m-order)) and the
-    names of its terms, corrections first, for ``_finite_value``."""
-    rule = compact_rule(m, s)
-    names = [f"the g^({order})(t) correction term" for order, _ in rule.deriv_corrections]
-    names += (f"the level-{level} node sum term" for level, _ in rule.families)
-    return (
-        tuple((level, float(w)) for level, w in rule.families),
-        tuple((order, float(coef) * math.pi ** (m - order)) for order, coef in rule.deriv_corrections),
-        tuple(names),
-    )
+def _rule_weights(m: int, s: int, path: str):
+    """The rule (m, s) of ``path`` as one float table (families,
+    corrections, names), formed once per rule.
 
-
-def _t_hat_compact(rule: CompactRule, integrand: PeriodicIntegrand, n: int):
-    """fsum of the weighted family sums w h S, plus the fsum of the
-    derivative corrections.
-
-    ``_t_hat_generic`` is the same combination grouped by grid, but it
-    rounds otherwise: it subtracts each grid's correction inside one fsum.
-    Each form's doubles are pinned (the golden table rows, the per-grid
-    definition of ``TestNestedGrids``), so the two keep their own bodies
-    over the shared ``_family_sums``.
+    A family (k, level, w) is the node family (2^k n, level) of the rule at
+    n, each node weighing w h, h = T/n; a correction (order, c) is the term
+    c g^(order)(t) h^(1-m+order); ``names`` names the corrections, then the
+    families, for ``_finite_value``.  The compact rule is
+    ``compact_rule(m, s)`` in floats, at k = 0, with c = coef pi^(m-order).
+    The generic rule is sum_k alpha_k times the base rule at 2^k n, the
+    plain sum less ``_zeta_coefs``' corrections at spacing h/2^k: the
+    level-0 family (2^k n, 0) weighs alpha_k 2^-k, and the grid's term of
+    g^(order) has c = -alpha_k 2^(-k(1-m+order)) 2 zeta(m - order)/order!,
+    so it reads g^(order)(t) for every order up to m.
     """
-    h, m = integrand.period / n, rule.m
-    families, corrections, names = _compact_floats(m, rule.s)
+    if path == "compact":
+        rule = compact_rule(m, s)
+        families = tuple((0, level, float(w)) for level, w in rule.families)
+        corrections = tuple((order, float(coef) * math.pi ** (m - order)) for order, coef in rule.deriv_corrections)
+        names = [f"the g^({order})(t) correction term" for order, _ in corrections]
+        names += (f"the level-{level} node sum term" for _, level, _ in families)
+        return families, corrections, tuple(names)
+    alpha = extrapolation_weights(s).alpha
+    families = tuple((k, 0, float(a / 2**k)) for k, a in enumerate(alpha))
+    grids = [
+        (k, order, -float(a * Fraction(2) ** (k * (m - 1 - order))) * c)
+        for k, a in enumerate(alpha)
+        for order, c in _zeta_coefs(m)
+    ]
+    names = [f"the g^({order})(t) correction term on the grid 2^{k} n" for k, order, _ in grids]
+    names += (f"the node sum term on the grid 2^{k} n" for k, _, _ in families)
+    return families, tuple((order, c) for _, order, c in grids), tuple(names)
+
+
+def _rule_value(integrand: PeriodicIntegrand, n: int, families, corrections, names):
+    """The rule of a ``_rule_weights`` table at n: the fsum of the weighted
+    family sums w h S, plus the fsum of the derivative corrections.
+
+    The compact rule's own grouping, by node family, gives its value; the
+    generic rule is the same extrapolation grouped by grid, each family one
+    grid's plain sum, and its grids nest: the level-0 family at 2^k n is
+    the primitive lattices P(2^k n), P(2^(k-1) n), ..., a tail of the
+    finest grid's, so the finest grid's fill serves every family.
+    """
+    h, m = integrand.period / n, integrand.m
     # corrections first: a missing derivative raises before g is evaluated
     correction_terms = [c * integrand.deriv_at_t(order) * h ** (1 - m + order) for order, c in corrections]
-    sums = _family_sums(integrand, [(n, level) for level, _ in families])
-    sum_terms = [w * h * total for total, (_, w) in zip(sums, families)]
+    sums = _family_sums(integrand, [(2**k * n, level) for k, level, _ in families])
+    sum_terms = [w * h * total for total, (_, _, w) in zip(sums, families)]
     value = _fsum(sum_terms) + _fsum(correction_terms)
     return _finite_value(value, correction_terms + sum_terms, names, "the rule value")
-
-
-def _t_hat_generic(integrand: PeriodicIntegrand, n: int, s: int) -> float:
-    """fsum of alpha_k * (plain_trap_sum(2^k n) - correction_sum(2^k n)).
-
-    The plain grids at n, 2n, ..., 2^s n nest: the level-0 family at 2^k n
-    is the primitive lattices P(2^k n), P(2^(k-1) n), ..., a tail of the
-    finest grid's, so the finest grid's fill serves every plain sum.
-    """
-    # corrections first: a missing derivative raises before g is evaluated
-    corrections = [correction_sum(integrand, 2**k * n) for k in range(s + 1)]
-    plains = _family_sums(integrand, [(2**k * n, 0) for k in range(s + 1)])
-    terms = [
-        float(w) * ((integrand.period / (2**k * n)) * plain - corrections[k])
-        for k, (w, plain) in enumerate(zip(extrapolation_weights(s).alpha, plains))
-    ]
-    names = (f"the base rule term at n={2**k * n}" for k in range(s + 1))
-    return _finite_value(_fsum(terms), terms, names, "the rule value")
 
 
 def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):
@@ -1037,17 +1038,17 @@ def t_hat(spec: RuleSpec, integrand: PeriodicIntegrand):
     The generic path combines base rules at n, 2n, ..., 2^s n with the
     extrapolation weights and therefore needs g derivatives up to order m;
     the compact path evaluates the same combination regrouped by node and is
-    derivative-free at the top level s for each m.  For a vector-valued g
-    (see PeriodicIntegrand) the result is an array, one value per row of g,
-    each bit for bit the value of that row's own scalar integrand.
+    derivative-free at the top level s for each m.  Both are one float
+    table (``_rule_weights``) read by one body (``_rule_value``).  For a
+    vector-valued g (see PeriodicIntegrand) the result is an array, one
+    value per row of g, each bit for bit the value of that row's own scalar
+    integrand.
     """
     if spec.m != integrand.m:
         raise ValueError(
             f"rule order m={spec.m} does not match integrand m={integrand.m}"
         )
-    if spec.path == "compact":
-        return _t_hat_compact(compact_rule(spec.m, spec.s), integrand, spec.n)
-    return _t_hat_generic(integrand, spec.n, spec.s)
+    return _rule_value(integrand, spec.n, *_rule_weights(spec.m, spec.s, spec.path))
 
 
 # ---------------------------------------------------------------------------

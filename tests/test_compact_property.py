@@ -12,6 +12,7 @@ Needs hypothesis (the ``test`` extra); the module is skipped without it.
 import bisect
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hfpquad import _kernels  # noqa: E402
+from hfpquad.em_constants import zeta_at  # noqa: E402
 from hfpquad.errors import EvaluationError, HfpquadError  # noqa: E402
 from hfpquad.harness import _gradient, convergence_table_for, integrand_norms  # noqa: E402
 from hfpquad.integrands import (  # noqa: E402
@@ -38,7 +40,6 @@ from hfpquad.quadrature import (  # noqa: E402
     _family_nodes,
     _primitives,
     compact_rule,
-    correction_sum,
     extrapolation_weights,
     max_compact_level,
     roundoff_floor,
@@ -240,7 +241,8 @@ def _t_hat_reference(spec, integ):
     """t_hat unmemoized, in lattice form: each family's sum is the fsum of
     its primitive lattices' sums, each lattice's nodes built alone, g
     evaluated on them and summed by ``_kernels.singular_sum``; the generic
-    path takes one plain sum per grid 2^k n, as the rules read.  A split
+    path takes one plain sum per grid 2^k n and each grid's corrections,
+    grouped as the rules group them.  A split
     g = psi(x - t) u(x) is evaluated as the split defines it, psi at the
     exact offsets.  Every lattice here has at most ``_G_BLOCK`` nodes, so
     its sum is one pairwise sum."""
@@ -258,17 +260,23 @@ def _t_hat_reference(spec, integ):
             return np.array([math.fsum(row) for row in zip(*sums)])
         return math.fsum(sums)
 
+    h = integ.period / n
     if spec.path == "generic":
-        return math.fsum(
-            float(w) * ((integ.period / N) * node_sum(N, 0) - correction_sum(integ, N))
-            for N, w in ((2**k * n, w) for k, w in enumerate(extrapolation_weights(s).alpha))
-        )
-    rule, h = compact_rule(m, s), integ.period / n
-    corrections = math.fsum(
-        float(coef) * math.pi ** (m - order) * integ.deriv_at_t(order) * h ** (1 - m + order)
-        for order, coef in rule.deriv_corrections
-    )
-    sums = [float(w) * h * node_sum(n, level) for level, w in rule.families]
+        # alpha_k times the base rule at 2^k n: its plain sum weighs
+        # alpha_k 2^-k in units of h, its term of g^(order)(t) scales as
+        # (h/2^k)^(1-m+order)
+        alpha = extrapolation_weights(s).alpha
+        families = [(2**k * n, 0, float(a / 2**k)) for k, a in enumerate(alpha)]
+        base = [(order, 2.0 / math.factorial(order) * zeta_at(m - order)) for order in range(m % 2, m + 1, 2)]
+        coefs = [
+            (order, -float(a * Fraction(2) ** (k * (m - 1 - order))) * c) for k, a in enumerate(alpha) for order, c in base
+        ]
+    else:
+        rule = compact_rule(m, s)
+        families = [(n, level, float(w)) for level, w in rule.families]
+        coefs = [(order, float(coef) * math.pi ** (m - order)) for order, coef in rule.deriv_corrections]
+    corrections = math.fsum(c * integ.deriv_at_t(order) * h ** (1 - m + order) for order, c in coefs)
+    sums = [w * h * node_sum(N, level) for N, level, w in families]
     if np.ndim(sums[0]):  # a vector g: math.fsum per row
         return np.array([math.fsum(row) for row in zip(*sums)]) + corrections
     return math.fsum(sums) + corrections

@@ -52,6 +52,22 @@ ROWS = {
     ],
 }
 
+# rows n = 10, 20, ..., 100 of the generic rule (m, s): alpha_k times the
+# base rule at 2^k n, g's derivatives at t in its corrections; (1, 3) is
+# above the compact levels of m = 1
+GENERIC_ROWS = {
+    (3, 2): [
+        "0x1.c020c582f9c00p+1", "0x1.c25e584cdbca0p+1", "0x1.c25cf81483880p+1", "0x1.c25cf8848e8c0p+1",
+        "0x1.c25cf88473c80p+1", "0x1.c25cf88476d00p+1", "0x1.c25cf8847f580p+1", "0x1.c25cf8847bd00p+1",
+        "0x1.c25cf88478080p+1", "0x1.c25cf88474d00p+1",
+    ],
+    (1, 3): [
+        "-0x1.bafdd2c4f0d05p-2", "-0x1.bafdd2c4f0cdap-2", "-0x1.bafdd2c4f0cf0p-2", "-0x1.bafdd2c4f0cebp-2",
+        "-0x1.bafdd2c4f0cdap-2", "-0x1.bafdd2c4f0cf2p-2", "-0x1.bafdd2c4f0d08p-2", "-0x1.bafdd2c4f0d2ep-2",
+        "-0x1.bafdd2c4f0d2cp-2", "-0x1.bafdd2c4f0d0fp-2",
+    ],
+}
+
 # integrand_norms of the integrand of each m, g sampled at t + y on the
 # offsets y from a - t to b - t
 NORMS = {
@@ -67,6 +83,14 @@ def test_table_rows(m, s):
         _integrand(m), 0.0, "none", s=s, n_list=range(10, 101, 10), path="compact"
     )
     assert [row.value.hex() for row in report.rows] == ROWS[m, s]
+
+
+@pytest.mark.parametrize("m, s", sorted(GENERIC_ROWS))
+def test_generic_table_rows(m, s):
+    report = harness.convergence_table_for(
+        _integrand(m), 0.0, "none", s=s, n_list=range(10, 101, 10), path="generic"
+    )
+    assert [row.value.hex() for row in report.rows] == GENERIC_ROWS[m, s]
 
 
 @pytest.mark.parametrize("m", sorted(NORMS))
