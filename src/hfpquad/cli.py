@@ -49,9 +49,16 @@ def format_float(x: float) -> str:
 
 
 def _emit(o) -> str:
-    """The canonical JSON of o; floats are tested first, as a table payload
-    is mostly floats, and keys are quoted as ``json.dumps(str(k))`` does."""
-    if isinstance(o, (float, np.floating)):
+    """The canonical JSON of o; keys are quoted as ``json.dumps(str(k))``
+    does.  The exact types of a table payload (int, str, float) are tested
+    first, as it is mostly floats in dicts in a list; numpy scalars, bools,
+    None, tuples and subclasses take the isinstance tests after them."""
+    kind = type(o)
+    if kind is int:
+        return str(o)
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is float or isinstance(o, (float, np.floating)):
         if not math.isfinite(o):
             raise ValueError(f"JSON cannot hold the non-finite float {float(o)!r}")
         return "%.16e" % o

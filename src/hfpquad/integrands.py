@@ -14,12 +14,13 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import EvaluationError
 from .quadrature import PeriodicIntegrand, SplitNumerator, _call, _require_integers
 
 __all__ = [
@@ -197,6 +198,15 @@ def _derivative_order(order) -> int:
     return operator.index(order)
 
 
+def _horner(tail, head, c: float, s: float) -> float:
+    """Re sum_k gamma_k z^k at one point z = c + i s, by Horner's rule on
+    Python floats in real operations: ``TrigPolynomial``'s scalar path."""
+    re = im = 0.0
+    for g_re, g_im in tail:
+        re, im = re * c - im * s + g_re, re * s + im * c + g_im
+    return re * c - im * s + head
+
+
 @dataclass(frozen=True)
 class TrigPolynomial:
     """u(x) = sum_k a_k cos(kx) + sum_k b_k sin(kx), period 2*pi.
@@ -216,7 +226,11 @@ class TrigPolynomial:
     zero component (a zero's sign reaches the result only where the result
     is zero); an in-place IEEE operation rounds as the same operation out of
     place, so every double is that of the written-out steps.  The gamma_k of
-    an order are formed on its first call and kept with the instance.
+    an order are formed on its first call, from the a_k - i b_k formed on
+    the instance's first call, and kept with the instance.
+
+    ``derivs(max_order, x)`` is [deriv(0, x), ..., deriv(max_order, x)] at
+    one point, bit for bit, with one cos and one sin for all orders.
     """
 
     cos_coeffs: tuple[float, ...]
@@ -227,28 +241,29 @@ class TrigPolynomial:
     def __call__(self, x):
         return self.deriv(0, x)
 
+    @cached_property
+    def _conjugates(self) -> list:
+        """a_k - i b_k, k = 0..d (b_0 = 0), formed once for every order."""
+        pairs = zip_longest(self.cos_coeffs, (0.0, *self.sin_coeffs), fillvalue=0.0)
+        return [complex(a, -b) for a, b in pairs]
+
     def _horner_coefficients(self, order: int):
-        """((Re, Im) of gamma_d, ..., gamma_1) and Re gamma_0, formed on the
-        order's first call."""
-        order = _derivative_order(order)
-        if order not in self._gammas:
+        """((Re, Im) of gamma_d, ..., gamma_1) and Re gamma_0 of an order
+        (an int >= 0), formed on the order's first call."""
+        table = self._gammas.get(order)
+        if table is None:
             turn = 1j ** (order % 4)  # i^order, exactly
-            pairs = zip_longest(self.cos_coeffs, (0.0, *self.sin_coeffs), fillvalue=0.0)
-            gammas = [turn * complex(a, -b) * k**order for k, (a, b) in enumerate(pairs)]
-            self._gammas[order] = (tuple((g.real, g.imag) for g in reversed(gammas[1:])), gammas[0].real)
-        return self._gammas[order]
+            gammas = [turn * z * k**order for k, z in enumerate(self._conjugates)]
+            table = self._gammas[order] = (tuple([(g.real, g.imag) for g in gammas[:0:-1]]), gammas[0].real)
+        return table
 
     def deriv(self, order: int, x):
-        tail, head = self._horner_coefficients(order)
+        tail, head = self._horner_coefficients(_derivative_order(order))
         x = np.asarray(x, dtype=float)
         # (re, im) times z in real operations: numpy's complex multiply uses
         # fused multiply-adds on arrays and not on scalars
         if not x.shape:
-            c, s = float(np.cos(x)), float(np.sin(x))
-            re = im = 0.0
-            for g_re, g_im in tail:
-                re, im = re * c - im * s + g_re, re * s + im * c + g_im
-            return re * c - im * s + head
+            return _horner(tail, head, float(np.cos(x)), float(np.sin(x)))
         c, s = np.cos(x), np.sin(x)
         # the same steps in place, from gamma_d: the first step from 0 gives
         # it but for the sign of a zero component
@@ -268,6 +283,24 @@ class TrigPolynomial:
         re -= np.multiply(im, s, out=im)
         re += head
         return re
+
+    def derivs(self, max_order: int, x) -> list:
+        """[deriv(0, x), ..., deriv(max_order, x)] at one point x, bit for
+        bit: cos x and sin x once, then ``deriv``'s gamma_k and scalar Horner
+        steps per order."""
+        max_order = _derivative_order(max_order)
+        x = _point(x)
+        c, s = float(np.cos(x)), float(np.sin(x))
+        return [_horner(*self._horner_coefficients(order), c, s) for order in range(max_order + 1)]
+
+
+def _point(x) -> np.ndarray:
+    """x as a 0-d float array, as ``deriv`` takes a scalar x; ValueError
+    for more than one point."""
+    x = np.asarray(x, dtype=float)
+    if x.shape:
+        raise ValueError(f"derivs takes one point x (got shape {x.shape})")
+    return x
 
 
 def random_trig_polynomial(rng: np.random.Generator, degree: int = 6) -> TrigPolynomial:
@@ -310,7 +343,9 @@ class PoissonKernelU:
     x runs it on Python floats, so it gives its element of an array call bit
     for bit.  For 0 <= eta < 1 its error against a 40-digit sum stays within
     16 u sum_k k^order eta^k at orders 1-5 (tested); for eta < 0 the
-    half-angle form cancels near x = pi.
+    half-angle form cancels near x = pi.  ``derivs(max_order, x)`` is
+    [deriv(0, x), ..., deriv(max_order, x)] at one point, bit for bit, with
+    one sin(x/2), cos x and sin x for all orders.
     """
 
     eta: float
@@ -340,28 +375,67 @@ class PoissonKernelU:
             half, c, s = np.sin(0.5 * x), np.cos(x), np.sin(x)
         else:
             half, c, s = float(np.sin(0.5 * x)), float(np.cos(x)), float(np.sin(x))
+        return _power_sum(order, *self._q_and_w(half, c, s))
+
+    def derivs(self, max_order: int, x) -> list:
+        """[deriv(0, x), ..., deriv(max_order, x)] at one point x, bit for
+        bit: sin(x/2), cos x and sin x once, q and w = 1/(1 - q) once, and
+        ``deriv``'s steps per order.  The value is w's real part, which is
+        ``from_half_sine``'s form on the same sin(x/2)."""
+        max_order = _derivative_order(max_order)
+        x = _point(x)
+        q_re, q_im, w_re, w_im = self._q_and_w(float(np.sin(0.5 * x)), float(np.cos(x)), float(np.sin(x)))
+        return [w_re] + [_power_sum(order, q_re, q_im, w_re, w_im) for order in range(1, max_order + 1)]
+
+    def _q_and_w(self, half, c, s):
+        """(Re, Im) of q = eta e^(ix) and of 1/(1 - q) = conj(1 - q)/|1 - q|^2,
+        with 1 - q in the half-angle form ((1 - eta) + 2 eta sin^2(x/2)) -
+        i eta sin x, from half = sin(x/2), c = cos x and s = sin x."""
         eta = self.eta
-        # q = eta e^(ix), and 1/(1 - q) = conj(1 - q)/|1 - q|^2 with 1 - q in
-        # the half-angle form ((1 - eta) + 2 eta sin^2(x/2)) - i eta sin x
         q_re, q_im = eta * c, eta * s
         sq = half * half
         den = (1.0 - eta) ** 2 + 4.0 * eta * sq
-        w_re, w_im = ((1.0 - eta) + 2.0 * eta * sq) / den, q_im / den
-        # sum_k k^order q^k = q E(q)/(1 - q)^(order + 1), E by Horner's rule
-        row = _eulerian_row(order)
-        re, im = float(row[-1]), 0.0
-        for e in row[-2::-1]:
-            re, im = re * q_re - im * q_im + e, re * q_im + im * q_re
-        re, im = re * q_re - im * q_im, re * q_im + im * q_re
-        for _ in range(order + 1):
-            re, im = re * w_re - im * w_im, re * w_im + im * w_re
-        # Re(i^order (re + i im))
-        return (re, -im, -re, im)[order % 4]
+        return q_re, q_im, ((1.0 - eta) + 2.0 * eta * sq) / den, q_im / den
+
+
+def _power_sum(order: int, q_re, q_im, w_re, w_im):
+    """Re(i^order sum_k k^order q^k) for an order >= 1, with w = 1/(1 - q):
+    sum_k k^order q^k = q E(q) w^(order + 1), E by Horner's rule."""
+    row = _eulerian_row(order)
+    re, im = float(row[-1]), 0.0
+    for e in row[-2::-1]:
+        re, im = re * q_re - im * q_im + e, re * q_im + im * q_re
+    re, im = re * q_re - im * q_im, re * q_im + im * q_re
+    for _ in range(order + 1):
+        re, im = re * w_re - im * w_im, re * w_im + im * w_re
+    # Re(i^order (re + i im))
+    return (re, -im, -re, im)[order % 4]
 
 
 # ---------------------------------------------------------------------------
 # integrand factory
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _leibniz_weights(m: int, n_derivs: int, period: float) -> tuple:
+    """Per order i <= n_derivs of g, the pairs (i - j, C(i, j) psi_m^(j)(0))
+    of Leibniz's rule over the even j <= i (odd psi_m derivatives vanish):
+    g^(i)(t) = sum of the weight times u^(i - j)(t), in order of j."""
+    psi0 = numerator_factor_derivs(m, n_derivs, period)
+    return tuple(tuple((i - j, math.comb(i, j) * psi0[j]) for j in range(0, i + 1, 2)) for i in range(n_derivs + 1))
+
+
+def _u_derivs(u, n_derivs: int, t: float) -> list:
+    """[u(t), u'(t), ..., u^(n_derivs)(t)] as Python floats: one
+    ``u.derivs`` call where u has that method, else ``u.deriv`` per order."""
+    one_pass = getattr(u, "derivs", None)
+    if one_pass is None or n_derivs < 0:
+        return [float(_call("u.deriv", "point", u.deriv, k, t)) for k in range(n_derivs + 1)]
+    values = _call("u.derivs", "point", one_pass, n_derivs, t, rows=True)
+    if values.shape != (n_derivs + 1,):
+        raise EvaluationError(f"u.derivs returned shape {values.shape} for the orders 0..{n_derivs}")
+    return values.tolist()
 
 
 @lru_cache(maxsize=64)
@@ -383,8 +457,13 @@ def singular_periodic_integrand(
     ``u`` is a callable with a ``deriv(order, x)`` method (TrigPolynomial,
     PoissonKernelU).  g(x) = psi_m(x - t) u(x); derivative values of g at t
     are assembled by Leibniz from the series derivatives of psi_m and the
-    analytic derivatives of u, up to order ``n_derivs`` (default m); a
-    ``u.deriv(k, t)`` that raises or is not one value gives EvaluationError.
+    analytic derivatives of u, up to order ``n_derivs`` (default m).  A u
+    with a ``derivs(max_order, x)`` method (both families have one) is read
+    in one call, ``u.derivs(n_derivs, t)``, which must return the
+    n_derivs + 1 values u(t), u'(t), ..., each equal to ``u.deriv(k, t)``
+    bit for bit; any other u is read order by order.  A ``u.deriv`` or
+    ``u.derivs`` that raises, or gives another number of values, gives
+    EvaluationError.
     A non-finite t, or a period not finite and > 0, is rejected before u runs.
     t and the period are taken as Python floats, so the ends and psi_m's
     derivatives are formed in doubles, whatever scalar types they came in.
@@ -406,13 +485,12 @@ def singular_periodic_integrand(
     b = t + 0.5 * period
     if not (math.isfinite(a) and math.isfinite(b) and a < t < b):
         raise ValueError("singular point must satisfy a < t < b")
-    psi0 = numerator_factor_derivs(m, n_derivs, period)
-    u0 = [float(_call("u.deriv", "point", u.deriv, k, t)) for k in range(n_derivs + 1)]
+    u0 = _u_derivs(u, n_derivs, t)
     derivs = []
-    for i in range(n_derivs + 1):
+    for row in _leibniz_weights(m, n_derivs, period):
         acc = 0.0
-        for j in range(0, i + 1, 2):  # odd psi derivatives vanish
-            acc += math.comb(i, j) * psi0[j] * u0[i - j]
+        for k, w in row:
+            acc += w * u0[k]
         derivs.append(acc)
 
     g_eval = SplitNumerator(_kernel_factor(m, period), u, t)

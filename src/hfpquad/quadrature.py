@@ -11,6 +11,7 @@ extra function evaluations, down to fully derivative-free forms.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -193,7 +194,7 @@ def _call(what: str, points: str, fn: Callable, *args, rows: bool = False) -> np
         raise
     except Exception as exc:
         raise EvaluationError(f"{what} failed on {math.prod(shape)} {points}: {exc}") from exc
-    if vals.shape != shape and vals.shape != np.broadcast(*args).shape and not (rows and vals.shape[1:] == shape):
+    if vals.shape != shape and not (rows and vals.shape[1:] == shape) and vals.shape != np.broadcast(*args).shape:
         raise EvaluationError(f"{what} returned shape {vals.shape} for {points} of shape {shape}")
     return vals
 
@@ -340,6 +341,10 @@ class RuleSpec:
 #: node's own k, and a lattice's sum does not either, as a lattice is cut
 #: at multiples of this from its own start (``_blocks``)
 _G_BLOCK = 8192
+
+#: the largest N of a node lattice P(N) the memo fill takes: its node
+#: indices k < N must fit a C ssize_t, as Python's range lengths do
+_MAX_NODES = sys.maxsize
 
 #: bound on the bytes the store of shared tables holds (``_table``)
 _TABLE_BYTES = 8 * 2**20
@@ -779,11 +784,17 @@ def _memoize(integrand: PeriodicIntegrand, lattices) -> None:
 
     The memo is written once the fill is done, so that a psi or u that
     raises leaves it as it was.  S_N is a function of the lattice alone, so
-    two threads that fill one lattice store equal values.
+    two threads that fill one lattice store equal values.  A lattice P(N)
+    with N above ``_MAX_NODES`` raises EvaluationError naming N before
+    anything is filled.
     """
     memo = integrand._f_memo
-    missing = [N for N in dict.fromkeys(lattices) if N not in memo]
+    missing = [N for N in lattices if N not in memo]
     if missing:
+        missing = list(dict.fromkeys(missing))
+        N = max(missing)
+        if N > _MAX_NODES:
+            raise EvaluationError(f"the node lattice P({N}) of {N} points per period is too large (at most {_MAX_NODES})")
         memo.update(zip(missing, _fill(integrand, missing)))
 
 

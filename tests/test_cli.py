@@ -7,6 +7,12 @@ import re
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is in the ``test`` extra; its properties skip without it
+    st = None
+
 from hfpquad.cli import canonical_json, main, parse_float_list, parse_n_range
 from hfpquad.ie_solver import build_simple_system, manufactured_rhs, supersingular_cotangent_kernel
 from hfpquad.integrands import PoissonKernelU
@@ -506,3 +512,42 @@ class TestCanonicalJson:
         # "nan" and "inf" are not JSON, so json.loads would reject the document
         with pytest.raises(ValueError, match=f"non-finite float {float(value)!r}$"):
             canonical_json({"rows": [{"n": 10, "value": 1.0, "error": value}]})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [math.inf, [1.0, -math.inf], {"a": [0.5, {"b": math.nan}]}, (1.0, math.nan), {7: math.inf}, [np.float64(math.nan)]],
+        ids=["top", "list", "nested-dict", "tuple", "int-key", "numpy-in-list"],
+    )
+    def test_non_finite_float_is_refused_wherever_it_sits(self, payload):
+        with pytest.raises(ValueError, match="non-finite float"):
+            canonical_json(payload)
+
+
+if st is not None:
+    # leaves of every type a payload may hold: the exact types canonical_json
+    # tests first and the rest, numpy scalars, bools and None
+    _leaf = (
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+        | st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32)
+        | st.integers()
+        | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+        | st.booleans()
+        | st.none()
+        | st.text()
+    )
+    _payload = st.recursive(
+        _leaf,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+        | st.dictionaries(st.integers(-5, 5), inner, max_size=4),
+        max_leaves=30,
+    )
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(payload=_payload)
+    def test_canonical_json_equals_the_recursive_reference(payload):
+        text = canonical_json(payload)
+        assert text == _recursive_canonical_json(payload)
+        json.loads(text)

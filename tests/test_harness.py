@@ -114,6 +114,31 @@ class TestTableEvaluatesGOnce:
         # the rows before it are fine
         convergence_table_for(broken, 0.0, "zero", 3, [10, 20])
 
+    @pytest.mark.parametrize(
+        "m, s, path",
+        [(m, s, "compact") for m in range(1, 7) for s in range(m // 2 + 2)]
+        + [(m, s, "generic") for m in (1, 3, 4) for s in range(4)],
+    )
+    def test_rows_are_t_hat_bit_for_bit(self, m, s, path):
+        # each row reads the memo the table filled for every row at once:
+        # its double is t_hat's on a fresh integrand
+        integ = singular_periodic_integrand(self.U, m=m, t=0.4, n_derivs=m)
+        ns = [30, 10, 24, 10, 7, 40]
+        rows = convergence_table_for(integ, 0.0, "zero", s, ns, path=path).rows
+        assert [r.n for r in rows] == sorted(set(ns))
+        for row in rows:
+            value = t_hat(RuleSpec(m, s, row.n, path=path), dataclasses.replace(integ))
+            assert row.value.hex() == value.hex()
+
+    def test_the_rule_and_smallest_n_are_checked_as_rule_spec_checks_them(self):
+        integ = singular_periodic_integrand(self.U, m=3, t=0.4)
+        with pytest.raises(ValueError, match="base rule needs n >= 2"):
+            convergence_table_for(integ, 0.0, "zero", 0, [10, 1])
+        with pytest.raises(ValueError, match="has no compact form"):
+            convergence_table_for(integ, 0.0, "zero", 3, [10], path="compact")
+        with pytest.raises(ValueError, match="unknown rule path"):
+            convergence_table_for(integ, 0.0, "zero", 1, [10], path="fast")
+
     def test_empty_n_list(self):
         integ = singular_periodic_integrand(self.U, m=3, t=0.4)
         with pytest.raises(ValueError, match="empty"):

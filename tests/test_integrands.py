@@ -7,6 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is in the ``test`` extra; its properties skip without it
+    st = None
+
 from hfpquad import quadrature
 from hfpquad.errors import EvaluationError
 from hfpquad.integrands import (
@@ -372,6 +378,42 @@ class TestIntegrandFactory:
             singular_periodic_integrand(Broken(), m=3, t=0.5)
         assert isinstance(info.value.__cause__, RuntimeError) == (kind == "raises")
 
+    @pytest.mark.parametrize("kind", ["raises", "two values", "one value"])
+    def test_failing_u_derivs_is_an_evaluation_error(self, kind):
+        u = TrigPolynomial((1.0, 0.5))
+
+        class Broken:
+            __call__ = u.__call__
+            deriv = u.deriv
+
+            def derivs(self, max_order, x):
+                if kind == "raises":
+                    raise RuntimeError("no derivatives")
+                values = u.derivs(max_order, x)
+                return values[:2] if kind == "two values" else values[0]
+
+        with pytest.raises(EvaluationError, match=r"^u\.derivs (failed|returned shape)") as info:
+            singular_periodic_integrand(Broken(), m=3, t=0.5)
+        assert isinstance(info.value.__cause__, RuntimeError) == (kind == "raises")
+
+    @pytest.mark.parametrize("u", [PoissonKernelU(0.6), TrigPolynomial((0.3, -0.2, 0.5), (0.1, 0.7))])
+    def test_one_u_derivs_call(self, u):
+        calls = []
+
+        class Counted:
+            __call__ = u.__call__
+
+            def deriv(self, order, x):
+                raise AssertionError("read order by order")
+
+            def derivs(self, max_order, x):
+                calls.append((max_order, x))
+                return u.derivs(max_order, x)
+
+        integ = singular_periodic_integrand(Counted(), m=4, t=0.7, n_derivs=11)
+        assert calls == [(11, 0.7)]
+        assert integ.g_derivs_at_t == singular_periodic_integrand(u, m=4, t=0.7, n_derivs=11).g_derivs_at_t
+
     def test_interval_centered(self):
         u = PoissonKernelU(0.2)
         integ = singular_periodic_integrand(u, m=3, t=2.5)
@@ -434,3 +476,77 @@ def test_blocked_g_eval_on_a_scalar_and_on_no_nodes(m, u):
     for empty in (np.empty(0), np.empty((0, 3))):
         g_empty = integ.g_eval(empty)
         assert isinstance(g_empty, np.ndarray) and g_empty.shape == empty.shape
+
+
+# ``derivs(n, x)`` reads every order at one point in one pass; it must be
+# ``[deriv(k, x) for k in 0..n]`` bit for bit, so an integrand's g
+# derivatives, corrections and rule values do not depend on which one
+# ``singular_periodic_integrand`` reads.
+
+
+class _DerivOnly:
+    """u with ``deriv`` alone, which the factory reads order by order."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def __call__(self, x):
+        return self.u(x)
+
+    def deriv(self, order, x):
+        return self.u.deriv(order, x)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("u", [PoissonKernelU(0.5), TrigPolynomial((0.3, 0.1), (0.2,))])
+def test_derivs_takes_one_point(u):
+    with pytest.raises(ValueError, match=r"one point x \(got shape \(2,\)\)"):
+        u.derivs(3, [0.1, 0.2])
+    with pytest.raises(ValueError, match=r"got 2\.0"):
+        u.derivs(2.0, 0.1)
+
+
+if st is not None:
+    _coefficient = st.floats(-10.0, 10.0, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    _trig = st.integers(0, 12).flatmap(
+        lambda d: st.builds(
+            TrigPolynomial,
+            st.lists(_coefficient, min_size=d + 1, max_size=d + 1).map(tuple),
+            st.lists(_coefficient, min_size=d, max_size=d).map(tuple),
+        )
+    )
+    _point = st.floats(-1e3, 1e3, allow_nan=False)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(u=_trig, max_order=st.integers(0, 13), x=_point)
+    def test_trig_derivs_equal_deriv_bit_for_bit(u, max_order, x):
+        fresh = TrigPolynomial(u.cos_coeffs, u.sin_coeffs)
+        values = u.derivs(max_order, x)
+        assert _hexes(values) == _hexes(fresh.deriv(k, x) for k in range(max_order + 1))
+        # and deriv on the gammas derivs formed and kept
+        assert _hexes(values) == _hexes(u.deriv(k, x) for k in range(max_order + 1))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        eta=st.floats(-0.999, 0.999, allow_nan=False),
+        max_order=st.integers(0, 8),
+        x=_point,
+    )
+    def test_poisson_derivs_equal_deriv_bit_for_bit(eta, max_order, x):
+        u = PoissonKernelU(eta)
+        assert _hexes(u.derivs(max_order, x)) == _hexes(u.deriv(k, x) for k in range(max_order + 1))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        u=_trig | st.floats(-0.999, 0.999, allow_nan=False).map(PoissonKernelU),
+        m=st.integers(1, 6),
+        extra=st.integers(0, 7),
+        t=st.floats(-3.0, 3.0, allow_nan=False),
+    )
+    def test_one_pass_and_deriv_only_integrands_are_equal(u, m, extra, t):
+        one_pass = singular_periodic_integrand(u, m=m, t=t, n_derivs=m + extra)
+        per_order = singular_periodic_integrand(_DerivOnly(u), m=m, t=t, n_derivs=m + extra)
+        assert _hexes(one_pass.g_derivs_at_t) == _hexes(per_order.g_derivs_at_t)

@@ -1435,3 +1435,27 @@ class TestRoundoffFloor:
     def test_overflowing_floor_raises(self, args, what):
         with pytest.raises(EvaluationError, match=f"^the roundoff floor's {re.escape(what)} overflowed"):
             roundoff_floor(*args)
+
+
+class TestNodeCountBound:
+    """A rule or sum on a lattice P(N) with N past ``_MAX_NODES`` (2^63 - 1,
+    where the fill's range of node indices no longer has a length) raises
+    EvaluationError naming N, before any lattice is filled."""
+
+    @pytest.fixture
+    def integ(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_fill", lambda *args, **kwargs: pytest.fail("a lattice was filled"))
+        return singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.3)
+
+    def test_t_hat(self, integ):
+        # generic s = 70 at n = 8: its finest grid is P(2^73)
+        with pytest.raises(EvaluationError, match=rf"^the node lattice P\({2**73}\) of {2**73} points"):
+            t_hat(RuleSpec(3, 70, 8), integ)
+
+    def test_plain_trap_sum(self, integ):
+        with pytest.raises(EvaluationError, match=rf"^the node lattice P\({2**70}\) of {2**70} points"):
+            plain_trap_sum(integ, 2**70)
+
+    def test_midpoint_sum(self, integ):
+        with pytest.raises(EvaluationError, match=rf"^the node lattice P\({2**73}\) of {2**73} points"):
+            midpoint_sum(integ, 8, 70)
