@@ -1,19 +1,12 @@
-"""Hot numeric loops of the rules and the collocation solvers, in numpy.
+"""The cardinal kernel D_n, the rules' node sum in one call, and the backend name.
 
-The rules form each quotient f_j = g_j / y_j^m once per node of an
-integrand and add f over each primitive lattice with numpy's pairwise
-summation, whose error grows like u*log(n), into the memo of
-``quadrature.PeriodicIntegrand``; sums of several lattices, or of a
-lattice's pieces, are combined by ``math.fsum``, exactly rounded (Higham,
-Accuracy and Stability of Numerical Algorithms, section 4.2).  The rule's
-roundoff is dominated by the u*n^2 term of the singular denominators, so
-the order of the sum does not move the floor model.  The power y^m is
-``quadrature.int_power``, not ``y**m``: numpy's ``pow`` takes a slow libm
-path for negative bases (every rule has half its offsets negative) and
-rounds them differently from positive ones.  ``singular_sum`` is the same
-node sum in one call, which the tests use as the rules' unmemoized
-reference.  ``dirichlet_dz`` evaluates the cardinal kernel and its
-derivatives for the collocation matrices.
+``dirichlet_dz`` evaluates D_n(z) = sin(n z) cot(z)/n and its first three
+derivatives on reduced angles, for the collocation matrices of
+``ie_solver``.  ``singular_sum`` is the sum of g_j / y_j^m over a node
+family in one numpy pairwise sum, with the power y^m from
+``quadrature.int_power``: the tests' unmemoized reference for the rules,
+whose memo fill lives in ``quadrature``.  ``active_backend`` names the
+node-sum implementation, which hfpbench records in its run environment.
 
 Callers look ``singular_sum`` and ``dirichlet_dz`` up through the module
 at call time, so a tracer such as hfpbench's can rebind them by name.
@@ -39,11 +32,7 @@ def singular_sum(g_vals: np.ndarray, y_vals: np.ndarray, m: int):
     (rows, nodes) one, a vector-valued g, gives one sum per row, each the
     same pairwise sum as the row's own 1-D call.
     """
-    power = int_power(y_vals, m)
-    # dividing into the power's fresh array saves a node-sized allocation,
-    # which at 2^18 nodes costs more than the division itself
-    out = power if np.shape(g_vals) == power.shape else None
-    sums = np.divide(g_vals, power, out=out).sum(axis=-1)
+    sums = (g_vals / int_power(y_vals, m)).sum(axis=-1)
     return sums if sums.ndim else float(sums)
 
 

@@ -98,12 +98,12 @@ class PeriodicKernel:
     def numerator_centered(self, t, y):
         """K_per(t, t+y) * y^3 for centered offsets, broadcast over t and y.
 
-        A ``psi`` kernel's values are read-only arrays from its
-        ``quadrature._psi_table``, keyed on the offsets' shape and bytes.
+        A ``psi`` kernel's values are read-only views, of y's shape, of its
+        ``quadrature._psi_table`` on the offsets' bytes.
         """
         y = np.asarray(y, dtype=float)
         if self.psi is not None:
-            return _psi_table(self.psi, _frombuffer, y.shape, y.tobytes())
+            return _psi_table(self.psi, np.frombuffer, y.tobytes()).reshape(y.shape)
         return _call("centered", "offsets", self.centered, t, y)
 
     def diag_derivs(self, t: float) -> tuple[float, float, float, float]:
@@ -112,12 +112,6 @@ class PeriodicKernel:
                 "advanced approach requires U_k(t,t) for k = 0..3"
             )
         return tuple(float(_call(f"U_{k}", "point", fn, t)) for k, fn in enumerate(self.u_xderivs_diag))
-
-
-def _frombuffer(shape: tuple, data: bytes) -> np.ndarray:
-    """The float64 offsets with this shape and these bytes: the key of a
-    ``psi`` kernel's table (``quadrature._psi_table``)."""
-    return np.frombuffer(data).reshape(shape)
 
 
 def _circulant(rows: np.ndarray) -> np.ndarray:
@@ -248,10 +242,18 @@ def _require_finite_lam(lam) -> None:
         raise ValueError(f"lambda must be finite (got {lam!r})")
 
 
-def _system(kernel, w_eval, grid, rule, n, lam) -> CollocationSystem:
-    """The system of ``rule`` at n on ``grid``, w_eval(grid) one finite value
-    per point (``_call``).  A non-finite lam raises ValueError before w_eval runs."""
+def _system(kernel, w_eval, lo: int, size: int, spacing: float, rule, n, lam) -> CollocationSystem:
+    """The system of ``rule`` at n on the grid x_j = a + j*spacing,
+    j = lo .. lo + size - 1, w_eval(grid) one finite value per point
+    (``_call``).  A non-finite lam raises ValueError, and a grid that numpy
+    cannot or will not allocate EvaluationError naming n and its size, both
+    before w_eval runs."""
     _require_finite_lam(lam)
+    try:
+        # np.int64 refuses a stop past int64, for which np.arange returns an empty array
+        grid = kernel.a + np.arange(lo, np.int64(lo + size)) * spacing
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise EvaluationError(f"the collocation grid of {size} points at n={n} cannot be allocated") from exc
     rhs = _call("rhs evaluator", "grid points", w_eval, grid)
     _check_finite(rhs, grid, "rhs is not finite at grid point {index} (x={x!r})")
     return CollocationSystem(grid=grid, rhs=rhs, **_assemble(kernel, grid, rule, n, lam))
@@ -265,14 +267,13 @@ def build_simple_system(
     Grid x_j = a + j*hhat, hhat = T/(4n), j = 1..4n; entries
     eps_ij * hhat * K(x_i, x_j) + lam on the diagonal pattern.  A ``psi``
     kernel gives a circulant system stored as its first column.  A
-    non-integral n or non-finite lam raises ValueError before w_eval runs.
+    non-integral n or non-finite lam raises ValueError, and a grid that
+    numpy refuses EvaluationError, before w_eval runs.
     """
     _require_integers(n=n)
     if n < 2:
         raise ValueError("simple approach needs n >= 2")
-    hh = (kernel.period / n) / 4.0
-    grid = kernel.a + np.arange(1, 4 * n + 1, dtype=np.int64) * hh
-    return _system(kernel, w_eval, grid, compact_rule(3, 2), n, lam)
+    return _system(kernel, w_eval, 1, 4 * n, (kernel.period / n) / 4.0, compact_rule(3, 2), n, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +376,13 @@ def build_advanced_system(
     [lam + A_0(x_i)] delta_ij + h K(x_i,x_j)(1-delta_ij)
     + sum_k A_k(x_i) D_n^(k)(x_i - x_j).  For a ``psi`` kernel the A_k are
     constants and the system is stored as its first column.  A
-    non-integral n or non-finite lam raises ValueError before w_eval runs.
+    non-integral n or non-finite lam raises ValueError, and a grid that
+    numpy refuses EvaluationError, before w_eval runs.
     """
     _require_integers(n=n)
     if n < 4 or n % 2:
         raise ValueError(f"advanced approach needs even n >= 4 (got n={n})")
-    h = kernel.period / n
-    grid = kernel.a + np.arange(n, dtype=np.int64) * h
-    return _system(kernel, w_eval, grid, compact_rule(3, 0), n, lam)
+    return _system(kernel, w_eval, 0, n, kernel.period / n, compact_rule(3, 0), n, lam)
 
 
 # ---------------------------------------------------------------------------

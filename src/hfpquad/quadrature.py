@@ -153,6 +153,8 @@ class SplitNumerator:
     u(x) from S = sin(x/2) elementwise (``PoissonKernelU``): that method
     then runs on sin((t + y)/2), formed from the half-angle rows of the same
     entry without rounding x, so u is evaluated at t + y, not at x_hat.
+    The store keys its entries on psi, so psi must be hashable: an
+    unhashable psi raises ValueError naming it.
     ``integrand_norms`` and ``hfp_reference`` sample it the same way, psi(y)
     from a ``_psi_table`` on their offsets and u at x_hat (``_sample``).
     """
@@ -160,6 +162,12 @@ class SplitNumerator:
     psi: Callable
     u: Callable
     t: float
+
+    def __post_init__(self):
+        try:
+            hash(self.psi)
+        except TypeError as exc:
+            raise ValueError(f"psi must be hashable, as the shared tables are keyed on it (got {self.psi!r})") from exc
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -355,23 +363,24 @@ _TABLES: dict = {}
 _TABLES_LOCK = threading.Lock()
 
 
-def _table(key, build: Callable):
-    """The value of ``key`` in the store of shared tables, ``build()`` if
-    the store lacks it.
+def _table(key, build: Callable, *args):
+    """The value of ``key`` in the store of shared tables, ``build(*args)``
+    if the store lacks it.  Only ``_shared`` calls it, with the key
+    (build, *args), so every entry is a function of what it is made from.
 
     The store is the one cache of arrays (lattice tables, psi tables, the
     norm sample's and the reference's offsets, lattice spectra, cardinal
     rows): a value is an array or a tuple holding arrays, which it marks
     read-only.  It keeps at most ``_TABLE_BYTES`` bytes of arrays and of
     bytes in keys, evicting the least recently used entries first; a value
-    larger than that is returned but not kept.  ``build`` runs outside the lock, so two
-    threads may build one key, and must give equal values.
+    larger than that is returned but not kept.  ``build`` runs outside the
+    lock, so two threads may build one key, and must give equal values.
     """
     with _TABLES_LOCK:
         if key in _TABLES:
             _TABLES[key] = entry = _TABLES.pop(key)
             return entry[0]
-    value = build()
+    value = build(*args)
     arrays = [a for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray)]
     for array in arrays:
         array.flags.writeable = False
@@ -387,22 +396,23 @@ def _table(key, build: Callable):
 
 
 def _shared(fn: Callable) -> Callable:
-    """fn with its values kept in the store of shared tables, keyed by fn
-    and its positional arguments (``_table``)."""
-    return wraps(fn)(lambda *args: _table((fn, *args), partial(fn, *args)))
+    """fn with its values kept in the store of shared tables under the key
+    (fn, *args), its positional arguments, which must be hashable and be
+    all that the value depends on (``_table``)."""
+    return wraps(fn)(lambda *args: _table((fn, *args), fn, *args))
 
 
 @_shared
 def _psi_table(psi: Callable, offsets: Callable, *key) -> np.ndarray:
     """psi on the offsets ``offsets(*key)``, one store entry per (psi,
-    offsets, key): the psi table of every caller but the memo fill, whose
+    offsets, *key): the psi table of every caller but the memo fill, whose
     lattice entries hold psi(|y|) (``_lattice_table``).
 
     ``offsets`` is a function of the key alone, so the key is what the
     offsets are made from: the ends of the norm sample, the breakpoints and
-    panel counts of the reference, or a kernel's offsets as bytes.  psi
-    must be deterministic, a node's double not depending on the other
-    offsets of the call.
+    panel counts of the reference, or a ``psi`` kernel's offsets as bytes
+    (``np.frombuffer``).  psi must be hashable and deterministic, a node's
+    double not depending on the other offsets of the call.
     """
     return _call("psi", "offsets", psi, offsets(*key))
 
@@ -553,19 +563,19 @@ def _blocks(sizes):
         yield block
 
 
-def _lattice_table(psi: Optional[Callable], m: int, family):
+@_shared
+def _lattice_table(psi: Optional[Callable], m: int, N: int, delta: float, size: int):
     """(psi(|y|), |y|^m, B, cos r theta, sin r theta, row angles) of the
-    lattice P(N) (``family``), from the store of shared tables (``_table``):
-    the one entry per lattice that a fill reads.  psi(|y|) is None for psi
-    None, a g that is not split.
+    lattice P(N) of spacing delta: the one store entry per lattice that a
+    fill reads.  psi(|y|) is None for psi None, a g that is not split.
 
-    psi(|y|) and |y|^m are on the first size = max(inside, L - inside)
-    offsets ks[i]*delta of the lattice's L nodes: its positive offsets and
-    the magnitudes of its wrapped ones, which are the same doubles.  The
-    key holds exactly what the doubles depend on, (id(psi), m, N, delta,
-    size), and the value psi, which keeps the id unique while the entry
-    lives; psi runs in blocks.  A table that cannot be allocated raises
-    EvaluationError naming the lattice, chained to the MemoryError.
+    psi(|y|) and |y|^m are on the first ``size`` offsets k*delta of the
+    lattice's nodes k = 1, 1 + step, ..., step 2 for an even N and 1 for an
+    odd one; ``_fill`` passes size = max(inside, L - inside) of the
+    lattice's ``_family``, its positive offsets and the magnitudes of its
+    wrapped ones, which are the same doubles.  psi runs in blocks.  A table
+    that numpy cannot or will not allocate raises EvaluationError naming
+    the lattice, chained to numpy's MemoryError or ValueError.
 
     The half-angle rows give sin(x/2) at the nodes without forming x.  Node
     k of P(N) is x = t + j delta, j = k or, where it wraps, k - N, so
@@ -577,27 +587,22 @@ def _lattice_table(psi: Optional[Callable], m: int, family):
     N, whose k are odd), and the row angles qB theta, then (qB - N) theta,
     of q = 0 .. Q - 1, Q = ceil(N/B).
     """
-    ks, inside, delta = family
-    N, size = ks.stop, max(inside, len(ks) - inside)
-
-    def build():
-        psi_abs, power = None if psi is None else np.empty(size), np.empty(size)
-        for [(_, lo, hi)] in _blocks([size]):
-            y = _offsets((ks, size, delta), lo, hi)
-            if psi is not None:
-                psi_abs[lo:hi] = _call("psi", "offsets", psi, y)
-            power[lo:hi] = int_power(y, m)
-        B = 2 ** max(1, N.bit_length() // 2)
-        theta = 0.5 * delta
-        r_theta = np.arange(ks.step - 1, B, ks.step) * theta
-        qB = np.arange(0, N, B)
-        angles = np.concatenate((qB * theta, (qB - N) * theta))
-        return psi, psi_abs, power, B, np.cos(r_theta), np.sin(r_theta), angles
-
+    ks = range(1, N, 2 - N % 2)
     try:
-        return _table((_lattice_table, id(psi), m, N, delta, size), build)[1:]
-    except MemoryError as exc:
+        psi_abs, power = None if psi is None else np.empty(size), np.empty(size)
+    except (MemoryError, ValueError) as exc:
         raise EvaluationError(f"the offset table of the lattice P({N}), {size} offsets, cannot be allocated") from exc
+    for [(_, lo, hi)] in _blocks([size]):
+        y = _offsets((ks, size, delta), lo, hi)
+        if psi is not None:
+            psi_abs[lo:hi] = _call("psi", "offsets", psi, y)
+        power[lo:hi] = int_power(y, m)
+    B = 2 ** max(1, N.bit_length() // 2)
+    theta = 0.5 * delta
+    r_theta = np.arange(ks.step - 1, B, ks.step) * theta
+    qB = np.arange(0, N, B)
+    angles = np.concatenate((qB * theta, (qB - N) * theta))
+    return psi_abs, power, B, np.cos(r_theta), np.sin(r_theta), angles
 
 
 def _half_angle_rows(integrand: PeriodicIntegrand, tables):
@@ -733,7 +738,8 @@ def _fill(integrand: PeriodicIntegrand, lattices: list, arrays: bool = False) ->
     """
     families = [_lattice(integrand, N) for N in lattices]
     m, split, rows = integrand.m, _split(integrand), None
-    tables = [_lattice_table(None if split is None else split.psi, m, family) for family in families]
+    psi = None if split is None else split.psi
+    tables = [_lattice_table(psi, m, ks.stop, delta, max(inside, len(ks) - inside)) for ks, inside, delta in families]
     if split is None:
         u_of = partial(_rule_g, integrand)
     else:

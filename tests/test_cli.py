@@ -353,6 +353,33 @@ class TestRate:
         slope = float(re.search(r"slope = (\S+)", err).group(1))
         assert slope == payload["fitted_rate"]
 
+    def test_csv_ends_with_the_fitted_rate_row(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "rate", "--m", "3", "--s", "2", "--n", "10:60:10", "--eta", "0.5",
+            "--format", "csv",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,value,error" and len(lines) == 8
+        assert [int(line.split(",")[0]) for line in lines[1:-1]] == [10, 20, 30, 40, 50, 60]
+        slope = re.search(r"slope = (\S+)", err).group(1)
+        assert lines[-1] == f"fitted_rate,{slope},"
+
+    def test_output_into_a_missing_directory_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "rate.csv"
+        code, out, err = run_cli(
+            capsys,
+            "rate", "--m", "3", "--s", "2", "--n", "10:60:10", "--eta", "0.5",
+            "--output", str(path),
+        )
+        assert (code, out) == (1, "")
+        # the slope line goes to stderr before the table is written
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("eta=0.5: fitted ln-error slope = ")
+        assert lines[1].startswith(f"error: cannot write output file {path}: ")
+        assert not path.parent.exists()
+
 
 class TestSolveIE:
     def test_simple_reaches_tolerance(self, capsys):

@@ -299,6 +299,24 @@ class TestBuilderN:
             build(supersingular_cotangent_kernel(), lambda x: calls.append(x) or np.cos(x), 1.0, n)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "build, n, size, cause",
+        [
+            # 4n = 2^63 is past int64, for which np.arange returns an empty grid
+            (build_simple_system, 2**61, 2**63, OverflowError),
+            # 2^62 int64 indices are past what numpy allocates at all
+            (build_advanced_system, 2**62, 2**62, ValueError),
+        ],
+        ids=["simple", "advanced"],
+    )
+    def test_grid_numpy_refuses_is_rejected_before_w(self, build, n, size, cause):
+        calls = []
+        message = f"the collocation grid of {size} points at n={n} cannot be allocated"
+        with pytest.raises(EvaluationError, match=f"^{message}$") as info:
+            build(supersingular_cotangent_kernel(), lambda x: calls.append(x) or np.cos(x), 1.0, n)
+        assert isinstance(info.value.__cause__, cause)
+        assert calls == []
+
     @pytest.mark.parametrize("build", [build_simple_system, build_advanced_system])
     def test_numpy_integer_n(self, build):
         kern = supersingular_cotangent_kernel()
@@ -917,7 +935,10 @@ class TestPsiTable:
         want = np.asarray(numerator_factor(3, y, kern.period), dtype=float)
         assert got.shape == want.shape == np.shape(y)
         assert np.array_equal(got, want)
-        assert got is kern.numerator_centered(None, np.array(y))  # one entry per shape and bytes
+        # one entry per bytes: the same offsets, in any shape, read views of one table
+        again = kern.numerator_centered(None, np.array(y))
+        assert np.shares_memory(got, again) and not again.flags.writeable
+        assert np.shares_memory(got, kern.numerator_centered(None, np.ravel(y)))
         with pytest.raises(ValueError, match="read-only"):
             got[...] = 0.0
 
@@ -937,7 +958,7 @@ class TestPsiTable:
         for size in range(1, 1100, 13):
             y = np.linspace(-1.0, 1.0, size)
             assert np.array_equal(kern.numerator_centered(None, y), numerator_factor(3, y, kern.period))
-            key = (quadrature._psi_table.__wrapped__, kern.psi, ie_solver._frombuffer, y.shape, y.tobytes())
+            key = (quadrature._psi_table.__wrapped__, kern.psi, np.frombuffer, y.tobytes())
             kept = key in quadrature._TABLES
             assert kept == (16 * size <= bound)
             assert 0 < held_bytes() <= bound
@@ -1343,4 +1364,4 @@ class TestSharedTables:
         # P(2^15)'s lattice table, psi(|y|) and |y|^3 on 8,192 offsets and
         # its half-angle rows, is 132 KiB: the first rule used it, and the
         # store did not keep it
-        assert not any(key[0] is quadrature._lattice_table and key[3] == 2**15 for key in quadrature._TABLES)
+        assert not any(key[0] is quadrature._lattice_table.__wrapped__ and key[3] == 2**15 for key in quadrature._TABLES)

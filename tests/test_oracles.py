@@ -433,6 +433,19 @@ class TestReferenceEvaluationErrors:
         assert len(calls) == 1  # no panel doubling ran
         assert info.value.node_x == float(calls[0][info.value.node_index])
 
+    def test_vector_valued_g_raises(self):
+        # a vector g has one row per function, which one list of derivatives cannot describe
+        with pytest.raises(ValueError, match="^a vector-valued g carries no g derivatives$"):
+            hfp_reference(lambda x: np.stack((np.cos(x), np.sin(x))), self.DERIVS, self.M, self.A, self.B, self.T)
+
+    def test_closed_form_part_that_overflows_raises_before_g(self):
+        # each derivative is finite, but on [0, 1] about t = 0.5 the finite
+        # part of (x - t)^-2 is -4, and 1e308 times it is not
+        calls = []
+        with pytest.raises(EvaluationError, match="^the closed-form part of the reference overflowed$"):
+            hfp_reference(lambda x: calls.append(x) or np.cos(x), [1e308] * 8, self.M, 0.0, 1.0, 0.5)
+        assert calls == []
+
     def test_non_finite_derivative_raises_before_g(self):
         calls = []
         derivs = list(self.DERIVS)

@@ -872,7 +872,7 @@ class TestSplitFill:
         # wraps, theta = delta/2, and sin(x/2) = sin phi cos r theta + cos phi sin r theta
         family = quadrature._lattice(integ, N)
         ks, inside, delta = family
-        B = quadrature._lattice_table(None, integ.m, family)[2]
+        B = quadrature._lattice_table(None, integ.m, N, delta, max(inside, len(ks) - inside))[2]
         k = np.arange(ks.start, ks.stop, ks.step)
         qB, theta = k - k % B, 0.5 * delta
         phi = 0.5 * integ.t + np.where(np.arange(k.size) < inside, qB, qB - N) * theta
@@ -1083,7 +1083,8 @@ class TestSplitFill:
             for N in (6, 7, 96, 97, 768):
                 family = quadrature._lattice(integ, N)
                 ks, inside, delta = family
-                rows = quadrature._half_angle_rows(integ, [quadrature._lattice_table(None, 3, family)])
+                table = quadrature._lattice_table(None, 3, N, delta, max(inside, len(ks) - inside))
+                rows = quadrature._half_angle_rows(integ, [table])
                 values = u.from_half_sine(quadrature._half_sines(family, rows, 0, 0, len(ks)))
                 with mpmath.workdps(40):
                     for i, (k, value) in enumerate(zip(ks, values)):
@@ -1160,9 +1161,9 @@ class TestSplitFill:
         # an entry of P(2^15) has 8,192 offsets and 4 KiB of half-angle
         # rows: a split's psi(|y|) and |y|^m need 132 KiB, used but not
         # kept, and a plain g's |y|^m alone 68 KiB
-        entries = [value for key, (value, _) in quadrature._TABLES.items() if key[0] is quadrature._lattice_table]
-        assert all((psi_abs is None) != split for _, psi_abs, *_ in entries)
-        assert max(power.size for _, _, power, *_ in entries) == (4096 if split else 8192)
+        entries = [value for key, (value, _) in quadrature._TABLES.items() if key[0] is quadrature._lattice_table.__wrapped__]
+        assert all((psi_abs is None) != split for psi_abs, *_ in entries)
+        assert max(power.size for _, power, *_ in entries) == (4096 if split else 8192)
 
     def test_threads_share_the_offset_table(self, monkeypatch):
         # four threads run compact rules on integrands of their own, all of
@@ -1206,12 +1207,12 @@ class TestSplitFill:
         # psi(|y|), |y|^m and the half-angle rows of a lattice are one store
         # entry: a half-sine fill of k lattices makes k lookups, not 2k
         keys, table = [], quadrature._table
-        monkeypatch.setattr(quadrature, "_table", lambda key, build: keys.append(key) or table(key, build))
+        monkeypatch.setattr(quadrature, "_table", lambda key, *build: keys.append(key) or table(key, *build))
         integ = self.integrand(3, 0.3, True)
         assert hasattr(integ.g_eval.u, "from_half_sine")
         lattices = [3, 5, 7, 64, 96]
         quadrature._memoize(integ, lattices)
-        assert [(key[0], key[3]) for key in keys] == [(quadrature._lattice_table, N) for N in lattices]
+        assert [(key[0], key[3]) for key in keys] == [(quadrature._lattice_table.__wrapped__, N) for N in lattices]
 
     def test_unallocatable_lattice_raises(self):
         # P(2^61)'s offset table needs about 2^59 doubles for psi(|y|) alone,
@@ -1459,3 +1460,59 @@ class TestNodeCountBound:
     def test_midpoint_sum(self, integ):
         with pytest.raises(EvaluationError, match=rf"^the node lattice P\({2**73}\) of {2**73} points"):
             midpoint_sum(integ, 8, 70)
+
+
+class TestLatticeNumpyRefuses:
+    """P(2^62) is within ``_MAX_NODES``, but its offset table, about 2^60
+    doubles, is past what numpy allocates at all: np.empty raises ValueError
+    ("array is too big") before allocating anything, and the table names
+    the lattice as it does for a MemoryError."""
+
+    MESSAGE = rf"^the offset table of the lattice P\({2**62}\), \d+ offsets, cannot be allocated$"
+
+    @pytest.fixture
+    def integ(self):
+        return singular_periodic_integrand(PoissonKernelU(0.5), m=3, t=0.3, n_derivs=3)
+
+    def test_t_hat(self, integ):
+        with pytest.raises(EvaluationError, match=self.MESSAGE) as info:
+            t_hat(RuleSpec(3, 0, 2**62, path="generic"), integ)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_plain_trap_sum(self, integ):
+        with pytest.raises(EvaluationError, match=self.MESSAGE) as info:
+            plain_trap_sum(integ, 2**62)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_midpoint_sum(self, integ):
+        with pytest.raises(EvaluationError, match=self.MESSAGE) as info:
+            midpoint_sum(integ, 2**61)
+        assert isinstance(info.value.__cause__, ValueError)
+
+
+class TestSplitPsiHashable:
+    """The shared tables are keyed on psi, so a split g needs a hashable psi."""
+
+    class UnhashablePsi:
+        __hash__ = None
+
+        def __call__(self, y):
+            return np.ones_like(y)
+
+    def test_unhashable_psi_is_refused(self):
+        psi = self.UnhashablePsi()
+        with pytest.raises(ValueError, match=re.escape(f"psi must be hashable, as the shared tables are keyed on it (got {psi!r})")):
+            SplitNumerator(psi, np.cos, 0.3)
+
+    @dataclasses.dataclass(frozen=True)
+    class ListPsi:
+        coefs: list
+
+        def __call__(self, y):
+            return np.polynomial.polynomial.polyval(y * y, self.coefs)
+
+    def test_psi_whose_hash_raises_is_refused(self):
+        # the class defines __hash__, but hashing an instance hashes its list
+        with pytest.raises(ValueError, match="psi must be hashable") as info:
+            SplitNumerator(self.ListPsi([1.0, 0.5]), np.cos, 0.3)
+        assert isinstance(info.value.__cause__, TypeError)
